@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    DEGENERACY_TOL,
     CapacityError,
     SparseHermitian,
     dense_max,
@@ -27,7 +28,6 @@ from .linalg import (
 )
 from .qqa import BasisSchema, Selector, flat_schema
 
-DEGENERACY_TOL = 1e-9
 TIE_TOL = 1e-9
 DEFAULT_ACCURACY_BOUND = 0.999  # constructions analyzed at accuracy exactly 1
 COMMUTATOR_NEGLIGIBLE = 1e-12

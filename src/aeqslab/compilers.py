@@ -32,6 +32,7 @@ from .aeqs import (
     DEFAULT_ACCURACY_BOUND,
     ProjectorComplement,
 )
+from .gallery import deflation_vector
 from .linalg import CapacityError, hadamard_power, ilog, spectral_norm
 from .qqa import CENT, DOLLAR, BasisSchema, Selector, length_selector
 
@@ -292,7 +293,7 @@ def from_garbage_1qfa(spec: GarbageQfaSpec) -> AeqsFamily:
             size_bits=schema.size_bits,
             epsilon=threshold,
             h_ini=ProjectorComplement(
-                deflation_vector_for(schema.dim, schema.index((spec.initial, ())))
+                deflation_vector(schema.dim, schema.index((spec.initial, ())))
             ),
             h_fin=ProjectorComplement(psi),
             s_acc=s_acc,
@@ -307,12 +308,6 @@ def from_garbage_1qfa(spec: GarbageQfaSpec) -> AeqsFamily:
         tags=("1moqqaf", "linsize", "constgap", "0-energy"),
         name=f"compiled({spec.name})",
     )
-
-
-def deflation_vector_for(dim: int, distinguished: int) -> np.ndarray:
-    from .gallery import deflation_vector
-
-    return deflation_vector(dim, distinguished)
 
 
 # ---------------------------------------------------------------------------

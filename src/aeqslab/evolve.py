@@ -11,6 +11,25 @@ intervals (j = 0 .. R-1, hbar = 1 by default):
 - phase-shift: each V(j) factored as W^k PS_ini^(2R-2j-1) W^k PS_fin^(2j+1)
   through two diagonal phase operators, available exactly when H_ini is
   diagonal in the Hadamard basis and the dimension is a power of two.
+
+``midpoint_propagator``, ``trotter_product`` and ``phase_shift_product``
+multiply full-space step matrices and serve as references.  Evolving a
+state (``evolve_trace``, ``final_overlap_sq``) with midpoint or trotter runs
+in the dynamical subspace instead: the smallest subspace that contains the
+start state and is invariant under H_ini and H_fin (``dynamical_basis``).
+For the H_ini = I - |g><g| of the gallery and the compilers it is often
+2-dimensional whatever the full dimension.  Its invariance is checked to
+SUBSPACE_TOL, and the full space is used when the check fails, so the
+reduction cannot silently change a result.  There each step is a k x k
+matrix.  For k <= PAIRWISE_DIM_MAX the steps are built STEP_CHUNK at a
+time and multiplied down pairwise (a tree-ordered product), which holds
+STEP_CHUNK * k^2 complex numbers per array in memory whatever R is; for
+larger k, where a k^3 product costs more than a k^2 step, they are applied
+to the state one by one.  The phase-shift method stays in the full space
+and applies its factors to the state, so it remains an independent
+cross-check of the reduced splitting.  The instance is still densified, so
+EVOLVE_DIM_MAX still applies.  Final and recorded overlaps are weights on
+the whole ground eigenspace, which is well defined when it is degenerate.
 """
 
 from __future__ import annotations
@@ -24,10 +43,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aeqs import AeqsInstance, as_dense, ground_state
-from .linalg import CapacityError, hadamard_power, spectral_norm
+from .linalg import DEGENERACY_TOL, CapacityError, hadamard_power, spectral_norm
 
 EVOLVE_DIM_MAX = 512
 PHASE_DIAG_TOL = 1e-9
+SUBSPACE_TOL = 1e-10      # dropped directions and invariance residual, per unit norm of H
+STEP_CHUNK = 2**15        # steps built and multiplied at a time
+PAIRWISE_DIM_MAX = 6      # largest subspace dimension multiplied down pairwise; above
+                          # k = 8 applying trotter steps one by one is faster
 
 
 class EvolveError(Exception):
@@ -91,6 +114,7 @@ class EvolutionTrace:
     final_overlap_sq: float = 0.0
     final_distance: float = 0.0   # l2 distance minimized over global phase
     final_state: np.ndarray = None
+    subspace_dim: int = 0         # dimension the state was evolved in
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -136,9 +160,6 @@ class _CachedExp:
 
     def matrix(self, theta: float) -> np.ndarray:
         return (self.vectors * np.exp(-1j * theta * self.values)) @ self.vectors.conj().T
-
-    def apply(self, theta: float, psi: np.ndarray) -> np.ndarray:
-        return self.vectors @ (np.exp(-1j * theta * self.values) * (self.vectors.conj().T @ psi))
 
 
 def midpoint_propagator(instance: AeqsInstance, schedule: Schedule) -> np.ndarray:
@@ -191,6 +212,16 @@ class PhaseShiftFactors:
         z = self.w @ self.ps_ini_power(2 * r_steps - 2 * j - 1) @ self.w
         return z @ self.ps_fin_power(2 * j + 1)
 
+    def apply(self, j: int, r_steps: int, psi: np.ndarray) -> np.ndarray:
+        """step(j, r_steps) @ psi by matrix-vector products, without forming
+        the step."""
+        p = self.fin_vectors
+        # (psi^* P)^* is P^dagger psi without copying P^dagger.
+        fin = np.exp(-1j * self.fin_values * self.gamma * (2 * j + 1))
+        psi = p @ (fin * (psi.conj() @ p).conj())
+        ini = np.exp(-1j * self.ini_phases * self.gamma * (2 * r_steps - 2 * j - 1))
+        return self.w @ (ini * (self.w @ psi))
+
 
 def phase_shift_factors(instance: AeqsInstance, schedule: Schedule) -> PhaseShiftFactors:
     h_ini, h_fin = _dense_pair(instance)
@@ -226,108 +257,228 @@ def phase_shift_product(instance: AeqsInstance, schedule: Schedule) -> np.ndarra
     return u
 
 
-def _step_applier(instance: AeqsInstance, schedule: Schedule, method: str):
-    """Returns apply(j, psi) for one evolution step of the chosen method."""
+def _compress(h: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Q^dagger H Q, Hermitian by construction."""
+    r = q.conj().T @ h @ q
+    return (r + r.conj().T) / 2.0
+
+
+def dynamical_basis(h_ini: np.ndarray, h_fin: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the smallest subspace that contains
+    ``start`` and is invariant under both Hamiltonians.
+
+    Block Krylov iteration: every basis vector is mapped by both operators,
+    the image is orthogonalized twice against the basis, and it is kept when
+    its remainder exceeds SUBSPACE_TOL times a bound on the operators'
+    norms.  The identity (the full space) is returned instead when the
+    basis fills the space or when ||H Q - Q (Q^dagger H Q)|| exceeds the same
+    bound for either operator.  An evolution over time T run in span(Q)
+    therefore differs from the full-space one by at most about T times that
+    bound.
+    """
+    dim = start.shape[0]
+    ops = (h_ini, h_fin)
+    tol = SUBSPACE_TOL * max(1.0, *(np.abs(h).sum(axis=1).max() for h in ops))
+    q = np.empty((dim, dim), dtype=complex)
+    q[:, 0] = start / np.linalg.norm(start)
+    k, i = 1, 0
+    while i < k < dim:
+        for h in ops:
+            w = h @ q[:, i]
+            for _ in range(2):
+                w -= q[:, :k] @ (q[:, :k].conj().T @ w)
+            norm = np.linalg.norm(w)
+            if norm > tol and k < dim:
+                q[:, k] = w / norm
+                k += 1
+        i += 1
+    q = q[:, :k]
+    if k == dim or any(spectral_norm(h @ q - q @ _compress(h, q)) > tol for h in ops):
+        return np.eye(dim, dtype=complex)
+    return q
+
+
+class _TrotterSteps:
+    """Splitting steps V(j) in the reduced space, on coefficients in the
+    eigenbasis of the reduced H_fin: V(j) = M^dagger D_ini(j) M D_fin(j),
+    with M mapping that eigenbasis to the reduced H_ini eigenbasis."""
+
+    def __init__(self, h_ini, h_fin, q, schedule: Schedule):
+        self.ini_values, ini_vectors = np.linalg.eigh(_compress(h_ini, q))
+        self.fin_values, fin_vectors = np.linalg.eigh(_compress(h_fin, q))
+        self.basis = q @ fin_vectors
+        self.pairwise = q.shape[1] <= PAIRWISE_DIM_MAX
+        self.schedule = schedule
+        self.m = ini_vectors.conj().T @ fin_vectors
+        self.mh = self.m.conj().T
+        # V(j)[i, l] = sum_p coupling[i, l, p] D_ini(j)[p] D_fin(j)[l]
+        self.coupling = self.mh[:, None, :] * self.m.T[None, :, :]
+
+    def _tables(self, j0: int, j1: int):
+        """D_ini(j) and D_fin(j) for j0 <= j < j1, one row per step."""
+        js = np.arange(j0, j1)
+        r, gamma = self.schedule.r_steps, self.schedule.gamma
+        return (np.exp(-1j * np.outer((2 * r - 2 * js - 1) * gamma, self.ini_values)),
+                np.exp(-1j * np.outer((2 * js + 1) * gamma, self.fin_values)))
+
+    def matrices(self, j0: int, j1: int) -> np.ndarray:
+        p_ini, p_fin = self._tables(j0, j1)
+        k = len(self.ini_values)
+        return (self.coupling.reshape(k * k, k) @ p_ini.T).reshape(k, k, -1) * p_fin.T[None]
+
+    def apply(self, j0: int, j1: int, c: np.ndarray) -> np.ndarray:
+        p_ini, p_fin = self._tables(j0, j1)
+        for a, b in zip(p_ini, p_fin):
+            c = self.mh @ (a * (self.m @ (b * c)))
+        return c
+
+
+class _MidpointSteps:
+    """Exact midpoint steps in the reduced space, on coefficients in Q."""
+
+    def __init__(self, h_ini, h_fin, q, schedule: Schedule):
+        self.ini, self.fin = _compress(h_ini, q), _compress(h_fin, q)
+        self.basis = q
+        self.pairwise = q.shape[1] <= PAIRWISE_DIM_MAX
+        self.schedule = schedule
+
+    def _eig(self, j0: int, j1: int):
+        """Eigenvectors and step phases of H(s_j) for j0 <= j < j1."""
+        sch = self.schedule
+        s = (2 * np.arange(j0, j1) + 1) / (2 * sch.r_steps)
+        values, vectors = np.linalg.eigh(_interp(self.ini[None], self.fin[None], s[:, None, None]))
+        return vectors, np.exp(-1j * (sch.t_total / sch.r_steps / sch.hbar) * values)
+
+    def matrices(self, j0: int, j1: int) -> np.ndarray:
+        vectors, phases = self._eig(j0, j1)
+        return np.einsum("nim,nm,nlm->iln", vectors, phases, vectors.conj())
+
+    def apply(self, j0: int, j1: int, c: np.ndarray) -> np.ndarray:
+        for j in range(j0, j1):
+            vectors, phases = self._eig(j, j + 1)
+            c = vectors[0] @ (phases[0] * (vectors[0].conj().T @ c))
+        return c
+
+
+class _PhaseSteps:
+    """Hadamard-factored steps applied to the full-space state."""
+
+    pairwise = False
+
+    def __init__(self, factors: PhaseShiftFactors, r_steps: int):
+        self.factors, self.r_steps = factors, r_steps
+        self.basis = np.eye(factors.w.shape[0], dtype=complex)
+
+    def apply(self, j0: int, j1: int, psi: np.ndarray) -> np.ndarray:
+        for j in range(j0, j1):
+            psi = self.factors.apply(j, self.r_steps, psi)
+        return psi
+
+
+def _batched_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[:, :, n] @ b[:, :, n] for every n.  The batch is the last axis, so
+    each term is one vectorized operation over all n; for k x k matrices with
+    small k this is several times faster than a stacked matmul."""
+    out = a[:, 0, None, :] * b[None, 0, :, :]
+    for m in range(1, a.shape[1]):
+        out += a[:, m, None, :] * b[None, m, :, :]
+    return out
+
+
+def _ordered_product(steps: np.ndarray) -> np.ndarray:
+    """steps[:, :, n-1] @ ... @ steps[:, :, 0], multiplied down pairwise;
+    ``steps`` is overwritten."""
+    while steps.shape[-1] > 1:
+        n = steps.shape[-1]
+        if n % 2:
+            steps[..., n - 2] = steps[..., n - 1] @ steps[..., n - 2]
+            steps = steps[..., :-1]
+        steps = _batched_product(steps[..., 1::2], steps[..., 0::2])
+    return steps[..., 0]
+
+
+def _advance(steps, c: np.ndarray, j0: int, j1: int) -> np.ndarray:
+    """Apply steps j0 .. j1-1 to the coefficients c, STEP_CHUNK at a time.
+
+    ``steps.matrices(a, b)`` gives steps a .. b-1 stacked on the last axis;
+    ``steps.apply(a, b, c)`` applies them to c one after another.
+    """
+    for a in range(j0, j1, STEP_CHUNK):
+        b = min(a + STEP_CHUNK, j1)
+        if steps.pairwise:
+            c = _ordered_product(steps.matrices(a, b)) @ c
+        else:
+            c = steps.apply(a, b, c)
+    return c
+
+
+def _evolution(instance: AeqsInstance, schedule: Schedule, method: str):
+    """(steps, start state, dense H_ini, dense H_fin) for one run."""
     h_ini, h_fin = _dense_pair(instance)
-    if method == "midpoint":
-        dt = schedule.t_total / schedule.r_steps / schedule.hbar
-
-        def apply(j, psi):
-            return _CachedExp(_interp(h_ini, h_fin, schedule.midpoint_s(j))).apply(dt, psi)
-
-    elif method == "trotter":
-        exp_ini, exp_fin = _CachedExp(h_ini), _CachedExp(h_fin)
-
-        def apply(j, psi):
-            return exp_ini.apply(schedule.alpha(j), exp_fin.apply(schedule.beta(j), psi))
-
-    elif method == "phase":
-        factors = phase_shift_factors(instance, schedule)
-
-        def apply(j, psi):
-            return factors.step(j, schedule.r_steps) @ psi
-
-    else:
+    if method not in ("midpoint", "trotter", "phase"):
         raise EvolveError(f"unknown method {method!r}; use midpoint | trotter | phase")
-    return apply, h_ini, h_fin
+    _, psi, unique = ground_state(instance.h_ini)
+    if not unique:
+        raise EvolveError("H_ini has a degenerate ground state; evolution start undefined")
+    psi = psi.astype(complex)
+    if method == "phase":
+        steps = _PhaseSteps(phase_shift_factors(instance, schedule), schedule.r_steps)
+    else:
+        q = dynamical_basis(h_ini, h_fin, psi)
+        steps = (_TrotterSteps if method == "trotter" else _MidpointSteps)(h_ini, h_fin, q, schedule)
+    return steps, psi, h_ini, h_fin
 
 
-def _phase_min_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """min over global phase of || a - e^(i theta) b ||_2."""
-    return math.sqrt(max(0.0, 2.0 * (1.0 - abs(np.vdot(a, b)))))
+def _ground_projection(h: np.ndarray, psi: np.ndarray) -> tuple:
+    """(lowest eigenvalue of h, weight of psi on its whole eigenspace).
+
+    Eigenvalues within DEGENERACY_TOL of the lowest count as ground, so a
+    degenerate ground space yields the weight on all of it rather than on
+    one arbitrary vector in it.
+    """
+    values, vectors = np.linalg.eigh(h)
+    ground = vectors[:, values <= values[0] + DEGENERACY_TOL]
+    return float(values[0]), float(np.sum(np.abs(ground.conj().T @ psi) ** 2))
 
 
 def evolve_trace(instance: AeqsInstance, schedule: Schedule, method: str = "trotter",
                  record_every: int = 1) -> EvolutionTrace:
     """Propagate the ground state of H_ini and track the instantaneous ground
-    state of H(s) at every recorded step.
+    space of H(s) every ``record_every`` steps and after the last one.
 
-    Requires a unique H_ini ground state.  The final record reports the
-    squared overlap with the ground state of H_fin and the l2 distance
-    minimized over a global phase.
+    Requires a unique H_ini ground state.  The final values are the squared
+    weight on the ground space of H_fin and the l2 distance to that space's
+    nearest unit vector (for a unique ground state: the distance to it
+    minimized over a global phase).
     """
-    apply, h_ini, h_fin = _step_applier(instance, schedule, method)
-    _, psi, unique = ground_state(instance.h_ini)
-    if not unique:
-        raise EvolveError("H_ini has a degenerate ground state; evolution start undefined")
-    psi = psi.astype(complex)
-
-    trace = EvolutionTrace(method=method)
-    for j in range(schedule.r_steps):
-        psi = apply(j, psi)
-        if (j + 1) % record_every == 0 or j + 1 == schedule.r_steps:
-            s = (j + 1) / schedule.r_steps
-            vals, vecs = np.linalg.eigh(_interp(h_ini, h_fin, s))
-            overlap_sq = float(abs(np.vdot(vecs[:, 0], psi)) ** 2)
-            trace.records.append(
-                TraceRecord(j=j, s=s, ground_energy=float(vals[0]),
-                            overlap_sq=overlap_sq, norm=float(np.linalg.norm(psi)))
-            )
-    vals, vecs = np.linalg.eigh(h_fin)
-    ground = vecs[:, 0]
-    trace.final_overlap_sq = float(abs(np.vdot(ground, psi)) ** 2)
-    trace.final_distance = _phase_min_distance(ground, psi)
+    if record_every < 1:
+        raise EvolveError("record_every must be at least 1")
+    steps, psi, h_ini, h_fin = _evolution(instance, schedule, method)
+    r = schedule.r_steps
+    trace = EvolutionTrace(method=method, subspace_dim=steps.basis.shape[1])
+    c = steps.basis.conj().T @ psi
+    done = 0
+    for end in [*range(record_every, r, record_every), r]:
+        c = _advance(steps, c, done, end)
+        done = end
+        psi = steps.basis @ c
+        energy, overlap_sq = _ground_projection(_interp(h_ini, h_fin, end / r), psi)
+        trace.records.append(TraceRecord(j=end - 1, s=end / r, ground_energy=energy,
+                                         overlap_sq=overlap_sq,
+                                         norm=float(np.linalg.norm(psi))))
+    # The last record is at s = 1, where H(s) is exactly H_fin.
+    trace.final_overlap_sq = trace.records[-1].overlap_sq
+    trace.final_distance = math.sqrt(max(0.0, 2.0 * (1.0 - math.sqrt(trace.final_overlap_sq))))
     trace.final_state = psi
     return trace
 
 
-def _trotter_run_fast(h_ini: np.ndarray, h_fin: np.ndarray, schedule: Schedule,
-                      psi: np.ndarray) -> np.ndarray:
-    """Apply all R step-factored propagators with precomputed phase tables."""
-    exp_ini, exp_fin = _CachedExp(h_ini), _CachedExp(h_fin)
-    r = schedule.r_steps
-    js = np.arange(r)
-    alphas = (2 * r - 2 * js - 1) * schedule.gamma
-    betas = (2 * js + 1) * schedule.gamma
-    phases_ini = np.exp(-1j * np.outer(alphas, exp_ini.values))
-    phases_fin = np.exp(-1j * np.outer(betas, exp_fin.values))
-    # Work in the H_fin eigenbasis; m maps it into the H_ini eigenbasis.
-    m = exp_ini.vectors.conj().T @ exp_fin.vectors
-    mh = m.conj().T
-    c = exp_fin.vectors.conj().T @ psi
-    for j in range(r):
-        c *= phases_fin[j]
-        d = m @ c
-        d *= phases_ini[j]
-        c = mh @ d
-    return exp_fin.vectors @ c
-
-
 def final_overlap_sq(instance: AeqsInstance, schedule: Schedule, method: str = "trotter") -> float:
-    """Final-ground-state squared overlap without per-step records."""
-    _, psi, unique = ground_state(instance.h_ini)
-    if not unique:
-        raise EvolveError("H_ini has a degenerate ground state; evolution start undefined")
-    psi = psi.astype(complex)
-    if method == "trotter":
-        h_ini, h_fin = _dense_pair(instance)
-        psi = _trotter_run_fast(h_ini, h_fin, schedule, psi)
-    else:
-        apply, _h_ini, h_fin = _step_applier(instance, schedule, method)
-        for j in range(schedule.r_steps):
-            psi = apply(j, psi)
-    _, vecs = np.linalg.eigh(h_fin)
-    return float(abs(np.vdot(vecs[:, 0], psi)) ** 2)
+    """Squared weight of the evolved state on the ground space of H_fin,
+    without per-step records."""
+    steps, psi, _, h_fin = _evolution(instance, schedule, method)
+    c = _advance(steps, steps.basis.conj().T @ psi, 0, schedule.r_steps)
+    return _ground_projection(h_fin, steps.basis @ c)[1]
 
 
 def default_r_policy(t: float) -> int:

@@ -5,13 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from aeqslab import gallery
-from aeqslab.aeqs import AeqsInstance, from_oracle
+from aeqslab import evolve, gallery
+from aeqslab.aeqs import AeqsInstance, ProjectorComplement, as_dense, from_oracle, ground_state
 from aeqslab.evolve import (
+    PAIRWISE_DIM_MAX,
     EvolveError,
     NotHadamardDiagonal,
     Schedule,
     default_r_policy,
+    dynamical_basis,
     evolve_trace,
     final_overlap_sq,
     find_sufficient_t,
@@ -21,6 +23,7 @@ from aeqslab.evolve import (
     trotter_error,
     trotter_product,
 )
+from aeqslab.gallery import deflation_vector
 from aeqslab.linalg import hadamard_power, spectral_norm, unitary_exp
 
 RNG = np.random.default_rng(99)
@@ -38,6 +41,30 @@ def hadamard_diag_instance(dim, rng=RNG, s_acc=(0,), s_rej=(1,)):
     h_fin = random_hermitian(dim, rng)
     return AeqsInstance(size_bits=k, epsilon=0.9, h_ini=h_ini, h_fin=h_fin,
                         s_acc=frozenset(s_acc), s_rej=frozenset(s_rej))
+
+
+def random_unitary(n, rng=RNG):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def projector_instance(fin_values, fin_vectors):
+    """H_ini = I - |g><g| with g the Hadamard image of e_0 (so the phase
+    method applies), H_fin with the given eigenvalues and eigenvectors."""
+    dim = len(fin_values)
+    h_fin = (fin_vectors * np.asarray(fin_values, dtype=float)) @ fin_vectors.conj().T
+    return AeqsInstance(size_bits=dim.bit_length() - 1, epsilon=0.9,
+                        h_ini=ProjectorComplement(deflation_vector(dim, 0)),
+                        h_fin=(h_fin + h_fin.conj().T) / 2,
+                        s_acc=frozenset({0}), s_rej=frozenset({1}))
+
+
+def start_state(inst):
+    return ground_state(inst.h_ini)[1].astype(complex)
+
+
+def ground_weight(ground_vectors, psi):
+    return float(np.sum(np.abs(ground_vectors.conj().T @ psi) ** 2))
 
 
 class TestSchedule:
@@ -141,12 +168,14 @@ class TestPhaseShift:
             inst = hadamard_diag_instance(dim)
             sch = Schedule(3.0, 16)
             factors = phase_shift_factors(inst, sch)
+            psi = RNG.standard_normal(dim) + 1j * RNG.standard_normal(dim)
             for j in range(sch.r_steps):
                 z = factors.step(j, sch.r_steps)
                 v = unitary_exp(np.asarray(inst.h_ini), sch.alpha(j)) @ unitary_exp(
                     np.asarray(inst.h_fin), sch.beta(j)
                 )
                 assert spectral_norm(z - v) <= 1e-10
+                assert np.abs(factors.apply(j, sch.r_steps, psi) - z @ psi).max() <= 1e-12
 
     def test_computational_diagonal_rejected(self):
         # Diagonal in the computational basis is NOT Hadamard-diagonal.
@@ -216,6 +245,18 @@ class TestEvolveTrace:
         b = evolve_trace(inst, Schedule(6.0, 4096), "trotter", record_every=4096)
         assert abs(a.final_overlap_sq - b.final_overlap_sq) <= 5e-3
 
+    def test_record_every_must_be_positive(self):
+        inst = gallery.build("equal").family.build("ab")
+        with pytest.raises(EvolveError):
+            evolve_trace(inst, Schedule(1.0, 4), "trotter", record_every=0)
+
+    def test_subspace_dim_reported_not_serialized(self):
+        inst = gallery.build("l_prefix_0").family.build("00")   # dim 16 = 2^4
+        for method, expect in (("midpoint", 2), ("trotter", 2), ("phase", 16)):
+            trace = evolve_trace(inst, Schedule(2.0, 8), method)
+            assert trace.subspace_dim == expect
+            assert "subspace_dim" not in json.loads(trace.to_json())
+
     def test_phase_method_matches_trotter(self):
         inst = gallery.build("l_prefix_0").family.build("00")   # dim 16 = 2^4
         a = evolve_trace(inst, Schedule(4.0, 128), "trotter", record_every=128)
@@ -247,3 +288,108 @@ class TestFindSufficientT:
     def test_default_policy_floor(self):
         assert default_r_policy(0.5) == 64
         assert default_r_policy(10.0) == 1000
+
+
+class TestDynamicalSubspace:
+    @pytest.mark.parametrize("name,x", [
+        ("l_prefix_0", "0"),        # dim 12
+        ("l_prefix_1", "1"),        # dim 12
+        ("equal", "abbabaab"),      # dim 256
+    ])
+    def test_pinned_dimension_and_invariance(self, name, x):
+        inst = gallery.build(name).family.build(x)
+        h_ini, h_fin = as_dense(inst.h_ini), as_dense(inst.h_fin)
+        start = start_state(inst)
+        q = dynamical_basis(h_ini, h_fin, start)
+        assert q.shape == (inst.dim, 2)
+        assert spectral_norm(q.conj().T @ q - np.eye(2)) <= 1e-12
+        assert np.linalg.norm(start - q @ (q.conj().T @ start)) <= 1e-12
+        for h in (h_ini, h_fin):
+            assert spectral_norm(h @ q - q @ (q.conj().T @ h @ q)) <= 1e-10
+
+    @pytest.mark.parametrize("delta,expect_dim", [(0.5e-10, 2), (0.8e-10, 3)])
+    def test_invariance_check_falls_back_to_full_space(self, delta, expect_dim):
+        # Each image's remainder delta * e_2 is below the drop tolerance, but
+        # two of them together give a residual of delta * sqrt(2).
+        h_ini = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+        h_fin = np.array([[0, 1, delta], [1, 0, delta], [delta, delta, 0]], dtype=complex)
+        q = dynamical_basis(h_ini, h_fin, np.array([1, 0, 0], dtype=complex))
+        assert q.shape == (3, expect_dim)
+
+    @pytest.mark.parametrize("fin_values,expect_dim,pairwise", [
+        ((0, 1, 1, 1, 2, 2, 3, 3), 4, True),
+        ((0, 1, 1, 2, 3, 4, 5, 6), 7, False),
+    ])
+    def test_reduced_run_matches_full_space_propagators(self, fin_values, expect_dim,
+                                                         pairwise, monkeypatch):
+        # Small chunks so that R = 203 spans several, of odd lengths.
+        monkeypatch.setattr(evolve, "STEP_CHUNK", 64)
+        inst = projector_instance(fin_values, random_unitary(8))
+        start = start_state(inst)
+        q = dynamical_basis(as_dense(inst.h_ini), as_dense(inst.h_fin), start)
+        assert q.shape[1] == expect_dim
+        assert (expect_dim <= PAIRWISE_DIM_MAX) == pairwise
+        self._check_against_full_space(inst, start)
+
+    def test_dense_initial_hamiltonian_uses_full_space(self, monkeypatch):
+        monkeypatch.setattr(evolve, "STEP_CHUNK", 64)
+        inst = hadamard_diag_instance(8, rng=np.random.default_rng(17))
+        start = start_state(inst)
+        assert dynamical_basis(as_dense(inst.h_ini), as_dense(inst.h_fin), start).shape == (8, 8)
+        assert evolve_trace(inst, Schedule(3.0, 40), "trotter").subspace_dim == 8
+        self._check_against_full_space(inst, start)
+
+    @staticmethod
+    def _check_against_full_space(inst, start):
+        _, vectors = np.linalg.eigh(as_dense(inst.h_fin))
+        ground = vectors[:, :1]
+        for sch in (Schedule(3.0, 40), Schedule(5.0, 203)):
+            full = {"midpoint": midpoint_propagator(inst, sch) @ start,
+                    "trotter": trotter_product(inst, sch) @ start,
+                    "phase": phase_shift_product(inst, sch) @ start}
+            for method, psi in full.items():
+                assert abs(final_overlap_sq(inst, sch, method)
+                           - ground_weight(ground, psi)) <= 1e-10, (method, sch)
+
+    # Criterion 6's evaluations at the commit before the reduction, computed
+    # in the full space step by step; both pinned instances give the same.
+    CRITERION_6_EVALUATIONS = (
+        (1.0, 0.08986759590967969), (2.0, 0.10907363705584505),
+        (4.0, 0.18027596067891785), (8.0, 0.3867495443037844),
+        (16.0, 0.694477457870479), (32.0, 0.8878493570916982),
+        (64.0, 0.9876776913871081), (128.0, 0.9998765526507438),
+        (96.0, 0.9984792197304573), (80.0, 0.9966122636273979),
+        (72.0, 0.9916185194206094), (68.0, 0.9890351396805268),
+        (70.0, 0.9901606442958993),
+    )
+
+    @pytest.mark.parametrize("name,x", [("l_prefix_0", "0"), ("l_prefix_1", "1")])
+    def test_search_matches_full_space_evaluations(self, name, x):
+        inst = gallery.build(name).family.build(x)
+        result = find_sufficient_t(inst, 0.99, t_cap=1e4)
+        assert result.t == 70.0
+        assert [t for t, _ in result.evaluations] == [t for t, _ in self.CRITERION_6_EVALUATIONS]
+        for (_, got), (_, expect) in zip(result.evaluations, self.CRITERION_6_EVALUATIONS):
+            assert abs(got - expect) <= 1e-8
+
+
+class TestDegenerateGroundSpace:
+    def test_weight_on_whole_ground_space_independent_of_its_basis(self):
+        rng = np.random.default_rng(23)
+        vectors = random_unitary(4, rng)
+        rotated = vectors.copy()
+        rotated[:, :2] = vectors[:, :2] @ random_unitary(2, rng)
+        a = projector_instance((0, 0, 1, 2), vectors)
+        b = projector_instance((0, 0, 1, 2), rotated)
+        sch = Schedule(4.0, 64)
+        full = {"midpoint": midpoint_propagator, "trotter": trotter_product,
+                "phase": phase_shift_product}
+        for method, propagator in full.items():
+            expect = ground_weight(vectors[:, :2], propagator(a, sch) @ start_state(a))
+            assert 1e-3 < expect < 1 - 1e-3
+            for inst in (a, b):
+                assert abs(final_overlap_sq(inst, sch, method) - expect) <= 1e-10, method
+                trace = evolve_trace(inst, sch, method, record_every=16)
+                assert abs(trace.final_overlap_sq - expect) <= 1e-10, method
+                assert trace.final_distance == pytest.approx(
+                    np.sqrt(2 * (1 - np.sqrt(expect))), abs=1e-9)
