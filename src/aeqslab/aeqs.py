@@ -244,13 +244,16 @@ def commutator_negligible(norm: float) -> bool:
 
 def minimum_interpolation_gap(instance: AeqsInstance, grid: int = GAP_SCAN_GRID) -> float:
     """Smallest spectral gap of H(s) over a uniform grid of s values."""
+    return _scan_gap(as_dense(instance.h_ini), as_dense(instance.h_fin), grid)
+
+
+def _scan_gap(h_ini: np.ndarray, h_fin: np.ndarray, grid: int) -> float:
     if grid < 2:
         raise AeqsError("gap scan needs at least 2 grid points")
     gaps = []
     for i in range(grid):
         s = i / (grid - 1)
-        h = interpolated_hamiltonian(instance, s)
-        vals = np.linalg.eigvalsh(h)
+        vals = np.linalg.eigvalsh((1.0 - s) * h_ini + s * h_fin)
         gaps.append(float(vals[1] - vals[0]) if len(vals) > 1 else math.inf)
     return min(gaps)
 
@@ -267,10 +270,11 @@ def adiabatic_time_bound(instance: AeqsInstance, epsilon: float, delta: float,
     """
     if epsilon <= 0 or delta <= 0:
         raise AeqsError("epsilon and delta must be positive")
-    diff_norm = spectral_norm(as_dense(instance.h_fin) - as_dense(instance.h_ini))
+    h_ini, h_fin = as_dense(instance.h_ini), as_dense(instance.h_fin)
+    diff_norm = spectral_norm(h_fin - h_ini)
     if diff_norm == 0.0:
         return 0.0
-    g = minimum_interpolation_gap(instance, grid)
+    g = _scan_gap(h_ini, h_fin, grid)
     if g <= DEGENERACY_TOL:
         return math.inf
     return c * diff_norm ** (1.0 + delta) / (epsilon**delta * g ** (2.0 + delta))

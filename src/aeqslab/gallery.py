@@ -1179,8 +1179,7 @@ def pal_lambda_witness(x: str) -> float:
     schema = level.surface_schema(x)
     lam = level.lam0_builder(x, schema)
     idx = schema.index((("q1", 1, "q1", 1, 0), 0))
-    dense_diag = dict(zip(zip(lam.rows, lam.cols), lam.vals))
-    return float(np.real(dense_diag.get((idx, idx), 0.0)))
+    return float(lam.vals[(lam.rows == idx) & (lam.cols == idx)].real.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ Conventions used across the package:
 
 - dense matrices and state vectors are ``numpy.ndarray`` of dtype complex128,
 - a state vector is normalized when its l2 norm is 1 within ``NORM_TOL``,
-- sparse Hermitian operators store only the upper triangle (row <= col) as
-  COO-style triplets; the conjugate mirror is implicit.
+- sparse operators are sorted triplet arrays (``rows``, ``cols``, ``vals``,
+  ordered by (row, col)) built through the shared ``coalesce``; sparse
+  Hermitian operators store only the upper triangle (row <= col) and leave
+  the conjugate mirror implicit.
 
 Dense eigensolves are delegated to LAPACK (``numpy.linalg.eigh``) behind the
 contract checks below; the sparse path is a hand-rolled Lanczos iteration
@@ -26,7 +28,6 @@ import numpy as np
 DENSE_MAX_DEFAULT = 2048
 HERMITICITY_TOL = 1e-10
 RECONSTRUCT_TOL = 1e-8
-RESIDUAL_TOL_DENSE = 1e-9
 RESIDUAL_TOL_SPARSE = 1e-7
 ORTHO_TOL = 1e-9
 DEGENERACY_TOL = 1e-9
@@ -131,10 +132,35 @@ def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
     h = (h + h.conj().T) / 2.0
     values, vectors = np.linalg.eigh(h)
     scale = max(1.0, float(np.abs(values).max(initial=0.0)))
-    recon = np.linalg.norm(h - (vectors * values) @ vectors.conj().T, 2)
-    if recon > RECONSTRUCT_TOL * scale:
-        raise LinalgError(f"eigendecomposition reconstruction error {recon:.3e} too large")
+    resid = float(np.linalg.norm(h @ vectors - vectors * values))
+    ortho = float(np.linalg.norm(vectors.conj().T @ vectors - np.eye(n)))
+    if ortho > ORTHO_TOL:
+        raise LinalgError(f"eigenvectors are not orthonormal: ||V'V - I||_F = {ortho:.3e}")
+    # H - V L V' = (H V - V L) V' + H (I - V V'), so to first order in ortho
+    # ||H - V L V'||_2 <= resid + scale * ortho.  Requiring
+    # resid + scale * ortho <= RECONSTRUCT_TOL * scale therefore bounds the
+    # reconstruction error by RECONSTRUCT_TOL * scale.
+    if resid + scale * ortho > RECONSTRUCT_TOL * scale:
+        raise LinalgError(f"eigendecomposition residual {resid:.3e} too large")
     return EigenDecomposition(values, vectors, _degenerate_clusters(values))
+
+
+def coalesce(dim: int, rows, cols, vals):
+    """Sort triplets by (row, col) and sum the values of repeated keys.
+
+    Returns ``rows``, ``cols``, ``vals`` arrays with unique keys.  Repeated
+    keys are summed in the order they appear, so a given list of triplets
+    always merges to the same bits.  Nothing is pruned: an exact cancellation
+    stays a stored zero.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=complex)
+    keys, inverse = np.unique(rows * dim + cols, return_inverse=True)
+    merged = np.empty(len(keys), dtype=complex)
+    merged.real = np.bincount(inverse, vals.real, len(keys))
+    merged.imag = np.bincount(inverse, vals.imag, len(keys))
+    return keys // dim, keys % dim, merged
 
 
 class SparseHermitian:
@@ -156,20 +182,8 @@ class SparseHermitian:
             raise LinalgError("triplet index out of range")
         # Move entries into the upper triangle, conjugating as needed.
         swap = rows > cols
-        r = np.where(swap, cols, rows)
-        c = np.where(swap, rows, cols)
-        v = np.where(swap, vals.conj(), vals)
-        # Merge duplicates.
-        if len(r):
-            key = r * self.dim + c
-            order = np.argsort(key, kind="stable")
-            key, r, c, v = key[order], r[order], c[order], v[order]
-            uniq, inverse = np.unique(key, return_inverse=True)
-            merged = np.zeros(len(uniq), dtype=complex)
-            np.add.at(merged, inverse, v)
-            r = (uniq // self.dim).astype(np.int64)
-            c = (uniq % self.dim).astype(np.int64)
-            v = merged
+        r, c, v = coalesce(self.dim, np.where(swap, cols, rows), np.where(swap, rows, cols),
+                           np.where(swap, vals.conj(), vals))
         diag = r == c
         if np.any(np.abs(v[diag].imag) > HERMITICITY_TOL):
             raise NotHermitianError(float(np.abs(v[diag].imag).max()))
@@ -177,6 +191,12 @@ class SparseHermitian:
         if not np.all(np.isfinite(v.view(float))):
             raise LinalgError("non-finite entry in sparse operator")
         self.rows, self.cols, self.vals = r, c, v
+        # Both triangles, the stored upper one first, built once for matvec,
+        # to_dense and norm_upper_bound.
+        off = ~diag
+        self.full_rows = np.concatenate([r, c[off]])
+        self.full_cols = np.concatenate([c, r[off]])
+        self.full_vals = np.concatenate([v, v[off].conj()])
 
     @classmethod
     def from_dense(cls, h: np.ndarray) -> "SparseHermitian":
@@ -192,19 +212,17 @@ class SparseHermitian:
         return cls(len(values), idx[keep], idx[keep], values[keep])
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.dim, dtype=complex)
-        np.add.at(y, self.rows, self.vals * x[self.cols])
-        off = self.rows != self.cols
-        np.add.at(y, self.cols[off], self.vals[off].conj() * x[self.rows[off]])
+        terms = self.full_vals * x[self.full_cols]
+        y = np.empty(self.dim, dtype=complex)
+        y.real = np.bincount(self.full_rows, terms.real, self.dim)
+        y.imag = np.bincount(self.full_rows, terms.imag, self.dim)
         return y
 
     def to_dense(self) -> np.ndarray:
         if self.dim > dense_max():
             raise CapacityError(f"densifying dimension {self.dim} exceeds threshold {dense_max()}")
         h = np.zeros((self.dim, self.dim), dtype=complex)
-        h[self.rows, self.cols] = self.vals
-        off = self.rows != self.cols
-        h[self.cols[off], self.rows[off]] = self.vals[off].conj()
+        h[self.full_rows, self.full_cols] = self.full_vals
         return h
 
     def nnz(self) -> int:
@@ -212,11 +230,7 @@ class SparseHermitian:
 
     def norm_upper_bound(self) -> float:
         """Gershgorin-style bound on the spectral norm."""
-        row_sums = np.zeros(self.dim)
-        np.add.at(row_sums, self.rows, np.abs(self.vals))
-        off = self.rows != self.cols
-        np.add.at(row_sums, self.cols[off], np.abs(self.vals[off]))
-        return float(row_sums.max(initial=0.0))
+        return float(np.bincount(self.full_rows, np.abs(self.full_vals), self.dim).max(initial=0.0))
 
 
 def _as_matvec(h):

@@ -23,6 +23,7 @@ import numpy as np
 from .linalg import (
     CapacityError,
     SparseHermitian,
+    coalesce,
     dense_max,
     ilog,
     spectral_norm,
@@ -32,6 +33,10 @@ CENT = "cent"
 DOLLAR = "dollar"
 
 UNITARITY_TOL = 1e-9
+# Entries at or below these magnitudes are dropped from a sparse product and
+# from a conjugated Hamiltonian.
+PRODUCT_PRUNE_TOL = 1e-15
+CONJUGATE_PRUNE_TOL = 1e-16
 
 
 class QqaError(Exception):
@@ -156,98 +161,87 @@ def flat_schema(dim: int, name: str = "index") -> BasisSchema:
 # ---------------------------------------------------------------------------
 
 class SparseOp:
-    """Light COO sparse complex matrix used for operator composition."""
+    """Sparse complex matrix as (row, col)-sorted triplet arrays.
 
-    __slots__ = ("dim", "entries")
+    Duplicate keys are summed on construction (``linalg.coalesce``), so every
+    key is stored once.
+    """
 
-    def __init__(self, dim: int, entries=None):
+    __slots__ = ("dim", "rows", "cols", "vals")
+
+    def __init__(self, dim: int, rows=(), cols=(), vals=()):
         self.dim = int(dim)
-        self.entries: dict = dict(entries or {})
+        self.rows, self.cols, self.vals = coalesce(self.dim, rows, cols, vals)
 
     @classmethod
     def from_rules(cls, dim: int, rules: Iterable) -> "SparseOp":
         """rules: iterable of (row, col, amplitude); duplicates summed."""
-        op = cls(dim)
-        for r, c, a in rules:
-            if not (0 <= r < dim and 0 <= c < dim):
-                raise QqaError(f"entry ({r},{c}) out of range for dim {dim}")
-            key = (int(r), int(c))
-            op.entries[key] = op.entries.get(key, 0j) + complex(a)
-        return op
+        rules = list(rules)
+        rows = np.array([r for r, _, _ in rules], dtype=np.int64)
+        cols = np.array([c for _, c, _ in rules], dtype=np.int64)
+        bad = (rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise QqaError(f"entry ({rows[i]},{cols[i]}) out of range for dim {dim}")
+        return cls(dim, rows, cols, [a for _, _, a in rules])
 
     @classmethod
     def identity(cls, dim: int) -> "SparseOp":
-        return cls(dim, {(i, i): 1.0 + 0j for i in range(dim)})
+        idx = np.arange(dim)
+        return cls(dim, idx, idx, np.ones(dim))
 
     @classmethod
     def permutation(cls, dim: int, mapping) -> "SparseOp":
         """mapping: col -> row; must be a bijection on range(dim)."""
-        if len(mapping) != dim or set(mapping.values()) != set(range(dim)):
+        if set(mapping) != set(range(dim)) or set(mapping.values()) != set(range(dim)):
             raise QqaError("permutation mapping is not a bijection")
-        return cls(dim, {(r, c): 1.0 + 0j for c, r in mapping.items()})
+        return cls(dim, list(mapping.values()), list(mapping.keys()), np.ones(dim))
 
     @classmethod
     def from_dense(cls, mat: np.ndarray) -> "SparseOp":
         mat = np.asarray(mat, dtype=complex)
-        op = cls(mat.shape[0])
         rs, cs = np.nonzero(mat)
-        for r, c in zip(rs, cs):
-            op.entries[(int(r), int(c))] = complex(mat[r, c])
-        return op
+        return cls(mat.shape[0], rs, cs, mat[rs, cs])
 
-    def __matmul__(self, other: "SparseOp") -> "SparseOp":
+    def _product_terms(self, other: "SparseOp"):
+        """Unmerged triplets of self @ other: one per pair (r, k), (k, c)."""
         if self.dim != other.dim:
             raise QqaError("dimension mismatch in sparse product")
-        by_row: dict = {}
-        for (r, c), a in other.entries.items():
-            by_row.setdefault(r, []).append((c, a))
-        out = SparseOp(self.dim)
-        ent = out.entries
-        for (r, k), a in self.entries.items():
-            for c, b in by_row.get(k, ()):
-                key = (r, c)
-                ent[key] = ent.get(key, 0j) + a * b
-        out.prune()
-        return out
+        start = np.searchsorted(other.rows, self.cols, side="left")
+        counts = np.searchsorted(other.rows, self.cols, side="right") - start
+        left = np.repeat(np.arange(len(self.vals)), counts)
+        right = np.arange(len(left)) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+        return self.rows[left], other.cols[right], self.vals[left] * other.vals[right]
+
+    def __matmul__(self, other: "SparseOp") -> "SparseOp":
+        return SparseOp(self.dim, *self._product_terms(other))._pruned(PRODUCT_PRUNE_TOL)
+
+    def _pruned(self, tol: float) -> "SparseOp":
+        keep = np.abs(self.vals) > tol
+        self.rows, self.cols, self.vals = self.rows[keep], self.cols[keep], self.vals[keep]
+        return self
 
     def adjoint(self) -> "SparseOp":
-        return SparseOp(self.dim, {(c, r): a.conjugate() for (r, c), a in self.entries.items()})
-
-    def scale(self, s: complex) -> "SparseOp":
-        return SparseOp(self.dim, {k: s * a for k, a in self.entries.items()})
-
-    def add(self, other: "SparseOp") -> "SparseOp":
-        out = SparseOp(self.dim, dict(self.entries))
-        for k, a in other.entries.items():
-            out.entries[k] = out.entries.get(k, 0j) + a
-        out.prune()
-        return out
-
-    def prune(self, tol: float = 1e-15) -> None:
-        dead = [k for k, a in self.entries.items() if abs(a) <= tol]
-        for k in dead:
-            del self.entries[k]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.dim, dtype=complex)
-        for (r, c), a in self.entries.items():
-            y[r] += a * x[c]
-        return y
+        return SparseOp(self.dim, self.cols, self.rows, self.vals.conj())
 
     def to_dense(self) -> np.ndarray:
         if self.dim > dense_max():
             raise CapacityError(f"densifying dimension {self.dim} exceeds threshold")
         m = np.zeros((self.dim, self.dim), dtype=complex)
-        for (r, c), a in self.entries.items():
-            m[r, c] = a
+        m[self.rows, self.cols] = self.vals
         return m
 
     def project_rows(self, keep) -> "SparseOp":
-        keep = set(keep)
-        return SparseOp(self.dim, {k: a for k, a in self.entries.items() if k[0] in keep})
+        mask = np.isin(self.rows, np.fromiter(keep, dtype=np.int64))
+        return SparseOp(self.dim, self.rows[mask], self.cols[mask], self.vals[mask])
 
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.vals)
+
+
+def _merged(dim: int, terms: list) -> SparseOp:
+    """One SparseOp from a list of (rows, cols, vals) parts, merged once."""
+    return SparseOp(dim, *(np.concatenate(part) for part in zip(*terms)))
 
 
 def gram_defect(kraus: list) -> float:
@@ -257,58 +251,35 @@ def gram_defect(kraus: list) -> float:
     Gershgorin upper bound otherwise.
     """
     dim = kraus[0].dim
-    gram = SparseOp(dim)
+    idx = np.arange(dim)
+    terms = [k.adjoint()._product_terms(k) for k in kraus] + [(idx, idx, -np.ones(dim))]
+    gram = _merged(dim, terms)._pruned(PRODUCT_PRUNE_TOL)
+    return float(np.bincount(gram.rows, np.abs(gram.vals), dim).max(initial=0.0))
+
+
+def sparse_conjugate(kraus: list, h: SparseOp) -> SparseOp:
+    """Apply the channel  H -> sum_j K_j H K_j^dag  to a full-storage Hermitian H."""
+    terms = []
     for k in kraus:
-        gram = gram.add(k.adjoint() @ k)
-    for i in range(dim):
-        gram.entries[(i, i)] = gram.entries.get((i, i), 0j) - 1.0
-    gram.prune()
-    row_sums = np.zeros(dim)
-    for (r, _c), a in gram.entries.items():
-        row_sums[r] += abs(a)
-    return float(row_sums.max(initial=0.0))
+        kh = SparseOp(h.dim, *k._product_terms(h))        # merged, not pruned
+        terms.append(kh._product_terms(k.adjoint()))
+    return _merged(h.dim, terms)._pruned(CONJUGATE_PRUNE_TOL)
 
 
-def sparse_conjugate(kraus: list, h: dict) -> dict:
-    """Apply the channel  H -> sum_j K_j H K_j^dag  to a COO-dict Hermitian H."""
-    out: dict = {}
-    for k in kraus:
-        by_col: dict = {}
-        for (r, c), a in k.entries.items():
-            by_col.setdefault(c, []).append((r, a))
-        # K H: rows of H hit by matching K columns.
-        kh: dict = {}
-        for (r, c), a in h.items():
-            for rr, ka in by_col.get(r, ()):
-                key = (rr, c)
-                kh[key] = kh.get(key, 0j) + ka * a
-        # (K H) K^dag.
-        for (r, c), a in kh.items():
-            for cc, ka in by_col.get(c, ()):
-                key = (r, cc)
-                out[key] = out.get(key, 0j) + a * ka.conjugate()
-    return {k: v for k, v in out.items() if abs(v) > 1e-16}
+def _full_storage(lam: SparseHermitian) -> SparseOp:
+    return SparseOp(lam.dim, lam.full_rows, lam.full_cols, lam.full_vals)
 
 
-def _hermitian_to_dict(lam: SparseHermitian) -> dict:
-    h = {}
-    for r, c, v in zip(lam.rows, lam.cols, lam.vals):
-        h[(int(r), int(c))] = complex(v)
-        if r != c:
-            h[(int(c), int(r))] = complex(v).conjugate()
-    return h
+def _upper_triangle(h: SparseOp, dead=()) -> SparseHermitian:
+    """The stored upper triangle of a full-storage Hermitian, with the rows
+    and columns in `dead` removed."""
+    dead = np.fromiter(dead, dtype=np.int64)
+    keep = (h.rows <= h.cols) & ~np.isin(h.rows, dead) & ~np.isin(h.cols, dead)
+    return SparseHermitian(h.dim, h.rows[keep], h.cols[keep], h.vals[keep])
 
 
-def _dict_to_sparse_hermitian(dim: int, h: dict) -> SparseHermitian:
-    items = [(r, c, a) for (r, c), a in h.items() if r <= c]
-    if not items:
-        return SparseHermitian(dim)
-    rows, cols, vals = zip(*items)
-    return SparseHermitian(dim, rows, cols, vals)
-
-
-def dict_trace(h: dict) -> float:
-    return float(sum(a.real for (r, c), a in h.items() if r == c))
+def _trace(h: SparseOp) -> float:
+    return float(h.vals[h.rows == h.cols].real.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +491,10 @@ def validate_level(level, x: str | None = None) -> ValidationReport:
         report.lam0_min_eigenvalue = float(np.linalg.eigvalsh(lam0.to_dense())[0])
     else:
         # Gershgorin fallback: exact for diagonal initial mixtures.
+        on = lam0.full_rows == lam0.full_cols
         diag = np.zeros(lam0.dim)
-        off = np.zeros(lam0.dim)
-        for r, c, v in zip(lam0.rows, lam0.cols, lam0.vals):
-            if r == c:
-                diag[r] = v.real
-            else:
-                off[r] += abs(v)
-                off[c] += abs(v)
+        diag[lam0.full_rows[on]] = lam0.full_vals[on].real
+        off = np.bincount(lam0.full_rows[~on], np.abs(lam0.full_vals[~on]), lam0.dim)
         report.lam0_min_eigenvalue = float((diag - off).min())
     return report
 
@@ -558,29 +525,21 @@ def generate_moqqaf(level: MoqqafLevel, x: str) -> GeneratedHamiltonian:
     if level.q0_indices:
         keep = set(range(level.dim)) - set(level.q0_indices)
         u = u.project_rows(keep)
-    e = sparse_conjugate([u], _hermitian_to_dict(level.lam0))
-    return GeneratedHamiltonian(
-        _dict_to_sparse_hermitian(level.dim, e), level.schema,
-        f"{level.name} on {x!r}",
-    )
+    e = sparse_conjugate([u], _full_storage(level.lam0))
+    return GeneratedHamiltonian(_upper_triangle(e), level.schema, f"{level.name} on {x!r}")
 
 
 def generate_qqaf(level: QqafLevel, x: str, *, return_trace: bool = False):
     """E = Pi0 . A_cent_x_dollar(Lambda0) . Pi0 with per-symbol Kraus sums."""
     _check_symbols(level, x)
-    h = _hermitian_to_dict(level.lam0)
+    h = _full_storage(level.lam0)
     for symbol in _extended_symbols(level, x):
         h = sparse_conjugate(level.kraus(symbol), h)
-    trace_before = dict_trace(h)
-    if level.q0_indices:
-        dead = set(level.q0_indices)
-        h = {k: v for k, v in h.items() if k[0] not in dead and k[1] not in dead}
     generated = GeneratedHamiltonian(
-        _dict_to_sparse_hermitian(level.dim, h), level.schema,
-        f"{level.name} on {x!r}",
+        _upper_triangle(h, level.q0_indices), level.schema, f"{level.name} on {x!r}",
     )
     if return_trace:
-        return generated, trace_before
+        return generated, _trace(h)
     return generated
 
 
@@ -595,21 +554,13 @@ def generate_2qqaf(level: TwoWayQqafLevel, x: str, *, return_trace: bool = False
     steps = level.build_step_kraus(x, schema)
     lam0 = level.lam0_builder(x, schema)
 
-    h = _hermitian_to_dict(lam0)
-    h = sparse_conjugate(first, h)
+    h = sparse_conjugate(first, _full_storage(lam0))
     for _ in range(t):
         h = sparse_conjugate(steps, h)
-    trace_before = dict_trace(h)
-    if level.q0_builder is not None:
-        dead = set(level.q0_builder(x, schema))
-        if dead:
-            h = {k: v for k, v in h.items() if k[0] not in dead and k[1] not in dead}
-    generated = GeneratedHamiltonian(
-        _dict_to_sparse_hermitian(schema.dim, h), schema,
-        f"{level.name} on {x!r}",
-    )
+    dead = level.q0_builder(x, schema) if level.q0_builder is not None else ()
+    generated = GeneratedHamiltonian(_upper_triangle(h, dead), schema, f"{level.name} on {x!r}")
     if return_trace:
-        return generated, trace_before
+        return generated, _trace(h)
     return generated
 
 

@@ -198,6 +198,11 @@ class TestPalMarkedEntry:
         inst = gallery.build("pal_marked").family.build("a#a")
         assert inst.dim == 5625
 
+    @pytest.mark.parametrize("x,nnz", [("a#a", 5551), ("ab#ba", 10921), ("ab#ab", 10924)])
+    def test_generated_nnz_pinned(self, x, nnz):
+        # Guards the merge and prune rules of the sparse generation path.
+        assert gallery.build("pal_marked").family.build(x).h_fin.nnz() == nnz
+
     def test_intended_landing_carries_witness_weight(self):
         # The accept landing's diagonal weight is exactly the Lambda witness
         # (first-phase return amplitude 1 on members).

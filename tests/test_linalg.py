@@ -57,6 +57,18 @@ class TestHermitianEig:
                 resid = np.linalg.norm(h @ dec.vectors[:, i] - dec.values[i] * dec.vectors[:, i])
                 assert resid <= 1e-9 * scale
 
+    def test_non_orthonormal_vectors_rejected(self, monkeypatch):
+        eigh = np.linalg.eigh
+        h = random_hermitian(6)
+        # Both fakes pass the residual check: scaled columns still satisfy
+        # H V = V L to rounding, and any V reconstructs the zero matrix.
+        cases = [(h, lambda m: (eigh(m)[0], 1.01 * eigh(m)[1])),
+                 (np.zeros((3, 3), dtype=complex), lambda m: (np.zeros(3), 2.0 * np.eye(3)))]
+        for mat, fake in cases:
+            monkeypatch.setattr(np.linalg, "eigh", fake)
+            with pytest.raises(linalg.LinalgError):
+                hermitian_eig(mat)
+
     def test_rejects_non_hermitian(self):
         bad = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(NotHermitianError) as err:

@@ -8,6 +8,7 @@ from aeqslab.qqa import (
     DOLLAR,
     BasisSchema,
     MoqqafLevel,
+    QqaError,
     QqafLevel,
     SparseOp,
     TwoWayQqafLevel,
@@ -18,6 +19,7 @@ from aeqslab.qqa import (
     generate_moqqaf,
     generate_qqaf,
     gram_defect,
+    sparse_conjugate,
     validate_level,
 )
 
@@ -70,6 +72,20 @@ class TestSparseOp:
     def test_permutation_requires_bijection(self):
         with pytest.raises(Exception):
             SparseOp.permutation(2, {0: 0, 1: 0})
+        with pytest.raises(QqaError):
+            SparseOp.permutation(2, {0: 0, 2: 1})
+
+    def test_from_rules_rejects_out_of_range(self):
+        for bad in [(2, 0, 1.0), (0, 2, 1.0), (-1, 0, 1.0)]:
+            with pytest.raises(QqaError):
+                SparseOp.from_rules(2, [(0, 0, 1.0), bad])
+
+    def test_from_rules_keeps_exact_cancellation(self):
+        # Duplicates are summed, not pruned: a cancelled rule stays stored.
+        op = SparseOp.from_rules(2, [(0, 1, 1.0), (1, 1, 2.0), (0, 1, -1.0), (1, 1, 3.0)])
+        assert op.nnz() == 2
+        assert list(zip(op.rows, op.cols)) == [(0, 1), (1, 1)]
+        assert np.array_equal(op.vals, [0.0, 5.0])
 
     def test_gram_defect_scaled_column(self):
         # Scaling one column of a unitary by 0.9 leaves ||U'U - I|| = 0.19.
@@ -77,6 +93,98 @@ class TestSparseOp:
         u[:, 1] *= 0.9
         defect = gram_defect([SparseOp.from_dense(u)])
         assert defect == pytest.approx(0.19, abs=1e-12)
+
+
+def integer_op(dim, nnz, rng):
+    """Small-integer entries with repeated keys: products are exact, so
+    cancellations are exact zeros and the stored pattern is known."""
+    rules = [(int(rng.integers(dim)), int(rng.integers(dim)),
+              complex(int(rng.integers(-2, 3)), int(rng.integers(-2, 3))))
+             for _ in range(nnz)]
+    return SparseOp.from_rules(dim, rules)
+
+
+def integer_hermitian(dim, nnz, rng):
+    a = integer_op(dim, nnz, rng).to_dense()
+    return SparseOp.from_dense(a + a.conj().T)
+
+
+def stored_keys(op):
+    return set(zip(op.rows.tolist(), op.cols.tolist()))
+
+
+def nonzero_keys(mat):
+    return set(zip(*(idx.tolist() for idx in np.nonzero(mat))))
+
+
+SPARSE_CASES = [(dim, nnz, seed) for dim in (1, 4, 9) for nnz in (0, 3, 30) for seed in (0, 1)]
+
+
+class TestSparseLayer:
+    """The triplet product and channel against dense K H K^dag."""
+
+    @pytest.mark.parametrize("dim,nnz,seed", SPARSE_CASES)
+    def test_product_matches_dense(self, dim, nnz, seed):
+        rng = np.random.default_rng(seed)
+        a, b = integer_op(dim, nnz, rng), integer_op(dim, nnz, rng)
+        expect = a.to_dense() @ b.to_dense()
+        product = a @ b
+        assert np.array_equal(product.to_dense(), expect)
+        assert stored_keys(product) == nonzero_keys(expect)
+        keys = product.rows * dim + product.cols
+        assert np.all(np.diff(keys) > 0)
+
+    @pytest.mark.parametrize("dim,nnz,seed", SPARSE_CASES)
+    def test_conjugate_matches_dense(self, dim, nnz, seed):
+        rng = np.random.default_rng(seed)
+        kraus = [integer_op(dim, nnz, rng) for _ in range(3)]
+        h = integer_hermitian(dim, nnz, rng)
+        expect = sum(k.to_dense() @ h.to_dense() @ k.to_dense().conj().T for k in kraus)
+        out = sparse_conjugate(kraus, h)
+        assert np.array_equal(out.to_dense(), expect)
+        assert stored_keys(out) == nonzero_keys(expect)
+
+    def test_product_cancellation_pruned(self):
+        a = SparseOp.from_rules(2, [(0, 0, 1.0), (0, 1, 1.0)])
+        b = SparseOp.from_rules(2, [(0, 0, 1.0), (1, 0, -1.0), (1, 1, 1.0)])
+        product = a @ b
+        assert stored_keys(product) == {(0, 1)}
+
+    def test_prune_thresholds(self):
+        # Products drop |v| <= 1e-15, conjugation only |v| <= 1e-16.
+        small = SparseOp.from_rules(4, [(i, i, v) for i, v in enumerate([1e-16, 2e-16, 1e-15, 2e-15])])
+        identity = SparseOp.identity(4)
+        assert stored_keys(small @ identity) == {(3, 3)}
+        assert stored_keys(sparse_conjugate([identity], small)) == {(1, 1), (2, 2), (3, 3)}
+
+    def test_empty_operators(self):
+        empty = SparseOp(3)
+        full = SparseOp.from_dense(random_unitary(3))
+        assert (empty @ full).nnz() == 0 and (full @ empty).nnz() == 0
+        assert sparse_conjugate([full, empty], empty).nnz() == 0
+        assert sparse_conjugate([empty], full).nnz() == 0
+        assert sparse_conjugate([], full).nnz() == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_conjugate_matches_scipy(self, seed):
+        sparse = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(seed)
+        dim = 12
+
+        def csr(op):
+            return sparse.csr_array((op.vals, (op.rows, op.cols)), shape=(dim, dim))
+
+        kraus = [SparseOp.from_dense(np.where(rng.random((dim, dim)) < 0.2,
+                                              random_unitary(dim, rng), 0.0))
+                 for _ in range(2)]
+        h = integer_hermitian(dim, 40, rng)
+        expect = sum(csr(k) @ csr(h) @ csr(k).conj().T for k in kraus).toarray()
+        out = sparse_conjugate(kraus, h)
+        assert np.allclose(out.to_dense(), expect, rtol=0, atol=1e-12)
+        assert stored_keys(out) == nonzero_keys(np.abs(expect) > 1e-12)
+        product = kraus[0] @ kraus[1]
+        assert np.allclose(product.to_dense(), (csr(kraus[0]) @ csr(kraus[1])).toarray(),
+                           rtol=0, atol=1e-12)
 
 
 def identity_level(dim=3, alphabet=("0", "1")):
