@@ -12,6 +12,7 @@ explicit "indeterminate" outcome rather than an error.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,6 +33,10 @@ TIE_TOL = 1e-9
 DEFAULT_ACCURACY_BOUND = 0.999  # constructions analyzed at accuracy exactly 1
 COMMUTATOR_NEGLIGIBLE = 1e-12
 GAP_SCAN_GRID = 64
+# Instances an AeqsFamily keeps.  Re-reads come within the last 4 inputs
+# (inverse_image on a fixed point of its map, a combinator and its operand
+# on one input) or after a whole sweep, which no small bound keeps.
+FAMILY_CACHE_SIZE = 4
 
 
 class AeqsError(Exception):
@@ -63,34 +68,75 @@ class ProjectorComplement:
         return np.eye(self.dim, dtype=complex) - np.outer(self.vector, self.vector.conj())
 
 
+class KroneckerSum:
+    """The Kronecker sum A (x) I + I (x) B of two Hamiltonians.
+
+    The factors may be in any supported representation, including a nested
+    KroneckerSum, and are kept factored: the spectrum is the set of sums
+    lambda_i + mu_j of the factors' eigenvalues, with eigenvectors
+    v_i (x) w_j, so the lowest pairs come from the factors' lowest pairs.
+    A dense matrix is built only by to_dense().
+    """
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+        self.dims = (hamiltonian_dim(a), hamiltonian_dim(b))
+        self.dim = self.dims[0] * self.dims[1]
+
+    def to_dense(self) -> np.ndarray:
+        da, db = self.dims
+        ia, ib = np.eye(da, dtype=complex), np.eye(db, dtype=complex)
+        return np.kron(as_dense(self.a), ib) + np.kron(ia, as_dense(self.b))
+
+
+_IMPLICIT = (SparseHermitian, ProjectorComplement, KroneckerSum)
+
+
 def hamiltonian_dim(h) -> int:
-    if isinstance(h, (SparseHermitian, ProjectorComplement)):
+    if isinstance(h, _IMPLICIT):
         return h.dim
     return np.asarray(h).shape[0]
 
 
 def as_dense(h) -> np.ndarray:
-    if isinstance(h, (SparseHermitian, ProjectorComplement)):
+    if isinstance(h, _IMPLICIT):
         return h.to_dense()
     return np.asarray(h, dtype=complex)
 
 
 def lowest_pairs(h, k: int) -> list:
-    """k lowest eigenpairs of a Hamiltonian in any supported representation."""
+    """k lowest eigenpairs, values ascending, of a Hamiltonian in any
+    supported representation; 1 <= k <= dim.
+
+    Eigen paths: ProjectorComplement is closed form, SparseHermitian runs
+    Lanczos, KroneckerSum combines its factors' lowest pairs, and a dense
+    matrix runs the full dense eigensolve.
+    """
     k = int(k)
+    dim = hamiltonian_dim(h)
+    if not 1 <= k <= dim:
+        raise AeqsError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
     if isinstance(h, ProjectorComplement):
-        pairs = [(0.0, h.vector)]
-        if k >= 2:
-            # Any unit vector orthogonal to g is an eigenvector of value 1.
-            i = int(np.argmin(np.abs(h.vector)))
-            e = np.zeros(h.dim, dtype=complex)
-            e[i] = 1.0
-            v = e - h.vector * np.vdot(h.vector, e)
-            v /= np.linalg.norm(v)
-            pairs.append((1.0, v))
-            for _ in range(k - 2):
-                pairs.append((1.0, v))
-        return pairs[:k]
+        # The Householder reflection R = I - 2 u u^dagger / |u|^2 with
+        # u = g + phase(g_m) e_m, m where |g| is largest, maps e_m to g up to
+        # phase, so R e_i for the other i are orthonormal vectors of
+        # eigenvalue 1.  |u|^2 = 2 + 2 |g_m| >= 2.
+        g = h.vector
+        order = np.argsort(np.abs(g), kind="stable")
+        m, others = order[-1], order[: k - 1]
+        u = g.copy()
+        u[m] += g[m] / abs(g[m])
+        vectors = np.zeros((dim, k - 1), dtype=complex)
+        vectors[others, np.arange(k - 1)] = 1.0
+        vectors -= np.outer(u, (2.0 / np.vdot(u, u).real) * u[others].conj())
+        return [(0.0, g)] + [(1.0, v) for v in vectors.T]
+    if isinstance(h, KroneckerSum):
+        # The k lowest sums come from each factor's k lowest pairs.
+        pa = lowest_pairs(h.a, min(k, h.dims[0]))
+        pb = lowest_pairs(h.b, min(k, h.dims[1]))
+        sums = sorted(((la + lb, i, j) for i, (la, _) in enumerate(pa)
+                       for j, (lb, _) in enumerate(pb)), key=lambda t: t[0])
+        return [(value, np.kron(pa[i][1], pb[j][1])) for value, i, j in sums[:k]]
     if isinstance(h, SparseHermitian):
         return lowest_eigenpairs(h, k)
     dec = hermitian_eig(as_dense(h))
@@ -294,11 +340,17 @@ class AeqsFamily:
     promise: Callable[[str], bool] | None = None
     tags: tuple = ()
     name: str = "family"
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: OrderedDict = field(default_factory=OrderedDict, repr=False)
 
     def build(self, x: str) -> AeqsInstance:
-        if x not in self._cache:
+        """The instance of x; the FAMILY_CACHE_SIZE most recently used
+        instances are kept."""
+        if x in self._cache:
+            self._cache.move_to_end(x)
+        else:
             self._cache[x] = self.builder(x)
+            if len(self._cache) > FAMILY_CACHE_SIZE:
+                self._cache.popitem(last=False)
         return self._cache[x]
 
     def decide(self, x: str) -> Verdict:
@@ -371,7 +423,10 @@ def xor_product(f1: AeqsFamily, f2: AeqsFamily) -> AeqsFamily:
 
     Hamiltonians combine as Kronecker sums H1 (x) I + I (x) H2, so component
     ground energies add and the joint ground state is the tensor of the
-    component ground states whenever both are unique.  Criteria combine as
+    component ground states whenever both are unique.  The sums are kept
+    factored (KroneckerSum): decide reads the lowest pairs from the
+    components, and to_dense() materializes the product matrix for callers
+    that need it.  Criteria combine as
     S~_acc = (S1_acc x S2_rej) u (S1_rej x S2_acc) and symmetrically for
     S~_rej.
     """
@@ -383,9 +438,8 @@ def xor_product(f1: AeqsFamily, f2: AeqsFamily) -> AeqsFamily:
         da, db = a.dim, b.dim
         if da * db > dense_max() ** 2:
             raise CapacityError(f"xor dimension product {da * db} exceeds capacity")
-        ia, ib = np.eye(da, dtype=complex), np.eye(db, dtype=complex)
-        h_ini = np.kron(as_dense(a.h_ini), ib) + np.kron(ia, as_dense(b.h_ini))
-        h_fin = np.kron(as_dense(a.h_fin), ib) + np.kron(ia, as_dense(b.h_fin))
+        h_ini = KroneckerSum(a.h_ini, b.h_ini)
+        h_fin = KroneckerSum(a.h_fin, b.h_fin)
 
         def pair(i, j):
             return i * db + j

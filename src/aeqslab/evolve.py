@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aeqs import AeqsInstance, as_dense, ground_state
+from .aeqs import AeqsInstance, KroneckerSum, as_dense, ground_state
 from .linalg import DEGENERACY_TOL, CapacityError, hadamard_power, spectral_norm
 
 EVOLVE_DIM_MAX = 512
@@ -417,7 +417,11 @@ def _evolution(instance: AeqsInstance, schedule: Schedule, method: str):
     h_ini, h_fin = _dense_pair(instance)
     if method not in ("midpoint", "trotter", "phase"):
         raise EvolveError(f"unknown method {method!r}; use midpoint | trotter | phase")
-    _, psi, unique = ground_state(instance.h_ini)
+    # A Kronecker sum starts from the ground state of the dense matrix it
+    # evolves, not its factors' product state, so the run does not depend on
+    # whether H_ini is stored factored or dense.
+    start = h_ini if isinstance(instance.h_ini, KroneckerSum) else instance.h_ini
+    _, psi, unique = ground_state(start)
     if not unique:
         raise EvolveError("H_ini has a degenerate ground state; evolution start undefined")
     psi = psi.astype(complex)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,11 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aeqslab import aeqs
 from aeqslab.aeqs import (
+    FAMILY_CACHE_SIZE,
     AeqsError,
+    AeqsFamily,
     AeqsInstance,
+    KroneckerSum,
     ProjectorComplement,
     adiabatic_time_bound,
+    as_dense,
     commutator_check,
     commutator_negligible,
     complement,
@@ -17,11 +23,14 @@ from aeqslab.aeqs import (
     from_oracle,
     ground_state,
     inverse_image,
+    lowest_pairs,
     minimum_interpolation_gap,
     spectral_gap,
     xor_product,
 )
-from aeqslab import gallery
+from aeqslab import evolve, gallery
+from aeqslab.linalg import SparseHermitian, hermitian_eig
+from aeqslab.qqa import Selector
 
 RNG = np.random.default_rng(23)
 ALL_BITSTRINGS_4 = [""] + [
@@ -286,3 +295,175 @@ class TestCombinators:
     def test_minimum_interpolation_gap_positive(self):
         inst = gallery.build("l_prefix_0").family.build("0")
         assert minimum_interpolation_gap(inst, 32) > 0.1
+
+
+def random_hermitian(rng, values):
+    """A dense Hermitian matrix with the given spectrum in a random basis."""
+    n = len(values)
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    h = (u * np.asarray(values, dtype=float)) @ u.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+def random_unit(rng, n):
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return g / np.linalg.norm(g)
+
+
+def factors_of_every_representation():
+    """Seeded factors: dense (generic and with a degenerate ground space),
+    sparse with a degenerate second level, a projector complement and a
+    nested Kronecker sum."""
+    rng = np.random.default_rng(41)
+    return {
+        "dense": random_hermitian(rng, [0.3, 0.7, 1.1, 1.6, 2.0]),
+        "dense_degenerate_ground": random_hermitian(rng, [0.0, 0.0, 1.0, 1.5]),
+        "sparse_degenerate_second": SparseHermitian.from_dense(
+            random_hermitian(rng, [-0.5, 0.5, 0.5, 1.2, 2.0])),
+        "projector_complement": ProjectorComplement(random_unit(rng, 4)),
+        "nested": KroneckerSum(random_hermitian(rng, [0.0, 0.25]),
+                               ProjectorComplement(random_unit(rng, 3))),
+    }
+
+
+FACTORS = factors_of_every_representation()
+FACTOR_PAIRS = list(itertools.product(FACTORS, repeat=2))
+
+
+def assert_eigenpairs(h, pairs):
+    dense = as_dense(h)
+    vectors = np.column_stack([v for _, v in pairs])
+    gram = vectors.conj().T @ vectors
+    assert np.linalg.norm(gram - np.eye(len(pairs))) <= 1e-10
+    for value, v in pairs:
+        assert np.linalg.norm(dense @ v - value * v) <= 1e-10
+
+
+class TestLowestPairsContract:
+    @pytest.mark.parametrize("name", FACTORS)
+    def test_k_outside_range_rejected(self, name):
+        h = FACTORS[name]
+        dim = aeqs.hamiltonian_dim(h)
+        for k in (0, dim + 1):
+            with pytest.raises(AeqsError):
+                lowest_pairs(h, k)
+
+    @pytest.mark.parametrize("g", [random_unit(np.random.default_rng(5), 7),
+                                   np.eye(4, dtype=complex)[3]])
+    def test_projector_complement_full_spectrum(self, g):
+        h = ProjectorComplement(g)
+        pairs = lowest_pairs(h, h.dim)
+        assert [value for value, _ in pairs] == [0.0] + [1.0] * (h.dim - 1)
+        assert_eigenpairs(h, pairs)
+
+
+class TestKroneckerSum:
+    @pytest.mark.parametrize("left,right", FACTOR_PAIRS)
+    def test_to_dense_is_the_kron_expression(self, left, right):
+        a, b = FACTORS[left], FACTORS[right]
+        da, db = aeqs.hamiltonian_dim(a), aeqs.hamiltonian_dim(b)
+        want = (np.kron(as_dense(a), np.eye(db, dtype=complex))
+                + np.kron(np.eye(da, dtype=complex), as_dense(b)))
+        assert np.array_equal(KroneckerSum(a, b).to_dense(), want)
+
+    @pytest.mark.parametrize("left,right", FACTOR_PAIRS)
+    def test_lowest_pairs_match_dense_route(self, left, right):
+        h = KroneckerSum(FACTORS[left], FACTORS[right])
+        want = hermitian_eig(h.to_dense()).values
+        for k in range(1, 5):
+            pairs = lowest_pairs(h, k)
+            assert len(pairs) == k
+            assert np.max(np.abs([value for value, _ in pairs] - want[:k])) <= 1e-12
+            assert_eigenpairs(h, pairs)
+
+
+def xor_family():
+    """The benchmark's XOR family: prefix 1 xor (suffix 0 via reversal)."""
+    return xor_product(
+        gallery.build("l_prefix_1").family,
+        inverse_image(gallery.build("l_prefix_0").family, lambda s: s[::-1], "reversal"),
+    )
+
+
+class TestXorFactored:
+    @pytest.mark.parametrize("x", list(gallery.strings_up_to(("0", "1"), 3)) + ["01101", "10010"])
+    def test_verdict_matches_dense_product(self, x):
+        inst = xor_family().build(x)
+        assert isinstance(inst.h_fin, KroneckerSum)
+        a, b = decide(inst), decide(dataclasses.replace(inst, h_fin=as_dense(inst.h_fin)))
+        assert a.outcome == b.outcome
+        assert a.ground_energy == pytest.approx(b.ground_energy, abs=1e-10)
+        assert a.spectral_gap == pytest.approx(b.spectral_gap, abs=1e-10)
+        if b.unique_ground:
+            assert a.acc_overlap == pytest.approx(b.acc_overlap, abs=1e-9)
+            assert a.rej_overlap == pytest.approx(b.rej_overlap, abs=1e-9)
+
+    @pytest.mark.parametrize("x", ["", "1", "01"])
+    def test_densified_results_are_the_dense_instance_bits(self, x):
+        # Densifying both sums must not change a bit of evolution (its start
+        # state included), the gap scan or the time bound.
+        inst = xor_family().build(x)
+        dense = dataclasses.replace(inst, h_ini=as_dense(inst.h_ini), h_fin=as_dense(inst.h_fin))
+        schedule = evolve.Schedule(6.0, 64)
+        for method in ("midpoint", "trotter"):
+            a = evolve.evolve_trace(inst, schedule, method, record_every=16)
+            b = evolve.evolve_trace(dense, schedule, method, record_every=16)
+            assert np.array_equal(a.final_state, b.final_state)
+            assert a.final_overlap_sq == b.final_overlap_sq
+            assert [r.overlap_sq for r in a.records] == [r.overlap_sq for r in b.records]
+        assert minimum_interpolation_gap(inst, 16) == minimum_interpolation_gap(dense, 16)
+        assert (adiabatic_time_bound(inst, 0.1, 1.0, grid=16)
+                == adiabatic_time_bound(dense, 0.1, 1.0, grid=16))
+
+    def test_no_dense_eigensolve_at_product_dimension(self, monkeypatch):
+        dims = []
+
+        def recording(h):
+            dims.append(np.asarray(h).shape[0])
+            return hermitian_eig(h)
+
+        monkeypatch.setattr(aeqs, "hermitian_eig", recording)
+        x = "011010"
+        inst = xor_family().build(x)
+        verdict = decide(inst)
+        assert verdict.outcome == ("accept" if x.startswith("1") != x.endswith("0") else "reject")
+        assert inst.dim not in dims
+
+
+class TestFamilyCache:
+    def counting_family(self):
+        calls = []
+
+        def build(x):
+            calls.append(x)
+            return from_oracle(lambda s: True).build(x)
+
+        fam = AeqsFamily(alphabet=("0", "1"), selector=Selector(lambda x: 0, "n = 0"),
+                         builder=build)
+        return fam, calls
+
+    def test_repeated_build_is_cached(self):
+        fam, calls = self.counting_family()
+        assert fam.build("01") is fam.build("01")
+        assert calls == ["01"]
+
+    def test_oldest_input_evicted(self):
+        fam, calls = self.counting_family()
+        inputs = [format(i, "b") for i in range(FAMILY_CACHE_SIZE + 1)]
+        first = fam.build(inputs[0])
+        for x in inputs[1:]:
+            fam.build(x)
+        assert len(fam._cache) == FAMILY_CACHE_SIZE
+        assert fam.build(inputs[-1]) is fam.build(inputs[-1])
+        assert fam.build(inputs[0]) is not first
+        assert calls == inputs + [inputs[0]]
+
+    def test_recent_use_keeps_an_input(self):
+        fam, calls = self.counting_family()
+        inputs = [format(i, "b") for i in range(FAMILY_CACHE_SIZE + 1)]
+        first = fam.build(inputs[0])
+        for x in inputs[1:]:
+            fam.build(inputs[0])   # keep the first input the most recent
+            fam.build(x)
+        assert fam.build(inputs[0]) is first
+        assert inputs[1] not in fam._cache
