@@ -314,8 +314,8 @@ def adiabatic_time_bound(instance: AeqsInstance, epsilon: float, delta: float,
     (near-)degenerate interpolated ground space yields an unbounded-time
     signal, returned as +inf.
     """
-    if epsilon <= 0 or delta <= 0:
-        raise AeqsError("epsilon and delta must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (epsilon, delta)):
+        raise AeqsError("epsilon and delta must be finite and positive")
     h_ini, h_fin = as_dense(instance.h_ini), as_dense(instance.h_fin)
     diff_norm = spectral_norm(h_fin - h_ini)
     if diff_norm == 0.0:

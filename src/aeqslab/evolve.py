@@ -12,24 +12,32 @@ intervals (j = 0 .. R-1, hbar = 1 by default):
   through two diagonal phase operators, available exactly when H_ini is
   diagonal in the Hadamard basis and the dimension is a power of two.
 
-``midpoint_propagator``, ``trotter_product`` and ``phase_shift_product``
-multiply full-space step matrices and serve as references.  Evolving a
-state (``evolve_trace``, ``final_overlap_sq``) with midpoint or trotter runs
-in the dynamical subspace instead: the smallest subspace that contains the
-start state and is invariant under H_ini and H_fin (``dynamical_basis``).
-For the H_ini = I - |g><g| of the gallery and the compilers it is often
-2-dimensional whatever the full dimension.  Its invariance is checked to
-SUBSPACE_TOL, and the full space is used when the check fails, so the
-reduction cannot silently change a result.  There each step is a k x k
-matrix.  For k <= PAIRWISE_DIM_MAX the steps are built STEP_CHUNK at a
-time and multiplied down pairwise (a tree-ordered product), which holds
-STEP_CHUNK * k^2 complex numbers per array in memory whatever R is; for
-larger k, where a k^3 product costs more than a k^2 step, they are applied
-to the state one by one.  The phase-shift method stays in the full space
-and applies its factors to the state, so it remains an independent
-cross-check of the reduced splitting.  The instance is still densified, so
-EVOLVE_DIM_MAX still applies.  Final and recorded overlaps are weights on
-the whole ground eigenspace, which is well defined when it is degenerate.
+One splitting kernel serves the trotter and phase-shift methods: V(j) is a
+change between the eigenbases of H_ini and H_fin with a diagonal phase on
+either side (``_SplittingSteps``).  Trotter takes both eigenbases from
+``eigh``; the phase-shift method is the same step in the full space with
+H_ini's eigenbasis given in closed form as W^(x)k, so PS_ini and PS_fin are
+its two phase vectors.  Midpoint steps are the only other step kind
+(``_MidpointSteps``).  ``midpoint_propagator`` and ``trotter_product``
+multiply full-space exponentials from ``linalg.unitary_exp``, written from the
+formulas above, and stay independent references for that kernel.
+
+Evolving a state (``evolve_trace``, ``final_overlap_sq``) with midpoint or
+trotter runs in the dynamical subspace: the smallest subspace that contains
+the start state and is invariant under H_ini and H_fin
+(``dynamical_basis``).  For the H_ini = I - |g><g| of the gallery and the
+compilers it is often 2-dimensional whatever the full dimension.  Its
+invariance is checked to SUBSPACE_TOL, and the full space is used when the
+check fails, so the reduction cannot silently change a result.  The
+phase-shift method runs in the full space.  Each step acts on k
+coefficients.  For k <= PAIRWISE_DIM_MAX the steps are built STEP_CHUNK at a
+time as k x k matrices and multiplied down pairwise (a tree-ordered
+product), which holds STEP_CHUNK * k^2 complex numbers per array in memory
+whatever R is; for larger k, where a k^3 product costs more than a k^2
+step, they are applied to the state one by one.  The instance is still
+densified, so EVOLVE_DIM_MAX still applies.  Final and recorded overlaps are
+weights on the whole ground eigenspace, which is well defined when it is
+degenerate.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aeqs import AeqsInstance, KroneckerSum, as_dense, ground_state
-from .linalg import DEGENERACY_TOL, CapacityError, hadamard_power, spectral_norm
+from .linalg import DEGENERACY_TOL, CapacityError, hadamard_power, spectral_norm, unitary_exp
 
 EVOLVE_DIM_MAX = 512
 PHASE_DIAG_TOL = 1e-9
@@ -77,12 +85,12 @@ class Schedule:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.t_total < 0:
-            raise EvolveError("evolution time must be nonnegative")
+        if not (math.isfinite(self.t_total) and self.t_total >= 0):
+            raise EvolveError("evolution time must be finite and nonnegative")
         if self.r_steps < 1:
             raise EvolveError("refinement count must be at least 1")
-        if self.hbar <= 0:
-            raise EvolveError("hbar must be positive")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise EvolveError("hbar must be finite and positive")
 
     @property
     def gamma(self) -> float:
@@ -152,36 +160,22 @@ def _interp(h_ini, h_fin, s: float):
     return (1.0 - s) * h_ini + s * h_fin
 
 
-class _CachedExp:
-    """exp(-i theta H) for many theta values from one eigendecomposition."""
-
-    def __init__(self, h: np.ndarray):
-        self.values, self.vectors = np.linalg.eigh((h + h.conj().T) / 2.0)
-
-    def matrix(self, theta: float) -> np.ndarray:
-        return (self.vectors * np.exp(-1j * theta * self.values)) @ self.vectors.conj().T
-
-
 def midpoint_propagator(instance: AeqsInstance, schedule: Schedule) -> np.ndarray:
     """Product of the exact midpoint-rule step propagators, j = R-1 .. 0."""
     h_ini, h_fin = _dense_pair(instance)
-    dim = h_ini.shape[0]
-    u = np.eye(dim, dtype=complex)
+    u = np.eye(h_ini.shape[0], dtype=complex)
     dt = schedule.t_total / schedule.r_steps / schedule.hbar
     for j in range(schedule.r_steps):
-        step = _CachedExp(_interp(h_ini, h_fin, schedule.midpoint_s(j))).matrix(dt)
-        u = step @ u
+        u = unitary_exp(_interp(h_ini, h_fin, schedule.midpoint_s(j)), dt) @ u
     return u
 
 
 def trotter_product(instance: AeqsInstance, schedule: Schedule) -> np.ndarray:
     """Product of the step-factored propagators V(j), j = R-1 .. 0."""
     h_ini, h_fin = _dense_pair(instance)
-    dim = h_ini.shape[0]
-    exp_ini, exp_fin = _CachedExp(h_ini), _CachedExp(h_fin)
-    u = np.eye(dim, dtype=complex)
+    u = np.eye(h_ini.shape[0], dtype=complex)
     for j in range(schedule.r_steps):
-        u = exp_ini.matrix(schedule.alpha(j)) @ (exp_fin.matrix(schedule.beta(j)) @ u)
+        u = unitary_exp(h_ini, schedule.alpha(j)) @ (unitary_exp(h_fin, schedule.beta(j)) @ u)
     return u
 
 
@@ -191,39 +185,9 @@ def trotter_error(instance: AeqsInstance, schedule: Schedule) -> float:
                          - trotter_product(instance, schedule))
 
 
-@dataclass
-class PhaseShiftFactors:
-    """Diagonal phase data for the Hadamard factorization of the V(j)."""
-
-    w: np.ndarray                 # W^(x) k
-    ini_phases: np.ndarray        # eigenvalues of H_ini read off in the Hadamard basis
-    fin_values: np.ndarray        # eigenvalues of H_fin
-    fin_vectors: np.ndarray       # diagonalizing unitary P of H_fin
-    gamma: float
-
-    def ps_ini_power(self, power: int) -> np.ndarray:
-        return np.diag(np.exp(-1j * self.ini_phases * self.gamma * power))
-
-    def ps_fin_power(self, power: int) -> np.ndarray:
-        phases = np.exp(-1j * self.fin_values * self.gamma * power)
-        return (self.fin_vectors * phases) @ self.fin_vectors.conj().T
-
-    def step(self, j: int, r_steps: int) -> np.ndarray:
-        z = self.w @ self.ps_ini_power(2 * r_steps - 2 * j - 1) @ self.w
-        return z @ self.ps_fin_power(2 * j + 1)
-
-    def apply(self, j: int, r_steps: int, psi: np.ndarray) -> np.ndarray:
-        """step(j, r_steps) @ psi by matrix-vector products, without forming
-        the step."""
-        p = self.fin_vectors
-        # (psi^* P)^* is P^dagger psi without copying P^dagger.
-        fin = np.exp(-1j * self.fin_values * self.gamma * (2 * j + 1))
-        psi = p @ (fin * (psi.conj() @ p).conj())
-        ini = np.exp(-1j * self.ini_phases * self.gamma * (2 * r_steps - 2 * j - 1))
-        return self.w @ (ini * (self.w @ psi))
-
-
-def phase_shift_factors(instance: AeqsInstance, schedule: Schedule) -> PhaseShiftFactors:
+def phase_shift_factors(instance: AeqsInstance, schedule: Schedule) -> _SplittingSteps:
+    """The splitting steps in the full space, with H_ini = W diag(W H_ini W) W
+    for W = W^(x)k; raises NotHadamardDiagonal when that does not hold."""
     h_ini, h_fin = _dense_pair(instance)
     dim = h_ini.shape[0]
     k = dim.bit_length() - 1
@@ -236,25 +200,18 @@ def phase_shift_factors(instance: AeqsInstance, schedule: Schedule) -> PhaseShif
         raise NotHadamardDiagonal(
             f"H_ini is not Hadamard-diagonal: off-diagonal norm {spectral_norm(off):.3e}"
         )
+    ini_values = np.real(np.diag(conjugated))
+    # Freed before the eigensolve, which would otherwise raise the peak memory.
+    del conjugated, off
     fin_values, fin_vectors = np.linalg.eigh((h_fin + h_fin.conj().T) / 2.0)
-    return PhaseShiftFactors(
-        w=w,
-        ini_phases=np.real(np.diag(conjugated)),
-        fin_values=fin_values,
-        fin_vectors=fin_vectors,
-        gamma=schedule.gamma,
-    )
+    return _SplittingSteps(ini_values, w, fin_values, fin_vectors, schedule)
 
 
 def phase_shift_product(instance: AeqsInstance, schedule: Schedule) -> np.ndarray:
-    """Product of the Hadamard-factored steps Z(j+1, j); equals the
+    """Product of the Hadamard-factored steps, applied one by one; equals the
     step-factored product whenever the precondition holds."""
-    factors = phase_shift_factors(instance, schedule)
-    dim = factors.w.shape[0]
-    u = np.eye(dim, dtype=complex)
-    for j in range(schedule.r_steps):
-        u = factors.step(j, schedule.r_steps) @ u
-    return u
+    steps = phase_shift_factors(instance, schedule)
+    return steps.basis @ steps.apply(0, schedule.r_steps, steps.basis.conj().T)
 
 
 def _compress(h: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -298,21 +255,22 @@ def dynamical_basis(h_ini: np.ndarray, h_fin: np.ndarray, start: np.ndarray) -> 
     return q
 
 
-class _TrotterSteps:
-    """Splitting steps V(j) in the reduced space, on coefficients in the
-    eigenbasis of the reduced H_fin: V(j) = M^dagger D_ini(j) M D_fin(j),
-    with M mapping that eigenbasis to the reduced H_ini eigenbasis."""
+class _SplittingSteps:
+    """Splitting steps V(j) = exp(-i a_j H_ini) exp(-i b_j H_fin) on
+    coefficients in the eigenbasis of H_ini, the columns of ``basis``.
 
-    def __init__(self, h_ini, h_fin, q, schedule: Schedule):
-        self.ini_values, ini_vectors = np.linalg.eigh(_compress(h_ini, q))
-        self.fin_values, fin_vectors = np.linalg.eigh(_compress(h_fin, q))
-        self.basis = q @ fin_vectors
-        self.pairwise = q.shape[1] <= PAIRWISE_DIM_MAX
-        self.schedule = schedule
+    The eigenvectors are coordinates in the orthonormal columns ``q`` of a
+    subspace invariant under both Hamiltonians, or in the full space when
+    ``q`` is None.  With M mapping the H_fin eigenbasis to the H_ini one,
+    V(j) = D_ini(j) M D_fin(j) M^dagger.
+    """
+
+    def __init__(self, ini_values, ini_vectors, fin_values, fin_vectors,
+                 schedule: Schedule, q=None):
+        self.ini_values, self.fin_values = ini_values, fin_values
+        self.basis = ini_vectors if q is None else q @ ini_vectors
         self.m = ini_vectors.conj().T @ fin_vectors
-        self.mh = self.m.conj().T
-        # V(j)[i, l] = sum_p coupling[i, l, p] D_ini(j)[p] D_fin(j)[l]
-        self.coupling = self.mh[:, None, :] * self.m.T[None, :, :]
+        self.schedule = schedule
 
     def _tables(self, j0: int, j1: int):
         """D_ini(j) and D_fin(j) for j0 <= j < j1, one row per step."""
@@ -324,13 +282,24 @@ class _TrotterSteps:
     def matrices(self, j0: int, j1: int) -> np.ndarray:
         p_ini, p_fin = self._tables(j0, j1)
         k = len(self.ini_values)
-        return (self.coupling.reshape(k * k, k) @ p_ini.T).reshape(k, k, -1) * p_fin.T[None]
+        # V(j)[i, l] = D_ini(j)[i] sum_p coupling[i, l, p] D_fin(j)[p]
+        coupling = self.m[:, None, :] * self.m.conj()[None, :, :]
+        v = (coupling.reshape(k * k, k) @ p_fin.T).reshape(k, k, -1)
+        v *= p_ini.T[:, None, :]   # in place: one STEP_CHUNK * k^2 array fewer at peak
+        return v
 
     def apply(self, j0: int, j1: int, c: np.ndarray) -> np.ndarray:
         p_ini, p_fin = self._tables(j0, j1)
-        for a, b in zip(p_ini, p_fin):
-            c = self.mh @ (a * (self.m @ (b * c)))
+        for a, b in zip(p_ini[..., None], p_fin[..., None]):
+            # (c^dagger M)^dagger is M^dagger c without copying M^dagger.
+            c = a * (self.m @ (b * (c.conj().T @ self.m).conj().T))
         return c
+
+    def step(self, j: int, r_steps: int) -> np.ndarray:
+        """V(j) as a full-space matrix, for the schedule's R = r_steps."""
+        if r_steps != self.schedule.r_steps:
+            raise EvolveError(f"steps built for R = {self.schedule.r_steps}, got {r_steps}")
+        return self.basis @ self.apply(j, j + 1, self.basis.conj().T)
 
 
 class _MidpointSteps:
@@ -339,7 +308,6 @@ class _MidpointSteps:
     def __init__(self, h_ini, h_fin, q, schedule: Schedule):
         self.ini, self.fin = _compress(h_ini, q), _compress(h_fin, q)
         self.basis = q
-        self.pairwise = q.shape[1] <= PAIRWISE_DIM_MAX
         self.schedule = schedule
 
     def _eig(self, j0: int, j1: int):
@@ -356,23 +324,8 @@ class _MidpointSteps:
     def apply(self, j0: int, j1: int, c: np.ndarray) -> np.ndarray:
         for j in range(j0, j1):
             vectors, phases = self._eig(j, j + 1)
-            c = vectors[0] @ (phases[0] * (vectors[0].conj().T @ c))
+            c = vectors[0] @ (phases.T * (vectors[0].conj().T @ c))
         return c
-
-
-class _PhaseSteps:
-    """Hadamard-factored steps applied to the full-space state."""
-
-    pairwise = False
-
-    def __init__(self, factors: PhaseShiftFactors, r_steps: int):
-        self.factors, self.r_steps = factors, r_steps
-        self.basis = np.eye(factors.w.shape[0], dtype=complex)
-
-    def apply(self, j0: int, j1: int, psi: np.ndarray) -> np.ndarray:
-        for j in range(j0, j1):
-            psi = self.factors.apply(j, self.r_steps, psi)
-        return psi
 
 
 def _batched_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -398,22 +351,21 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
 
 
 def _advance(steps, c: np.ndarray, j0: int, j1: int) -> np.ndarray:
-    """Apply steps j0 .. j1-1 to the coefficients c, STEP_CHUNK at a time.
+    """Apply steps j0 .. j1-1 to the coefficient block c, STEP_CHUNK at a time.
 
-    ``steps.matrices(a, b)`` gives steps a .. b-1 stacked on the last axis;
-    ``steps.apply(a, b, c)`` applies them to c one after another.
+    ``steps.matrices(a, b)`` gives steps a .. b-1 stacked on the last axis,
+    multiplied down pairwise when c has at most PAIRWISE_DIM_MAX rows;
+    otherwise ``steps.apply(a, b, c)`` applies them to c one after another.
     """
+    pairwise = len(c) <= PAIRWISE_DIM_MAX
     for a in range(j0, j1, STEP_CHUNK):
         b = min(a + STEP_CHUNK, j1)
-        if steps.pairwise:
-            c = _ordered_product(steps.matrices(a, b)) @ c
-        else:
-            c = steps.apply(a, b, c)
+        c = _ordered_product(steps.matrices(a, b)) @ c if pairwise else steps.apply(a, b, c)
     return c
 
 
 def _evolution(instance: AeqsInstance, schedule: Schedule, method: str):
-    """(steps, start state, dense H_ini, dense H_fin) for one run."""
+    """(steps, start coefficient column, dense H_ini, dense H_fin) for one run."""
     h_ini, h_fin = _dense_pair(instance)
     if method not in ("midpoint", "trotter", "phase"):
         raise EvolveError(f"unknown method {method!r}; use midpoint | trotter | phase")
@@ -426,11 +378,17 @@ def _evolution(instance: AeqsInstance, schedule: Schedule, method: str):
         raise EvolveError("H_ini has a degenerate ground state; evolution start undefined")
     psi = psi.astype(complex)
     if method == "phase":
-        steps = _PhaseSteps(phase_shift_factors(instance, schedule), schedule.r_steps)
+        steps = phase_shift_factors(instance, schedule)
     else:
         q = dynamical_basis(h_ini, h_fin, psi)
-        steps = (_TrotterSteps if method == "trotter" else _MidpointSteps)(h_ini, h_fin, q, schedule)
-    return steps, psi, h_ini, h_fin
+        if method == "trotter":
+            ini_values, ini_vectors = np.linalg.eigh(_compress(h_ini, q))
+            fin_values, fin_vectors = np.linalg.eigh(_compress(h_fin, q))
+            steps = _SplittingSteps(ini_values, ini_vectors, fin_values, fin_vectors, schedule, q)
+        else:
+            steps = _MidpointSteps(h_ini, h_fin, q, schedule)
+    # (psi^* B)^* is B^dagger psi without copying B^dagger.
+    return steps, (psi.conj() @ steps.basis).conj()[:, None], h_ini, h_fin
 
 
 def _ground_projection(h: np.ndarray, psi: np.ndarray) -> tuple:
@@ -457,15 +415,14 @@ def evolve_trace(instance: AeqsInstance, schedule: Schedule, method: str = "trot
     """
     if record_every < 1:
         raise EvolveError("record_every must be at least 1")
-    steps, psi, h_ini, h_fin = _evolution(instance, schedule, method)
+    steps, c, h_ini, h_fin = _evolution(instance, schedule, method)
     r = schedule.r_steps
     trace = EvolutionTrace(method=method, subspace_dim=steps.basis.shape[1])
-    c = steps.basis.conj().T @ psi
     done = 0
     for end in [*range(record_every, r, record_every), r]:
         c = _advance(steps, c, done, end)
         done = end
-        psi = steps.basis @ c
+        psi = (steps.basis @ c)[:, 0]
         energy, overlap_sq = _ground_projection(_interp(h_ini, h_fin, end / r), psi)
         trace.records.append(TraceRecord(j=end - 1, s=end / r, ground_energy=energy,
                                          overlap_sq=overlap_sq,
@@ -480,9 +437,9 @@ def evolve_trace(instance: AeqsInstance, schedule: Schedule, method: str = "trot
 def final_overlap_sq(instance: AeqsInstance, schedule: Schedule, method: str = "trotter") -> float:
     """Squared weight of the evolved state on the ground space of H_fin,
     without per-step records."""
-    steps, psi, _, h_fin = _evolution(instance, schedule, method)
-    c = _advance(steps, steps.basis.conj().T @ psi, 0, schedule.r_steps)
-    return _ground_projection(h_fin, steps.basis @ c)[1]
+    steps, c, _, h_fin = _evolution(instance, schedule, method)
+    c = _advance(steps, c, 0, schedule.r_steps)
+    return _ground_projection(h_fin, (steps.basis @ c)[:, 0])[1]
 
 
 def default_r_policy(t: float) -> int:

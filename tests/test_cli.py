@@ -81,7 +81,7 @@ class TestTrace:
         result = run_cli("trace", "l_prefix_0", "0", "--T", "8", "--R", "256",
                          "--method", "trotter", "--out", str(out))
         assert result.returncode == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert len(rows) == 257  # header + R records
         assert rows[0] == ["j", "s", "ground_energy", "overlap_sq", "norm"]
         final = rows[-1]
@@ -94,7 +94,7 @@ class TestTrace:
         result = run_cli("trace", "l_prefix_0", "0", "--T", "0", "--R", "1",
                          "--out", str(out))
         assert result.returncode == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert len(rows) == 2
 
     def test_phase_matches_trotter_on_power_of_two(self, tmp_path):
@@ -104,7 +104,7 @@ class TestTrace:
             result = run_cli("trace", "l_prefix_0", "00", "--T", "4", "--R", "128",
                              "--method", method, "--out", str(out))
             assert result.returncode == 0
-            finals[method] = list(csv.reader(out.open()))[-1]
+            finals[method] = list(csv.reader(out.read_text().splitlines()))[-1]
         for a, b in zip(finals["trotter"][1:], finals["phase"][1:]):
             assert abs(float(a) - float(b)) < 1e-6
 
@@ -197,6 +197,18 @@ class TestMisc:
         assert result.returncode == 0
         assert "sym_coin" in result.stdout
         assert "usubsum" in result.stdout
+
+    @pytest.mark.parametrize("args", [
+        ("trace", "l_prefix_0", "0", "--T", "nan", "--R", "8"),
+        ("trace", "l_prefix_0", "0", "--T", "inf", "--R", "8"),
+        ("trace", "l_prefix_0", "0", "--T", "1", "--R", "8", "--hbar", "nan"),
+        ("gap", "l_prefix_0", "0", "--epsilon", "nan"),
+        ("gap", "l_prefix_0", "0", "--delta", "inf"),
+    ])
+    def test_non_finite_numbers_are_usage_errors(self, args):
+        result = run_cli(*args)
+        assert result.returncode == 3, result.stderr
+        assert "finite" in result.stderr
 
     def test_gap_command(self, tmp_path):
         out = tmp_path / "gap.json"

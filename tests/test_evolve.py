@@ -84,6 +84,10 @@ class TestSchedule:
             Schedule(1.0, 0)
         with pytest.raises(EvolveError):
             Schedule(1.0, 4, hbar=0.0)
+        for t_total, hbar in ((float("nan"), 1.0), (float("inf"), 1.0),
+                              (1.0, float("nan")), (1.0, float("inf"))):
+            with pytest.raises(EvolveError):
+                Schedule(t_total, 4, hbar=hbar)
 
     def test_hbar_scales_coefficients(self):
         a = Schedule(8.0, 16, hbar=1.0)
@@ -175,7 +179,9 @@ class TestPhaseShift:
                     np.asarray(inst.h_fin), sch.beta(j)
                 )
                 assert spectral_norm(z - v) <= 1e-10
-                assert np.abs(factors.apply(j, sch.r_steps, psi) - z @ psi).max() <= 1e-12
+                c = factors.basis.conj().T @ psi[:, None]
+                assert np.abs(factors.basis @ factors.apply(j, j + 1, c)
+                              - (z @ psi)[:, None]).max() <= 1e-12
 
     def test_computational_diagonal_rejected(self):
         # Diagonal in the computational basis is NOT Hadamard-diagonal.
@@ -263,6 +269,14 @@ class TestEvolveTrace:
         b = evolve_trace(inst, Schedule(4.0, 128), "phase", record_every=128)
         assert abs(a.final_overlap_sq - b.final_overlap_sq) <= 1e-6
 
+    def test_trotter_norm_drift_at_largest_search_refinement(self):
+        # Criterion 6's T = 128 evaluation: R = 2,097,152 steps, each
+        # unitary only to rounding, so the norm drifts linearly in R.
+        inst = gallery.build("l_prefix_0").family.build("0")
+        r = default_r_policy(128.0)
+        trace = evolve_trace(inst, Schedule(128.0, r), "trotter", record_every=r)
+        assert abs(trace.records[-1].norm - 1.0) <= 1e-9
+
 
 class TestFindSufficientT:
     def test_trivial_when_stationary(self):
@@ -332,12 +346,16 @@ class TestDynamicalSubspace:
         self._check_against_full_space(inst, start)
 
     def test_dense_initial_hamiltonian_uses_full_space(self, monkeypatch):
+        # Dim 8 applies the steps one by one; dim 4 multiplies them pairwise,
+        # the full-space phase method included.
         monkeypatch.setattr(evolve, "STEP_CHUNK", 64)
-        inst = hadamard_diag_instance(8, rng=np.random.default_rng(17))
-        start = start_state(inst)
-        assert dynamical_basis(as_dense(inst.h_ini), as_dense(inst.h_fin), start).shape == (8, 8)
-        assert evolve_trace(inst, Schedule(3.0, 40), "trotter").subspace_dim == 8
-        self._check_against_full_space(inst, start)
+        for dim, seed in ((8, 17), (4, 31)):
+            inst = hadamard_diag_instance(dim, rng=np.random.default_rng(seed))
+            start = start_state(inst)
+            q = dynamical_basis(as_dense(inst.h_ini), as_dense(inst.h_fin), start)
+            assert q.shape == (dim, dim)
+            assert evolve_trace(inst, Schedule(3.0, 40), "trotter").subspace_dim == dim
+            self._check_against_full_space(inst, start)
 
     @staticmethod
     def _check_against_full_space(inst, start):
