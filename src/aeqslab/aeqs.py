@@ -68,6 +68,29 @@ class ProjectorComplement:
         return np.eye(self.dim, dtype=complex) - np.outer(self.vector, self.vector.conj())
 
 
+def deflation_vector(dim: int, distinguished: int) -> np.ndarray:
+    """Ground state of the initial Hamiltonian I - |g><g|.
+
+    On power-of-two dimensions g is the Hadamard image of the distinguished
+    basis state (so the initial Hamiltonian is diagonal in the Hadamard
+    basis); otherwise g is the uniform superposition, which keeps the same
+    spectrum (unique ground at energy 0, gap 1) on spaces that no tensor
+    power of the one-qubit transform fits.
+    """
+    k = dim.bit_length() - 1
+    if 2**k == dim:
+        # Column `distinguished` of the k-fold Hadamard power, built without
+        # materializing the matrix: signs follow bitwise-AND parity.
+        idx = np.arange(dim)
+        parity = np.zeros(dim, dtype=np.int64)
+        bits = idx & distinguished
+        while bits.any():
+            parity ^= bits & 1
+            bits >>= 1
+        return ((-1.0) ** parity).astype(complex) / math.sqrt(dim)
+    return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+
+
 class KroneckerSum:
     """The Kronecker sum A (x) I + I (x) B of two Hamiltonians.
 

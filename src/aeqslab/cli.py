@@ -22,7 +22,7 @@ from .aeqs import (
     decide,
     minimum_interpolation_gap,
 )
-from .evolve import Schedule, evolve_trace
+from .evolve import EVOLVE_DIM_MAX, Schedule, evolve_trace
 from .gallery import GALLERY_NAMES, GalleryError, PromiseError, build
 from .linalg import CapacityError
 from .qqa import generate_moqqaf
@@ -67,8 +67,7 @@ def _entry_from_document(doc: MachineSpecDocument) -> gallery.GalleryEntry:
 
 
 def _moqqaf_family(doc: MachineSpecDocument):
-    from .aeqs import AeqsFamily, DEFAULT_ACCURACY_BOUND, ProjectorComplement
-    from .gallery import deflation_vector
+    from .aeqs import AeqsFamily, DEFAULT_ACCURACY_BOUND, ProjectorComplement, deflation_vector
     from .qqa import Selector
 
     level, criteria = doc.to_moqqaf()
@@ -217,7 +216,8 @@ def cmd_gap(args) -> int:
     entry = _load_target(args.target)
     instance = entry.family.build(args.input)
     verdict = decide(instance)
-    comm = commutator_check(instance) if instance.dim <= 512 else None
+    dense = instance.dim <= EVOLVE_DIM_MAX
+    comm = commutator_check(instance) if dense else None
     payload = {
         "schema": 1,
         "target": entry.name,
@@ -227,7 +227,13 @@ def cmd_gap(args) -> int:
         "commutator_norm": comm,
         "commutator_negligible": commutator_negligible(comm) if comm is not None else None,
     }
-    if args.grid and instance.dim <= 512:
+    if not dense:
+        payload["min_interpolation_gap"] = payload["time_bound"] = None
+        payload["skipped"] = (
+            f"commutator_norm, min_interpolation_gap and time_bound not computed: "
+            f"dimension {instance.dim} exceeds EVOLVE_DIM_MAX = {EVOLVE_DIM_MAX}"
+        )
+    elif args.grid:
         payload["min_interpolation_gap"] = minimum_interpolation_gap(instance, args.grid)
         payload["time_bound"] = adiabatic_time_bound(
             instance, epsilon=args.epsilon, delta=args.delta, grid=args.grid

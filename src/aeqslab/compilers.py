@@ -31,8 +31,8 @@ from .aeqs import (
     AeqsInstance,
     DEFAULT_ACCURACY_BOUND,
     ProjectorComplement,
+    deflation_vector,
 )
-from .gallery import deflation_vector
 from .linalg import CapacityError, hadamard_power, ilog, spectral_norm
 from .qqa import CENT, DOLLAR, BasisSchema, Selector, length_selector
 

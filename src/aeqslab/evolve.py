@@ -35,9 +35,10 @@ time as k x k matrices and multiplied down pairwise (a tree-ordered
 product), which holds STEP_CHUNK * k^2 complex numbers per array in memory
 whatever R is; for larger k, where a k^3 product costs more than a k^2
 step, they are applied to the state one by one.  The instance is still
-densified, so EVOLVE_DIM_MAX still applies.  Final and recorded overlaps are
-weights on the whole ground eigenspace, which is well defined when it is
-degenerate.
+densified, so EVOLVE_DIM_MAX still applies.  A run whose step phases can
+exceed STEP_PHASE_MAX radians raises EvolveError, since rounding leaves such
+phases no significant digit.  Final and recorded overlaps are weights on the
+whole ground eigenspace, which is well defined when it is degenerate.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ SUBSPACE_TOL = 1e-10      # dropped directions and invariance residual, per unit
 STEP_CHUNK = 2**15        # steps built and multiplied at a time
 PAIRWISE_DIM_MAX = 6      # largest subspace dimension multiplied down pairwise; above
                           # k = 8 applying trotter steps one by one is faster
+STEP_PHASE_MAX = 1e9      # rad; largest step phase (T/(R hbar)) ||H|| evolved.  A phase
+                          # near 1e9 carries a rounding error of about 1e-7 rad; far
+                          # beyond it the step's exponentials have no significant digit
 
 
 class EvolveError(Exception):
@@ -369,6 +373,15 @@ def _evolution(instance: AeqsInstance, schedule: Schedule, method: str):
     h_ini, h_fin = _dense_pair(instance)
     if method not in ("midpoint", "trotter", "phase"):
         raise EvolveError(f"unknown method {method!r}; use midpoint | trotter | phase")
+    # The largest absolute row sum bounds the spectral norm of each Hamiltonian.
+    # Written as a negated <= so that a nan phase (inf * 0) is rejected too.
+    norm_bound = max(np.abs(h).sum(axis=1).max() for h in (h_ini, h_fin))
+    step_phase = schedule.t_total / (schedule.r_steps * schedule.hbar) * norm_bound
+    if not step_phase <= STEP_PHASE_MAX:
+        raise EvolveError(
+            f"step phase bound (T/(R hbar)) max ||H|| = {step_phase:.3e} rad exceeds "
+            f"STEP_PHASE_MAX = {STEP_PHASE_MAX:.0e}; increase R"
+        )
     # A Kronecker sum starts from the ground state of the dense matrix it
     # evolves, not its factors' product state, so the run does not depend on
     # whether H_ini is stored factored or dense.

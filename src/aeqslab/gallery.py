@@ -15,10 +15,14 @@ spurious extra ground directions from dynamically unreachable index tuples
 (basis states that no computation produces still enter the operator's
 spectrum), which would drown the intended witness energies; the curated
 basis is closed under the generation maps and reproduces the constructions'
-analyzed spectra exactly.  The marked-palindrome construction is kept
-verbatim on its full surface-configuration space; deviations of its ground
-support from the intended accept/reject spaces are REPORTED as findings by
-verify(), never patched.
+analyzed spectra exactly.  Their steps are permutations F, and Lambda0
+differs from the identity only at the idle track's start, so the diagonal of
+F Lambda0 F^dagger is read off that start's forward landing: no step is
+inverted.  Every permutation operator is built by ``permutation_op``.  The
+marked-palindrome construction is kept verbatim on its full
+surface-configuration space; deviations of its ground support from the
+intended accept/reject spaces are REPORTED as findings by verify(), never
+patched.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .aeqs import (
     ProjectorComplement,
     complement,
     decide,
+    deflation_vector,
 )
 from .linalg import SparseHermitian
 from .qqa import (
@@ -68,31 +73,15 @@ def pair_index(a: int, b: int) -> int:
     return (a + b) * (a + b + 1) // 2 + b
 
 
-def deflation_vector(dim: int, distinguished: int) -> np.ndarray:
-    """Ground state of the initial Hamiltonian I - |g><g|.
-
-    On power-of-two dimensions g is the Hadamard image of the distinguished
-    basis state (so the initial Hamiltonian is diagonal in the Hadamard
-    basis); otherwise g is the uniform superposition, which keeps the same
-    spectrum (unique ground at energy 0, gap 1) on spaces that no tensor
-    power of the one-qubit transform fits.
-    """
-    k = dim.bit_length() - 1
-    if 2**k == dim:
-        # Column `distinguished` of the k-fold Hadamard power, built without
-        # materializing the matrix: signs follow bitwise-AND parity.
-        idx = np.arange(dim)
-        parity = np.zeros(dim, dtype=np.int64)
-        bits = idx & distinguished
-        while bits.any():
-            parity ^= bits & 1
-            bits >>= 1
-        return ((-1.0) ** parity).astype(complex) / math.sqrt(dim)
-    return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-
-
 def initial_hamiltonian(schema: BasisSchema, distinguished_state) -> ProjectorComplement:
     return ProjectorComplement(deflation_vector(schema.dim, schema.index(distinguished_state)))
+
+
+def permutation_op(schema: BasisSchema, step: Callable) -> SparseOp:
+    """The permutation operator |step(s)><s| summed over the basis states s."""
+    return SparseOp.permutation(
+        schema.dim, {schema.index(s): schema.index(step(s)) for s in schema.all_states()}
+    )
 
 
 @dataclass
@@ -140,13 +129,6 @@ def _prefix_level(n: int, a: str) -> MoqqafLevel:
     def adv(pos):
         return (pos + 1) % n_pos
 
-    def advance_op():
-        return SparseOp.permutation(
-            schema.dim,
-            {schema.index((q, h)): schema.index((q, adv(h)))
-             for q in _PREFIX_STATES for h in range(n_pos)},
-        )
-
     # At cell 1 the first input symbol routes q0 to the accept track (q1)
     # when it equals a, and to the reject track (q2) otherwise.
     if a == "0":
@@ -156,14 +138,12 @@ def _prefix_level(n: int, a: str) -> MoqqafLevel:
         cell1 = {"1": {"q0": "q1", "q1": "q3", "q2": "q2", "q3": "q0"},
                  "0": {"q0": "q2", "q1": "q1", "q2": "q3", "q3": "q0"}}
 
-    ops = {CENT: advance_op(), DOLLAR: advance_op()}
+    advance = permutation_op(schema, lambda s: (s[0], adv(s[1])))
+    ops = {CENT: advance, DOLLAR: advance}
     for sym in ("0", "1"):
-        mapping = {}
-        for q in _PREFIX_STATES:
-            for h in range(n_pos):
-                target = cell1[sym][q] if h == 1 else q
-                mapping[schema.index((q, h))] = schema.index((target, adv(h)))
-        ops[sym] = SparseOp.permutation(schema.dim, mapping)
+        ops[sym] = permutation_op(
+            schema, lambda s, sym=sym: (cell1[sym][s[0]] if s[1] == 1 else s[0], adv(s[1]))
+        )
 
     lam = np.ones(schema.dim)
     lam[schema.index(("q0", 0))] = 0.0
@@ -253,11 +233,8 @@ def _equal_level(n: int) -> MoqqafLevel:
     dollar_rules = split_rules(1)
 
     def stepper(d1, d2):
-        return SparseOp.permutation(
-            schema.dim,
-            {idx("q1", i): idx("q1", i + d1) for i in range(clock)}
-            | {idx("q2", i): idx("q2", i + d2) for i in range(clock)},
-        )
+        shift = {"q1": d1, "q2": d2}
+        return permutation_op(schema, lambda s: (s[0], (s[1] + shift[s[0]]) % clock))
 
     # Reading a advances the q1 clock twice as fast; b the other way round.
     ops = {
@@ -287,18 +264,17 @@ def _build_equal() -> GalleryEntry:
         level = level_for(n)
         schema = level.schema
         clock = max(1, 2 ** (n - 1)) if n >= 1 else 1
-        s_acc = set()
+        s_acc = frozenset()
         if n % 2 == 0:
             # Members have n = 2l symbols and land on clock value 3l+1.
-            s_acc.add(("q1", (3 * (n // 2) + 1) % clock))
-        s_rej = set(schema.all_states()) - s_acc
+            s_acc = schema.indices_of([("q1", (3 * (n // 2) + 1) % clock)])
         return AeqsInstance(
             size_bits=schema.size_bits,
             epsilon=DEFAULT_ACCURACY_BOUND,
             h_ini=initial_hamiltonian(schema, ("q1", 0)),
             h_fin=generate_moqqaf(level, x).operator,
-            s_acc=schema.indices_of(s_acc),
-            s_rej=schema.indices_of(s_rej),
+            s_acc=s_acc,
+            s_rej=frozenset(range(schema.dim)) - s_acc,
             schema=schema,
         )
 
@@ -374,32 +350,17 @@ class _SymCoinTrack:
             state = self.sym_step(state, c)
         return state
 
-    def backward_pass(self, state):
-        """Inverse of forward_pass (all maps are permutations)."""
-        target = state
-        # Invert by brute search over symbols at the starting position;
-        # positions retrace deterministically (each step is pos -> pos+1).
-        start_pos = (target[1] - (self.n + 1)) % self.n_pos
-        for sym in _SYM_SYMBOLS:
-            if self.forward_pass((sym, start_pos)) == target:
-                return (sym, start_pos)
-        raise GalleryError("backward chase failed (not a permutation?)")
-
-    def dollar_preimages(self, state):
-        """[(pre-endmarker state, amplitude)] for both endmarker branches."""
+    def dollar_amplitudes(self, state):
+        """Endmarker amplitudes into ``state``, one per branch that lands there."""
         sym, pos = state
         if pos != 0:
             return []
         p = self.i / (self.n + 1)
-        out = []
         if sym == "acc":
-            out.append((("acc", self.n + 1), math.sqrt(p)))
-        elif sym == "rej":
-            out.append((("rej", self.n + 1), 1.0))
-            out.append((("acc", self.n + 1), math.sqrt(1.0 - p)))
-        else:
-            out.append(((sym, self.n + 1), 1.0))
-        return out
+            return [math.sqrt(p)]
+        if sym == "rej":
+            return [1.0, math.sqrt(1.0 - p)]
+        return [1.0]
 
 
 def _sym_coin_tracks(n: int):
@@ -435,28 +396,20 @@ def _build_sym_coin() -> GalleryEntry:
         ]
         return BasisSchema(coords, states=states)
 
-    def lam_value(track, state) -> float:
-        # Lambda0 = I - (1/3)|0,0,B,0,B,0><...|; only the idle track's start
-        # is deformed.
-        if track == (0, 0) and state == ("B", 0):
-            return 2.0 / 3.0
-        return 1.0
-
     def build(x: str) -> AeqsInstance:
         n = len(x)
         schema = schema_for(x)
         diag = np.zeros(schema.dim)
-        for idx, full_state in enumerate(schema.all_states()):
-            i, j, sym, pos, _s0, _p0 = full_state
+        for idx, (i, j, sym, pos, _s0, _p0) in enumerate(schema.all_states()):
             if (i, j) == (0, 0):
-                diag[idx] = lam_value((0, 0), ("B", 0))
+                # Lambda0 = I - (1/3)|0,0,B,0,B,0><...|: the idle track holds
+                # only its start, the one deformed state.
+                diag[idx] = 2.0 / 3.0
                 continue
-            track = _SymCoinTrack(x, i, j)
-            total = 0.0
-            for pre, amp in track.dollar_preimages((sym, pos)):
-                start = track.backward_pass(pre)
-                total += amp * amp * lam_value((i, j), start)
-            diag[idx] = total
+            # Lambda0 is 1 on every other track, so the entry is the weight
+            # the endmarker branches carry into this state.
+            amps = _SymCoinTrack(x, i, j).dollar_amplitudes((sym, pos))
+            diag[idx] = sum(amp * amp for amp in amps)
         h_fin = SparseHermitian.diagonal(diag)
         s_acc = {(i, j, "acc", 0, "B", 0) for (i, j) in _sym_coin_tracks(n)}
         s_rej = {(0, 0, "B", 0, "B", 0)}
@@ -513,16 +466,9 @@ def _sym_coin_validation_levels(x: str) -> list:
     for (i, j) in _sym_coin_tracks(n)[:2]:  # two tracks suffice per input
         track = _SymCoinTrack(x, i, j)
         schema = BasisSchema([("sym", _SYM_SYMBOLS), ("pos", tuple(range(n + 2)))])
-
-        def perm_of(stepper):
-            return SparseOp.permutation(
-                schema.dim,
-                {schema.index(s): schema.index(stepper(s)) for s in schema.all_states()},
-            )
-
-        ops = {CENT: [perm_of(lambda s: (s[0], (s[1] + 1) % (n + 2)))]}
+        ops = {CENT: [permutation_op(schema, lambda s: (s[0], (s[1] + 1) % (n + 2)))]}
         for ch in ("a", "b"):
-            ops[ch] = [perm_of(lambda s, ch=ch: track.sym_step(s, ch))]
+            ops[ch] = [permutation_op(schema, lambda s, ch=ch: track.sym_step(s, ch))]
         p = i / (n + 1)
         k1_rules, k2_rules = [], []
         for s in schema.all_states():
@@ -594,29 +540,23 @@ class _USubSumTrack:
         lo = -self.k * self.l
         return (j - lo) % self.j_span + lo
 
-    def step(self, state, ch: str, reverse: bool = False):
+    def step(self, state, ch: str):
         i, j = state
-        sign = -1 if reverse else 1
         if ch == "#":
-            return ((i + sign) % (self.k + 1), j)
+            return ((i + 1) % (self.k + 1), j)
         if ch == "0":
             if i == 0:
-                return (i, self._wrap_j(j + sign))
+                return (i, self._wrap_j(j + 1))
             return state
         if ch == "1":
             if i in self.chosen:
-                return (i, self._wrap_j(j - sign))
+                return (i, self._wrap_j(j - 1))
             return state
         raise GalleryError(f"bad symbol {ch!r}")
 
     def land(self, state=(0, 0)):
         for ch in self.x:
             state = self.step(state, ch)
-        return state
-
-    def chase_back(self, state):
-        for ch in reversed(self.x):
-            state = self.step(state, ch, reverse=True)
         return state
 
 
@@ -654,15 +594,15 @@ def _build_usubsum() -> GalleryEntry:
 
         zero_track = "0" * k
         q0 = {(s, k, 0, 0, 0) for s in subsets}
+        # Lambda0 is deformed (to 1/2) only at the idle track's start, which
+        # the steps carry to that track's landing.
+        deformed = (zero_track, *tracks[zero_track].land())
 
         diag = np.zeros(schema.dim)
         for idx, st in enumerate(schema.all_states()):
-            s, i, j, _a, _b = st
             if st in q0:
                 diag[idx] = 0.0
-                continue
-            start = tracks[s].chase_back((i, j))
-            if s == zero_track and start == (0, 0):
+            elif st[:3] == deformed:
                 diag[idx] = 0.5
             else:
                 diag[idx] = 1.0
@@ -736,11 +676,7 @@ def _usubsum_validation_levels(x: str) -> list:
         schema = BasisSchema([("i", tuple(range(k + 1))), ("j", tuple(range(-k * l, t + 1)))])
         ops = {CENT: SparseOp.identity(schema.dim), DOLLAR: SparseOp.identity(schema.dim)}
         for sym in ("0", "1", "#"):
-            ops[sym] = SparseOp.permutation(
-                schema.dim,
-                {schema.index(st): schema.index(track.step(st, sym))
-                 for st in schema.all_states()},
-            )
+            ops[sym] = permutation_op(schema, lambda st, sym=sym: track.step(st, sym))
         levels.append(
             MoqqafLevel(schema=schema, alphabet=("0", "1", "#"), ops=ops,
                         lam0=SparseHermitian.diagonal(np.ones(schema.dim)),
@@ -819,16 +755,6 @@ class _MultDupTrack:
         sym, h, r, pos = state
         return (sym, h, (r - self.l) % (self.l + 1), (pos + 1) % self.n_pos)
 
-    def backward_pass(self, target):
-        base_pos = (target[3] - (len(self.x) + 2)) % self.n_pos
-        for sym in _MD_SYMBOLS:
-            for h in range(self.k + 1):
-                for r in range(self.l + 1):
-                    cand = (sym, h, r, base_pos)
-                    if self.forward_pass(cand) == target:
-                        return cand
-        raise GalleryError("backward chase failed for multdup track")
-
 
 def _build_multdup() -> GalleryEntry:
     def selector_eval(x: str) -> int:
@@ -841,12 +767,10 @@ def _build_multdup() -> GalleryEntry:
         tracks = [(0, 0)] + [(i, j) for i in range(1, k + 1) for j in range(1, l + 1)]
 
         states = []
-        machines = {}
+        landings = {}
+        start = ("B", 0, 0, 0)
         for (i, j) in tracks:
-            start = ("B", 0, 0, 0)
-            m = _MultDupTrack(blocks, i, j)
-            machines[(i, j)] = m
-            landing = m.forward_pass(start)
+            landing = landings[(i, j)] = _MultDupTrack(blocks, i, j).forward_pass(start)
             states.append((i, j) + start + ("B", 0, 0, 0))
             if landing != start:
                 states.append((i, j) + landing + ("B", 0, 0, 0))
@@ -871,15 +795,15 @@ def _build_multdup() -> GalleryEntry:
               for i in range(1, k + 1) for j in range(1, l + 1)}
         # Lambda0 = I - (1/2)|0,0,xi0,xi0><...|: the deformation sits on the
         # idle track's start and surfaces at whatever that chain lands on.
+        deformed = (0, 0) + landings[(0, 0)]
         diag = np.zeros(schema.dim)
         for idx, st in enumerate(schema.all_states()):
             if st in q0:
                 diag[idx] = 0.0
-                continue
-            i, j = st[0], st[1]
-            reg = st[2:6]
-            start = machines[(i, j)].backward_pass(reg)
-            diag[idx] = 0.5 if (i, j) == (0, 0) and start == ("B", 0, 0, 0) else 1.0
+            elif st[:6] == deformed:
+                diag[idx] = 0.5
+            else:
+                diag[idx] = 1.0
         h_fin = SparseHermitian.diagonal(diag)
 
         s_acc = q0
@@ -954,16 +878,11 @@ def _multdup_validation_levels(x: str) -> list:
         ("r", tuple(range(l + 1))), ("pos", tuple(range(n_pos))),
     ])
 
-    def perm_of(fn):
-        return SparseOp.permutation(
-            schema.dim, {schema.index(s): schema.index(fn(s)) for s in schema.all_states()}
-        )
-
-    ops = {CENT: perm_of(lambda s: (s[0], s[1], s[2], (s[3] + 1) % n_pos))}
+    ops = {CENT: permutation_op(schema, lambda s: (s[0], s[1], s[2], (s[3] + 1) % n_pos))}
     for ch in ("0", "1", "#"):
-        ops[ch] = perm_of(lambda s, ch=ch: m.step(s, ch))
-    ops[DOLLAR] = perm_of(
-        lambda s: (s[0], s[1], (s[2] - l) % (l + 1), (s[3] + 1) % n_pos)
+        ops[ch] = permutation_op(schema, lambda s, ch=ch: m.step(s, ch))
+    ops[DOLLAR] = permutation_op(
+        schema, lambda s: (s[0], s[1], (s[2] - l) % (l + 1), (s[3] + 1) % n_pos)
     )
     return [MoqqafLevel(schema=schema, alphabet=("0", "1", "#"), ops=ops,
                         lam0=SparseHermitian.diagonal(np.ones(schema.dim)),

@@ -210,6 +210,29 @@ class TestMisc:
         assert result.returncode == 3, result.stderr
         assert "finite" in result.stderr
 
+    @pytest.mark.parametrize("args", [
+        ("--T", "1e300", "--R", "4"),
+        ("--T", "1", "--R", "4", "--hbar", "1e-300"),
+    ])
+    def test_meaningless_step_phase_is_usage_error(self, args):
+        result = run_cli("trace", "l_prefix_0", "0", *args)
+        assert result.returncode == 3, result.stderr
+        assert "STEP_PHASE_MAX" in result.stderr
+
+    def test_large_step_phase_below_bound_runs(self):
+        result = run_cli("trace", "l_prefix_0", "0", "--T", "1e6", "--R", "1")
+        assert result.returncode == 0, result.stderr
+
+    def test_gap_above_dense_limit_names_skipped_fields(self, tmp_path):
+        out = tmp_path / "gap.json"
+        result = run_cli("gap", "pal_marked", "a#a", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        data = json.loads(out.read_text())
+        assert data["min_interpolation_gap"] is None
+        assert data["time_bound"] is None
+        assert "dimension 5625" in data["skipped"]
+        assert "EVOLVE_DIM_MAX = 512" in data["skipped"]
+
     def test_gap_command(self, tmp_path):
         out = tmp_path / "gap.json"
         result = run_cli("gap", "l_prefix_0", "0", "--grid", "16", "--out", str(out))
@@ -219,3 +242,4 @@ class TestMisc:
         assert data["commutator_norm"] > 0
         assert data["min_interpolation_gap"] > 0
         assert data["time_bound"] > 0
+        assert "skipped" not in data

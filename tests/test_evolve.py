@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 
 from aeqslab import evolve, gallery
-from aeqslab.aeqs import AeqsInstance, ProjectorComplement, as_dense, from_oracle, ground_state
+from aeqslab.aeqs import (
+    AeqsInstance,
+    ProjectorComplement,
+    as_dense,
+    deflation_vector,
+    from_oracle,
+    ground_state,
+)
 from aeqslab.evolve import (
     PAIRWISE_DIM_MAX,
+    STEP_PHASE_MAX,
     EvolveError,
     NotHadamardDiagonal,
     Schedule,
@@ -23,7 +31,6 @@ from aeqslab.evolve import (
     trotter_error,
     trotter_product,
 )
-from aeqslab.gallery import deflation_vector
 from aeqslab.linalg import hadamard_power, spectral_norm, unitary_exp
 
 RNG = np.random.default_rng(99)
@@ -251,6 +258,20 @@ class TestEvolveTrace:
         b = evolve_trace(inst, Schedule(6.0, 4096), "trotter", record_every=4096)
         assert abs(a.final_overlap_sq - b.final_overlap_sq) <= 5e-3
 
+    @pytest.mark.parametrize("method", ["midpoint", "trotter", "phase"])
+    def test_step_phase_bound(self, method):
+        # Both Hamiltonians have row sums 1 (to rounding), so the bound on the
+        # step phase is T/(R hbar).
+        inst = AeqsInstance(size_bits=1, epsilon=0.9,
+                            h_ini=ProjectorComplement(deflation_vector(2, 0)),
+                            h_fin=np.diag([1.0, 0.0]).astype(complex),
+                            s_acc=frozenset({1}), s_rej=frozenset({0}))
+        evolve_trace(inst, Schedule(0.5 * STEP_PHASE_MAX, 1), method)
+        with pytest.raises(EvolveError, match="STEP_PHASE_MAX"):
+            evolve_trace(inst, Schedule(2 * STEP_PHASE_MAX, 1), method)
+        with pytest.raises(EvolveError, match="STEP_PHASE_MAX"):
+            final_overlap_sq(inst, Schedule(1.0, 1, hbar=0.5 / STEP_PHASE_MAX), method)
+
     def test_record_every_must_be_positive(self):
         inst = gallery.build("equal").family.build("ab")
         with pytest.raises(EvolveError):
@@ -298,6 +319,11 @@ class TestFindSufficientT:
         res = find_sufficient_t(inst, 0.999999, r_policy=lambda t: 16, t_cap=2.0)
         assert not res.converged
         assert 0.0 <= res.overlap_sq < 0.999999
+
+    def test_custom_policy_gets_the_step_phase_bound(self):
+        inst = gallery.build("l_prefix_0").family.build("0")
+        with pytest.raises(EvolveError, match="STEP_PHASE_MAX"):
+            find_sufficient_t(inst, 0.99, r_policy=lambda t: 1, t_start=2 * STEP_PHASE_MAX)
 
     def test_default_policy_floor(self):
         assert default_r_policy(0.5) == 64

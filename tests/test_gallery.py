@@ -255,3 +255,83 @@ class TestVerifyMachinery:
         report = gallery.verify(e, ["ab"])
         assert not report.passed
         assert report.expectation_failures
+
+
+class TestTrackDiagonals:
+    """The track constructions read each diagonal entry of H_fin off the
+    forward landing of the idle track's start.  Here every entry is instead
+    recomputed from the state's preimage, found by scanning the track's whole
+    register space: E = Pi0 F Lambda0 F^dagger Pi0 evaluated at the preimage
+    of each curated state."""
+
+    @staticmethod
+    def preimage(register_space, forward, target):
+        found = [u for u in register_space if forward(u) == target]
+        assert len(found) == 1, (target, found)
+        return found[0]
+
+    @staticmethod
+    def built_diagonal(instance):
+        return instance.h_fin.to_dense().diagonal().real
+
+    def test_sym_coin(self):
+        entry = gallery.build("sym_coin")
+        for x in gallery.strings_up_to("ab", 7):
+            n = len(x)
+            instance = entry.family.build(x)
+            built = self.built_diagonal(instance)
+            registers = [(sym, pos) for sym in gallery._SYM_SYMBOLS for pos in range(n + 2)]
+            for idx, (i, j, sym, pos, _s0, _p0) in enumerate(instance.schema.all_states()):
+                track = gallery._SymCoinTrack(x, i, j)   # (0, 0): pure advance
+                p = i / (n + 1)
+                # The right endmarker: accept-marked mass splits sqrt(p) onto
+                # acc and sqrt(1 - p) onto rej; every other register advances.
+                if (sym, pos) == ("acc", 0):
+                    branches = [(("acc", n + 1), np.sqrt(p))]
+                elif (sym, pos) == ("rej", 0):
+                    branches = [(("rej", n + 1), 1.0), (("acc", n + 1), np.sqrt(1 - p))]
+                else:
+                    branches = [((sym, (pos - 1) % (n + 2)), 1.0)]
+                want = 0.0
+                for before, amp in branches:
+                    start = self.preimage(registers, track.forward_pass, before)
+                    lam = 2.0 / 3.0 if (i, j, *start) == (0, 0, "B", 0) else 1.0
+                    want += amp * amp * lam
+                assert built[idx] == want, (x, idx)
+
+    def test_usubsum(self):
+        entry = gallery.build("usubsum")
+        for x in gallery.usubsum_inputs(3, 2, 3):
+            t, counts = gallery.parse_usubsum(x)
+            k, l = len(counts), max(counts)
+            instance = entry.family.build(x)
+            built = self.built_diagonal(instance)
+            registers = [(i, j) for i in range(k + 1) for j in range(-k * l, t + 1)]
+            for idx, (s, i, j, _i0, _j0) in enumerate(instance.schema.all_states()):
+                chosen = frozenset(b + 1 for b, bit in enumerate(s) if bit == "1")
+                track = gallery._USubSumTrack(x, t, counts, chosen)
+                start = self.preimage(registers, track.land, (i, j))
+                lam = 0.5 if s == "0" * k and start == (0, 0) else 1.0
+                want = 0.0 if (i, j) == (k, 0) else lam   # Pi0 removes q0
+                assert built[idx] == want, (x, idx)
+
+    def test_multdup(self):
+        entry = gallery.build("multdup")
+        for x in gallery.multdup_inputs(2, 2):
+            blocks = gallery.parse_multdup(x)
+            k, l = len(blocks) - 1, len(blocks[0])
+            instance = entry.family.build(x)
+            built = self.built_diagonal(instance)
+            registers = [(sym, h, r, pos) for sym in gallery._MD_SYMBOLS
+                         for h in range(k + 1) for r in range(l + 1)
+                         for pos in range(len(x) + 2)]
+            tables = {}
+            for idx, state in enumerate(instance.schema.all_states()):
+                i, j, reg = state[0], state[1], state[2:6]
+                if (i, j) not in tables:
+                    track = gallery._MultDupTrack(blocks, i, j)
+                    tables[(i, j)] = {u: track.forward_pass(u) for u in registers}
+                start = self.preimage(registers, tables[(i, j)].__getitem__, reg)
+                lam = 0.5 if (i, j) == (0, 0) and start == ("B", 0, 0, 0) else 1.0
+                want = 0.0 if i > 0 and reg == ("B", k, 0, 0) else lam   # Pi0 removes q0
+                assert built[idx] == want, (x, idx)
