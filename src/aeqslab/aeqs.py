@@ -20,6 +20,7 @@ import numpy as np
 
 from .linalg import (
     DEGENERACY_TOL,
+    NORM_TOL,
     CapacityError,
     SparseHermitian,
     dense_max,
@@ -27,7 +28,7 @@ from .linalg import (
     lowest_eigenpairs,
     spectral_norm,
 )
-from .qqa import BasisSchema, Selector, flat_schema
+from .qqa import BasisSchema, flat_schema
 
 TIE_TOL = 1e-9
 DEFAULT_ACCURACY_BOUND = 0.999  # constructions analyzed at accuracy exactly 1
@@ -54,7 +55,7 @@ class ProjectorComplement:
     def __init__(self, vector: np.ndarray):
         vector = np.asarray(vector, dtype=complex)
         norm = np.linalg.norm(vector)
-        if abs(norm - 1.0) > 1e-10:
+        if abs(norm - 1.0) > NORM_TOL:
             raise AeqsError(f"deflation vector not normalized: |v| = {norm}")
         self.vector = vector
         self.dim = len(vector)
@@ -251,14 +252,14 @@ def overlap_accuracy(overlap: float) -> float:
     return 1.0 - math.sqrt(max(0.0, 1.0 - min(1.0, overlap)))
 
 
-def decide(instance: AeqsInstance, *, epsilon_threshold: float | None = None) -> Verdict:
+def decide(instance: AeqsInstance) -> Verdict:
     """Locate the final Hamiltonian's ground state among the criteria spans.
 
     accept  iff accuracy(acc overlap) >= threshold and acc > rej overlap,
     reject  symmetrically; anything else (including a degenerate ground
     space or a tie) is indeterminate.
     """
-    threshold = instance.epsilon if epsilon_threshold is None else epsilon_threshold
+    threshold = instance.epsilon
     dim = instance.dim
     if dim == 1:
         energy, psi, unique = ground_state(instance.h_fin)
@@ -358,7 +359,6 @@ class AeqsFamily:
     """A deterministic builder of instances, one per input string."""
 
     alphabet: tuple
-    selector: Selector
     builder: Callable[[str], AeqsInstance]
     promise: Callable[[str], bool] | None = None
     tags: tuple = ()
@@ -409,7 +409,6 @@ def from_oracle(predicate: Callable[[str], bool], alphabet=("0", "1"),
 
     return AeqsFamily(
         alphabet=tuple(alphabet),
-        selector=Selector(lambda x: 0, "n = 0 (single level)"),
         builder=build,
         tags=("constsize", "constgap"),
         name=name,
@@ -433,7 +432,6 @@ def complement(family: AeqsFamily) -> AeqsFamily:
 
     return AeqsFamily(
         alphabet=family.alphabet,
-        selector=family.selector,
         builder=build,
         promise=family.promise,
         tags=family.tags,
@@ -490,7 +488,6 @@ def xor_product(f1: AeqsFamily, f2: AeqsFamily) -> AeqsFamily:
         promise = lambda x: f1.promised(x) and f2.promised(x)  # noqa: E731
     return AeqsFamily(
         alphabet=f1.alphabet,
-        selector=f1.selector,
         builder=build,
         promise=promise,
         name=f"xor({f1.name},{f2.name})",
@@ -517,7 +514,6 @@ def inverse_image(family: AeqsFamily, f: Callable[[str], str],
 
     return AeqsFamily(
         alphabet=family.alphabet,
-        selector=family.selector,
         builder=build,
         promise=family.promise,
         tags=family.tags,

@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from . import gallery
+from . import gallery, linalg
 from .aeqs import (
     AeqsInstance,
     adiabatic_time_bound,
@@ -68,7 +68,6 @@ def _entry_from_document(doc: MachineSpecDocument) -> gallery.GalleryEntry:
 
 def _moqqaf_family(doc: MachineSpecDocument):
     from .aeqs import AeqsFamily, DEFAULT_ACCURACY_BOUND, ProjectorComplement, deflation_vector
-    from .qqa import Selector
 
     level, criteria = doc.to_moqqaf()
 
@@ -87,7 +86,6 @@ def _moqqaf_family(doc: MachineSpecDocument):
 
     return AeqsFamily(
         alphabet=level.alphabet,
-        selector=Selector(lambda x: 0, "n = 0 (single level)"),
         builder=builder,
         name=doc.name,
     )
@@ -133,8 +131,7 @@ def cmd_trace(args) -> int:
     entry = _load_target(args.target)
     instance = entry.family.build(args.input)
     schedule = Schedule(args.T, args.R, hbar=args.hbar)
-    method = {"phase": "phase", "trotter": "trotter", "midpoint": "midpoint"}[args.method]
-    trace = evolve_trace(instance, schedule, method)
+    trace = evolve_trace(instance, schedule, args.method)
     payload = trace.to_json() if args.format == "json" else trace.to_csv()
     _write_or_print(payload, args.out)
     if not args.out:
@@ -146,6 +143,14 @@ def cmd_trace(args) -> int:
     return 0
 
 
+# The promise parameters each sweepable entry bounds with --max-params.
+SWEEP_PARAMS = {
+    "usubsum": ("t", "k", "l"),
+    "multdup": ("k", "l"),
+    "multdup_complement": ("k", "l"),
+}
+
+
 def _parse_params(spec: str) -> dict:
     # "t<=3,k<=2,l<=2" -> {"t": 3, "k": 2, "l": 2}
     out = {}
@@ -153,23 +158,34 @@ def _parse_params(spec: str) -> dict:
         if "<=" not in chunk:
             raise DocumentError(f"bad parameter bound {chunk!r}; use name<=value")
         name, value = chunk.split("<=", 1)
-        out[name.strip()] = int(value)
+        try:
+            out[name.strip()] = int(value)
+        except ValueError:
+            raise DocumentError(
+                f"bad parameter bound {chunk!r}; the value must be an integer"
+            ) from None
     return out
 
 
 def cmd_verify(args) -> int:
     entry = build(args.target)
     if args.max_params:
+        if entry.name not in SWEEP_PARAMS:
+            raise GalleryError(f"--max-params not supported for {entry.name}")
         bounds = _parse_params(args.max_params)
+        unknown = sorted(set(bounds) - set(SWEEP_PARAMS[entry.name]))
+        if unknown:
+            raise DocumentError(
+                f"{entry.name} has no parameter {', '.join(unknown)}; "
+                f"its parameters are {', '.join(SWEEP_PARAMS[entry.name])}"
+            )
         if entry.name == "usubsum":
             inputs = gallery.usubsum_inputs(
                 bounds.get("t", 3), bounds.get("k", 2), bounds.get("l", 2),
                 promised_only=False,
             )
-        elif entry.name in ("multdup", "multdup_complement"):
-            inputs = gallery.multdup_inputs(bounds.get("k", 2), bounds.get("l", 2))
         else:
-            raise GalleryError(f"--max-params not supported for {entry.name}")
+            inputs = gallery.multdup_inputs(bounds.get("k", 2), bounds.get("l", 2))
     else:
         inputs = list(gallery.strings_up_to(entry.family.alphabet, args.max_len))
     report = gallery.verify(entry, inputs)
@@ -233,7 +249,7 @@ def cmd_gap(args) -> int:
             f"commutator_norm, min_interpolation_gap and time_bound not computed: "
             f"dimension {instance.dim} exceeds EVOLVE_DIM_MAX = {EVOLVE_DIM_MAX}"
         )
-    elif args.grid:
+    else:
         payload["min_interpolation_gap"] = minimum_interpolation_gap(instance, args.grid)
         payload["time_bound"] = adiabatic_time_bound(
             instance, epsilon=args.epsilon, delta=args.delta, grid=args.grid
@@ -308,15 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        from . import linalg
-
-        linalg.LANCZOS_SEED = args.seed
     from .aeqs import AeqsError
     from .compilers import CompileError
     from .evolve import EvolveError
     from .qqa import QqaError
 
+    # --seed applies to this command only: main may run again in one process.
+    seed = linalg.LANCZOS_SEED
+    if args.seed is not None:
+        linalg.LANCZOS_SEED = args.seed
     try:
         return args.fn(args)
     except (DocumentError, GalleryError, PromiseError, QqaError, AeqsError,
@@ -329,6 +345,8 @@ def main(argv=None) -> int:
     except Exception as err:  # pragma: no cover - defensive
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        linalg.LANCZOS_SEED = seed
 
 
 if __name__ == "__main__":

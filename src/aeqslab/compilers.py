@@ -34,11 +34,10 @@ from .aeqs import (
     deflation_vector,
 )
 from .linalg import CapacityError, hadamard_power, ilog, spectral_norm
-from .qqa import CENT, DOLLAR, BasisSchema, Selector, length_selector
+from .qqa import CENT, DOLLAR, BasisSchema
 
 GARBAGE_CAPACITY = 65536
 ISOMETRY_TOL = 1e-9
-BLANK = "_"
 
 
 class CompileError(Exception):
@@ -162,7 +161,6 @@ def from_moqfa(spec: MoQfaSpec) -> AeqsFamily:
 
     return AeqsFamily(
         alphabet=spec.alphabet,
-        selector=Selector(lambda x: 0, "n = 0 (single level)"),
         builder=build,
         tags=("1moqqaf", "constsize", "constgap", "0-energy"),
         name=f"compiled({spec.name})",
@@ -303,7 +301,6 @@ def from_garbage_1qfa(spec: GarbageQfaSpec) -> AeqsFamily:
 
     return AeqsFamily(
         alphabet=spec.alphabet,
-        selector=length_selector(),
         builder=build,
         tags=("1moqqaf", "linsize", "constgap", "0-energy"),
         name=f"compiled({spec.name})",

@@ -60,6 +60,7 @@ SUBSPACE_TOL = 1e-10      # dropped directions and invariance residual, per unit
 STEP_CHUNK = 2**15        # steps built and multiplied at a time
 PAIRWISE_DIM_MAX = 6      # largest subspace dimension multiplied down pairwise; above
                           # k = 8 applying trotter steps one by one is faster
+BISECT_STEPS = 5          # halvings of the bracket a time search ends with
 STEP_PHASE_MAX = 1e9      # rad; largest step phase (T/(R hbar)) ||H|| evolved.  A phase
                           # near 1e9 carries a rounding error of about 1e-7 rad; far
                           # beyond it the step's exponentials have no significant digit
@@ -154,9 +155,9 @@ class EvolutionTrace:
         )
 
 
-def _dense_pair(instance: AeqsInstance, dim_max: int = EVOLVE_DIM_MAX):
-    if instance.dim > dim_max:
-        raise CapacityError(f"evolution limited to dimension {dim_max}, got {instance.dim}")
+def _dense_pair(instance: AeqsInstance):
+    if instance.dim > EVOLVE_DIM_MAX:
+        raise CapacityError(f"evolution limited to dimension {EVOLVE_DIM_MAX}, got {instance.dim}")
     return as_dense(instance.h_ini), as_dense(instance.h_fin)
 
 
@@ -470,8 +471,7 @@ class TimeSearchResult:
 
 def find_sufficient_t(instance: AeqsInstance, target_overlap_sq: float,
                       r_policy=None, method: str = "trotter",
-                      t_start: float = 1.0, t_cap: float = 1e4,
-                      bisect_steps: int = 5) -> TimeSearchResult:
+                      t_start: float = 1.0, t_cap: float = 1e4) -> TimeSearchResult:
     """Doubling-then-bisection search for an evolution time reaching the
     target final overlap.
 
@@ -498,7 +498,7 @@ def find_sufficient_t(instance: AeqsInstance, target_overlap_sq: float,
         ok, overlap = success(t_next)
         if ok:
             lo, hi, hi_overlap = t, t_next, overlap
-            for _ in range(bisect_steps):
+            for _ in range(BISECT_STEPS):
                 mid = (lo + hi) / 2
                 ok_mid, overlap_mid = success(mid)
                 if ok_mid:

@@ -50,11 +50,9 @@ from .qqa import (
     BasisSchema,
     MoqqafLevel,
     QqafLevel,
-    Selector,
     SparseOp,
     TwoWayQqafLevel,
     generate_moqqaf,
-    length_selector,
 )
 
 ACCEPT, REJECT, NOT_PROMISED = "accept", "reject", "not-promised"
@@ -66,11 +64,6 @@ class GalleryError(Exception):
 
 class PromiseError(GalleryError):
     """Input does not have the block shape the promise problem requires."""
-
-
-def pair_index(a: int, b: int) -> int:
-    """Cantor pairing, used to fold parameter tuples into a selector index."""
-    return (a + b) * (a + b + 1) // 2 + b
 
 
 def initial_hamiltonian(schema: BasisSchema, distinguished_state) -> ProjectorComplement:
@@ -181,7 +174,7 @@ def _build_l_prefix(a: str) -> GalleryEntry:
         )
 
     family = AeqsFamily(
-        alphabet=("0", "1"), selector=length_selector(), builder=build,
+        alphabet=("0", "1"), builder=build,
         tags=("1moqqaf", "logsize", "constgap", "0-energy"), name=f"l_prefix_{a}",
     )
 
@@ -279,7 +272,7 @@ def _build_equal() -> GalleryEntry:
         )
 
     family = AeqsFamily(
-        alphabet=("a", "b"), selector=length_selector(), builder=build,
+        alphabet=("a", "b"), builder=build,
         tags=("1moqqaf", "logsize", "0-energy"), name="equal",
     )
 
@@ -424,7 +417,7 @@ def _build_sym_coin() -> GalleryEntry:
         )
 
     family = AeqsFamily(
-        alphabet=("a", "b"), selector=length_selector(), builder=build,
+        alphabet=("a", "b"), builder=build,
         tags=("1qqaf", "logsize", "polygap"), name="sym_coin",
     )
 
@@ -561,10 +554,6 @@ class _USubSumTrack:
 
 
 def _build_usubsum() -> GalleryEntry:
-    def selector_eval(x: str) -> int:
-        t, counts = parse_usubsum(x)
-        return pair_index(pair_index(t, len(counts)), max(counts))
-
     def build(x: str) -> AeqsInstance:
         t, counts = parse_usubsum(x)
         k, l = len(counts), max(counts)
@@ -629,7 +618,6 @@ def _build_usubsum() -> GalleryEntry:
 
     family = AeqsFamily(
         alphabet=("0", "1", "#"),
-        selector=Selector(selector_eval, "n = <t, k, l>"),
         builder=build,
         promise=promise,
         tags=("1qqaf", "linsize", "constgap"),
@@ -757,10 +745,6 @@ class _MultDupTrack:
 
 
 def _build_multdup() -> GalleryEntry:
-    def selector_eval(x: str) -> int:
-        blocks = parse_multdup(x)
-        return pair_index(len(blocks) - 1, len(blocks[0]))
-
     def build(x: str) -> AeqsInstance:
         blocks = parse_multdup(x)
         k, l = len(blocks) - 1, len(blocks[0])
@@ -827,7 +811,6 @@ def _build_multdup() -> GalleryEntry:
 
     family = AeqsFamily(
         alphabet=("0", "1", "#"),
-        selector=Selector(selector_eval, "n = <k, l>"),
         builder=build,
         promise=promise,
         tags=("1qqaf", "logsize", "constgap"),
@@ -1042,16 +1025,8 @@ def _pal_level(x: str) -> TwoWayQqafLevel:
 def _build_pal_marked() -> GalleryEntry:
     from .qqa import generate_2qqaf
 
-    levels: dict[str, TwoWayQqafLevel] = {}
-
-    def level_for(x: str) -> TwoWayQqafLevel:
-        if x not in levels:
-            levels[x] = _pal_level(x)
-        return levels[x]
-
     def build(x: str) -> AeqsInstance:
-        level = level_for(x)
-        generated = generate_2qqaf(level, x)
+        generated = generate_2qqaf(_pal_level(x), x)
         schema = generated.basis
         s_acc = {(("q1", 0, "q1", 1, 0), 0)}
         s_rej = {(("q4", 0, "q1", 1, 0), 0), (("q5", 0, "q1", 1, 0), 0)}
@@ -1066,7 +1041,7 @@ def _build_pal_marked() -> GalleryEntry:
         )
 
     family = AeqsFamily(
-        alphabet=("a", "b", "#"), selector=length_selector(), builder=build,
+        alphabet=("a", "b", "#"), builder=build,
         tags=("ltime-2qqaf", "logsize"), name="pal_marked",
     )
 
@@ -1088,7 +1063,7 @@ def _build_pal_marked() -> GalleryEntry:
               "wider than the intended accept/reject supports -- verify() "
               "reports this as a finding rather than adjusting the "
               "construction",
-        validation_levels=lambda x: [level_for(x)],
+        validation_levels=lambda x: [_pal_level(x)],
     )
 
 
@@ -1127,10 +1102,6 @@ def build(name: str) -> GalleryEntry:
             f"unknown gallery entry {name!r}; known: {', '.join(GALLERY_NAMES)}"
         ) from None
     return builder()
-
-
-def oracle_check(entry: GalleryEntry, x: str) -> str:
-    return entry.oracle(x)
 
 
 def strings_up_to(alphabet, max_len: int):
@@ -1172,10 +1143,6 @@ class VerifyRecord:
     x: str
     expected: str
     verdict: object
-
-    @property
-    def matched(self) -> bool:
-        return self.verdict.outcome == self.expected
 
 
 @dataclass

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Default tolerances and capacities.  All of these are plain module values so
-# callers (and tests) can override them explicitly per call where a parameter
-# exists; the dense threshold may also be overridden via AEQS_DENSE_MAX.
+# Tolerances and capacities, one table for the package.  The dense threshold
+# may be overridden through AEQS_DENSE_MAX, and the Lanczos start seed through
+# the command line's --seed.
 DENSE_MAX_DEFAULT = 2048
 HERMITICITY_TOL = 1e-10
 RECONSTRUCT_TOL = 1e-8
@@ -71,7 +71,7 @@ def asymmetry(h: np.ndarray) -> float:
     return float(np.abs(h - h.conj().T).max(initial=0.0))
 
 
-def check_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def check_hermitian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise LinalgError(f"expected a square matrix, got shape {h.shape}")
@@ -79,7 +79,7 @@ def check_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
         raise LinalgError("non-finite entry in matrix")
     scale = max(1.0, float(np.abs(h).max(initial=0.0)))
     a = asymmetry(h)
-    if a > tol * scale:
+    if a > HERMITICITY_TOL * scale:
         raise NotHermitianError(a)
     return h
 
@@ -97,20 +97,12 @@ class EigenDecomposition:
     vectors: np.ndarray
     degenerate_clusters: list = field(default_factory=list)
 
-    @property
-    def ground_energy(self) -> float:
-        return float(self.values[0])
 
-    @property
-    def ground_state(self) -> np.ndarray:
-        return self.vectors[:, 0]
-
-
-def _degenerate_clusters(values: np.ndarray, tol: float = DEGENERACY_TOL) -> list:
+def _degenerate_clusters(values: np.ndarray) -> list:
     clusters = []
     start = 0
     for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
+        if i == len(values) or values[i] - values[i - 1] > DEGENERACY_TOL:
             if i - start > 1:
                 clusters.append(list(range(start, i)))
             start = i
@@ -191,8 +183,8 @@ class SparseHermitian:
         if not np.all(np.isfinite(v.view(float))):
             raise LinalgError("non-finite entry in sparse operator")
         self.rows, self.cols, self.vals = r, c, v
-        # Both triangles, the stored upper one first, built once for matvec,
-        # to_dense and norm_upper_bound.
+        # Both triangles, the stored upper one first, built once for matvec
+        # and to_dense.
         off = ~diag
         self.full_rows = np.concatenate([r, c[off]])
         self.full_cols = np.concatenate([c, r[off]])
@@ -228,21 +220,8 @@ class SparseHermitian:
     def nnz(self) -> int:
         return len(self.vals)
 
-    def norm_upper_bound(self) -> float:
-        """Gershgorin-style bound on the spectral norm."""
-        return float(np.bincount(self.full_rows, np.abs(self.full_vals), self.dim).max(initial=0.0))
 
-
-def _as_matvec(h):
-    """Accept SparseHermitian or a dense Hermitian ndarray."""
-    if isinstance(h, SparseHermitian):
-        return h.matvec, h.dim, h.norm_upper_bound()
-    h = check_hermitian(h)
-    bound = float(np.abs(h).sum(axis=1).max(initial=0.0))
-    return (lambda x: h @ x), h.shape[0], bound
-
-
-def _lanczos_lowest_one(matvec, n, *, rng, max_iter, tol, deflate):
+def _lanczos_lowest_one(matvec, n, *, rng, max_iter, deflate):
     """One Lanczos run for the smallest eigenpair orthogonal to `deflate`.
 
     `deflate` is an (n, d) array of already-found eigenvectors; the iteration
@@ -289,7 +268,7 @@ def _lanczos_lowest_one(matvec, n, *, rng, max_iter, tol, deflate):
             best = float(tvals[0])
             scale = max(1.0, float(np.abs(tvals).max()))
             est = beta * abs(tvecs[-1, 0])
-            if est <= 0.1 * tol * scale or exhausted:
+            if est <= 0.1 * RESIDUAL_TOL_SPARSE * scale or exhausted:
                 v = basis[: m + 1].T @ tvecs[:, 0]
                 v = project(v)
                 nv = np.linalg.norm(v)
@@ -298,11 +277,12 @@ def _lanczos_lowest_one(matvec, n, *, rng, max_iter, tol, deflate):
                 v /= nv
                 val = float(np.real(np.vdot(v, matvec(v))))
                 resid = np.linalg.norm(project(matvec(v)) - val * v)
-                if resid <= tol * scale:
-                    return val, v, scale
+                if resid <= RESIDUAL_TOL_SPARSE * scale:
+                    return val, v
                 if exhausted:
                     raise ConvergenceFailure(
-                        f"residual {resid:.3e} exceeds {tol * scale:.3e} after {m + 1} iterations",
+                        f"residual {resid:.3e} exceeds {RESIDUAL_TOL_SPARSE * scale:.3e} "
+                        f"after {m + 1} iterations",
                         best_values=best,
                     )
         if exhausted:
@@ -315,9 +295,7 @@ def _lanczos_lowest_one(matvec, n, *, rng, max_iter, tol, deflate):
     )
 
 
-def lowest_eigenpairs(h, k: int, *, seed: int | None = None,
-                      max_iter: int = LANCZOS_MAX_ITER,
-                      tol: float = RESIDUAL_TOL_SPARSE):
+def lowest_eigenpairs(h: SparseHermitian, k: int, *, max_iter: int = LANCZOS_MAX_ITER):
     """k smallest eigenpairs via Lanczos with full reorthogonalization.
 
     Returns a list of (value, vector) pairs, values ascending.  Eigenpairs
@@ -326,16 +304,15 @@ def lowest_eigenpairs(h, k: int, *, seed: int | None = None,
     start vectors are seeded for reproducibility; non-convergence raises
     ConvergenceFailure (never silent) carrying the best Ritz value found.
     """
-    matvec, n, _ = _as_matvec(h)
+    n = h.dim
     if k < 1 or k > n:
         raise LinalgError(f"need 1 <= k <= dim, got k={k}, dim={n}")
-    rng = np.random.default_rng(LANCZOS_SEED if seed is None else seed)
+    rng = np.random.default_rng(LANCZOS_SEED)
     found_vals: list[float] = []
     found_vecs = np.zeros((n, 0), dtype=complex)
     for _ in range(k):
-        val, vec, _ = _lanczos_lowest_one(
-            matvec, n, rng=rng, max_iter=max_iter, tol=tol, deflate=found_vecs
-        )
+        val, vec = _lanczos_lowest_one(h.matvec, n, rng=rng, max_iter=max_iter,
+                                       deflate=found_vecs)
         found_vals.append(val)
         found_vecs = np.hstack([found_vecs, vec[:, None]])
     order = np.argsort(found_vals, kind="stable")
@@ -390,11 +367,6 @@ def hadamard_power(k: int) -> np.ndarray:
             w = np.kron(w, _W1)
         _hadamard_cache[k] = w
     return _hadamard_cache[k]
-
-
-def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:
-    u = np.asarray(u, dtype=complex)
-    return spectral_norm(u @ u.conj().T - np.eye(u.shape[0])) <= tol
 
 
 def ilog(x: int) -> int:

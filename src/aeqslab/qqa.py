@@ -116,14 +116,6 @@ class BasisSchema:
             idx //= len(labels)
         return tuple(reversed(parts))
 
-    def contains(self, state) -> bool:
-        state = tuple(state)
-        if self._state_index is not None:
-            return state in self._state_index
-        if len(state) != len(self.coords):
-            return False
-        return all(part in pos for pos, part in zip(self._label_pos, state))
-
     def indices_of(self, states) -> frozenset:
         """Indices of the given tuples, silently skipping absent curated ones."""
         out = []
@@ -152,8 +144,8 @@ class BasisSchema:
         }
 
 
-def flat_schema(dim: int, name: str = "index") -> BasisSchema:
-    return BasisSchema([(name, tuple(range(dim)))])
+def flat_schema(dim: int) -> BasisSchema:
+    return BasisSchema([("index", tuple(range(dim)))])
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +223,6 @@ class SparseOp:
         m[self.rows, self.cols] = self.vals
         return m
 
-    def project_rows(self, keep) -> "SparseOp":
-        mask = np.isin(self.rows, np.fromiter(keep, dtype=np.int64))
-        return SparseOp(self.dim, self.rows[mask], self.cols[mask], self.vals[mask])
-
     def nnz(self) -> int:
         return len(self.vals)
 
@@ -285,22 +273,6 @@ def _trace(h: SparseOp) -> float:
 # ---------------------------------------------------------------------------
 # Levels
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Selector:
-    """Maps each input string to the machine index n that processes it."""
-
-    evaluator: Callable[[str], int]
-    description: str = ""
-
-    def __call__(self, x: str) -> int:
-        n = self.evaluator(x)
-        return int(n)
-
-
-def length_selector() -> Selector:
-    return Selector(len, "n = |x|")
-
 
 @dataclass
 class MoqqafLevel:
@@ -381,10 +353,6 @@ class TwoWayQqafLevel:
     directions: frozenset = frozenset({-1, 0, +1})
     name: str = "2qqaf"
 
-    @property
-    def is_one_point_five_way(self) -> bool:
-        return self.directions == frozenset({0, +1})
-
     def surface_schema(self, x: str) -> BasisSchema:
         positions = tuple(range(len(x) + 2))
         return BasisSchema([("inner", self.inner_labels), ("pos", positions)])
@@ -418,11 +386,10 @@ class TwoWayQqafLevel:
 
 @dataclass
 class GeneratedHamiltonian:
-    """A generated operator together with its basis schema and provenance."""
+    """A generated operator together with its basis schema."""
 
     operator: SparseHermitian
     basis: BasisSchema
-    provenance: str
 
     @property
     def dim(self) -> int:
@@ -437,7 +404,6 @@ class GeneratedHamiltonian:
 class SymbolDefect:
     symbol: str
     defect: float
-    kraus_count: int
 
 
 @dataclass
@@ -473,8 +439,8 @@ def validate_level(level, x: str | None = None) -> ValidationReport:
         schema = level.surface_schema(x)
         first = level.build_first_kraus(x, schema)
         steps = level.build_step_kraus(x, schema)
-        report.defects.append(SymbolDefect(CENT, gram_defect(first), len(first)))
-        report.defects.append(SymbolDefect("step", gram_defect(steps), len(steps)))
+        report.defects.append(SymbolDefect(CENT, gram_defect(first)))
+        report.defects.append(SymbolDefect("step", gram_defect(steps)))
         lam0 = level.lam0_builder(x, schema)
     else:
         for symbol in level.ops:
@@ -484,7 +450,7 @@ def validate_level(level, x: str | None = None) -> ValidationReport:
                 defect = spectral_norm(u.conj().T @ u - np.eye(u.shape[0]))
             else:
                 defect = gram_defect(family)
-            report.defects.append(SymbolDefect(symbol, float(defect), len(family)))
+            report.defects.append(SymbolDefect(symbol, float(defect)))
         lam0 = level.lam0
 
     if lam0.dim <= dense_max():
@@ -522,11 +488,8 @@ def generate_moqqaf(level: MoqqafLevel, x: str) -> GeneratedHamiltonian:
     u = SparseOp.identity(level.dim)
     for symbol in _extended_symbols(level, x):
         u = level.kraus(symbol)[0] @ u
-    if level.q0_indices:
-        keep = set(range(level.dim)) - set(level.q0_indices)
-        u = u.project_rows(keep)
     e = sparse_conjugate([u], _full_storage(level.lam0))
-    return GeneratedHamiltonian(_upper_triangle(e), level.schema, f"{level.name} on {x!r}")
+    return GeneratedHamiltonian(_upper_triangle(e, level.q0_indices), level.schema)
 
 
 def generate_qqaf(level: QqafLevel, x: str, *, return_trace: bool = False):
@@ -535,9 +498,7 @@ def generate_qqaf(level: QqafLevel, x: str, *, return_trace: bool = False):
     h = _full_storage(level.lam0)
     for symbol in _extended_symbols(level, x):
         h = sparse_conjugate(level.kraus(symbol), h)
-    generated = GeneratedHamiltonian(
-        _upper_triangle(h, level.q0_indices), level.schema, f"{level.name} on {x!r}",
-    )
+    generated = GeneratedHamiltonian(_upper_triangle(h, level.q0_indices), level.schema)
     if return_trace:
         return generated, _trace(h)
     return generated
@@ -558,7 +519,7 @@ def generate_2qqaf(level: TwoWayQqafLevel, x: str, *, return_trace: bool = False
     for _ in range(t):
         h = sparse_conjugate(steps, h)
     dead = level.q0_builder(x, schema) if level.q0_builder is not None else ()
-    generated = GeneratedHamiltonian(_upper_triangle(h, dead), schema, f"{level.name} on {x!r}")
+    generated = GeneratedHamiltonian(_upper_triangle(h, dead), schema)
     if return_trace:
         return generated, _trace(h)
     return generated

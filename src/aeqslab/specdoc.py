@@ -72,8 +72,63 @@ def evaluate_amplitude(expr) -> complex:
 _SYMBOL_KEYS = {"cent": CENT, "dollar": DOLLAR}
 
 
-def _symbol_key(raw: str) -> str:
+def _symbol_key(raw) -> str:
+    if not isinstance(raw, str):
+        raise DocumentError(f"symbol {raw!r} is not a string")
     return _SYMBOL_KEYS.get(raw, raw)
+
+
+def _optional(raw: dict, key: str, kind: type):
+    """raw[key], or the empty value of `kind` when absent; of JSON type `kind`."""
+    value = raw.get(key, kind())
+    if not isinstance(value, kind):
+        raise DocumentError(f"{key!r} must be a JSON {kind.__name__}")
+    return value
+
+
+def _require(raw: dict, key: str, kind: type):
+    if key not in raw:
+        raise DocumentError(f"missing required key {key!r}")
+    return _optional(raw, key, kind)
+
+
+def _entries(entries, arity: int, what: str) -> list:
+    """A list of entries, each a list of exactly `arity` fields."""
+    if not isinstance(entries, list) or not all(
+        isinstance(e, list) and len(e) == arity for e in entries
+    ):
+        raise DocumentError(f"{what} must be a list of {arity}-field entries")
+    return entries
+
+
+def _index(value, bound: int, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < bound:
+        raise DocumentError(f"{what} {value!r} is outside 0..{bound - 1}")
+    return value
+
+
+def _state_count(raw: dict) -> int:
+    n = _require(raw, "states", int)
+    if n < 1:
+        raise DocumentError(f"state count {n} must be positive")
+    return n
+
+
+def _readout(raw: dict, n: int) -> dict:
+    """The readout fields shared by the automaton kinds, checked against n."""
+    error_bound = raw.get("error_bound")
+    if error_bound is not None and (
+        not isinstance(error_bound, (int, float)) or not 0.0 <= error_bound <= 1.0
+    ):
+        raise DocumentError(f"error_bound {error_bound!r} is not a number in [0, 1]")
+    return {
+        "q_acc": frozenset(_index(q, n, "accepting state")
+                           for q in _optional(raw, "accepting", list)),
+        "q_rej": frozenset(_index(q, n, "rejecting state")
+                           for q in _optional(raw, "rejecting", list)),
+        "initial": _index(raw.get("initial", 0), n, "initial state"),
+        "error_bound": error_bound,
+    }
 
 
 @dataclass
@@ -112,84 +167,76 @@ class MachineSpecDocument:
         if self.kind != "moqfa":
             raise DocumentError(f"document kind is {self.kind!r}, not moqfa")
         raw = self.raw
-        n = int(raw["states"])
+        n = _state_count(raw)
         ops = {}
-        for sym_raw, entries in raw["operators"].items():
+        for sym_raw, entries in _require(raw, "operators", dict).items():
             u = np.zeros((n, n), dtype=complex)
-            for row, col, expr in entries:
-                u[int(row), int(col)] += evaluate_amplitude(expr)
+            for row, col, expr in _entries(entries, 3, "operator entries"):
+                u[_index(row, n, "row"), _index(col, n, "column")] += evaluate_amplitude(expr)
             ops[_symbol_key(sym_raw)] = u
-        return MoQfaSpec(
-            n_states=n,
-            alphabet=self.alphabet,
-            ops=ops,
-            q_acc=frozenset(int(q) for q in raw.get("accepting", [])),
-            q_rej=frozenset(int(q) for q in raw.get("rejecting", [])),
-            initial=int(raw.get("initial", 0)),
-            error_bound=raw.get("error_bound"),
-            name=self.name,
-        )
+        return MoQfaSpec(n_states=n, alphabet=self.alphabet, ops=ops,
+                         name=self.name, **_readout(raw, n))
 
     def to_garbage_qfa(self) -> GarbageQfaSpec:
         if self.kind != "garbage-1qfa":
             raise DocumentError(f"document kind is {self.kind!r}, not garbage-1qfa")
         raw = self.raw
+        n = _state_count(raw)
+        xi_size = _require(raw, "garbage_symbols", int)
         delta = {}
-        for entry in raw["transitions"]:
-            q, sym_raw, p, xi, expr = entry
-            key = (int(q), _symbol_key(sym_raw))
-            delta.setdefault(key, []).append((int(p), int(xi), evaluate_amplitude(expr)))
-        return GarbageQfaSpec(
-            n_states=int(raw["states"]),
-            alphabet=self.alphabet,
-            xi_size=int(raw["garbage_symbols"]),
-            delta=delta,
-            q_acc=frozenset(int(q) for q in raw.get("accepting", [])),
-            q_rej=frozenset(int(q) for q in raw.get("rejecting", [])),
-            initial=int(raw.get("initial", 0)),
-            error_bound=raw.get("error_bound"),
-            name=self.name,
-        )
+        for q, sym_raw, p, xi, expr in _entries(_require(raw, "transitions", list), 5,
+                                                "transitions"):
+            key = (_index(q, n, "source state"), _symbol_key(sym_raw))
+            delta.setdefault(key, []).append(
+                (_index(p, n, "target state"), _index(xi, xi_size + 1, "garbage symbol"),
+                 evaluate_amplitude(expr))
+            )
+        return GarbageQfaSpec(n_states=n, alphabet=self.alphabet, xi_size=xi_size,
+                              delta=delta, name=self.name, **_readout(raw, n))
 
     def to_moqqaf(self) -> tuple:
         """Returns (level, criteria dict) for a measure-once level document."""
         if self.kind != "moqqaf":
             raise DocumentError(f"document kind is {self.kind!r}, not moqqaf")
         raw = self.raw
-        coords = [
-            (c["name"], tuple(_coerce_label(l) for l in c["labels"]))
-            for c in raw["dimension_schema"]
-        ]
+        coords = []
+        for c in _require(raw, "dimension_schema", list):
+            if not isinstance(c, dict):
+                raise DocumentError("dimension_schema entries must be JSON objects")
+            labels = _require(c, "labels", list)
+            coords.append((_require(c, "name", str), tuple(_coerce_label(l) for l in labels)))
         schema = BasisSchema(coords)
 
         def state_index(tup):
+            if not isinstance(tup, list) or len(tup) != len(coords):
+                raise DocumentError(f"state {tup!r} needs one label per coordinate")
             return schema.index(tuple(_coerce_label(p) for p in tup))
 
         ops = {}
-        for sym_raw, entries in raw["operators"].items():
+        for sym_raw, entries in _require(raw, "operators", dict).items():
             rules = []
-            for row_tup, col_tup, expr in entries:
+            for row_tup, col_tup, expr in _entries(entries, 3, "operator entries"):
                 rules.append((state_index(row_tup), state_index(col_tup),
                               evaluate_amplitude(expr)))
             ops[_symbol_key(sym_raw)] = SparseOp.from_rules(schema.dim, rules)
 
-        mixture = raw.get("initial_mixture", {})
+        mixture = _optional(raw, "initial_mixture", dict)
         diag = np.ones(schema.dim)
-        for tup, expr in mixture.get("diagonal", []):
+        for tup, expr in _entries(mixture.get("diagonal", []), 2, "mixture diagonal"):
             value = evaluate_amplitude(expr)
             if abs(value.imag) > 1e-15:
                 raise DocumentError("initial mixture must be real")
             diag[state_index(tup)] = value.real
         lam0 = SparseHermitian.diagonal(diag)
 
-        q0 = frozenset(state_index(tup) for tup in raw.get("halting", []))
+        q0 = frozenset(state_index(tup) for tup in _optional(raw, "halting", list))
         level = MoqqafLevel(
             schema=schema, alphabet=self.alphabet, ops=ops, lam0=lam0,
             q0_indices=q0, name=self.name,
         )
-        criteria = raw.get("criteria", {})
-        acc = frozenset(state_index(t) for t in criteria.get("acc", []))
-        rej = frozenset(state_index(t) for t in criteria.get("rej", []))
+        criteria = _optional(raw, "criteria", dict)
+        acc = frozenset(state_index(t) for t in _optional(criteria, "acc", list))
+        rej = frozenset(state_index(t) for t in _optional(criteria, "rej", list))
         return level, {"acc": acc, "rej": rej}
 
 

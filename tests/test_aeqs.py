@@ -30,7 +30,6 @@ from aeqslab.aeqs import (
 )
 from aeqslab import evolve, gallery
 from aeqslab.linalg import SparseHermitian, hermitian_eig
-from aeqslab.qqa import Selector
 
 RNG = np.random.default_rng(23)
 ALL_BITSTRINGS_4 = [""] + [
@@ -438,8 +437,7 @@ class TestFamilyCache:
             calls.append(x)
             return from_oracle(lambda s: True).build(x)
 
-        fam = AeqsFamily(alphabet=("0", "1"), selector=Selector(lambda x: 0, "n = 0"),
-                         builder=build)
+        fam = AeqsFamily(alphabet=("0", "1"), builder=build)
         return fam, calls
 
     def test_repeated_build_is_cached(self):

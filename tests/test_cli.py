@@ -243,3 +243,62 @@ class TestMisc:
         assert data["min_interpolation_gap"] > 0
         assert data["time_bound"] > 0
         assert "skipped" not in data
+
+
+class TestUsageErrors:
+    """Bad user input exits 3 with a message; nothing is silently accepted."""
+
+    @staticmethod
+    def main_exit(capsys, *args):
+        from aeqslab.cli import main
+
+        code = main(list(args))
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_gap_grid_below_two(self, capsys, grid):
+        code, err = self.main_exit(capsys, "gap", "l_prefix_0", "0", "--grid", grid)
+        assert code == 3, err
+        assert "at least 2 grid points" in err
+
+    @pytest.mark.parametrize("target, bound, message", [
+        ("usubsum", "t<=x", "must be an integer"),
+        ("usubsum", "q<=1", "no parameter q"),
+        ("multdup", "t<=1", "no parameter t"),
+    ])
+    def test_bad_max_params(self, capsys, target, bound, message):
+        code, err = self.main_exit(capsys, "verify", target, "--max-params", bound)
+        assert code == 3, err
+        assert message in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({k: v for k, v in MOQFA_DOC.items() if k != "states"}, "missing required key 'states'"),
+        (dict(MOQFA_DOC, operators=dict(MOQFA_DOC["operators"], cent=[[5, 0, 1], [1, 1, 1]])),
+         "row 5 is outside 0..1"),
+        (dict(MOQFA_DOC, operators=dict(MOQFA_DOC["operators"], cent=[[-1, 0, 1], [1, 1, 1]])),
+         "row -1 is outside 0..1"),
+        ({"schema": 1, "kind": "garbage-1qfa", "alphabet": ["1"], "states": 1,
+          "garbage_symbols": 1, "transitions": [[0, "cent", 0, 1]]},
+         "transitions must be a list of 5-field entries"),
+        (dict(MOQFA_DOC, error_bound=1.5), "error_bound 1.5 is not a number in [0, 1]"),
+        ({"schema": 1, "kind": "moqqaf", "alphabet": ["1"],
+          "dimension_schema": [{"name": "state", "labels": ["u", "v"]}],
+          "operators": {sym: [[["u"], ["u"], 1], [["v"], ["v"], 1]]
+                        for sym in ("cent", "dollar", "1")},
+          "halting": [["u", "v"]]},
+         "needs one label per coordinate"),
+    ], ids=["moqfa-no-states", "row-too-large", "row-negative", "garbage-4-fields",
+            "error-bound-above-one", "moqqaf-state-too-long"])
+    def test_malformed_machine_documents(self, capsys, tmp_path, doc, message):
+        specfile = tmp_path / "doc.json"
+        specfile.write_text(json.dumps(doc))
+        code, err = self.main_exit(capsys, "compile", str(specfile), "1")
+        assert code == 3, err
+        assert message in err
+
+    def test_seed_is_restored_after_the_command(self, capsys):
+        from aeqslab import linalg
+
+        code, err = self.main_exit(capsys, "--seed", "7", "run", "l_prefix_0", "01")
+        assert code == 0, err
+        assert linalg.LANCZOS_SEED == 0x5EED
