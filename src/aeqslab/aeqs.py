@@ -7,6 +7,14 @@ closeness of the ground state to the accepting (rejecting) span, expressed
 through the reparameterized accuracy 1 - sqrt(1 - overlap), determines
 accept/reject; everything else, including a degenerate ground space, is an
 explicit "indeterminate" outcome rather than an error.
+
+Along the interpolation H(s) = (1 - s) H_ini + s H_fin, the gap scan and the
+time bound's ||H_fin - H_ini|| are read off a BlockSplit when H_ini is a
+ProjectorComplement (every gallery and compiler instance): the dynamical
+subspace Q of the start state (``dynamical_basis``) and its complement split
+H(s) into a k x k block and lines from one eigensolve of H_fin on Q^perp.
+Any other H_ini takes a dense eigensolve of H(s) at every grid point
+(``_scan_gap``), which also stays the tests' independent oracle.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ TIE_TOL = 1e-9
 DEFAULT_ACCURACY_BOUND = 0.999  # constructions analyzed at accuracy exactly 1
 COMMUTATOR_NEGLIGIBLE = 1e-12
 GAP_SCAN_GRID = 64
+SUBSPACE_TOL = 1e-10      # dropped directions and invariance residual, per unit norm of H
 # Instances an AeqsFamily keeps.  Re-reads come within the last 4 inputs
 # (inverse_image on a fixed point of its map, a combinator and its operand
 # on one input) or after a whole sweep, which no small bound keeps.
@@ -312,17 +321,144 @@ def commutator_negligible(norm: float) -> bool:
     return norm <= COMMUTATOR_NEGLIGIBLE
 
 
+def _compress(h: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Q^dagger H Q, Hermitian by construction."""
+    r = q.conj().T @ h @ q
+    return (r + r.conj().T) / 2.0
+
+
+def dynamical_basis(h_ini: np.ndarray, h_fin: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the smallest subspace that contains
+    ``start`` and is invariant under both Hamiltonians.
+
+    Block Krylov iteration: every basis vector is mapped by both operators,
+    the image is orthogonalized twice against the basis, and it is kept when
+    its remainder exceeds SUBSPACE_TOL times a bound on the operators'
+    norms.  The identity (the full space) is returned instead when the
+    basis fills the space or when ||H Q - Q (Q^dagger H Q)|| exceeds the same
+    bound for either operator.  An evolution over time T run in span(Q)
+    therefore differs from the full-space one by at most about T times that
+    bound.  Otherwise the first column is ``start`` normalized.
+    """
+    dim = start.shape[0]
+    ops = (h_ini, h_fin)
+    tol = SUBSPACE_TOL * max(1.0, *(np.abs(h).sum(axis=1).max() for h in ops))
+    q = np.empty((dim, dim), dtype=complex)
+    q[:, 0] = start / np.linalg.norm(start)
+    k, i = 1, 0
+    while i < k < dim:
+        for h in ops:
+            w = h @ q[:, i]
+            for _ in range(2):
+                w -= q[:, :k] @ (q[:, :k].conj().T @ w)
+            norm = np.linalg.norm(w)
+            if norm > tol and k < dim:
+                q[:, k] = w / norm
+                k += 1
+        i += 1
+    q = q[:, :k].copy()   # a view would keep all dim columns in memory
+    if k == dim or any(spectral_norm(h @ q - q @ _compress(h, q)) > tol for h in ops):
+        return np.eye(dim, dtype=complex)
+    return q
+
+
+def _grid(grid: int) -> np.ndarray:
+    """The gap scan's points s = i / (grid - 1), i = 0 .. grid-1."""
+    if grid < 2:
+        raise AeqsError("gap scan needs at least 2 grid points")
+    return np.arange(grid) / (grid - 1)
+
+
+class BlockSplit:
+    """H(s) = (1 - s) H_ini + s H_fin split on Q (+) Q^perp, for
+    H_ini = I - |g><g| and Q = dynamical_basis(H_ini, H_fin, g).
+
+    Q contains g and is invariant under both Hamiltonians, so H(s) is
+    block-diagonal.  On Q it is the k x k compression (1 - s) A + s B; on
+    Q^perp, where H_ini is the identity, it is (1 - s) I + s H_fin|Q^perp.
+    The spectrum of H(s) is thus the k x k block's eigenvalues together with
+    the lines (1 - s) + s mu_i, where mu ascending are the eigenvalues of
+    H_fin on Q^perp, found by one eigensolve for every s.  With ``vectors``,
+    the eigenvectors of the lines that can lie within DEGENERACY_TOL of the
+    ground energy at some s are kept, and no others.
+    """
+
+    def __init__(self, h_ini: np.ndarray, h_fin: np.ndarray, q: np.ndarray,
+                 vectors: bool = False):
+        self.q = q
+        self.ini, self.fin = _compress(h_ini, q), _compress(h_fin, q)
+        # H_fin on Q^perp is P H_fin P for P = I - Q Q^dagger.  Adding
+        # shift Q Q^dagger, with shift above ||H_fin||, puts the k directions
+        # of Q above every mu, and no basis of Q^perp is needed; the
+        # corrections are made in place, one dim x dim product at a time.
+        k, hq = q.shape[1], h_fin @ q
+        shift = np.abs(h_fin).sum(axis=1).max() + 1.0
+        m = h_fin - q @ hq.conj().T
+        m -= hq @ q.conj().T
+        m += q @ ((self.fin + shift * np.eye(k)) @ q.conj().T)
+        n_perp = len(m) - k
+        if not vectors:
+            self.mu = np.linalg.eigvalsh(m)[:n_perp]
+            return
+        values, w = np.linalg.eigh(m)
+        self.mu = values[:n_perp]
+        # The ground energy lies below line 0 and below <g|H(s)|g> = s h, for
+        # h = <g|H_fin|g> (g is the first column of Q).  A line within tol of
+        # it at some s in [0, 1] thus has mu_i <= h + tol and
+        # mu_i - mu_0 <= tol (1 + h - mu_0); the last tol is rounding slack.
+        n = 0
+        if n_perp:
+            h, mu0, tol = self.fin[0, 0].real, self.mu[0], DEGENERACY_TOL
+            top = min(h + tol, mu0 + tol * (1.0 + h - mu0)) + tol
+            n = int(np.searchsorted(self.mu, top, side="right"))
+        self.lines = w[:, :n].copy()
+
+    def min_gap(self, grid: int) -> float:
+        """Smallest gap of H(s) over the gap scan's grid."""
+        s = _grid(grid)[:, None]
+        values = np.linalg.eigvalsh((1.0 - s[..., None]) * self.ini + s[..., None] * self.fin)
+        both = np.sort(np.concatenate([values, (1.0 - s) + s * self.mu[:2]], axis=1), axis=1)
+        return float(np.min(both[:, 1] - both[:, 0])) if both.shape[1] > 1 else math.inf
+
+    def diff_norm(self) -> float:
+        """||H_fin - H_ini||; on Q^perp the difference is H_fin - I."""
+        return max(spectral_norm(self.fin - self.ini),
+                   float(np.max(np.abs(self.mu - 1.0), initial=0.0)))
+
+    def ground_projection(self, s: float, psi: np.ndarray) -> tuple:
+        """(lowest eigenvalue of H(s), weight of the full-space state psi on
+        its whole eigenspace); eigenvalues within DEGENERACY_TOL of the lowest
+        count as ground.  Needs the split built with ``vectors``."""
+        values, vectors = np.linalg.eigh((1.0 - s) * self.ini + s * self.fin)
+        lines = (1.0 - s) + s * self.mu
+        energy = min(values[0], lines[0]) if len(lines) else values[0]
+        top = energy + DEGENERACY_TOL
+        block = vectors[:, values <= top].conj().T @ (self.q.conj().T @ psi)
+        perp = self.lines[:, lines[: self.lines.shape[1]] <= top].conj().T @ psi
+        return float(energy), float(np.sum(np.abs(block) ** 2) + np.sum(np.abs(perp) ** 2))
+
+
+def _block_split(instance: AeqsInstance, h_ini: np.ndarray, h_fin: np.ndarray):
+    """The BlockSplit of H(s) when H_ini is a ProjectorComplement, else None."""
+    if not isinstance(instance.h_ini, ProjectorComplement):
+        return None
+    return BlockSplit(h_ini, h_fin, dynamical_basis(h_ini, h_fin, instance.h_ini.vector))
+
+
 def minimum_interpolation_gap(instance: AeqsInstance, grid: int = GAP_SCAN_GRID) -> float:
-    """Smallest spectral gap of H(s) over a uniform grid of s values."""
-    return _scan_gap(as_dense(instance.h_ini), as_dense(instance.h_fin), grid)
+    """Smallest spectral gap of H(s) over a uniform grid of s values.
+
+    Read off the BlockSplit when H_ini is a ProjectorComplement; any other
+    H_ini takes a dense eigensolve of H(s) at every grid point.
+    """
+    h_ini, h_fin = as_dense(instance.h_ini), as_dense(instance.h_fin)
+    split = _block_split(instance, h_ini, h_fin)
+    return split.min_gap(grid) if split else _scan_gap(h_ini, h_fin, grid)
 
 
 def _scan_gap(h_ini: np.ndarray, h_fin: np.ndarray, grid: int) -> float:
-    if grid < 2:
-        raise AeqsError("gap scan needs at least 2 grid points")
     gaps = []
-    for i in range(grid):
-        s = i / (grid - 1)
+    for s in _grid(grid):
         vals = np.linalg.eigvalsh((1.0 - s) * h_ini + s * h_fin)
         gaps.append(float(vals[1] - vals[0]) if len(vals) > 1 else math.inf)
     return min(gaps)
@@ -334,17 +470,19 @@ def adiabatic_time_bound(instance: AeqsInstance, epsilon: float, delta: float,
 
         C * ||H_fin - H_ini||^(1+delta) / (epsilon^delta * g^(2+delta))
 
-    with g the minimum interpolated spectral gap over a uniform grid.  A
+    with g the minimum interpolated spectral gap over a uniform grid, both
+    read off the BlockSplit when H_ini is a ProjectorComplement.  A
     (near-)degenerate interpolated ground space yields an unbounded-time
     signal, returned as +inf.
     """
     if not all(math.isfinite(v) and v > 0 for v in (epsilon, delta)):
         raise AeqsError("epsilon and delta must be finite and positive")
     h_ini, h_fin = as_dense(instance.h_ini), as_dense(instance.h_fin)
-    diff_norm = spectral_norm(h_fin - h_ini)
+    split = _block_split(instance, h_ini, h_fin)
+    diff_norm = split.diff_norm() if split else spectral_norm(h_fin - h_ini)
     if diff_norm == 0.0:
         return 0.0
-    g = _scan_gap(h_ini, h_fin, grid)
+    g = split.min_gap(grid) if split else _scan_gap(h_ini, h_fin, grid)
     if g <= DEGENERACY_TOL:
         return math.inf
     return c * diff_norm ** (1.0 + delta) / (epsilon**delta * g ** (2.0 + delta))

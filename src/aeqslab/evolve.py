@@ -25,9 +25,9 @@ formulas above, and stay independent references for that kernel.
 Evolving a state (``evolve_trace``, ``final_overlap_sq``) with midpoint or
 trotter runs in the dynamical subspace: the smallest subspace that contains
 the start state and is invariant under H_ini and H_fin
-(``dynamical_basis``).  For the H_ini = I - |g><g| of the gallery and the
+(``aeqs.dynamical_basis``).  For the H_ini = I - |g><g| of the gallery and the
 compilers it is often 2-dimensional whatever the full dimension.  Its
-invariance is checked to SUBSPACE_TOL, and the full space is used when the
+invariance is checked to aeqs.SUBSPACE_TOL, and the full space is used when the
 check fails, so the reduction cannot silently change a result.  The
 phase-shift method runs in the full space.  Each step acts on k
 coefficients.  For k <= PAIRWISE_DIM_MAX the steps are built STEP_CHUNK at a
@@ -38,7 +38,13 @@ step, they are applied to the state one by one.  The instance is still
 densified, so EVOLVE_DIM_MAX still applies.  A run whose step phases can
 exceed STEP_PHASE_MAX radians raises EvolveError, since rounding leaves such
 phases no significant digit.  Final and recorded overlaps are weights on the
-whole ground eigenspace, which is well defined when it is degenerate.
+whole ground eigenspace, which is well defined when it is degenerate.  When
+H_ini is a ProjectorComplement, they and the recorded ground energies are
+read off the block split of H(s) (``aeqs.BlockSplit``), built once per run
+from the same subspace, for all three methods.  This is exact for the
+full-space phase-shift state too, since the split keeps the eigenvectors of
+every line of Q^perp that can be ground.  Any other H_ini takes a dense
+eigensolve of H(s) per record (``_ground_projection``).
 """
 
 from __future__ import annotations
@@ -51,12 +57,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aeqs import AeqsInstance, KroneckerSum, as_dense, ground_state
+from .aeqs import (
+    AeqsInstance,
+    BlockSplit,
+    KroneckerSum,
+    ProjectorComplement,
+    _compress,
+    as_dense,
+    dynamical_basis,
+    ground_state,
+)
 from .linalg import DEGENERACY_TOL, CapacityError, hadamard_power, spectral_norm, unitary_exp
 
 EVOLVE_DIM_MAX = 512
 PHASE_DIAG_TOL = 1e-9
-SUBSPACE_TOL = 1e-10      # dropped directions and invariance residual, per unit norm of H
 STEP_CHUNK = 2**15        # steps built and multiplied at a time
 PAIRWISE_DIM_MAX = 6      # largest subspace dimension multiplied down pairwise; above
                           # k = 8 applying trotter steps one by one is faster
@@ -219,47 +233,6 @@ def phase_shift_product(instance: AeqsInstance, schedule: Schedule) -> np.ndarra
     return steps.basis @ steps.apply(0, schedule.r_steps, steps.basis.conj().T)
 
 
-def _compress(h: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Q^dagger H Q, Hermitian by construction."""
-    r = q.conj().T @ h @ q
-    return (r + r.conj().T) / 2.0
-
-
-def dynamical_basis(h_ini: np.ndarray, h_fin: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the smallest subspace that contains
-    ``start`` and is invariant under both Hamiltonians.
-
-    Block Krylov iteration: every basis vector is mapped by both operators,
-    the image is orthogonalized twice against the basis, and it is kept when
-    its remainder exceeds SUBSPACE_TOL times a bound on the operators'
-    norms.  The identity (the full space) is returned instead when the
-    basis fills the space or when ||H Q - Q (Q^dagger H Q)|| exceeds the same
-    bound for either operator.  An evolution over time T run in span(Q)
-    therefore differs from the full-space one by at most about T times that
-    bound.
-    """
-    dim = start.shape[0]
-    ops = (h_ini, h_fin)
-    tol = SUBSPACE_TOL * max(1.0, *(np.abs(h).sum(axis=1).max() for h in ops))
-    q = np.empty((dim, dim), dtype=complex)
-    q[:, 0] = start / np.linalg.norm(start)
-    k, i = 1, 0
-    while i < k < dim:
-        for h in ops:
-            w = h @ q[:, i]
-            for _ in range(2):
-                w -= q[:, :k] @ (q[:, :k].conj().T @ w)
-            norm = np.linalg.norm(w)
-            if norm > tol and k < dim:
-                q[:, k] = w / norm
-                k += 1
-        i += 1
-    q = q[:, :k]
-    if k == dim or any(spectral_norm(h @ q - q @ _compress(h, q)) > tol for h in ops):
-        return np.eye(dim, dtype=complex)
-    return q
-
-
 class _SplittingSteps:
     """Splitting steps V(j) = exp(-i a_j H_ini) exp(-i b_j H_fin) on
     coefficients in the eigenbasis of H_ini, the columns of ``basis``.
@@ -370,7 +343,9 @@ def _advance(steps, c: np.ndarray, j0: int, j1: int) -> np.ndarray:
 
 
 def _evolution(instance: AeqsInstance, schedule: Schedule, method: str):
-    """(steps, start coefficient column, dense H_ini, dense H_fin) for one run."""
+    """(steps, start coefficient column, ground) for one run, where
+    ground(s, psi) is the lowest eigenvalue of H(s) and the weight of the
+    full-space state psi on its whole eigenspace."""
     h_ini, h_fin = _dense_pair(instance)
     if method not in ("midpoint", "trotter", "phase"):
         raise EvolveError(f"unknown method {method!r}; use midpoint | trotter | phase")
@@ -391,18 +366,24 @@ def _evolution(instance: AeqsInstance, schedule: Schedule, method: str):
     if not unique:
         raise EvolveError("H_ini has a degenerate ground state; evolution start undefined")
     psi = psi.astype(complex)
+    split = isinstance(instance.h_ini, ProjectorComplement)
+    if method != "phase" or split:
+        q = dynamical_basis(h_ini, h_fin, psi)
+    if split:
+        ground = BlockSplit(h_ini, h_fin, q, vectors=True).ground_projection
+    else:
+        def ground(s, psi):
+            return _ground_projection(_interp(h_ini, h_fin, s), psi)
     if method == "phase":
         steps = phase_shift_factors(instance, schedule)
+    elif method == "trotter":
+        ini_values, ini_vectors = np.linalg.eigh(_compress(h_ini, q))
+        fin_values, fin_vectors = np.linalg.eigh(_compress(h_fin, q))
+        steps = _SplittingSteps(ini_values, ini_vectors, fin_values, fin_vectors, schedule, q)
     else:
-        q = dynamical_basis(h_ini, h_fin, psi)
-        if method == "trotter":
-            ini_values, ini_vectors = np.linalg.eigh(_compress(h_ini, q))
-            fin_values, fin_vectors = np.linalg.eigh(_compress(h_fin, q))
-            steps = _SplittingSteps(ini_values, ini_vectors, fin_values, fin_vectors, schedule, q)
-        else:
-            steps = _MidpointSteps(h_ini, h_fin, q, schedule)
+        steps = _MidpointSteps(h_ini, h_fin, q, schedule)
     # (psi^* B)^* is B^dagger psi without copying B^dagger.
-    return steps, (psi.conj() @ steps.basis).conj()[:, None], h_ini, h_fin
+    return steps, (psi.conj() @ steps.basis).conj()[:, None], ground
 
 
 def _ground_projection(h: np.ndarray, psi: np.ndarray) -> tuple:
@@ -429,7 +410,7 @@ def evolve_trace(instance: AeqsInstance, schedule: Schedule, method: str = "trot
     """
     if record_every < 1:
         raise EvolveError("record_every must be at least 1")
-    steps, c, h_ini, h_fin = _evolution(instance, schedule, method)
+    steps, c, ground = _evolution(instance, schedule, method)
     r = schedule.r_steps
     trace = EvolutionTrace(method=method, subspace_dim=steps.basis.shape[1])
     done = 0
@@ -437,7 +418,7 @@ def evolve_trace(instance: AeqsInstance, schedule: Schedule, method: str = "trot
         c = _advance(steps, c, done, end)
         done = end
         psi = (steps.basis @ c)[:, 0]
-        energy, overlap_sq = _ground_projection(_interp(h_ini, h_fin, end / r), psi)
+        energy, overlap_sq = ground(end / r, psi)
         trace.records.append(TraceRecord(j=end - 1, s=end / r, ground_energy=energy,
                                          overlap_sq=overlap_sq,
                                          norm=float(np.linalg.norm(psi))))
@@ -451,9 +432,9 @@ def evolve_trace(instance: AeqsInstance, schedule: Schedule, method: str = "trot
 def final_overlap_sq(instance: AeqsInstance, schedule: Schedule, method: str = "trotter") -> float:
     """Squared weight of the evolved state on the ground space of H_fin,
     without per-step records."""
-    steps, c, _, h_fin = _evolution(instance, schedule, method)
+    steps, c, ground = _evolution(instance, schedule, method)
     c = _advance(steps, c, 0, schedule.r_steps)
-    return _ground_projection(h_fin, (steps.basis @ c)[:, 0])[1]
+    return ground(1.0, (steps.basis @ c)[:, 0])[1]
 
 
 def default_r_policy(t: float) -> int:

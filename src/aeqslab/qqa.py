@@ -98,6 +98,8 @@ class BasisSchema:
                 return self._state_index[state]
             except KeyError:
                 raise QqaError(f"state {state!r} not in curated basis") from None
+        if len(state) != len(self.coords):
+            raise QqaError(f"state {state!r} needs {len(self.coords)} coordinates")
         idx = 0
         for (name, labels), pos_map, part in zip(self.coords, self._label_pos, state):
             try:

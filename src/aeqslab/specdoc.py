@@ -27,6 +27,14 @@ class DocumentError(Exception):
     pass
 
 
+def _operands(op: str, arg, count: int | None = None):
+    """The operand list of ``op``; ``count`` operands when given."""
+    if not isinstance(arg, (list, tuple)) or count not in (None, len(arg)):
+        want = "a list" if count is None else f"a list of {count}"
+        raise DocumentError(f"{op!r} needs {want} of operands, got {arg!r}")
+    return arg
+
+
 def evaluate_amplitude(expr) -> complex:
     """Evaluate the restricted expression language to a complex number.
 
@@ -41,10 +49,10 @@ def evaluate_amplitude(expr) -> complex:
         raise DocumentError(f"malformed amplitude expression: {expr!r}")
     (op, arg), = expr.items()
     if op == "rational":
-        p, q = arg
+        p, q = (evaluate_amplitude(a) for a in _operands(op, arg, 2))
         if q == 0:
             raise DocumentError("rational with zero denominator")
-        return complex(p) / complex(q)
+        return p / q
     if op == "sqrt":
         value = evaluate_amplitude(arg)
         if abs(value.imag) > 1e-15 or value.real < 0:
@@ -52,16 +60,16 @@ def evaluate_amplitude(expr) -> complex:
         return complex(math.sqrt(value.real))
     if op == "product":
         out = 1 + 0j
-        for term in arg:
+        for term in _operands(op, arg):
             out *= evaluate_amplitude(term)
         return out
     if op == "quotient":
-        num, den = (evaluate_amplitude(a) for a in arg)
+        num, den = (evaluate_amplitude(a) for a in _operands(op, arg, 2))
         if den == 0:
             raise DocumentError("quotient by zero")
         return num / den
     if op == "complex":
-        re, im = (evaluate_amplitude(a) for a in arg)
+        re, im = (evaluate_amplitude(a) for a in _operands(op, arg, 2))
         for part in (re, im):
             if abs(part.imag) > 1e-15:
                 raise DocumentError("complex parts must be real expressions")

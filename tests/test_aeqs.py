@@ -28,7 +28,7 @@ from aeqslab.aeqs import (
     spectral_gap,
     xor_product,
 )
-from aeqslab import evolve, gallery
+from aeqslab import compilers, evolve, gallery
 from aeqslab.linalg import SparseHermitian, hermitian_eig
 
 RNG = np.random.default_rng(23)
@@ -427,6 +427,136 @@ class TestXorFactored:
         verdict = decide(inst)
         assert verdict.outcome == ("accept" if x.startswith("1") != x.endswith("0") else "reject")
         assert inst.dim not in dims
+
+
+def block_inputs():
+    """Gallery inputs up to dim 256 (sym_coin with subspace dimension up to
+    8; usubsum "0#1#1" has a degenerate ground space) and compiled MO-QFAs."""
+    gallery_inputs = [
+        ("l_prefix_0", "0"), ("l_prefix_0", "01"), ("l_prefix_0", "0110"),
+        ("l_prefix_1", "10"), ("equal", ""), ("equal", "ab"), ("equal", "abbabaab"),
+        ("sym_coin", ""), ("sym_coin", "ab"), ("sym_coin", "abba"), ("sym_coin", "aabbab"),
+        ("usubsum", "0#1#1"), ("usubsum", "0#11#1"), ("multdup", "0#1"),
+        ("multdup_complement", "00#10"),
+    ]
+    cases = [(f"{name}:{x}", gallery.build(name).family.build(x)) for name, x in gallery_inputs]
+    rng = np.random.default_rng(5)
+    for n_states in (2, 3, 4):
+        family = compilers.from_moqfa(compilers.random_moqfa_spec(rng, n_states))
+        cases += [(f"moqfa{n_states}:{x}", family.build(x)) for x in ("", "01")]
+    return cases
+
+
+BLOCK_INPUTS = block_inputs()
+
+
+class TestBlockSplit:
+    """The gap scan, the time bound and the trace records read off the block
+    split of H(s), against dense eigensolves of H(s)."""
+
+    @pytest.mark.parametrize("label,inst", BLOCK_INPUTS, ids=[c[0] for c in BLOCK_INPUTS])
+    def test_gap_and_bound_match_dense_scan(self, label, inst):
+        # A dense H_ini takes the dense scan (_scan_gap) and spectral_norm.
+        assert isinstance(inst.h_ini, ProjectorComplement)
+        dense = dataclasses.replace(inst, h_ini=as_dense(inst.h_ini))
+        for grid in (2, 16):
+            got, expect = minimum_interpolation_gap(inst, grid), minimum_interpolation_gap(dense, grid)
+            assert got == expect or abs(got - expect) <= 1e-12
+            got = adiabatic_time_bound(inst, 0.1, 1.0, grid=grid)
+            expect = adiabatic_time_bound(dense, 0.1, 1.0, grid=grid)
+            assert got == expect or abs(got - expect) <= 1e-12 * abs(expect)
+
+    @pytest.mark.parametrize("label,inst", BLOCK_INPUTS, ids=[c[0] for c in BLOCK_INPUTS])
+    def test_records_match_dense_ground_projection(self, label, inst, monkeypatch):
+        seen = []
+        block = aeqs.BlockSplit.ground_projection
+
+        def recording(split, s, psi):
+            seen.append((s, psi, block(split, s, psi)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(aeqs.BlockSplit, "ground_projection", recording)
+        power_of_two = inst.dim & (inst.dim - 1) == 0
+        schedule = evolve.Schedule(6.0, 64)
+        for method in ("midpoint", "trotter", "phase") if power_of_two else ("midpoint", "trotter"):
+            seen.clear()
+            trace = evolve.evolve_trace(inst, schedule, method, record_every=16)
+            assert [(s, got) for s, _, got in seen] == [
+                (r.s, (r.ground_energy, r.overlap_sq)) for r in trace.records]
+            final = evolve.final_overlap_sq(inst, schedule, method)
+            assert seen[-1][0] == 1.0 and final == seen[-1][2][1]
+            for s, psi, (energy, weight) in seen:
+                expect = evolve._ground_projection(aeqs.interpolated_hamiltonian(inst, s), psi)
+                assert abs(energy - expect[0]) <= 1e-12 and abs(weight - expect[1]) <= 1e-12
+
+    @pytest.mark.parametrize("name,x", [("usubsum", "0#1#1"), ("equal", "abbabaab"),
+                                        ("sym_coin", "abba")])
+    def test_weight_of_any_state_matches_dense(self, name, x):
+        # States with weight off the dynamical subspace, so the lines of
+        # Q^perp count too; usubsum "0#1#1" has one in its ground space.
+        inst = gallery.build(name).family.build(x)
+        h_ini, h_fin = as_dense(inst.h_ini), as_dense(inst.h_fin)
+        q = aeqs.dynamical_basis(h_ini, h_fin, inst.h_ini.vector)
+        split = aeqs.BlockSplit(h_ini, h_fin, q, vectors=True)
+        rng = np.random.default_rng(3)
+        for s in (0.0, 0.25, 0.5, 0.9, 1.0):
+            psi = rng.standard_normal(inst.dim) + 1j * rng.standard_normal(inst.dim)
+            psi /= np.linalg.norm(psi)
+            got = split.ground_projection(s, psi)
+            expect = evolve._ground_projection(aeqs.interpolated_hamiltonian(inst, s), psi)
+            assert abs(got[0] - expect[0]) <= 1e-12 and abs(got[1] - expect[1]) <= 1e-12
+
+    def test_difference_norm_on_q_perp(self):
+        # H_fin = 5 (I - |g><g|): Q = span(g), where both Hamiltonians vanish,
+        # so ||H_fin - H_ini|| = 4 comes from Q^perp alone; the gap is 1 at s = 0.
+        g = aeqs.deflation_vector(8, 0)
+        inst = AeqsInstance(size_bits=3, epsilon=0.9, h_ini=ProjectorComplement(g),
+                            h_fin=5.0 * (np.eye(8) - np.outer(g, g.conj())),
+                            s_acc=frozenset({0}), s_rej=frozenset({1}))
+        assert minimum_interpolation_gap(inst, 8) == pytest.approx(1.0, abs=1e-12)
+        assert adiabatic_time_bound(inst, 0.1, 1.0) == pytest.approx(4.0**2 / 0.1, rel=1e-12)
+
+    @pytest.mark.parametrize("name,x,dim", [
+        ("l_prefix_0", "0", 12), ("l_prefix_0", "0110", 24), ("equal", "ab", 4),
+        ("equal", "abbabaab", 256),
+    ])
+    def test_grid_through_half_gives_search_gap(self, name, x, dim):
+        # H(s) restricted to Q is the adiabatic search Hamiltonian, whose gap
+        # is smallest at s = 1/2, where it is 1/sqrt(dim) (Roland & Cerf,
+        # quant-ph/0107015); grid 65 contains s = 1/2.
+        inst = gallery.build(name).family.build(x)
+        assert inst.dim == dim
+        assert abs(minimum_interpolation_gap(inst, 65) - 1.0 / math.sqrt(dim)) <= 1e-12
+
+    def test_full_dimension_solves_do_not_grow_with_records_or_grid(self, monkeypatch):
+        inst = gallery.build("equal").family.build("abbabaab")
+        assert inst.dim == 256
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counting(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+                if np.shape(a)[-1] >= 254:
+                    calls.append(np.shape(a))
+                return _solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+
+        def solves(run, sizes):
+            counts = []
+            for size in sizes:
+                calls.clear()
+                run(size)
+                counts.append(len(calls))
+            return counts
+
+        schedule = evolve.Schedule(8.0, 256)
+        for method in ("midpoint", "trotter", "phase"):
+            counts = solves(lambda every: evolve.evolve_trace(inst, schedule, method, every),
+                            (16, 64))
+            assert counts[0] == counts[1] <= 3, (method, counts)
+        for run in (lambda grid: minimum_interpolation_gap(inst, grid),
+                    lambda grid: adiabatic_time_bound(inst, 0.1, 1.0, grid=grid)):
+            counts = solves(run, (8, 64))
+            assert counts[0] == counts[1] <= 1, counts
 
 
 class TestFamilyCache:

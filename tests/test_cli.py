@@ -296,6 +296,18 @@ class TestUsageErrors:
         assert code == 3, err
         assert message in err
 
+    @pytest.mark.parametrize("amplitude", [
+        {"rational": [1]}, {"complex": [1]}, {"quotient": [1, 2, 3]}, {"product": 3},
+    ], ids=["rational-1", "complex-1", "quotient-3", "product-number"])
+    @pytest.mark.parametrize("command", ["compile", "run"])
+    def test_malformed_amplitude_operands(self, capsys, tmp_path, command, amplitude):
+        ops = dict(MOQFA_DOC["operators"], cent=[[0, 0, amplitude], [1, 1, 1]])
+        specfile = tmp_path / "doc.json"
+        specfile.write_text(json.dumps(dict(MOQFA_DOC, operators=ops)))
+        code, err = self.main_exit(capsys, command, str(specfile), "1")
+        assert code == 3, err
+        assert "operands" in err
+
     def test_seed_is_restored_after_the_command(self, capsys):
         from aeqslab import linalg
 

@@ -47,6 +47,12 @@ class TestBasisSchema:
         for i in range(schema.dim):
             assert schema.index(schema.state_of(i)) == i
 
+    @pytest.mark.parametrize("state", [(1,), (1, "y", "extra")])
+    def test_wrong_coordinate_count_rejected(self, state):
+        schema = BasisSchema([("a", (0, 1)), ("b", ("x", "y"))])
+        with pytest.raises(QqaError, match="needs 2 coordinates"):
+            schema.index(state)
+
     def test_curated(self):
         schema = BasisSchema([("x", (0, 1, 2))], states=[(2,), (0,)])
         assert schema.dim == 2

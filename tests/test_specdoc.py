@@ -43,6 +43,15 @@ class TestAmplitudeExpressions:
         with pytest.raises(DocumentError):
             evaluate_amplitude(True)
 
+    @pytest.mark.parametrize("expr", [
+        {"rational": [1]}, {"rational": 1}, {"complex": [1]}, {"complex": [1, 2, 3]},
+        {"quotient": [1]}, {"quotient": 2}, {"product": 3},
+        {"rational": ["1", 2]},
+    ])
+    def test_malformed_operands(self, expr):
+        with pytest.raises(DocumentError):
+            evaluate_amplitude(expr)
+
 
 MOQFA_DOC = {
     "schema": 1,
