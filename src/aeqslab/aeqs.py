@@ -29,6 +29,7 @@ import numpy as np
 from .linalg import (
     DEGENERACY_TOL,
     NORM_TOL,
+    SPARSE_EIG_MIN_DIM,
     CapacityError,
     SparseHermitian,
     dense_max,
@@ -141,9 +142,13 @@ def lowest_pairs(h, k: int) -> list:
     """k lowest eigenpairs, values ascending, of a Hamiltonian in any
     supported representation; 1 <= k <= dim.
 
-    Eigen paths: ProjectorComplement is closed form, SparseHermitian runs
-    Lanczos, KroneckerSum combines its factors' lowest pairs, and a dense
-    matrix runs the full dense eigensolve.
+    Eigen paths: ProjectorComplement is closed form, KroneckerSum combines
+    its factors' lowest pairs, and a dense matrix runs the full checked
+    dense eigensolve.  A SparseHermitian runs Lanczos above dim
+    min(SPARSE_EIG_MIN_DIM, dense_max()) and is densified into the dense
+    eigensolve at or below it, where that is the cheaper route; the
+    dense_max() bound keeps a lowered AEQS_DENSE_MAX from turning a small
+    sparse instance into a CapacityError.
     """
     k = int(k)
     dim = hamiltonian_dim(h)
@@ -170,7 +175,7 @@ def lowest_pairs(h, k: int) -> list:
         sums = sorted(((la + lb, i, j) for i, (la, _) in enumerate(pa)
                        for j, (lb, _) in enumerate(pb)), key=lambda t: t[0])
         return [(value, np.kron(pa[i][1], pb[j][1])) for value, i, j in sums[:k]]
-    if isinstance(h, SparseHermitian):
+    if isinstance(h, SparseHermitian) and dim > min(SPARSE_EIG_MIN_DIM, dense_max()):
         return lowest_eigenpairs(h, k)
     dec = hermitian_eig(as_dense(h))
     return [(float(dec.values[i]), dec.vectors[:, i]) for i in range(k)]

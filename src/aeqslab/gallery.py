@@ -897,40 +897,31 @@ def _build_multdup_complement() -> GalleryEntry:
 # ---------------------------------------------------------------------------
 
 _PAL_Q = ("q1", "q2", "q3", "q4", "q5")
+# U_a and U_b on (q1, q2, q3), row = target, column = source; q4 and q5 are
+# untouched.  Right of the marker the inverse rotation, the transpose, acts.
 _PAL_ROT = {
-    # column action of U_a / U_b on (q1, q2, q3); q4, q5 untouched
-    "a": {"q1": [("q1", 0.8), ("q2", -0.6)], "q2": [("q1", 0.6), ("q2", 0.8)],
-          "q3": [("q3", 1.0)]},
-    "b": {"q1": [("q1", 0.8), ("q3", -0.6)], "q2": [("q2", 1.0)],
-          "q3": [("q1", 0.6), ("q3", 0.8)]},
-    "#": {"q1": [("q1", 1.0)], "q2": [("q2", 1.0)], "q3": [("q3", 1.0)]},
+    "a": np.array([[0.8, 0.6, 0.0], [-0.6, 0.8, 0.0], [0.0, 0.0, 1.0]]),
+    "b": np.array([[0.8, 0.0, 0.6], [0.0, 1.0, 0.0], [-0.6, 0.0, 0.8]]),
+    "#": np.eye(3),
 }
 _PAL_DECAY_KEEP = 1.0 / 25.0
 _PAL_DECAY_SWITCH = 4.0 * math.sqrt(39.0) / 25.0
 
 
-def _pal_rotation(sym: str, invert: bool):
-    rot = _PAL_ROT[sym]
-    if not invert:
-        return rot
-    out = {q: [] for q in ("q1", "q2", "q3")}
-    for src, targets in rot.items():
-        for dst, amp in targets:
-            out[dst].append((src, amp))
-    return out
-
-
 def _pal_level(x: str) -> TwoWayQqafLevel:
     n = len(x)
+    n_pos = n + 2
     hash_pos = x.index("#") + 1 if "#" in x else n + 1
     phases = (0, 1, 2)
-    positions = tuple(range(n + 2))
+    positions = tuple(range(n_pos))
     inner = tuple(
         (q, k, q0, k0, h0)
         for q in _PAL_Q for k in phases
         for q0 in _PAL_Q for k0 in phases for h0 in positions
     )
-    xi0 = ("q1", 1, 0)
+    # Surface index = mixed radix over (q, k, q0, k0, h0, pos), with q and
+    # q0 counted from q1 = 0; the builders work on these coordinate arrays.
+    shape = (len(_PAL_Q), len(phases), len(_PAL_Q), len(phases), n_pos, n_pos)
 
     def steps(_x: str) -> int:
         return 2 * n + 3
@@ -941,73 +932,68 @@ def _pal_level(x: str) -> TwoWayQqafLevel:
         diag[idx] = _PAL_DECAY_KEEP
         return SparseHermitian.diagonal(diag)
 
+    def kraus_pair(schema: BasisSchema, blocks) -> list:
+        """blocks: (op, mask, new (q, k, q0, k0, h0, pos), amplitude) with
+        coordinates and amplitude broadcast against the columns; each masked
+        column gets one entry in Kraus operator `op`."""
+        parts = ([], [])
+        for op, mask, coords, amp in blocks:
+            cols = np.flatnonzero(mask)
+            coords = [np.broadcast_to(c, mask.shape)[cols] for c in coords]
+            parts[op].append((np.ravel_multi_index(coords, shape), cols,
+                              np.broadcast_to(amp, mask.shape)[cols]))
+        return [SparseOp(schema.dim, *map(np.concatenate, zip(*part))) for part in parts]
+
     def first_step_builder(_x, schema: BasisSchema) -> list:
         # Fixation pair folded with the endmarker scan (head 0 -> 1): keep
         # states whose leading registers already read xi0, park the rest by
         # swapping the two register groups.
-        k1, k2 = [], []
-        n_pos = n + 2
-        for col, ((q, k, q0, k0, h0), pos) in enumerate(
-            (st for st in schema.all_states())
-        ):
-            if (q, k, pos) == xi0:
-                row = schema.index(((q, k, q0, k0, h0), 1))
-                k1.append((row, col, 1.0))
-            else:
-                row = schema.index(((q0, k0, q, k, pos), (h0 + 1) % n_pos))
-                k2.append((row, col, 1.0))
-        return [
-            SparseOp.from_rules(schema.dim, k1),
-            SparseOp.from_rules(schema.dim, k2),
-        ]
+        q, k, q0, k0, h0, pos = np.unravel_index(np.arange(schema.dim), shape)
+        keep = (q == 0) & (k == 1) & (pos == 0)
+        return kraus_pair(schema, [
+            (0, keep, (q, k, q0, k0, h0, 1), 1.0),
+            (1, ~keep, (q0, k0, q, k, pos, (h0 + 1) % n_pos), 1.0),
+        ])
 
     def step_builder(_x, schema: BasisSchema) -> list:
-        n_pos = n + 2
-        k1_rules, k2_rules = [], []
-        for col, ((q, k, q0, k0, h0), pos) in enumerate(schema.all_states()):
-            frozen = (q0, k0, h0) != xi0
+        q, k, q0, k0, h0, pos = np.unravel_index(np.arange(schema.dim), shape)
+        live = (q0 == 0) & (k0 == 1) & (h0 == 0)   # the parked registers read xi0
+        nxt = (pos + 1) % n_pos
+        end = pos == n + 1
+        q23 = (q == 1) | (q == 2)
+        q45 = q >= 3
+        scan = live & (k == 1) & ~end
+        rotate = scan & (pos > 0) & ~q45
+        decay = live & (k == 2) & q23
+        # Rotation amplitude table [pos, target, source] by scanned symbol.
+        rot = np.zeros((n_pos, 3, 3))
+        for p in range(1, n + 1):
+            u = _PAL_ROT[x[p - 1]]
+            rot[p] = u.T if p > hash_pos else u
 
-            def emit(rules, q2, k2_, pos2, amp):
-                row = schema.index(((q2, k2_, q0, k0, h0), pos2))
-                rules.append((row, col, amp))
+        def after(*new):
+            return new[:2] + (q0, k0, h0) + new[2:]
 
-            if frozen:
-                emit(k1_rules, q, k, pos, 1.0)       # parked mass stays put
-                continue
-            nxt = (pos + 1) % n_pos
-            if k == 1:
-                if pos == n + 1:
-                    if q == "q1":
-                        emit(k1_rules, "q1", 0, 0, 1.0)
-                    elif q in ("q2", "q3"):
-                        emit(k1_rules, q, 2, 0, 1.0)
-                    else:
-                        emit(k1_rules, q, 1, 0, 1.0)
-                elif pos == 0 or q in ("q4", "q5"):
-                    emit(k1_rules, q, 1, nxt, 1.0)
-                else:
-                    sym = x[pos - 1]
-                    rot = _pal_rotation(sym, invert=pos > hash_pos)
-                    for dst, amp in rot[q]:
-                        emit(k1_rules, dst, 1, nxt, amp)
-            elif k == 0:
-                emit(k2_rules, q, 0, nxt, 1.0)       # done states cycle on K2
-            else:  # k == 2: decaying second phase
-                if q in ("q2", "q3"):
-                    partner = "q4" if q == "q2" else "q5"
-                    if pos == n + 1:
-                        emit(k1_rules, partner, 0, 0, 1.0)
-                    else:
-                        emit(k1_rules, q, 2, nxt, _PAL_DECAY_KEEP)
-                        emit(k2_rules, partner, 2, nxt, _PAL_DECAY_SWITCH)
-                elif q in ("q4", "q5"):
-                    emit(k1_rules, q, 2, nxt, 1.0)
-                else:
-                    emit(k1_rules, q, 2, nxt, 1.0)
-        return [
-            SparseOp.from_rules(schema.dim, k1_rules),
-            SparseOp.from_rules(schema.dim, k2_rules),
+        blocks = [
+            (0, ~live, after(q, k, pos), 1.0),                  # parked mass stays put
+            # First phase at the right endmarker: q1 is done, q2 and q3
+            # start the second phase.
+            (0, live & (k == 1) & end & (q == 0), after(0, 0, 0), 1.0),
+            (0, live & (k == 1) & end & q23, after(q, 2, 0), 1.0),
+            (0, live & (k == 1) & end & q45, after(q, 1, 0), 1.0),
+            (0, scan & ~rotate, after(q, 1, nxt), 1.0),
+            (1, live & (k == 0), after(q, 0, nxt), 1.0),       # done states cycle on K2
+            # Second phase: q2 and q3 decay into q4 and q5.
+            (0, decay & end, after(q + 2, 0, 0), 1.0),
+            (0, decay & ~end, after(q, 2, nxt), _PAL_DECAY_KEEP),
+            (1, decay & ~end, after(q + 2, 2, nxt), _PAL_DECAY_SWITCH),
+            (0, live & (k == 2) & ~q23, after(q, 2, nxt), 1.0),
         ]
+        src = np.minimum(q, 2)
+        for dst in range(3):
+            amp = rot[pos, dst, src]
+            blocks.append((0, rotate & (amp != 0), after(dst, 1, nxt), amp))
+        return kraus_pair(schema, blocks)
 
     return TwoWayQqafLevel(
         inner_labels=inner,

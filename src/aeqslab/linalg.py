@@ -12,7 +12,10 @@ Conventions used across the package:
 Dense eigensolves are delegated to LAPACK (``numpy.linalg.eigh``) behind the
 contract checks below; the sparse path is a hand-rolled Lanczos iteration
 with full reorthogonalization so that dense and sparse routes stay
-independent of each other.
+independent of each other.  Sparse operators of dimension at most
+``SPARSE_EIG_MIN_DIM`` are cheaper to densify and solve on the dense path,
+so ``aeqs.lowest_pairs`` takes Lanczos only above it, or above
+``dense_max()`` where that is lower.
 """
 
 from __future__ import annotations
@@ -24,8 +27,15 @@ import numpy as np
 
 # Tolerances and capacities, one table for the package.  The dense threshold
 # may be overridden through AEQS_DENSE_MAX, and the Lanczos start seed through
-# the command line's --seed.
+# the command line's --seed.  SPARSE_EIG_MIN_DIM is the dense/Lanczos
+# crossover for a sparse operator's lowest pairs, measured on one Xeon core:
+# on gallery operators two Lanczos pairs cost about 0.3 ms at every dim from
+# 36 to 68, while the checked dense eigensolve grows from 0.25 ms at dim 36
+# past it between dims 44 and 48 (0.59 ms at 64).  On random sparse
+# operators, whose spectra are spread out, Lanczos takes 5-8 ms at dims 40-64
+# and the dense route is the cheaper one at every dim up to 64.
 DENSE_MAX_DEFAULT = 2048
+SPARSE_EIG_MIN_DIM = 48
 HERMITICITY_TOL = 1e-10
 RECONSTRUCT_TOL = 1e-8
 RESIDUAL_TOL_SPARSE = 1e-7

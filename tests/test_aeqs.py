@@ -29,7 +29,7 @@ from aeqslab.aeqs import (
     xor_product,
 )
 from aeqslab import compilers, evolve, gallery
-from aeqslab.linalg import SparseHermitian, hermitian_eig
+from aeqslab.linalg import SPARSE_EIG_MIN_DIM, SparseHermitian, hermitian_eig, lowest_eigenpairs
 
 RNG = np.random.default_rng(23)
 ALL_BITSTRINGS_4 = [""] + [
@@ -354,6 +354,96 @@ class TestLowestPairsContract:
         pairs = lowest_pairs(h, h.dim)
         assert [value for value, _ in pairs] == [0.0] + [1.0] * (h.dim - 1)
         assert_eigenpairs(h, pairs)
+
+
+def random_sparse(rng, n, per_row=3):
+    """A random sparse Hermitian operator with about per_row entries a row."""
+    m = n * per_row
+    rows, cols = rng.integers(0, n, m), rng.integers(0, n, m)
+    vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return SparseHermitian(n, rows, cols, np.where(rows == cols, vals.real, vals))
+
+
+def count_eigen_paths(monkeypatch):
+    """Count the calls of the two eigen paths that lowest_pairs reaches."""
+    calls = {"lanczos": 0, "dense": 0}
+
+    def counted(key, original):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(aeqs, "lowest_eigenpairs", counted("lanczos", aeqs.lowest_eigenpairs))
+    monkeypatch.setattr(aeqs, "hermitian_eig", counted("dense", aeqs.hermitian_eig))
+    return calls
+
+
+def sweep_inputs():
+    """The decide benchmark's gallery sweep: every string up to length 8 of
+    the four small languages, usubsum_inputs(4, 3, 3) and multdup_inputs(3, 3)
+    for multdup and its complement."""
+    languages = ("l_prefix_0", "l_prefix_1", "equal", "sym_coin")
+    inputs = [(name, x) for name in languages
+              for x in gallery.strings_up_to(gallery.build(name).family.alphabet, 8)]
+    inputs += [("usubsum", x) for x in gallery.usubsum_inputs(4, 3, 3, promised_only=False)]
+    inputs += [(name, x) for name in ("multdup", "multdup_complement")
+               for x in gallery.multdup_inputs(3, 3)]
+    return inputs
+
+
+class TestSparseDenseCrossover:
+    """A SparseHermitian at or below SPARSE_EIG_MIN_DIM is solved densely;
+    Lanczos stays the route above it and the oracle below it."""
+
+    def test_sweep_verdicts_match_lanczos(self, monkeypatch):
+        families = {}
+        checked = degenerate = 0
+        for name, x in sweep_inputs():
+            if name not in families:
+                families[name] = gallery.build(name).family
+            inst = families[name].build(x)
+            if not isinstance(inst.h_fin, SparseHermitian) or inst.dim > SPARSE_EIG_MIN_DIM:
+                continue
+            dense = decide(inst)
+            with monkeypatch.context() as m:
+                m.setattr(aeqs, "SPARSE_EIG_MIN_DIM", 0)
+                lanczos = decide(inst)
+            assert (dense.outcome, dense.unique_ground) == (lanczos.outcome, lanczos.unique_ground)
+            for field in ("ground_energy", "spectral_gap", "acc_overlap", "rej_overlap"):
+                a, b = getattr(dense, field), getattr(lanczos, field)
+                assert a == b or abs(a - b) <= 1e-12, (name, x, field)   # dim 1: gap inf
+            # accuracy = 1 - sqrt(1 - overlap) turns a 1e-16 overlap difference
+            # next to 1 into 1e-8; its square complement is the overlap itself.
+            assert abs((1 - dense.accuracy) ** 2 - (1 - lanczos.accuracy) ** 2) <= 1e-12, (name, x)
+            checked += 1
+            degenerate += not dense.unique_ground
+        assert (checked, degenerate) == (2244, 47)
+
+    @pytest.mark.parametrize("dim", [SPARSE_EIG_MIN_DIM - 1, SPARSE_EIG_MIN_DIM,
+                                     SPARSE_EIG_MIN_DIM + 1])
+    def test_eigenvalues_match_lanczos_around_crossover(self, dim):
+        h = random_sparse(np.random.default_rng(dim), dim)
+        got = [value for value, _ in lowest_pairs(h, 3)]
+        want = [value for value, _ in lowest_eigenpairs(h, 3)]
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+    @pytest.mark.parametrize("dim,lanczos,dense", [(SPARSE_EIG_MIN_DIM, 0, 1),
+                                                   (SPARSE_EIG_MIN_DIM + 1, 1, 0)])
+    def test_path_taken(self, monkeypatch, dim, lanczos, dense):
+        h = random_sparse(np.random.default_rng(7), dim)
+        calls = count_eigen_paths(monkeypatch)
+        lowest_pairs(h, 2)
+        assert calls == {"lanczos": lanczos, "dense": dense}
+
+    def test_dense_capacity_keeps_lanczos(self, monkeypatch):
+        entry = gallery.build("l_prefix_0")
+        inst = entry.family.build("0110")
+        assert isinstance(inst.h_fin, SparseHermitian) and inst.dim == 24
+        monkeypatch.setenv("AEQS_DENSE_MAX", "4")
+        calls = count_eigen_paths(monkeypatch)
+        assert decide(inst).outcome == entry.oracle("0110") == "accept"
+        assert calls == {"lanczos": 1, "dense": 0}
 
 
 class TestKroneckerSum:

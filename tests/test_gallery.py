@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from aeqslab import gallery
 from aeqslab.aeqs import decide, ground_state, lowest_pairs
-from aeqslab.qqa import validate_level
+from aeqslab.qqa import SparseOp, generate_2qqaf, validate_level
 
 
 class TestOracles:
@@ -183,16 +185,119 @@ class TestMultDupEntry:
             assert validate_level(level).passed
 
 
+# The palindrome level's Kraus builders as loops over the surface basis,
+# state by state: the reference for the index arithmetic in gallery.
+_PAL_ROT_COLUMNS = {
+    # column action of U_a / U_b on (q1, q2, q3); q4, q5 untouched
+    "a": {"q1": [("q1", 0.8), ("q2", -0.6)], "q2": [("q1", 0.6), ("q2", 0.8)],
+          "q3": [("q3", 1.0)]},
+    "b": {"q1": [("q1", 0.8), ("q3", -0.6)], "q2": [("q2", 1.0)],
+          "q3": [("q1", 0.6), ("q3", 0.8)]},
+    "#": {"q1": [("q1", 1.0)], "q2": [("q2", 1.0)], "q3": [("q3", 1.0)]},
+}
+_PAL_XI0 = ("q1", 1, 0)
+
+
+def _pal_rotation(sym, invert):
+    rot = _PAL_ROT_COLUMNS[sym]
+    if not invert:
+        return rot
+    out = {q: [] for q in ("q1", "q2", "q3")}
+    for src, targets in rot.items():
+        for dst, amp in targets:
+            out[dst].append((src, amp))
+    return out
+
+
+def reference_pal_first_step(x, schema):
+    k1, k2 = [], []
+    n_pos = len(x) + 2
+    for col, ((q, k, q0, k0, h0), pos) in enumerate(schema.all_states()):
+        if (q, k, pos) == _PAL_XI0:
+            k1.append((schema.index(((q, k, q0, k0, h0), 1)), col, 1.0))
+        else:
+            k2.append((schema.index(((q0, k0, q, k, pos), (h0 + 1) % n_pos)), col, 1.0))
+    return [SparseOp.from_rules(schema.dim, k1), SparseOp.from_rules(schema.dim, k2)]
+
+
+def reference_pal_step(x, schema):
+    n = len(x)
+    n_pos = n + 2
+    hash_pos = x.index("#") + 1 if "#" in x else n + 1
+    k1_rules, k2_rules = [], []
+    for col, ((q, k, q0, k0, h0), pos) in enumerate(schema.all_states()):
+        def emit(rules, q2, k2_, pos2, amp):
+            rules.append((schema.index(((q2, k2_, q0, k0, h0), pos2)), col, amp))
+
+        if (q0, k0, h0) != _PAL_XI0:
+            emit(k1_rules, q, k, pos, 1.0)
+            continue
+        nxt = (pos + 1) % n_pos
+        if k == 1:
+            if pos == n + 1:
+                if q == "q1":
+                    emit(k1_rules, "q1", 0, 0, 1.0)
+                elif q in ("q2", "q3"):
+                    emit(k1_rules, q, 2, 0, 1.0)
+                else:
+                    emit(k1_rules, q, 1, 0, 1.0)
+            elif pos == 0 or q in ("q4", "q5"):
+                emit(k1_rules, q, 1, nxt, 1.0)
+            else:
+                rot = _pal_rotation(x[pos - 1], invert=pos > hash_pos)
+                for dst, amp in rot[q]:
+                    emit(k1_rules, dst, 1, nxt, amp)
+        elif k == 0:
+            emit(k2_rules, q, 0, nxt, 1.0)
+        elif q in ("q2", "q3"):
+            partner = "q4" if q == "q2" else "q5"
+            if pos == n + 1:
+                emit(k1_rules, partner, 0, 0, 1.0)
+            else:
+                emit(k1_rules, q, 2, nxt, gallery._PAL_DECAY_KEEP)
+                emit(k2_rules, partner, 2, nxt, gallery._PAL_DECAY_SWITCH)
+        else:
+            emit(k1_rules, q, 2, nxt, 1.0)
+    return [SparseOp.from_rules(schema.dim, k1_rules), SparseOp.from_rules(schema.dim, k2_rules)]
+
+
+PAL_INPUTS = ["#", "a#a", "ba#", "#ab", "ab#ba", "ab#ab", "abb#bba"]
+
+
+def assert_same_triplets(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a.rows, b.rows)
+        assert np.array_equal(a.cols, b.cols)
+        assert np.array_equal(a.vals, b.vals)
+
+
 class TestPalMarkedEntry:
     def test_lambda_witness_exact(self):
         assert gallery.pal_lambda_witness("a#a") == 1.0 / 25.0
 
     def test_level_validates(self):
         e = gallery.build("pal_marked")
-        for x in ["a#a", "a#b"]:
+        for x in PAL_INPUTS + ["a#b"]:
             for level in e.validation_levels(x):
                 report = validate_level(level, x)
-                assert report.passed, [(d.symbol, d.defect) for d in report.defects]
+                assert report.passed, (x, [(d.symbol, d.defect) for d in report.defects])
+
+    @pytest.mark.parametrize("x", PAL_INPUTS)
+    def test_kraus_builders_match_reference_loops(self, x):
+        level = gallery._pal_level(x)
+        schema = level.surface_schema(x)
+        assert_same_triplets(level.build_first_kraus(x, schema),
+                             reference_pal_first_step(x, schema))
+        assert_same_triplets(level.build_step_kraus(x, schema),
+                             reference_pal_step(x, schema))
+
+    @pytest.mark.parametrize("x", ["ab#ba", "ab#ab"])
+    def test_generated_operator_matches_reference_loops(self, x):
+        level = gallery._pal_level(x)
+        reference = dataclasses.replace(level, first_step_builder=reference_pal_first_step,
+                                        step_builder=reference_pal_step)
+        assert_same_triplets([generate_2qqaf(level, x).operator],
+                             [generate_2qqaf(reference, x).operator])
 
     def test_dimension_is_full_surface_space(self):
         inst = gallery.build("pal_marked").family.build("a#a")
