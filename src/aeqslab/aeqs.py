@@ -181,24 +181,29 @@ def lowest_pairs(h, k: int) -> list:
     return [(float(dec.values[i]), dec.vectors[:, i]) for i in range(k)]
 
 
+def _lowest_two(h) -> tuple:
+    """(ground energy, ground state, spectral gap, uniqueness flag) from the
+    two lowest pairs; a one-dimensional space has gap inf and a unique
+    ground state."""
+    pairs = lowest_pairs(h, min(2, hamiltonian_dim(h)))
+    energy, psi = pairs[0]
+    if len(pairs) == 1:
+        return energy, psi, math.inf, True
+    gap = max(0.0, pairs[1][0] - energy)
+    return energy, psi, gap, gap > DEGENERACY_TOL
+
+
 def ground_state(h) -> tuple:
     """(ground energy, ground state, uniqueness flag)."""
-    dim = hamiltonian_dim(h)
-    if dim == 1:
-        pairs = lowest_pairs(h, 1)
-        return pairs[0][0], pairs[0][1], True
-    pairs = lowest_pairs(h, 2)
-    unique = pairs[1][0] - pairs[0][0] > DEGENERACY_TOL
-    return pairs[0][0], pairs[0][1], unique
+    energy, psi, _, unique = _lowest_two(h)
+    return energy, psi, unique
 
 
 def spectral_gap(h) -> float:
     """Difference between the lowest and second-lowest eigenvalues."""
-    dim = hamiltonian_dim(h)
-    if dim < 2:
+    if hamiltonian_dim(h) < 2:
         raise AeqsError("spectral gap requires dimension >= 2")
-    pairs = lowest_pairs(h, 2)
-    return max(0.0, pairs[1][0] - pairs[0][0])
+    return _lowest_two(h)[2]
 
 
 @dataclass
@@ -274,17 +279,7 @@ def decide(instance: AeqsInstance) -> Verdict:
     space or a tie) is indeterminate.
     """
     threshold = instance.epsilon
-    dim = instance.dim
-    if dim == 1:
-        energy, psi, unique = ground_state(instance.h_fin)
-        gap = math.inf
-    else:
-        pairs = lowest_pairs(instance.h_fin, 2)
-        energy = pairs[0][0]
-        psi = pairs[0][1]
-        gap = max(0.0, pairs[1][0] - pairs[0][0])
-        unique = gap > DEGENERACY_TOL
-
+    energy, psi, gap, unique = _lowest_two(instance.h_fin)
     amps = np.abs(psi) ** 2
     acc = math.sqrt(float(sum(amps[i] for i in instance.s_acc))) if instance.s_acc else 0.0
     rej = math.sqrt(float(sum(amps[i] for i in instance.s_rej))) if instance.s_rej else 0.0

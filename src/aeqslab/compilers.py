@@ -33,11 +33,10 @@ from .aeqs import (
     ProjectorComplement,
     deflation_vector,
 )
-from .linalg import CapacityError, hadamard_power, ilog, spectral_norm
+from .linalg import OPERATOR_DEFECT_TOL, CapacityError, hadamard_power, ilog, spectral_norm
 from .qqa import CENT, DOLLAR, BasisSchema
 
 GARBAGE_CAPACITY = 65536
-ISOMETRY_TOL = 1e-9
 
 
 class CompileError(Exception):
@@ -94,7 +93,7 @@ class MoQfaSpec:
             if u.shape != (self.n_states, self.n_states):
                 raise CompileError(f"operator {sym!r} has shape {u.shape}")
             defect = _unitary_defect(u)
-            if defect > ISOMETRY_TOL:
+            if defect > OPERATOR_DEFECT_TOL:
                 raise CompileError(f"operator {sym!r} unitarity defect {defect:.3e}")
             self.ops[sym] = u
         if not 0 <= self.initial < self.n_states:
@@ -214,7 +213,7 @@ class GarbageQfaSpec:
     def validate(self) -> None:
         for sym in [CENT, DOLLAR, *self.alphabet]:
             defect = self.isometry_defect(sym)
-            if defect > ISOMETRY_TOL:
+            if defect > OPERATOR_DEFECT_TOL:
                 raise CompileError(f"symbol {sym!r} isometry defect {defect:.3e}")
 
 

@@ -67,10 +67,16 @@ from .aeqs import (
     dynamical_basis,
     ground_state,
 )
-from .linalg import DEGENERACY_TOL, CapacityError, hadamard_power, spectral_norm, unitary_exp
+from .linalg import (
+    DEGENERACY_TOL,
+    OPERATOR_DEFECT_TOL,
+    CapacityError,
+    hadamard_power,
+    spectral_norm,
+    unitary_exp,
+)
 
 EVOLVE_DIM_MAX = 512
-PHASE_DIAG_TOL = 1e-9
 STEP_CHUNK = 2**15        # steps built and multiplied at a time
 PAIRWISE_DIM_MAX = 6      # largest subspace dimension multiplied down pairwise; above
                           # k = 8 applying trotter steps one by one is faster
@@ -215,7 +221,7 @@ def phase_shift_factors(instance: AeqsInstance, schedule: Schedule) -> _Splittin
     w = hadamard_power(k)
     conjugated = w @ h_ini @ w
     off = conjugated - np.diag(np.diag(conjugated))
-    if spectral_norm(off) > PHASE_DIAG_TOL:
+    if spectral_norm(off) > OPERATOR_DEFECT_TOL:
         raise NotHadamardDiagonal(
             f"H_ini is not Hadamard-diagonal: off-diagonal norm {spectral_norm(off):.3e}"
         )

@@ -43,12 +43,11 @@ from .aeqs import (
     decide,
     deflation_vector,
 )
-from .linalg import SparseHermitian
+from .linalg import EXPECTATION_TOL, SparseHermitian
 from .qqa import (
     CENT,
     DOLLAR,
     BasisSchema,
-    MoqqafLevel,
     QqafLevel,
     SparseOp,
     TwoWayQqafLevel,
@@ -85,7 +84,6 @@ class Expectation:
     applies: Callable[[str], bool]
     energy: Callable[[str], float] | None = None
     gap_lower: Callable[[str], float] | None = None
-    tolerance: float = 1e-8
 
 
 @dataclass
@@ -115,7 +113,7 @@ class GalleryEntry:
 _PREFIX_STATES = ("q0", "q1", "q2", "q3")
 
 
-def _prefix_level(n: int, a: str) -> MoqqafLevel:
+def _prefix_level(n: int, a: str) -> QqafLevel:
     n_pos = n + 2
     schema = BasisSchema([("state", _PREFIX_STATES), ("pos", tuple(range(n_pos)))])
 
@@ -131,25 +129,25 @@ def _prefix_level(n: int, a: str) -> MoqqafLevel:
         cell1 = {"1": {"q0": "q1", "q1": "q3", "q2": "q2", "q3": "q0"},
                  "0": {"q0": "q2", "q1": "q1", "q2": "q3", "q3": "q0"}}
 
-    advance = permutation_op(schema, lambda s: (s[0], adv(s[1])))
+    advance = [permutation_op(schema, lambda s: (s[0], adv(s[1])))]
     ops = {CENT: advance, DOLLAR: advance}
     for sym in ("0", "1"):
-        ops[sym] = permutation_op(
+        ops[sym] = [permutation_op(
             schema, lambda s, sym=sym: (cell1[sym][s[0]] if s[1] == 1 else s[0], adv(s[1]))
-        )
+        )]
 
     lam = np.ones(schema.dim)
     lam[schema.index(("q0", 0))] = 0.0
-    return MoqqafLevel(
+    return QqafLevel(
         schema=schema, alphabet=("0", "1"), ops=ops,
         lam0=SparseHermitian.diagonal(lam), name=f"prefix{a}[n={n}]",
     )
 
 
 def _build_l_prefix(a: str) -> GalleryEntry:
-    levels: dict[int, MoqqafLevel] = {}
+    levels: dict[int, QqafLevel] = {}
 
-    def level_for(n: int) -> MoqqafLevel:
+    def level_for(n: int) -> QqafLevel:
         if n not in levels:
             levels[n] = _prefix_level(n, a)
         return levels[n]
@@ -201,7 +199,7 @@ def _build_l_prefix(a: str) -> GalleryEntry:
 # Entry: Equal = { w : #a(w) = #b(w) } over {a, b}
 # ---------------------------------------------------------------------------
 
-def _equal_level(n: int) -> MoqqafLevel:
+def _equal_level(n: int) -> QqafLevel:
     clock = max(1, 2 ** (n - 1)) if n >= 1 else 1
     schema = BasisSchema([("state", ("q1", "q2")), ("clock", tuple(range(clock)))])
     inv = 1.0 / math.sqrt(2.0)
@@ -231,23 +229,23 @@ def _equal_level(n: int) -> MoqqafLevel:
 
     # Reading a advances the q1 clock twice as fast; b the other way round.
     ops = {
-        CENT: SparseOp.from_rules(schema.dim, cent_rules),
-        DOLLAR: SparseOp.from_rules(schema.dim, dollar_rules),
-        "a": stepper(2, 1),
-        "b": stepper(1, 2),
+        CENT: [SparseOp.from_rules(schema.dim, cent_rules)],
+        DOLLAR: [SparseOp.from_rules(schema.dim, dollar_rules)],
+        "a": [stepper(2, 1)],
+        "b": [stepper(1, 2)],
     }
     lam = np.ones(schema.dim)
     lam[idx("q1", 0)] = 0.0
-    return MoqqafLevel(
+    return QqafLevel(
         schema=schema, alphabet=("a", "b"), ops=ops,
         lam0=SparseHermitian.diagonal(lam), name=f"equal[n={n}]",
     )
 
 
 def _build_equal() -> GalleryEntry:
-    levels: dict[int, MoqqafLevel] = {}
+    levels: dict[int, QqafLevel] = {}
 
-    def level_for(n: int) -> MoqqafLevel:
+    def level_for(n: int) -> QqafLevel:
         if n not in levels:
             levels[n] = _equal_level(n)
         return levels[n]
@@ -662,13 +660,13 @@ def _usubsum_validation_levels(x: str) -> list:
         chosen = frozenset(i + 1 for i, bit in enumerate(s) if bit == "1")
         track = _USubSumTrack(x, t, counts, chosen)
         schema = BasisSchema([("i", tuple(range(k + 1))), ("j", tuple(range(-k * l, t + 1)))])
-        ops = {CENT: SparseOp.identity(schema.dim), DOLLAR: SparseOp.identity(schema.dim)}
+        ops = {CENT: [SparseOp.identity(schema.dim)], DOLLAR: [SparseOp.identity(schema.dim)]}
         for sym in ("0", "1", "#"):
-            ops[sym] = permutation_op(schema, lambda st, sym=sym: track.step(st, sym))
+            ops[sym] = [permutation_op(schema, lambda st, sym=sym: track.step(st, sym))]
         levels.append(
-            MoqqafLevel(schema=schema, alphabet=("0", "1", "#"), ops=ops,
-                        lam0=SparseHermitian.diagonal(np.ones(schema.dim)),
-                        name=f"usubsum[s={s}] on {x!r}")
+            QqafLevel(schema=schema, alphabet=("0", "1", "#"), ops=ops,
+                      lam0=SparseHermitian.diagonal(np.ones(schema.dim)),
+                      name=f"usubsum[s={s}] on {x!r}")
         )
     return levels
 
@@ -861,15 +859,15 @@ def _multdup_validation_levels(x: str) -> list:
         ("r", tuple(range(l + 1))), ("pos", tuple(range(n_pos))),
     ])
 
-    ops = {CENT: permutation_op(schema, lambda s: (s[0], s[1], s[2], (s[3] + 1) % n_pos))}
+    ops = {CENT: [permutation_op(schema, lambda s: (s[0], s[1], s[2], (s[3] + 1) % n_pos))]}
     for ch in ("0", "1", "#"):
-        ops[ch] = permutation_op(schema, lambda s, ch=ch: m.step(s, ch))
-    ops[DOLLAR] = permutation_op(
+        ops[ch] = [permutation_op(schema, lambda s, ch=ch: m.step(s, ch))]
+    ops[DOLLAR] = [permutation_op(
         schema, lambda s: (s[0], s[1], (s[2] - l) % (l + 1), (s[3] + 1) % n_pos)
-    )
-    return [MoqqafLevel(schema=schema, alphabet=("0", "1", "#"), ops=ops,
-                        lam0=SparseHermitian.diagonal(np.ones(schema.dim)),
-                        name=f"multdup[1,1] (k={k}, l={l})")]
+    )]
+    return [QqafLevel(schema=schema, alphabet=("0", "1", "#"), ops=ops,
+                      lam0=SparseHermitian.diagonal(np.ones(schema.dim)),
+                      name=f"multdup[1,1] (k={k}, l={l})")]
 
 
 def _build_multdup_complement() -> GalleryEntry:
@@ -998,12 +996,10 @@ def _pal_level(x: str) -> TwoWayQqafLevel:
     return TwoWayQqafLevel(
         inner_labels=inner,
         alphabet=("a", "b", "#"),
-        xi_size=2,
         steps=steps,
         lam0_builder=lam0_builder,
         first_step_builder=first_step_builder,
         step_builder=step_builder,
-        directions=frozenset({0, +1}),
         name=f"pal_marked[n={n}]",
     )
 
@@ -1200,14 +1196,14 @@ def verify(entry: GalleryEntry, inputs) -> VerifyReport:
             )
             if exp.energy is not None:
                 want = exp.energy(x)
-                if abs(verdict.ground_energy - want) > exp.tolerance:
+                if abs(verdict.ground_energy - want) > EXPECTATION_TOL:
                     report.expectation_failures.append(
                         {"x": x, "expectation": exp.description,
                          "want_energy": want, "got_energy": verdict.ground_energy}
                     )
             if exp.gap_lower is not None:
                 want = exp.gap_lower(x)
-                if verdict.spectral_gap < want - exp.tolerance:
+                if verdict.spectral_gap < want - EXPECTATION_TOL:
                     report.expectation_failures.append(
                         {"x": x, "expectation": exp.description,
                          "want_gap_at_least": want, "got_gap": verdict.spectral_gap}

@@ -21,7 +21,7 @@ so ``aeqs.lowest_pairs`` takes Lanczos only above it, or above
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,13 @@ RESIDUAL_TOL_SPARSE = 1e-7
 ORTHO_TOL = 1e-9
 DEGENERACY_TOL = 1e-9
 NORM_TOL = 1e-10
+# Spectral-norm defect allowed in an operator identity: a level's
+# completeness and its Lambda0's positivity, an automaton's unitarity and
+# isometry, a Hadamard-diagonal H_ini.
+OPERATOR_DEFECT_TOL = 1e-9
+# Distance allowed between a verdict's ground energy or gap and a gallery
+# entry's analyzed value.
+EXPECTATION_TOL = 1e-8
 LANCZOS_SEED = 0x5EED
 LANCZOS_MAX_ITER = 800
 
@@ -99,24 +106,10 @@ class EigenDecomposition:
     """Full spectrum of a Hermitian matrix, values ascending.
 
     ``vectors[:, i]`` is the normalized eigenvector of ``values[i]``.
-    ``degenerate_clusters`` groups indices whose eigenvalues coincide within
-    DEGENERACY_TOL; consumers decide what to do about degeneracy.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    degenerate_clusters: list = field(default_factory=list)
-
-
-def _degenerate_clusters(values: np.ndarray) -> list:
-    clusters = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > DEGENERACY_TOL:
-            if i - start > 1:
-                clusters.append(list(range(start, i)))
-            start = i
-    return clusters
 
 
 def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
@@ -144,7 +137,7 @@ def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
     # reconstruction error by RECONSTRUCT_TOL * scale.
     if resid + scale * ortho > RECONSTRUCT_TOL * scale:
         raise LinalgError(f"eigendecomposition residual {resid:.3e} too large")
-    return EigenDecomposition(values, vectors, _degenerate_clusters(values))
+    return EigenDecomposition(values, vectors)
 
 
 def coalesce(dim: int, rows, cols, vals):

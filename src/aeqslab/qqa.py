@@ -8,31 +8,32 @@ projection yields a positive semidefinite Hamiltonian:
 
     E  =  Pi0 . A_cent_x_dollar(Lambda0) . Pi0
 
-Levels come in three flavours: measure-once (one unitary per symbol), general
-one-way (a Kraus family per symbol), and time-bounded two-way (per-input
-Kraus families on a surface-configuration space with a circular tape).
+Levels come in two kinds.  A one-way level (``QqafLevel``) holds a Kraus
+family per symbol; a measure-once level is the one-way level whose families
+each hold one unitary.  A time-bounded two-way level (``TwoWayQqafLevel``)
+builds its Kraus families per input on a surface-configuration space with a
+circular tape, through its ``first_step_builder`` and ``step_builder``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .linalg import (
+    OPERATOR_DEFECT_TOL,
     CapacityError,
     SparseHermitian,
     coalesce,
     dense_max,
     ilog,
-    spectral_norm,
 )
 
 CENT = "cent"
 DOLLAR = "dollar"
 
-UNITARITY_TOL = 1e-9
 # Entries at or below these magnitudes are dropped from a sparse product and
 # from a conjugated Hamiltonian.
 PRODUCT_PRUNE_TOL = 1e-15
@@ -238,12 +239,13 @@ def gram_defect(kraus: list) -> float:
     """Bound on the completeness defect || sum_j K_j^dag K_j - I ||.
 
     Exact for column-orthogonal families (everything generated here); a
-    Gershgorin upper bound otherwise.
+    Gershgorin upper bound otherwise.  Nothing is pruned, so rounding
+    residues count toward the bound as they do in a dense norm.
     """
     dim = kraus[0].dim
     idx = np.arange(dim)
     terms = [k.adjoint()._product_terms(k) for k in kraus] + [(idx, idx, -np.ones(dim))]
-    gram = _merged(dim, terms)._pruned(PRODUCT_PRUNE_TOL)
+    gram = _merged(dim, terms)
     return float(np.bincount(gram.rows, np.abs(gram.vals), dim).max(initial=0.0))
 
 
@@ -256,11 +258,7 @@ def sparse_conjugate(kraus: list, h: SparseOp) -> SparseOp:
     return _merged(h.dim, terms)._pruned(CONJUGATE_PRUNE_TOL)
 
 
-def _full_storage(lam: SparseHermitian) -> SparseOp:
-    return SparseOp(lam.dim, lam.full_rows, lam.full_cols, lam.full_vals)
-
-
-def _upper_triangle(h: SparseOp, dead=()) -> SparseHermitian:
+def _upper_triangle(h: SparseOp, dead) -> SparseHermitian:
     """The stored upper triangle of a full-storage Hermitian, with the rows
     and columns in `dead` removed."""
     dead = np.fromiter(dead, dtype=np.int64)
@@ -268,47 +266,21 @@ def _upper_triangle(h: SparseOp, dead=()) -> SparseHermitian:
     return SparseHermitian(h.dim, h.rows[keep], h.cols[keep], h.vals[keep])
 
 
-def _trace(h: SparseOp) -> float:
-    return float(h.vals[h.rows == h.cols].real.sum())
-
-
 # ---------------------------------------------------------------------------
 # Levels
 # ---------------------------------------------------------------------------
 
 @dataclass
-class MoqqafLevel:
-    """Measure-once level: one sparse unitary per extended-alphabet symbol."""
-
-    schema: BasisSchema
-    alphabet: tuple
-    ops: dict                      # symbol -> SparseOp, keys CENT/DOLLAR/chars
-    lam0: SparseHermitian
-    q0_indices: frozenset = frozenset()
-    name: str = "moqqaf"
-
-    @property
-    def dim(self) -> int:
-        return self.schema.dim
-
-    @property
-    def has_dollar(self) -> bool:
-        return DOLLAR in self.ops
-
-    def kraus(self, symbol: str) -> list:
-        try:
-            return [self.ops[symbol]]
-        except KeyError:
-            raise UnknownSymbolError(f"level {self.name!r} has no operator for {symbol!r}") from None
-
-
-@dataclass
 class QqafLevel:
-    """General one-way level: a Kraus family per symbol."""
+    """One-way level: a Kraus family (a list of SparseOp) per symbol.
+
+    A measure-once level holds one unitary in every family; only such levels
+    go through ``generate_moqqaf`` and ``drop_right_endmarker``.
+    """
 
     schema: BasisSchema
     alphabet: tuple
-    ops: dict                      # symbol -> list[SparseOp]
+    ops: dict                      # symbol -> list[SparseOp], keys CENT/DOLLAR/chars
     lam0: SparseHermitian
     q0_indices: frozenset = frozenset()
     name: str = "qqaf"
@@ -327,63 +299,37 @@ class QqafLevel:
         except KeyError:
             raise UnknownSymbolError(f"level {self.name!r} has no operator for {symbol!r}") from None
 
+    def unitary(self, symbol: str) -> SparseOp:
+        """The single operator of a measure-once family."""
+        family = self.kraus(symbol)
+        if len(family) != 1:
+            raise QqaError(f"level {self.name!r} has {len(family)} operators for {symbol!r}; "
+                           "a measure-once step takes one")
+        return family[0]
+
 
 @dataclass
 class TwoWayQqafLevel:
     """Time-bounded two-way level on a surface-configuration space.
 
     The surface space for input x is inner_labels x positions [0, |x|+1] with
-    a circular tape (positions advance mod |x|+2).  Step operators may be
-    given either through a local transition table
-
-        delta(q, scanned_symbol, j) -> [(p, d, amplitude), ...]
-
-    or, for constructions whose moves depend on more context than the scanned
-    symbol, through a direct per-input builder returning sparse operators on
-    the surface space.  The first move is its own Kraus family.
+    a circular tape (positions advance mod |x|+2).  The moves are built per
+    input as sparse Kraus families on that space:
+    ``first_step_builder(x, schema)`` for the first move and
+    ``step_builder(x, schema)`` for each of the ``steps(x)`` moves after it.
     """
 
     inner_labels: tuple
     alphabet: tuple
-    xi_size: int
     steps: Callable[[str], int]
-    lam0_builder: Callable = None
-    first_step_builder: Callable = None
-    step_builder: Callable = None
-    delta: Callable = None
-    q0_builder: Callable = None
-    directions: frozenset = frozenset({-1, 0, +1})
+    lam0_builder: Callable[[str, BasisSchema], SparseHermitian]
+    first_step_builder: Callable[[str, BasisSchema], list]
+    step_builder: Callable[[str, BasisSchema], list]
     name: str = "2qqaf"
 
     def surface_schema(self, x: str) -> BasisSchema:
         positions = tuple(range(len(x) + 2))
         return BasisSchema([("inner", self.inner_labels), ("pos", positions)])
-
-    def build_step_kraus(self, x: str, schema: BasisSchema) -> list:
-        if self.step_builder is not None:
-            return self.step_builder(x, schema)
-        if self.delta is None:
-            raise QqaError("level defines neither step_builder nor delta")
-        n_pos = len(x) + 2
-        ops = []
-        for j in range(self.xi_size):
-            rules = []
-            for q in self.inner_labels:
-                for pos in range(n_pos):
-                    sym = CENT if pos == 0 else (DOLLAR if pos == n_pos - 1 else x[pos - 1])
-                    for (p, d, amp) in self.delta(q, sym, j):
-                        if d not in self.directions:
-                            raise QqaError(f"head move {d} outside direction set")
-                        row = schema.index((p, (pos + d) % n_pos))
-                        col = schema.index((q, pos))
-                        rules.append((row, col, amp))
-            ops.append(SparseOp.from_rules(schema.dim, rules))
-        return ops
-
-    def build_first_kraus(self, x: str, schema: BasisSchema) -> list:
-        if self.first_step_builder is None:
-            return [SparseOp.identity(schema.dim)]
-        return self.first_step_builder(x, schema)
 
 
 @dataclass
@@ -411,15 +357,14 @@ class SymbolDefect:
 @dataclass
 class ValidationReport:
     level_name: str
-    defects: list = field(default_factory=list)
-    lam0_min_eigenvalue: float = 0.0
-    tolerance: float = UNITARITY_TOL
+    defects: list
+    lam0_min_eigenvalue: float
 
     @property
     def passed(self) -> bool:
         return (
-            all(d.defect <= self.tolerance for d in self.defects)
-            and self.lam0_min_eigenvalue >= -self.tolerance
+            all(d.defect <= OPERATOR_DEFECT_TOL for d in self.defects)
+            and self.lam0_min_eigenvalue >= -OPERATOR_DEFECT_TOL
         )
 
     def worst(self) -> float:
@@ -427,44 +372,32 @@ class ValidationReport:
 
 
 def validate_level(level, x: str | None = None) -> ValidationReport:
-    """Report per-symbol completeness/unitarity defects; pass iff all tiny.
+    """Report per-family completeness defects and Lambda0's least eigenvalue.
 
-    For one-way levels the defect is ||U'U - I|| (single unitary) or a bound
-    on ||sum K'K - I|| (Kraus family).  Two-way levels are validated for a
-    specific input x since their operators are per-input; x defaults to the
-    empty string.
+    Each defect is ``gram_defect``: ||sum K'K - I|| exactly on the
+    column-orthogonal families every level here has, an upper bound
+    otherwise.  The least eigenvalue is the Gershgorin bound: exact on a
+    diagonal Lambda0, never above the true minimum otherwise.  Two-way levels
+    are validated for a specific input x since their operators are per-input;
+    x defaults to the empty string.
     """
-    report = ValidationReport(level_name=getattr(level, "name", "level"))
-
     if isinstance(level, TwoWayQqafLevel):
         x = x if x is not None else ""
         schema = level.surface_schema(x)
-        first = level.build_first_kraus(x, schema)
-        steps = level.build_step_kraus(x, schema)
-        report.defects.append(SymbolDefect(CENT, gram_defect(first)))
-        report.defects.append(SymbolDefect("step", gram_defect(steps)))
+        families = {CENT: level.first_step_builder(x, schema),
+                    "step": level.step_builder(x, schema)}
         lam0 = level.lam0_builder(x, schema)
     else:
-        for symbol in level.ops:
-            family = level.kraus(symbol)
-            if len(family) == 1 and family[0].dim <= dense_max():
-                u = family[0].to_dense()
-                defect = spectral_norm(u.conj().T @ u - np.eye(u.shape[0]))
-            else:
-                defect = gram_defect(family)
-            report.defects.append(SymbolDefect(symbol, float(defect)))
-        lam0 = level.lam0
-
-    if lam0.dim <= dense_max():
-        report.lam0_min_eigenvalue = float(np.linalg.eigvalsh(lam0.to_dense())[0])
-    else:
-        # Gershgorin fallback: exact for diagonal initial mixtures.
-        on = lam0.full_rows == lam0.full_cols
-        diag = np.zeros(lam0.dim)
-        diag[lam0.full_rows[on]] = lam0.full_vals[on].real
-        off = np.bincount(lam0.full_rows[~on], np.abs(lam0.full_vals[~on]), lam0.dim)
-        report.lam0_min_eigenvalue = float((diag - off).min())
-    return report
+        families, lam0 = level.ops, level.lam0
+    on = lam0.full_rows == lam0.full_cols
+    diag = np.zeros(lam0.dim)
+    diag[lam0.full_rows[on]] = lam0.full_vals[on].real
+    off = np.bincount(lam0.full_rows[~on], np.abs(lam0.full_vals[~on]), lam0.dim)
+    return ValidationReport(
+        level_name=level.name,
+        defects=[SymbolDefect(symbol, gram_defect(family)) for symbol, family in families.items()],
+        lam0_min_eigenvalue=float((diag - off).min()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -484,51 +417,52 @@ def _extended_symbols(level, x: str) -> list:
     return symbols
 
 
-def generate_moqqaf(level: MoqqafLevel, x: str) -> GeneratedHamiltonian:
-    """E = Pi0 . U_cent_x_dollar Lambda0 U^dag . Pi0 (right-to-left product)."""
+def _channel_output(lam0: SparseHermitian, families, schema: BasisSchema, dead=(),
+                    return_trace: bool = False):
+    """Pi0 . A(Lambda0) . Pi0, A applying the Kraus families in order and Pi0
+    removing the `dead` indices; with return_trace, also tr A(Lambda0)."""
+    h = SparseOp(lam0.dim, lam0.full_rows, lam0.full_cols, lam0.full_vals)
+    for family in families:
+        h = sparse_conjugate(family, h)
+    generated = GeneratedHamiltonian(_upper_triangle(h, dead), schema)
+    if return_trace:
+        return generated, float(h.vals[h.rows == h.cols].real.sum())
+    return generated
+
+
+def generate_moqqaf(level: QqafLevel, x: str) -> GeneratedHamiltonian:
+    """E = Pi0 . U_cent_x_dollar Lambda0 U^dag . Pi0 (right-to-left product)
+    for a measure-once level: the unitaries are multiplied first, then
+    Lambda0 is conjugated once."""
     _check_symbols(level, x)
     u = SparseOp.identity(level.dim)
     for symbol in _extended_symbols(level, x):
-        u = level.kraus(symbol)[0] @ u
-    e = sparse_conjugate([u], _full_storage(level.lam0))
-    return GeneratedHamiltonian(_upper_triangle(e, level.q0_indices), level.schema)
+        u = level.unitary(symbol) @ u
+    return _channel_output(level.lam0, [[u]], level.schema, level.q0_indices)
 
 
 def generate_qqaf(level: QqafLevel, x: str, *, return_trace: bool = False):
     """E = Pi0 . A_cent_x_dollar(Lambda0) . Pi0 with per-symbol Kraus sums."""
     _check_symbols(level, x)
-    h = _full_storage(level.lam0)
-    for symbol in _extended_symbols(level, x):
-        h = sparse_conjugate(level.kraus(symbol), h)
-    generated = GeneratedHamiltonian(_upper_triangle(h, level.q0_indices), level.schema)
-    if return_trace:
-        return generated, _trace(h)
-    return generated
+    families = [level.kraus(symbol) for symbol in _extended_symbols(level, x)]
+    return _channel_output(level.lam0, families, level.schema, level.q0_indices, return_trace)
 
 
 def generate_2qqaf(level: TwoWayQqafLevel, x: str, *, return_trace: bool = False):
-    """E = Pi0 . (A^(n,x))^t (Lambda~0) . Pi0 on the surface space of x."""
+    """E = (A^(n,x))^t (A_first(Lambda~0)) on the surface space of x, with
+    t = steps(x); no surface state is projected out."""
     _check_symbols(level, x)
     t = int(level.steps(x))
     if t < 0:
         raise QqaError("negative step count")
     schema = level.surface_schema(x)
-    first = level.build_first_kraus(x, schema)
-    steps = level.build_step_kraus(x, schema)
-    lam0 = level.lam0_builder(x, schema)
-
-    h = sparse_conjugate(first, _full_storage(lam0))
-    for _ in range(t):
-        h = sparse_conjugate(steps, h)
-    dead = level.q0_builder(x, schema) if level.q0_builder is not None else ()
-    generated = GeneratedHamiltonian(_upper_triangle(h, dead), schema)
-    if return_trace:
-        return generated, _trace(h)
-    return generated
+    families = [level.first_step_builder(x, schema)] + [level.step_builder(x, schema)] * t
+    return _channel_output(level.lam0_builder(x, schema), families, schema,
+                           return_trace=return_trace)
 
 
-def drop_right_endmarker(level: MoqqafLevel) -> MoqqafLevel:
-    """Fold the right endmarker into the other operators.
+def drop_right_endmarker(level: QqafLevel) -> QqafLevel:
+    """Fold the right endmarker into the other operators of a measure-once level.
 
     New operators:  U~_cent = U_dollar U_cent,  U~_sigma = U_dollar U_sigma
     U_dollar^dag.  The composed product over any extended input telescopes to
@@ -536,14 +470,14 @@ def drop_right_endmarker(level: MoqqafLevel) -> MoqqafLevel:
     """
     if not level.has_dollar:
         raise QqaError("level has no right-endmarker operator")
-    u_dollar = level.ops[DOLLAR]
+    u_dollar = level.unitary(DOLLAR)
     u_dollar_adj = u_dollar.adjoint()
-    new_ops = {CENT: u_dollar @ level.ops[CENT]}
-    for symbol, op in level.ops.items():
+    new_ops = {CENT: [u_dollar @ level.unitary(CENT)]}
+    for symbol in level.ops:
         if symbol in (CENT, DOLLAR):
             continue
-        new_ops[symbol] = (u_dollar @ op) @ u_dollar_adj
-    return MoqqafLevel(
+        new_ops[symbol] = [(u_dollar @ level.unitary(symbol)) @ u_dollar_adj]
+    return QqafLevel(
         schema=level.schema,
         alphabet=level.alphabet,
         ops=new_ops,

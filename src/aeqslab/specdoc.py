@@ -18,7 +18,7 @@ import numpy as np
 
 from .compilers import GarbageQfaSpec, MoQfaSpec
 from .linalg import SparseHermitian
-from .qqa import CENT, DOLLAR, BasisSchema, MoqqafLevel, SparseOp
+from .qqa import CENT, DOLLAR, BasisSchema, QqafLevel, SparseOp
 
 DOCUMENT_SCHEMA = 1
 
@@ -226,7 +226,7 @@ class MachineSpecDocument:
             for row_tup, col_tup, expr in _entries(entries, 3, "operator entries"):
                 rules.append((state_index(row_tup), state_index(col_tup),
                               evaluate_amplitude(expr)))
-            ops[_symbol_key(sym_raw)] = SparseOp.from_rules(schema.dim, rules)
+            ops[_symbol_key(sym_raw)] = [SparseOp.from_rules(schema.dim, rules)]
 
         mixture = _optional(raw, "initial_mixture", dict)
         diag = np.ones(schema.dim)
@@ -238,7 +238,7 @@ class MachineSpecDocument:
         lam0 = SparseHermitian.diagonal(diag)
 
         q0 = frozenset(state_index(tup) for tup in _optional(raw, "halting", list))
-        level = MoqqafLevel(
+        level = QqafLevel(
             schema=schema, alphabet=self.alphabet, ops=ops, lam0=lam0,
             q0_indices=q0, name=self.name,
         )

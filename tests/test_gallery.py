@@ -5,7 +5,8 @@ import pytest
 
 from aeqslab import gallery
 from aeqslab.aeqs import decide, ground_state, lowest_pairs
-from aeqslab.qqa import SparseOp, generate_2qqaf, validate_level
+from aeqslab.linalg import spectral_norm
+from aeqslab.qqa import SparseOp, generate_2qqaf, gram_defect, validate_level
 
 
 class TestOracles:
@@ -286,9 +287,9 @@ class TestPalMarkedEntry:
     def test_kraus_builders_match_reference_loops(self, x):
         level = gallery._pal_level(x)
         schema = level.surface_schema(x)
-        assert_same_triplets(level.build_first_kraus(x, schema),
+        assert_same_triplets(level.first_step_builder(x, schema),
                              reference_pal_first_step(x, schema))
-        assert_same_triplets(level.build_step_kraus(x, schema),
+        assert_same_triplets(level.step_builder(x, schema),
                              reference_pal_step(x, schema))
 
     @pytest.mark.parametrize("x", ["ab#ba", "ab#ab"])
@@ -360,6 +361,32 @@ class TestVerifyMachinery:
         report = gallery.verify(e, ["ab"])
         assert not report.passed
         assert report.expectation_failures
+
+
+SINGLETON_LEVEL_INPUTS = [
+    ("l_prefix_0", list(gallery.strings_up_to(("0", "1"), 5))),
+    ("l_prefix_1", list(gallery.strings_up_to(("0", "1"), 5))),
+    ("equal", list(gallery.strings_up_to(("a", "b"), 6))),
+    ("usubsum", gallery.usubsum_inputs(2, 2, 2, promised_only=False)),
+    ("multdup", gallery.multdup_inputs(1, 2)),
+]
+
+
+class TestSingletonDefects:
+    """validate_level reads each family's defect with gram_defect; on the
+    gallery's one-unitary families it equals the dense ||U'U - I||."""
+
+    @pytest.mark.parametrize("name,inputs", SINGLETON_LEVEL_INPUTS)
+    def test_gram_defect_equals_dense_norm(self, name, inputs):
+        entry = gallery.build(name)
+        # Keyed by identity: l_prefix and equal share one level per length.
+        levels = {id(level): level for x in inputs for level in entry.validation_levels(x)}
+        for level in levels.values():
+            for family in level.ops.values():
+                assert len(family) == 1
+                u = family[0].to_dense()
+                dense = spectral_norm(u.conj().T @ u - np.eye(u.shape[0]))
+                assert abs(gram_defect(family) - dense) <= 1e-15, (level.name, dense)
 
 
 class TestTrackDiagonals:

@@ -80,10 +80,6 @@ class TestHermitianEig:
         with pytest.raises(CapacityError):
             hermitian_eig(np.eye(5, dtype=complex))
 
-    def test_degenerate_cluster_flagged(self):
-        dec = hermitian_eig(np.diag([0.0, 0.0, 1.0]).astype(complex))
-        assert dec.degenerate_clusters == [[0, 1]]
-
 
 class TestSparseHermitian:
     def test_round_trip_matches_dense(self):

@@ -7,7 +7,6 @@ from aeqslab.qqa import (
     CENT,
     DOLLAR,
     BasisSchema,
-    MoqqafLevel,
     QqaError,
     QqafLevel,
     SparseOp,
@@ -197,20 +196,20 @@ def identity_level(dim=3, alphabet=("0", "1")):
     schema = flat_schema(dim)
     lam = np.ones(dim)
     lam[0] = 0.0
-    ops = {sym: SparseOp.identity(dim) for sym in (CENT, DOLLAR, *alphabet)}
-    return MoqqafLevel(schema=schema, alphabet=alphabet, ops=ops,
-                       lam0=SparseHermitian.diagonal(lam), name="identity")
+    ops = {sym: [SparseOp.identity(dim)] for sym in (CENT, DOLLAR, *alphabet)}
+    return QqafLevel(schema=schema, alphabet=alphabet, ops=ops,
+                     lam0=SparseHermitian.diagonal(lam), name="identity")
 
 
 def random_moqqaf_level(dim=4, alphabet=("0", "1"), rng=RNG, q0=frozenset()):
     schema = flat_schema(dim)
     lam = np.ones(dim)
     lam[0] = 0.0
-    ops = {sym: SparseOp.from_dense(random_unitary(dim, rng))
+    ops = {sym: [SparseOp.from_dense(random_unitary(dim, rng))]
            for sym in (CENT, DOLLAR, *alphabet)}
-    return MoqqafLevel(schema=schema, alphabet=alphabet, ops=ops,
-                       lam0=SparseHermitian.diagonal(lam), q0_indices=q0,
-                       name="random")
+    return QqafLevel(schema=schema, alphabet=alphabet, ops=ops,
+                     lam0=SparseHermitian.diagonal(lam), q0_indices=q0,
+                     name="random")
 
 
 class TestGenerateMoqqaf:
@@ -250,15 +249,11 @@ class TestGenerateMoqqaf:
 
 class TestGenerateQqaf:
     def test_singleton_kraus_matches_moqqaf(self):
-        moqqaf = random_moqqaf_level()
-        qqaf = QqafLevel(
-            schema=moqqaf.schema, alphabet=moqqaf.alphabet,
-            ops={sym: [op] for sym, op in moqqaf.ops.items()},
-            lam0=moqqaf.lam0, name="singleton",
-        )
+        # Multiply-then-conjugate and per-symbol conjugation agree.
+        level = random_moqqaf_level()
         for x in ["", "0", "01", "111"]:
-            a = generate_moqqaf(moqqaf, x).operator.to_dense()
-            b = generate_qqaf(qqaf, x).operator.to_dense()
+            a = generate_moqqaf(level, x).operator.to_dense()
+            b = generate_qqaf(level, x).operator.to_dense()
             assert np.allclose(a, b, atol=1e-12)
 
     def test_trace_preserved_before_projection(self):
@@ -294,40 +289,38 @@ class TestGenerateQqaf:
 
 
 class TestGenerate2qqaf:
-    def _delta_level(self, t_steps):
-        # One inner state; the single Kraus element moves the head right.
-        def delta(q, sym, j):
-            return [("s", +1, 1.0)]
+    def _shift_level(self, t_steps):
+        # One inner state, so surface index = head position; the first move
+        # is the identity and every later move shifts the head right.
+        def shift(x, schema):
+            n_pos = len(x) + 2
+            return [SparseOp.permutation(schema.dim, {p: (p + 1) % n_pos for p in range(n_pos)})]
 
         return TwoWayQqafLevel(
-            inner_labels=("s",), alphabet=("0", "1"), xi_size=1,
+            inner_labels=("s",), alphabet=("0", "1"),
             steps=lambda x: t_steps,
             lam0_builder=lambda x, schema: SparseHermitian.diagonal(
                 np.arange(schema.dim, dtype=float)
             ),
-            delta=delta,
-            q0_builder=lambda x, schema: frozenset({0}),
+            first_step_builder=lambda x, schema: [SparseOp.identity(schema.dim)],
+            step_builder=shift,
             name="mini2",
         )
 
     def test_zero_steps_identity_first_move(self):
-        level = self._delta_level(0)
+        level = self._shift_level(0)
         e = generate_2qqaf(level, "01")
-        lam = np.arange(4.0)
-        lam[0] = 0.0
-        expect = np.diag(lam)
-        expect[0, 0] = 0.0
-        assert np.allclose(e.operator.to_dense(), expect)
+        assert np.allclose(e.operator.to_dense(), np.diag(np.arange(4.0)))
 
     def test_surface_dimension(self):
-        level = self._delta_level(1)
+        level = self._shift_level(1)
         e = generate_2qqaf(level, "010")
         assert e.dim == 1 * (3 + 2)
 
     def test_head_is_circular(self):
         # After |x|+2 steps the head returns; the diagonal mixture is
         # permuted fully around the ring.
-        level = self._delta_level(5)   # |x| = 3 -> ring of 5
+        level = self._shift_level(5)   # |x| = 3 -> ring of 5
         e, trace = generate_2qqaf(level, "010", return_trace=True)
         assert trace == pytest.approx(sum(range(5)), abs=1e-9)
         vals = np.sort(np.linalg.eigvalsh(e.operator.to_dense()))
@@ -360,6 +353,28 @@ class TestDropRightEndmarker:
             drop_right_endmarker(stripped)
 
 
+def two_operator_level(symbol):
+    """identity_level with a complete two-projector family on `symbol`."""
+    level = identity_level()
+    level.ops[symbol] = [SparseOp.from_rules(3, [(0, 0, 1.0)]),
+                         SparseOp.from_rules(3, [(1, 1, 1.0), (2, 2, 1.0)])]
+    return level
+
+
+class TestMeasureOnceNeedsSingletons:
+    @pytest.mark.parametrize("symbol", [CENT, "0", DOLLAR])
+    def test_generate_moqqaf_rejects_two_operators(self, symbol):
+        level = two_operator_level(symbol)
+        generate_qqaf(level, "01")
+        with pytest.raises(QqaError, match="2 operators"):
+            generate_moqqaf(level, "01")
+
+    @pytest.mark.parametrize("symbol", [CENT, "1", DOLLAR])
+    def test_drop_right_endmarker_rejects_two_operators(self, symbol):
+        with pytest.raises(QqaError, match="2 operators"):
+            drop_right_endmarker(two_operator_level(symbol))
+
+
 class TestValidateLevel:
     def test_identity_level_zero_defects(self):
         report = validate_level(identity_level())
@@ -376,3 +391,54 @@ class TestValidateLevel:
         report = validate_level(level)
         assert not report.passed
         assert report.lam0_min_eigenvalue == pytest.approx(-0.5)
+
+
+def dense_defect(family):
+    """The oracle: ||sum K'K - I|| from dense matrices."""
+    dense = [k.to_dense() for k in family]
+    return spectral_norm(sum(k.conj().T @ k for k in dense) - np.eye(dense[0].shape[0]))
+
+
+def level_with_lam0(lam):
+    level = identity_level(dim=lam.shape[0])
+    level.lam0 = SparseHermitian.from_dense(lam)
+    return level
+
+
+class TestValidationRouteAgainstDense:
+    """validate_level's sparse bounds checked against the dense values."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_haar_unitary_defect_not_below_dense(self, seed, dim):
+        level = random_moqqaf_level(dim=dim, rng=np.random.default_rng(seed))
+        for family in level.ops.values():
+            assert gram_defect(family) >= dense_defect(family) - 1e-15
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_kraus_family_defect_bounds_dense(self, seed, dim, size):
+        # Random families are neither complete nor column-orthogonal, so the
+        # Gershgorin bound is strictly a bound here.
+        rng = np.random.default_rng(seed)
+        family = [SparseOp.from_dense(random_unitary(dim, rng) * rng.uniform(0.2, 1.0)
+                                      + 0.3 * rng.standard_normal((dim, dim)))
+                  for _ in range(size)]
+        assert gram_defect(family) >= dense_defect(family) - 1e-15
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 10))
+    @settings(max_examples=40, deadline=None)
+    def test_lam0_bound_not_above_dense_minimum(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a = np.where(rng.random((dim, dim)) < 0.4, a, 0.0)
+        lam = np.diag(rng.uniform(-0.5, 2.0, dim)) + 0.3 * (a + a.conj().T)
+        bound = validate_level(level_with_lam0(lam)).lam0_min_eigenvalue
+        assert bound <= np.linalg.eigvalsh(lam)[0]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10))
+    @settings(max_examples=40, deadline=None)
+    def test_lam0_bound_exact_on_diagonal_mixture(self, seed, dim):
+        lam = np.diag(np.random.default_rng(seed).uniform(-0.5, 2.0, dim)).astype(complex)
+        bound = validate_level(level_with_lam0(lam)).lam0_min_eigenvalue
+        assert bound == np.linalg.eigvalsh(lam)[0]
