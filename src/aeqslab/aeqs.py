@@ -266,9 +266,22 @@ class Verdict:
         }
 
 
-def overlap_accuracy(overlap: float) -> float:
-    """Accuracy 1 - sqrt(1 - c) for an overlap c = |projection| in [0, 1]."""
-    return 1.0 - math.sqrt(max(0.0, 1.0 - min(1.0, overlap)))
+def overlap_accuracy(overlap: float, mass_outside: float) -> float:
+    """Accuracy 1 - sqrt(1 - c) for an overlap c = |projection| in [0, 1].
+
+    1 - c is taken as (1 - c^2) / (1 + c), with 1 - c^2 the state's weight
+    off the span, so that no digits are lost next to c = 1.
+    """
+    return 1.0 - math.sqrt(min(1.0, mass_outside / (1.0 + overlap)))
+
+
+def _mass_outside(amps: np.ndarray, indices: np.ndarray) -> float:
+    """Weight off the span of the basis indices, summed over the other
+    entries rather than taken as 1 minus the weight on it, so that it keeps
+    its digits when it is small."""
+    outside = amps.copy()
+    outside[indices] = 0.0
+    return float(outside.sum())
 
 
 def decide(instance: AeqsInstance) -> Verdict:
@@ -281,16 +294,17 @@ def decide(instance: AeqsInstance) -> Verdict:
     threshold = instance.epsilon
     energy, psi, gap, unique = _lowest_two(instance.h_fin)
     amps = np.abs(psi) ** 2
-    acc = math.sqrt(float(sum(amps[i] for i in instance.s_acc))) if instance.s_acc else 0.0
-    rej = math.sqrt(float(sum(amps[i] for i in instance.s_rej))) if instance.s_rej else 0.0
+    acc_idx, rej_idx = (np.fromiter(s, dtype=np.int64, count=len(s))
+                        for s in (instance.s_acc, instance.s_rej))
+    acc, rej = math.sqrt(amps[acc_idx].sum()), math.sqrt(amps[rej_idx].sum())
 
     outcome = "indeterminate"
     accuracy = 0.0
     if unique and abs(acc - rej) > TIE_TOL:
-        if acc > rej and overlap_accuracy(acc) >= threshold:
-            outcome, accuracy = "accept", overlap_accuracy(acc)
-        elif rej > acc and overlap_accuracy(rej) >= threshold:
-            outcome, accuracy = "reject", overlap_accuracy(rej)
+        side, overlap, idx = ("accept", acc, acc_idx) if acc > rej else ("reject", rej, rej_idx)
+        achieved = overlap_accuracy(overlap, _mass_outside(amps, idx))
+        if achieved >= threshold:
+            outcome, accuracy = side, achieved
     return Verdict(
         outcome=outcome,
         ground_energy=float(energy),

@@ -175,9 +175,14 @@ class EvolutionTrace:
         )
 
 
-def _dense_pair(instance: AeqsInstance):
+def _evolved_dim(instance: AeqsInstance) -> int:
     if instance.dim > EVOLVE_DIM_MAX:
         raise CapacityError(f"evolution limited to dimension {EVOLVE_DIM_MAX}, got {instance.dim}")
+    return instance.dim
+
+
+def _dense_pair(instance: AeqsInstance):
+    _evolved_dim(instance)
     return as_dense(instance.h_ini), as_dense(instance.h_fin)
 
 
@@ -213,23 +218,36 @@ def trotter_error(instance: AeqsInstance, schedule: Schedule) -> float:
 def phase_shift_factors(instance: AeqsInstance, schedule: Schedule) -> _SplittingSteps:
     """The splitting steps in the full space, with H_ini = W diag(W H_ini W) W
     for W = W^(x)k; raises NotHadamardDiagonal when that does not hold."""
-    h_ini, h_fin = _dense_pair(instance)
-    dim = h_ini.shape[0]
+    dim = _evolved_dim(instance)
     k = dim.bit_length() - 1
     if 2**k != dim:
         raise NotHadamardDiagonal(f"dimension {dim} is not a power of two")
     w = hadamard_power(k)
-    conjugated = w @ h_ini @ w
-    off = conjugated - np.diag(np.diag(conjugated))
-    if spectral_norm(off) > OPERATOR_DEFECT_TOL:
-        raise NotHadamardDiagonal(
-            f"H_ini is not Hadamard-diagonal: off-diagonal norm {spectral_norm(off):.3e}"
-        )
-    ini_values = np.real(np.diag(conjugated))
-    # Freed before the eigensolve, which would otherwise raise the peak memory.
-    del conjugated, off
+    ini_values, off = _hadamard_diagonal(instance.h_ini, w)
+    if off > OPERATOR_DEFECT_TOL:
+        raise NotHadamardDiagonal(f"H_ini is not Hadamard-diagonal: off-diagonal norm {off:.3e}")
+    h_fin = as_dense(instance.h_fin)
     fin_values, fin_vectors = np.linalg.eigh((h_fin + h_fin.conj().T) / 2.0)
     return _SplittingSteps(ini_values, w, fin_values, fin_vectors, schedule)
+
+
+def _hadamard_diagonal(h_ini, w: np.ndarray) -> tuple:
+    """(diagonal of W H_ini W, spectral norm of the rest) for the symmetric
+    unitary W.
+
+    For H_ini = I - |g><g| that is I - |v><v| with v = W g, diagonal exactly
+    when v is a basis vector up to phase.  The rest, the off-diagonal part of
+    |v><v|, is read as the norm of its column m, |v_m| ||v - v_m e_m|| for
+    the largest entry v_m: never above its spectral norm, and equal to it to
+    first order in the weight off v_m.  Any other H_ini is conjugated densely.
+    """
+    if isinstance(h_ini, ProjectorComplement):
+        weights = np.abs(w @ h_ini.vector) ** 2
+        m = np.argmax(weights)
+        return 1.0 - weights, math.sqrt(weights[m] * np.delete(weights, m).sum())
+    conjugated = w @ as_dense(h_ini) @ w
+    diagonal = np.diag(conjugated)
+    return np.real(diagonal), spectral_norm(conjugated - np.diag(diagonal))
 
 
 def phase_shift_product(instance: AeqsInstance, schedule: Schedule) -> np.ndarray:

@@ -158,6 +158,15 @@ def coalesce(dim: int, rows, cols, vals):
     return keys // dim, keys % dim, merged
 
 
+def triplet_matvec(dim: int, rows, cols, vals, x: np.ndarray) -> np.ndarray:
+    """y = A x for the matrix A whose triplets are (rows, cols, vals)."""
+    terms = vals * x[cols]
+    y = np.empty(dim, dtype=complex)
+    y.real = np.bincount(rows, terms.real, dim)
+    y.imag = np.bincount(rows, terms.imag, dim)
+    return y
+
+
 class SparseHermitian:
     """Hermitian operator stored as upper-triangle triplets (row <= col).
 
@@ -207,11 +216,7 @@ class SparseHermitian:
         return cls(len(values), idx[keep], idx[keep], values[keep])
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        terms = self.full_vals * x[self.full_cols]
-        y = np.empty(self.dim, dtype=complex)
-        y.real = np.bincount(self.full_rows, terms.real, self.dim)
-        y.imag = np.bincount(self.full_rows, terms.imag, self.dim)
-        return y
+        return triplet_matvec(self.dim, self.full_rows, self.full_cols, self.full_vals, x)
 
     def to_dense(self) -> np.ndarray:
         if self.dim > dense_max():

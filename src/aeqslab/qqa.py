@@ -13,6 +13,12 @@ family per symbol; a measure-once level is the one-way level whose families
 each hold one unitary.  A time-bounded two-way level (``TwoWayQqafLevel``)
 builds its Kraus families per input on a surface-configuration space with a
 circular tape, through its ``first_step_builder`` and ``step_builder``.
+
+``generate_moqqaf`` is the general measure-once construction: it serves the
+machine documents of ``aeqslab compile`` and is the tests' oracle.  When
+Lambda0 = I - |e_m><e_m| and nothing halts, E is exactly I - |g><g| for
+g = U_cent_x_dollar e_m, and ``measure_once_ground`` returns g by carrying
+one state through the unitaries, with no operator product formed.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .linalg import (
     coalesce,
     dense_max,
     ilog,
+    triplet_matvec,
 )
 
 CENT = "cent"
@@ -439,6 +446,38 @@ def generate_moqqaf(level: QqafLevel, x: str) -> GeneratedHamiltonian:
     for symbol in _extended_symbols(level, x):
         u = level.unitary(symbol) @ u
     return _channel_output(level.lam0, [[u]], level.schema, level.q0_indices)
+
+
+def measure_once_ground(level: QqafLevel, x: str) -> np.ndarray:
+    """g = U_cent_x_dollar e_m for a measure-once level with
+    Lambda0 = I - |e_m><e_m| and no halting indices.
+
+    For such a level Pi0 removes nothing and U Lambda0 U^dag = I - |g><g|,
+    so ``generate_moqqaf(level, x)`` is exactly that rank-one complement:
+    e_m is carried through each symbol's unitary in turn and no operator
+    product is formed.  The families must be unitary, as ``validate_level``
+    checks.  Raises QqaError on a level of any other shape.
+    """
+    _check_symbols(level, x)
+    for symbol in level.ops:
+        level.unitary(symbol)      # raises unless the family holds one operator
+    if level.q0_indices:
+        raise QqaError(f"level {level.name!r} halts on {len(level.q0_indices)} indices")
+    lam0 = level.lam0
+    on = lam0.rows == lam0.cols
+    if np.any(lam0.vals[~on] != 0):
+        raise QqaError(f"level {level.name!r} has a non-diagonal Lambda0")
+    diag = np.zeros(level.dim)
+    diag[lam0.rows[on]] = lam0.vals[on].real
+    zeros = np.flatnonzero(diag == 0)
+    if len(zeros) != 1 or np.any(np.delete(diag, zeros) != 1):
+        raise QqaError(f"level {level.name!r}: Lambda0 is not I - |e_m><e_m|")
+    g = np.zeros(level.dim, dtype=complex)
+    g[zeros[0]] = 1.0
+    for symbol in _extended_symbols(level, x):
+        u = level.unitary(symbol)
+        g = triplet_matvec(level.dim, u.rows, u.cols, u.vals, g)
+    return g
 
 
 def generate_qqaf(level: QqafLevel, x: str, *, return_trace: bool = False):

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import itertools
 import math
 
@@ -30,6 +31,7 @@ from aeqslab.aeqs import (
 )
 from aeqslab import compilers, evolve, gallery
 from aeqslab.linalg import SPARSE_EIG_MIN_DIM, SparseHermitian, hermitian_eig, lowest_eigenpairs
+from aeqslab.qqa import generate_moqqaf
 
 RNG = np.random.default_rng(23)
 ALL_BITSTRINGS_4 = [""] + [
@@ -124,6 +126,22 @@ class TestDecide:
         inst = AeqsInstance(size_bits=1, epsilon=0.5, h_ini=np.diag([0.0, 1.0]).astype(complex),
                             h_fin=h, s_acc=frozenset({0}), s_rej=frozenset({1}))
         assert decide(inst).outcome == "indeterminate"
+
+    @pytest.mark.parametrize("weight_off", [1e-30, 1e-17, 1e-12, 1e-6, 0.25])
+    def test_accuracy_keeps_its_digits_next_to_one(self, weight_off):
+        # Ground state sqrt(1 - w) e_0 + sqrt(w) e_1 with S_acc = {0}: the
+        # accuracy 1 - sqrt(1 - c) for c = sqrt(1 - w), evaluated in 50
+        # digits from the state's stored weights, is the reference.
+        g = np.array([math.sqrt(1.0 - weight_off), math.sqrt(weight_off)], dtype=complex)
+        inst = AeqsInstance(size_bits=1, epsilon=0.5, h_ini=np.diag([0.0, 1.0]).astype(complex),
+                            h_fin=ProjectorComplement(g), s_acc=frozenset({0}),
+                            s_rej=frozenset({1}))
+        on, off = (decimal.Decimal(float(abs(a) ** 2)) for a in g)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            c = (on / (on + off)).sqrt()
+            want = float(1 - (1 - c).sqrt())
+        assert abs(decide(inst).accuracy - want) <= 2.3e-16
 
     def test_overlap_invariant(self):
         inst = gallery.build("equal").family.build("ab")
@@ -392,17 +410,33 @@ def sweep_inputs():
     return inputs
 
 
+# Entries whose H_fin is stored as I - |g><g| (qqa.measure_once_ground).
+MEASURE_ONCE_ENTRIES = ("l_prefix_0", "l_prefix_1", "equal")
+
+
+def moqqaf_route(entry, x, inst):
+    """inst with the H_fin that the general generate_moqqaf route builds
+    from the entry's level: the same operator, as a SparseHermitian."""
+    level = entry.validation_levels(x)[0]
+    return dataclasses.replace(inst, h_fin=generate_moqqaf(level, x).operator)
+
+
 class TestSparseDenseCrossover:
     """A SparseHermitian at or below SPARSE_EIG_MIN_DIM is solved densely;
-    Lanczos stays the route above it and the oracle below it."""
+    Lanczos stays the route above it and the oracle below it.  The
+    measure-once entries are decided through their generate_moqqaf
+    operators here; tests/test_gallery.py checks their stored I - |g><g|
+    against that route."""
 
     def test_sweep_verdicts_match_lanczos(self, monkeypatch):
-        families = {}
+        entries = {}
         checked = degenerate = 0
         for name, x in sweep_inputs():
-            if name not in families:
-                families[name] = gallery.build(name).family
-            inst = families[name].build(x)
+            if name not in entries:
+                entries[name] = gallery.build(name)
+            inst = entries[name].family.build(x)
+            if name in MEASURE_ONCE_ENTRIES:
+                inst = moqqaf_route(entries[name], x, inst)
             if not isinstance(inst.h_fin, SparseHermitian) or inst.dim > SPARSE_EIG_MIN_DIM:
                 continue
             dense = decide(inst)
@@ -410,12 +444,10 @@ class TestSparseDenseCrossover:
                 m.setattr(aeqs, "SPARSE_EIG_MIN_DIM", 0)
                 lanczos = decide(inst)
             assert (dense.outcome, dense.unique_ground) == (lanczos.outcome, lanczos.unique_ground)
-            for field in ("ground_energy", "spectral_gap", "acc_overlap", "rej_overlap"):
+            for field in ("ground_energy", "spectral_gap", "acc_overlap", "rej_overlap",
+                          "accuracy"):
                 a, b = getattr(dense, field), getattr(lanczos, field)
                 assert a == b or abs(a - b) <= 1e-12, (name, x, field)   # dim 1: gap inf
-            # accuracy = 1 - sqrt(1 - overlap) turns a 1e-16 overlap difference
-            # next to 1 into 1e-8; its square complement is the overlap itself.
-            assert abs((1 - dense.accuracy) ** 2 - (1 - lanczos.accuracy) ** 2) <= 1e-12, (name, x)
             checked += 1
             degenerate += not dense.unique_ground
         assert (checked, degenerate) == (2244, 47)
@@ -438,7 +470,7 @@ class TestSparseDenseCrossover:
 
     def test_dense_capacity_keeps_lanczos(self, monkeypatch):
         entry = gallery.build("l_prefix_0")
-        inst = entry.family.build("0110")
+        inst = moqqaf_route(entry, "0110", entry.family.build("0110"))
         assert isinstance(inst.h_fin, SparseHermitian) and inst.dim == 24
         monkeypatch.setenv("AEQS_DENSE_MAX", "4")
         calls = count_eigen_paths(monkeypatch)

@@ -204,6 +204,41 @@ class TestPhaseShift:
         with pytest.raises(NotHadamardDiagonal):
             phase_shift_product(inst, Schedule(1.0, 4))
 
+    @pytest.mark.parametrize("dim,distinguished", [(2, 1), (16, 5), (256, 0), (256, 201)])
+    def test_projector_check_matches_dense(self, dim, distinguished):
+        # H_ini = I - |g><g| is checked from W g alone; the dense conjugation
+        # W H_ini W is the oracle.
+        h_ini = ProjectorComplement(deflation_vector(dim, distinguished))
+        w = hadamard_power(dim.bit_length() - 1)
+        diagonal, off = evolve._hadamard_diagonal(h_ini, w)
+        want_diagonal, want_off = evolve._hadamard_diagonal(h_ini.to_dense(), w)
+        assert np.abs(diagonal - want_diagonal).max() <= 1e-15
+        assert diagonal[distinguished] <= 1e-15 and np.delete(diagonal, distinguished).min() == 1.0
+        assert max(off, want_off) <= 1e-14
+
+    @pytest.mark.parametrize("size", [1e-12, 1e-9, 1e-6, 1.0])
+    def test_projector_off_norm_is_the_dense_one(self, size):
+        # g = W (e_3 + size r) normalized: W H_ini W has an off-diagonal part
+        # of norm about size * |r|, which the first-order value reads; far
+        # from a basis vector it stays below the dense norm.
+        dim, rng = 16, np.random.default_rng(4)
+        w = hadamard_power(4)
+        v = np.zeros(dim, dtype=complex)
+        v[3] = 1.0
+        v += size * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        h_ini = ProjectorComplement(w @ (v / np.linalg.norm(v)))
+        _, off = evolve._hadamard_diagonal(h_ini, w)
+        _, want = evolve._hadamard_diagonal(h_ini.to_dense(), w)
+        if size < 1.0:
+            assert off == pytest.approx(want, rel=1e-5, abs=1e-15)
+        assert off <= want + 1e-15
+
+    def test_projector_not_hadamard_diagonal_rejected(self):
+        inst = projector_instance(np.arange(8.0), random_unitary(8))
+        inst.h_ini = ProjectorComplement(random_unitary(8)[:, 0])
+        with pytest.raises(NotHadamardDiagonal, match="off-diagonal norm"):
+            phase_shift_factors(inst, Schedule(1.0, 4))
+
 
 class TestEvolveTrace:
     def test_stationary_when_ini_equals_fin(self):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from aeqslab import gallery
-from aeqslab.aeqs import decide, ground_state, lowest_pairs
+from aeqslab.aeqs import ProjectorComplement, decide, ground_state, lowest_pairs
 from aeqslab.linalg import spectral_norm
-from aeqslab.qqa import SparseOp, generate_2qqaf, gram_defect, validate_level
+from aeqslab.qqa import SparseOp, generate_2qqaf, generate_moqqaf, gram_defect, validate_level
 
 
 class TestOracles:
@@ -97,6 +97,28 @@ class TestEqualEntry:
         for x in ["", "ab", "aabb"]:
             for level in e.validation_levels(x):
                 assert validate_level(level).passed
+
+
+class TestMeasureOnceRoute:
+    """The prefix and equal entries store H_fin as I - |g><g| with g from
+    qqa.measure_once_ground; generate_moqqaf on the same level, the paper's
+    general construction, is the oracle."""
+
+    @pytest.mark.parametrize("name", ["l_prefix_0", "l_prefix_1", "equal"])
+    def test_matches_generate_moqqaf_route(self, name):
+        entry = gallery.build(name)
+        for x in gallery.strings_up_to(entry.family.alphabet, 8):
+            inst = entry.family.build(x)
+            assert isinstance(inst.h_fin, ProjectorComplement)
+            oracle = generate_moqqaf(entry.validation_levels(x)[0], x).operator
+            assert np.abs(inst.h_fin.to_dense() - oracle.to_dense()).max() <= 1e-12, x
+            got, want = decide(inst), decide(dataclasses.replace(inst, h_fin=oracle))
+            assert (got.outcome, got.unique_ground) == (want.outcome, want.unique_ground), x
+            for field in ("ground_energy", "spectral_gap", "accuracy", "acc_overlap",
+                          "rej_overlap"):
+                assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, (x, field)
+            # The closed form makes the analyzed values exact.
+            assert got.ground_energy == 0.0 and got.spectral_gap == 1.0
 
 
 class TestSymCoinEntry:

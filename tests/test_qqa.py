@@ -18,6 +18,7 @@ from aeqslab.qqa import (
     generate_moqqaf,
     generate_qqaf,
     gram_defect,
+    measure_once_ground,
     sparse_conjugate,
     validate_level,
 )
@@ -373,6 +374,49 @@ class TestMeasureOnceNeedsSingletons:
     def test_drop_right_endmarker_rejects_two_operators(self, symbol):
         with pytest.raises(QqaError, match="2 operators"):
             drop_right_endmarker(two_operator_level(symbol))
+
+
+class TestMeasureOnceGround:
+    """measure_once_ground gives g with generate_moqqaf(level, x) = I - |g><g|,
+    and refuses every level for which that would not hold."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_complement_matches_generate_moqqaf(self, seed):
+        level = random_moqqaf_level(dim=5, rng=np.random.default_rng(seed))
+        for x in ["", "0", "10", "0110", "11010"]:
+            g = measure_once_ground(level, x)
+            complement = np.eye(5) - np.outer(g, g.conj())
+            assert np.abs(complement - generate_moqqaf(level, x).operator.to_dense()).max() <= 1e-12
+
+    def test_lam0_zero_need_not_be_first(self):
+        level = identity_level()
+        level.lam0 = SparseHermitian.diagonal([1.0, 1.0, 0.0])
+        assert np.array_equal(measure_once_ground(level, "01"), [0, 0, 1])
+
+    @pytest.mark.parametrize("lam,match", [
+        (np.diag([0.0, 0.0, 1.0]), "not I - "),
+        (np.diag([0.0, 0.5, 1.0]), "not I - "),
+        (np.diag([1.0, 1.0, 1.0]), "not I - "),
+        (np.array([[0, 0, 0], [0, 1, 0.1], [0, 0.1, 1]]), "non-diagonal"),
+    ])
+    def test_rejects_other_lam0(self, lam, match):
+        with pytest.raises(QqaError, match=match):
+            measure_once_ground(level_with_lam0(lam), "01")
+
+    def test_rejects_halting_indices(self):
+        level = random_moqqaf_level(q0=frozenset({1}))
+        with pytest.raises(QqaError, match="halts on 1 indices"):
+            measure_once_ground(level, "01")
+
+    @pytest.mark.parametrize("symbol", [CENT, "1", DOLLAR])
+    def test_rejects_two_operators(self, symbol):
+        # "1" is not read by the input: every family must be a single unitary.
+        with pytest.raises(QqaError, match="2 operators"):
+            measure_once_ground(two_operator_level(symbol), "00")
+
+    def test_unknown_symbol(self):
+        with pytest.raises(UnknownSymbolError):
+            measure_once_ground(identity_level(), "2")
 
 
 class TestValidateLevel:
