@@ -32,9 +32,13 @@ check fails, so the reduction cannot silently change a result.  The
 phase-shift method runs in the full space.  Each step acts on k
 coefficients.  For k <= PAIRWISE_DIM_MAX the steps are built STEP_CHUNK at a
 time as k x k matrices and multiplied down pairwise (a tree-ordered
-product), which holds STEP_CHUNK * k^2 complex numbers per array in memory
-whatever R is; for larger k, where a k^3 product costs more than a k^2
-step, they are applied to the state one by one.  The instance is still
+product) in one buffer of 2 * STEP_CHUNK * k^2 complex numbers, allocated
+once per stretch of steps between records whatever R is; for larger k,
+where a k^3 product costs more than a k^2 step, they are applied to the
+state one by one.  The splitting phases are linear in j, so each chunk
+takes them by angle addition from two k-vectors of exp and two ratio
+tables built once per run, as long as the longest chunk (at most
+STEP_CHUNK columns).  The instance is still
 densified, so EVOLVE_DIM_MAX still applies.  A run whose step phases can
 exceed STEP_PHASE_MAX radians raises EvolveError, since rounding leaves such
 phases no significant digit.  Final and recorded overlaps are weights on the
@@ -265,6 +269,12 @@ class _SplittingSteps:
     subspace invariant under both Hamiltonians, or in the full space when
     ``q`` is None.  With M mapping the H_fin eigenbasis to the H_ini one,
     V(j) = D_ini(j) M D_fin(j) M^dagger.
+
+    The phases are linear in j, so the steps of a chunk from j0 on take them
+    by angle addition: D_ini(j0 + n) = D_ini(j0) exp(2i n gamma lambda_ini)
+    and D_fin(j0 + n) = D_fin(j0) exp(-2i n gamma lambda_fin).  The two
+    ratio tables, one column per n, are built once, as long as the longest
+    chunk asked for so far; each chunk then evaluates two k-vectors of exp.
     """
 
     def __init__(self, ini_values, ini_vectors, fin_values, fin_vectors,
@@ -273,26 +283,39 @@ class _SplittingSteps:
         self.basis = ini_vectors if q is None else q @ ini_vectors
         self.m = ini_vectors.conj().T @ fin_vectors
         self.schedule = schedule
+        self._ratio_ini = self._ratio_fin = np.ones((len(ini_values), 0), dtype=complex)
 
-    def _tables(self, j0: int, j1: int):
-        """D_ini(j) and D_fin(j) for j0 <= j < j1, one row per step."""
-        js = np.arange(j0, j1)
+    def _phases(self, j0: int, j1: int):
+        """(D_ini(j0), D_fin(j0), ratio_ini, ratio_fin), the ratio tables
+        with one column per step j0 <= j < j1."""
+        n = j1 - j0
         r, gamma = self.schedule.r_steps, self.schedule.gamma
-        return (np.exp(-1j * np.outer((2 * r - 2 * js - 1) * gamma, self.ini_values)),
-                np.exp(-1j * np.outer((2 * js + 1) * gamma, self.fin_values)))
+        if self._ratio_ini.shape[1] < n:
+            angles = 2 * gamma * np.arange(n)
+            self._ratio_ini = _unit_phases(self.ini_values, angles)
+            self._ratio_fin = _unit_phases(-self.fin_values, angles)
+        return (np.exp(-1j * ((2 * r - 2 * j0 - 1) * gamma * self.ini_values)),
+                np.exp(-1j * ((2 * j0 + 1) * gamma * self.fin_values)),
+                self._ratio_ini[:, :n], self._ratio_fin[:, :n])
 
-    def matrices(self, j0: int, j1: int) -> np.ndarray:
-        p_ini, p_fin = self._tables(j0, j1)
-        k = len(self.ini_values)
-        # V(j)[i, l] = D_ini(j)[i] sum_p coupling[i, l, p] D_fin(j)[p]
-        coupling = self.m[:, None, :] * self.m.conj()[None, :, :]
-        v = (coupling.reshape(k * k, k) @ p_fin.T).reshape(k, k, -1)
-        v *= p_ini.T[:, None, :]   # in place: one STEP_CHUNK * k^2 array fewer at peak
+    def matrices(self, j0: int, j1: int, out: np.ndarray) -> np.ndarray:
+        """Steps j0 .. j1-1 as a k x k x (j1 - j0) stack, computed in
+        ``out``, a k^2 x (j1 - j0) array."""
+        d_ini, d_fin, ratio_ini, ratio_fin = self._phases(j0, j1)
+        k = len(d_ini)
+        # V(j0 + n)[i, l] = ratio_ini[i, n] sum_p coupling[i, l, p] ratio_fin[p, n],
+        # with D_ini(j0) and D_fin(j0) folded into the k^3 coupling.
+        left = d_ini[:, None] * self.m * d_fin
+        coupling = left[:, None, :] * self.m.conj()[None, :, :]
+        np.matmul(coupling.reshape(k * k, k), ratio_fin, out=out)
+        v = out.reshape(k, k, -1)
+        v *= ratio_ini[:, None, :]
         return v
 
     def apply(self, j0: int, j1: int, c: np.ndarray) -> np.ndarray:
-        p_ini, p_fin = self._tables(j0, j1)
-        for a, b in zip(p_ini[..., None], p_fin[..., None]):
+        d_ini, d_fin, ratio_ini, ratio_fin = self._phases(j0, j1)
+        p_ini, p_fin = d_ini[:, None] * ratio_ini, d_fin[:, None] * ratio_fin
+        for a, b in zip(p_ini.T[..., None], p_fin.T[..., None]):
             # (c^dagger M)^dagger is M^dagger c without copying M^dagger.
             c = a * (self.m @ (b * (c.conj().T @ self.m).conj().T))
         return c
@@ -302,6 +325,13 @@ class _SplittingSteps:
         if r_steps != self.schedule.r_steps:
             raise EvolveError(f"steps built for R = {self.schedule.r_steps}, got {r_steps}")
         return self.basis @ self.apply(j, j + 1, self.basis.conj().T)
+
+
+def _unit_phases(values: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """exp(i values[:, None] angles[None, :]), built in its own storage."""
+    table = np.zeros((len(values), len(angles)), dtype=complex)
+    np.multiply.outer(values, angles, out=table.imag)
+    return np.exp(table, out=table)
 
 
 class _MidpointSteps:
@@ -319,9 +349,11 @@ class _MidpointSteps:
         values, vectors = np.linalg.eigh(_interp(self.ini[None], self.fin[None], s[:, None, None]))
         return vectors, np.exp(-1j * (sch.t_total / sch.r_steps / sch.hbar) * values)
 
-    def matrices(self, j0: int, j1: int) -> np.ndarray:
+    def matrices(self, j0: int, j1: int, out: np.ndarray) -> np.ndarray:
         vectors, phases = self._eig(j0, j1)
-        return np.einsum("nim,nm,nlm->iln", vectors, phases, vectors.conj())
+        k = vectors.shape[1]
+        return np.einsum("nim,nm,nlm->iln", vectors, phases, vectors.conj(),
+                         out=out.reshape(k, k, -1))
 
     def apply(self, j0: int, j1: int, c: np.ndarray) -> np.ndarray:
         for j in range(j0, j1):
@@ -330,39 +362,57 @@ class _MidpointSteps:
         return c
 
 
-def _batched_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[:, :, n] @ b[:, :, n] for every n.  The batch is the last axis, so
-    each term is one vectorized operation over all n; for k x k matrices with
-    small k this is several times faster than a stacked matmul."""
-    out = a[:, 0, None, :] * b[None, 0, :, :]
+def _batched_product(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                     term: np.ndarray) -> np.ndarray:
+    """a[:, :, n] @ b[:, :, n] for every n, into ``out``; each term of the
+    sum is computed in ``term``, of the same shape.  The batch is the last
+    axis, so each term is one vectorized operation over all n; for k x k
+    matrices with small k this is several times faster than a stacked
+    matmul."""
+    np.multiply(a[:, 0, None, :], b[None, 0, :, :], out=out)
     for m in range(1, a.shape[1]):
-        out += a[:, m, None, :] * b[None, m, :, :]
+        out += np.multiply(a[:, m, None, :], b[None, m, :, :], out=term)
     return out
 
 
-def _ordered_product(steps: np.ndarray) -> np.ndarray:
-    """steps[:, :, n-1] @ ... @ steps[:, :, 0], multiplied down pairwise;
-    ``steps`` is overwritten."""
+def _ordered_product(steps: np.ndarray, halves: np.ndarray) -> np.ndarray:
+    """steps[:, :, n-1] @ ... @ steps[:, :, 0], multiplied down pairwise.
+
+    ``steps`` lies in ``halves[0]``, and each level of the tree writes its
+    products and their terms into the other half, so no level allocates.
+    Both halves are overwritten.
+    """
+    k = steps.shape[0]
+    target = 1
     while steps.shape[-1] > 1:
         n = steps.shape[-1]
         if n % 2:
             steps[..., n - 2] = steps[..., n - 1] @ steps[..., n - 2]
-            steps = steps[..., :-1]
-        steps = _batched_product(steps[..., 1::2], steps[..., 0::2])
-    return steps[..., 0]
+        h = n // 2
+        half = halves[target].reshape(k, k, -1)
+        steps = _batched_product(steps[..., 1:2 * h:2], steps[..., 0:2 * h:2],
+                                 half[..., :h], half[..., h:2 * h])
+        target = 1 - target
+    # Copied out of the buffer: a matmul with a strided operand can take
+    # another summation route and round differently.
+    return np.ascontiguousarray(steps[..., 0])
 
 
 def _advance(steps, c: np.ndarray, j0: int, j1: int) -> np.ndarray:
     """Apply steps j0 .. j1-1 to the coefficient block c, STEP_CHUNK at a time.
 
-    ``steps.matrices(a, b)`` gives steps a .. b-1 stacked on the last axis,
-    multiplied down pairwise when c has at most PAIRWISE_DIM_MAX rows;
+    When c has at most PAIRWISE_DIM_MAX rows, ``steps.matrices(a, b, out)``
+    computes steps a .. b-1 in the first half of a buffer allocated once for
+    the call, and they are multiplied down pairwise between its two halves;
     otherwise ``steps.apply(a, b, c)`` applies them to c one after another.
     """
     pairwise = len(c) <= PAIRWISE_DIM_MAX
+    if pairwise:
+        halves = np.empty((2, len(c) ** 2, min(STEP_CHUNK, j1 - j0)), dtype=complex)
     for a in range(j0, j1, STEP_CHUNK):
         b = min(a + STEP_CHUNK, j1)
-        c = _ordered_product(steps.matrices(a, b)) @ c if pairwise else steps.apply(a, b, c)
+        c = (_ordered_product(steps.matrices(a, b, halves[0, :, :b - a]), halves) @ c
+             if pairwise else steps.apply(a, b, c))
     return c
 
 

@@ -334,6 +334,75 @@ class TestEvolveTrace:
         assert abs(trace.records[-1].norm - 1.0) <= 1e-9
 
 
+def direct_tables(steps, j0, j1):
+    """D_ini(j) and D_fin(j) for j0 <= j < j1 by direct exp, one column per step."""
+    js = np.arange(j0, j1)
+    r, gamma = steps.schedule.r_steps, steps.schedule.gamma
+    return (np.exp(-1j * np.outer(steps.ini_values, (2 * r - 2 * js - 1) * gamma)),
+            np.exp(-1j * np.outer(steps.fin_values, (2 * js + 1) * gamma)))
+
+
+def table_error(steps, chunks):
+    """Largest distance of the angle-addition phases from direct exp over
+    the chunks [j0, j1)."""
+    worst = 0.0
+    for j0, j1 in chunks:
+        d_ini, d_fin, ratio_ini, ratio_fin = steps._phases(j0, j1)
+        want_ini, want_fin = direct_tables(steps, j0, j1)
+        worst = max(worst, np.abs(d_ini[:, None] * ratio_ini - want_ini).max(),
+                    np.abs(d_fin[:, None] * ratio_fin - want_fin).max())
+    return worst
+
+
+def chunks(j1, size):
+    return [(a, min(a + size, j1)) for a in range(0, j1, size)]
+
+
+class TestAngleAdditionTables:
+    @pytest.mark.parametrize("t", [128.0, 80.0])
+    def test_search_schedules(self, t):
+        # The pinned search's largest refinement (R = 2^21, whole chunks)
+        # and T = 80 (R = 512,000, whose last chunk has 20,480 steps).
+        inst = gallery.build("l_prefix_0").family.build("0")
+        r = default_r_policy(t)
+        steps, _, _ = evolve._evolution(inst, Schedule(t, r), "trotter")
+        assert table_error(steps, chunks(r, evolve.STEP_CHUNK)) <= 1e-15
+
+    @pytest.mark.parametrize("method", ["trotter", "phase"])
+    def test_trace_schedule(self, method):
+        # Dim-256 equal at T = 8, R = 256 with a record every 16 steps: 16
+        # chunks of 16 steps, on k = 2 (trotter) and k = 256 (phase).
+        inst = gallery.build("equal").family.build("abbabaab")
+        steps, _, _ = evolve._evolution(inst, Schedule(8.0, 256), method)
+        assert table_error(steps, chunks(256, 16)) <= 1e-15
+
+    def test_near_step_phase_max(self):
+        # Both routes round an argument near the step phase, so they differ
+        # by a few ulps of it.
+        inst = gallery.build("l_prefix_0").family.build("0")
+        norm_bound = max(np.abs(h).sum(axis=1).max() for h in evolve._dense_pair(inst))
+        r, step_phase = 2**16, 0.9 * STEP_PHASE_MAX
+        steps, _, _ = evolve._evolution(inst, Schedule(step_phase * r / norm_bound, r), "trotter")
+        error = table_error(steps, chunks(r, evolve.STEP_CHUNK))
+        assert error <= 2 * np.finfo(float).eps * step_phase
+
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_ratio_tables_grow_mid_run(self, dim, monkeypatch):
+        # Dim 4 multiplies the steps pairwise, dim 8 applies them one by one;
+        # the tables grow from 10 columns to one chunk of 64.
+        monkeypatch.setattr(evolve, "STEP_CHUNK", 64)
+        inst = hadamard_diag_instance(dim, rng=np.random.default_rng(23))
+        sch = Schedule(5.0, 203)
+        for method, product in (("trotter", trotter_product), ("phase", phase_shift_product)):
+            steps, c, _ = evolve._evolution(inst, sch, method)
+            c = evolve._advance(steps, c, 0, 10)
+            assert steps._ratio_ini.shape[1] == 10
+            c = evolve._advance(steps, c, 10, 203)
+            assert steps._ratio_ini.shape[1] == 64
+            want = product(inst, sch) @ start_state(inst)
+            assert np.abs(steps.basis @ c[:, 0] - want).max() <= 1e-10, method
+
+
 class TestFindSufficientT:
     def test_trivial_when_stationary(self):
         h = random_hermitian(3)
