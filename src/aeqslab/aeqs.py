@@ -8,13 +8,14 @@ through the reparameterized accuracy 1 - sqrt(1 - overlap), determines
 accept/reject; everything else, including a degenerate ground space, is an
 explicit "indeterminate" outcome rather than an error.
 
-Along the interpolation H(s) = (1 - s) H_ini + s H_fin, the gap scan and the
-time bound's ||H_fin - H_ini|| are read off a BlockSplit when H_ini is a
-ProjectorComplement (every gallery and compiler instance): the dynamical
-subspace Q of the start state (``dynamical_basis``) and its complement split
-H(s) into a k x k block and lines from one eigensolve of H_fin on Q^perp.
-Any other H_ini takes a dense eigensolve of H(s) at every grid point
-(``_scan_gap``), which also stays the tests' independent oracle.
+Along the interpolation H(s) = (1 - s) H_ini + s H_fin, the gap scan, the
+time bound's ||H_fin - H_ini|| and the evolution's trace records are read
+off one BlockSplit of H(s) (``_block_split``).  When H_ini is a
+ProjectorComplement (every gallery and compiler instance), the dynamical
+subspace Q of its ground state (``dynamical_basis``) and its complement
+split H(s) into a k x k block and lines from one eigensolve of H_fin on
+Q^perp.  For any other H_ini, Q is the whole space: the block is H(s)
+itself, with no lines.
 """
 
 from __future__ import annotations
@@ -384,16 +385,18 @@ def _grid(grid: int) -> np.ndarray:
 
 
 class BlockSplit:
-    """H(s) = (1 - s) H_ini + s H_fin split on Q (+) Q^perp, for
-    H_ini = I - |g><g| and Q = dynamical_basis(H_ini, H_fin, g).
+    """H(s) = (1 - s) H_ini + s H_fin split on Q (+) Q^perp, where either
+    H_ini = I - |g><g| and Q = dynamical_basis(H_ini, H_fin, g), or Q is the
+    whole space (the identity) and H_ini is any Hamiltonian.
 
-    Q contains g and is invariant under both Hamiltonians, so H(s) is
-    block-diagonal.  On Q it is the k x k compression (1 - s) A + s B; on
-    Q^perp, where H_ini is the identity, it is (1 - s) I + s H_fin|Q^perp.
-    The spectrum of H(s) is thus the k x k block's eigenvalues together with
-    the lines (1 - s) + s mu_i, where mu ascending are the eigenvalues of
-    H_fin on Q^perp, found by one eigensolve for every s.  With ``vectors``,
-    the eigenvectors of the lines that can lie within DEGENERACY_TOL of the
+    Q is invariant under both Hamiltonians, so H(s) is block-diagonal.  On Q
+    it is the k x k compression (1 - s) A + s B; on Q^perp, where H_ini is
+    the identity, it is (1 - s) I + s H_fin|Q^perp.  The spectrum of H(s) is
+    thus the k x k block's eigenvalues together with the lines
+    (1 - s) + s mu_i, where mu ascending are the eigenvalues of H_fin on
+    Q^perp, found by one eigensolve for every s; when Q is the whole space
+    there are no lines and no such eigensolve.  With ``vectors``, the
+    eigenvectors of the lines that can lie within DEGENERACY_TOL of the
     ground energy at some s are kept, and no others.
     """
 
@@ -401,16 +404,19 @@ class BlockSplit:
                  vectors: bool = False):
         self.q = q
         self.ini, self.fin = _compress(h_ini, q), _compress(h_fin, q)
+        k, n_perp = q.shape[1], len(q) - q.shape[1]
+        self.mu, self.lines = np.empty(0), np.empty((len(q), 0), dtype=complex)
+        if not n_perp:
+            return
         # H_fin on Q^perp is P H_fin P for P = I - Q Q^dagger.  Adding
         # shift Q Q^dagger, with shift above ||H_fin||, puts the k directions
         # of Q above every mu, and no basis of Q^perp is needed; the
         # corrections are made in place, one dim x dim product at a time.
-        k, hq = q.shape[1], h_fin @ q
+        hq = h_fin @ q
         shift = np.abs(h_fin).sum(axis=1).max() + 1.0
         m = h_fin - q @ hq.conj().T
         m -= hq @ q.conj().T
         m += q @ ((self.fin + shift * np.eye(k)) @ q.conj().T)
-        n_perp = len(m) - k
         if not vectors:
             self.mu = np.linalg.eigvalsh(m)[:n_perp]
             return
@@ -420,18 +426,18 @@ class BlockSplit:
         # h = <g|H_fin|g> (g is the first column of Q).  A line within tol of
         # it at some s in [0, 1] thus has mu_i <= h + tol and
         # mu_i - mu_0 <= tol (1 + h - mu_0); the last tol is rounding slack.
-        n = 0
-        if n_perp:
-            h, mu0, tol = self.fin[0, 0].real, self.mu[0], DEGENERACY_TOL
-            top = min(h + tol, mu0 + tol * (1.0 + h - mu0)) + tol
-            n = int(np.searchsorted(self.mu, top, side="right"))
-        self.lines = w[:, :n].copy()
+        h, mu0, tol = self.fin[0, 0].real, self.mu[0], DEGENERACY_TOL
+        top = min(h + tol, mu0 + tol * (1.0 + h - mu0)) + tol
+        self.lines = w[:, :int(np.searchsorted(self.mu, top, side="right"))].copy()
 
     def min_gap(self, grid: int) -> float:
-        """Smallest gap of H(s) over the gap scan's grid."""
-        s = _grid(grid)[:, None]
-        values = np.linalg.eigvalsh((1.0 - s[..., None]) * self.ini + s[..., None] * self.fin)
-        both = np.sort(np.concatenate([values, (1.0 - s) + s * self.mu[:2]], axis=1), axis=1)
+        """Smallest gap of H(s) over the gap scan's grid.  The block takes
+        one k x k eigvalsh per grid point, so a whole-space Q holds one
+        dim x dim H(s) at a time, not a stack of them."""
+        s = _grid(grid)
+        block = np.array([np.linalg.eigvalsh((1.0 - t) * self.ini + t * self.fin)[:2] for t in s])
+        lines = (1.0 - s[:, None]) + s[:, None] * self.mu[:2]
+        both = np.sort(np.concatenate([block, lines], axis=1), axis=1)
         return float(np.min(both[:, 1] - both[:, 0])) if both.shape[1] > 1 else math.inf
 
     def diff_norm(self) -> float:
@@ -452,30 +458,21 @@ class BlockSplit:
         return float(energy), float(np.sum(np.abs(block) ** 2) + np.sum(np.abs(perp) ** 2))
 
 
-def _block_split(instance: AeqsInstance, h_ini: np.ndarray, h_fin: np.ndarray):
-    """The BlockSplit of H(s) when H_ini is a ProjectorComplement, else None."""
-    if not isinstance(instance.h_ini, ProjectorComplement):
-        return None
-    return BlockSplit(h_ini, h_fin, dynamical_basis(h_ini, h_fin, instance.h_ini.vector))
+def _block_split(instance: AeqsInstance, h_ini: np.ndarray, h_fin: np.ndarray,
+                 vectors: bool = False) -> BlockSplit:
+    """The BlockSplit of H(s): on the dynamical subspace of g when H_ini is
+    the ProjectorComplement I - |g><g|, else on the whole space."""
+    if isinstance(instance.h_ini, ProjectorComplement):
+        q = dynamical_basis(h_ini, h_fin, instance.h_ini.vector)
+    else:
+        q = np.eye(len(h_ini), dtype=complex)
+    return BlockSplit(h_ini, h_fin, q, vectors)
 
 
 def minimum_interpolation_gap(instance: AeqsInstance, grid: int = GAP_SCAN_GRID) -> float:
-    """Smallest spectral gap of H(s) over a uniform grid of s values.
-
-    Read off the BlockSplit when H_ini is a ProjectorComplement; any other
-    H_ini takes a dense eigensolve of H(s) at every grid point.
-    """
-    h_ini, h_fin = as_dense(instance.h_ini), as_dense(instance.h_fin)
-    split = _block_split(instance, h_ini, h_fin)
-    return split.min_gap(grid) if split else _scan_gap(h_ini, h_fin, grid)
-
-
-def _scan_gap(h_ini: np.ndarray, h_fin: np.ndarray, grid: int) -> float:
-    gaps = []
-    for s in _grid(grid):
-        vals = np.linalg.eigvalsh((1.0 - s) * h_ini + s * h_fin)
-        gaps.append(float(vals[1] - vals[0]) if len(vals) > 1 else math.inf)
-    return min(gaps)
+    """Smallest spectral gap of H(s) over a uniform grid of s values, read
+    off the BlockSplit of H(s)."""
+    return _block_split(instance, as_dense(instance.h_ini), as_dense(instance.h_fin)).min_gap(grid)
 
 
 def adiabatic_time_bound(instance: AeqsInstance, epsilon: float, delta: float,
@@ -485,18 +482,16 @@ def adiabatic_time_bound(instance: AeqsInstance, epsilon: float, delta: float,
         C * ||H_fin - H_ini||^(1+delta) / (epsilon^delta * g^(2+delta))
 
     with g the minimum interpolated spectral gap over a uniform grid, both
-    read off the BlockSplit when H_ini is a ProjectorComplement.  A
-    (near-)degenerate interpolated ground space yields an unbounded-time
-    signal, returned as +inf.
+    read off the BlockSplit of H(s).  A (near-)degenerate interpolated ground
+    space yields an unbounded-time signal, returned as +inf.
     """
     if not all(math.isfinite(v) and v > 0 for v in (epsilon, delta)):
         raise AeqsError("epsilon and delta must be finite and positive")
-    h_ini, h_fin = as_dense(instance.h_ini), as_dense(instance.h_fin)
-    split = _block_split(instance, h_ini, h_fin)
-    diff_norm = split.diff_norm() if split else spectral_norm(h_fin - h_ini)
+    split = _block_split(instance, as_dense(instance.h_ini), as_dense(instance.h_fin))
+    diff_norm = split.diff_norm()
     if diff_norm == 0.0:
         return 0.0
-    g = split.min_gap(grid) if split else _scan_gap(h_ini, h_fin, grid)
+    g = split.min_gap(grid)
     if g <= DEGENERACY_TOL:
         return math.inf
     return c * diff_norm ** (1.0 + delta) / (epsilon**delta * g ** (2.0 + delta))

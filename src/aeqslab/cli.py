@@ -24,8 +24,8 @@ from .aeqs import (
 )
 from .evolve import EVOLVE_DIM_MAX, Schedule, evolve_trace
 from .gallery import GALLERY_NAMES, GalleryError, PromiseError, build
-from .linalg import CapacityError
-from .qqa import generate_moqqaf
+from .linalg import OPERATOR_DEFECT_TOL, CapacityError
+from .qqa import QqaError, generate_moqqaf, validate_level
 from .specdoc import DocumentError, MachineSpecDocument, sparse_hermitian_to_json
 
 EXIT_PARSE = 3
@@ -70,6 +70,13 @@ def _moqqaf_family(doc: MachineSpecDocument):
     from .aeqs import AeqsFamily, DEFAULT_ACCURACY_BOUND, ProjectorComplement, deflation_vector
 
     level, criteria = doc.to_moqqaf()
+    report = validate_level(level)
+    if not report.passed:
+        raise QqaError(
+            f"document {doc.name!r} is not a quasi-automaton level: worst completeness "
+            f"defect {report.worst():.3e}, Lambda0 least eigenvalue bound "
+            f"{report.lam0_min_eigenvalue:.3e} (tolerance {OPERATOR_DEFECT_TOL:.0e})"
+        )
 
     def builder(x: str) -> AeqsInstance:
         generated = generate_moqqaf(level, x)
@@ -327,7 +334,6 @@ def main(argv=None) -> int:
     from .aeqs import AeqsError
     from .compilers import CompileError
     from .evolve import EvolveError
-    from .qqa import QqaError
 
     # --seed applies to this command only: main may run again in one process.
     seed = linalg.LANCZOS_SEED

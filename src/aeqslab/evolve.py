@@ -42,13 +42,13 @@ STEP_CHUNK columns).  The instance is still
 densified, so EVOLVE_DIM_MAX still applies.  A run whose step phases can
 exceed STEP_PHASE_MAX radians raises EvolveError, since rounding leaves such
 phases no significant digit.  Final and recorded overlaps are weights on the
-whole ground eigenspace, which is well defined when it is degenerate.  When
-H_ini is a ProjectorComplement, they and the recorded ground energies are
-read off the block split of H(s) (``aeqs.BlockSplit``), built once per run
-from the same subspace, for all three methods.  This is exact for the
+whole ground eigenspace, which is well defined when it is degenerate.  They
+and the recorded ground energies are read off the block split of H(s)
+(``aeqs.BlockSplit``), built once per run, for all three methods: on the
+dynamical subspace of H_ini's ground state when H_ini is a
+ProjectorComplement, else on the whole space.  This is exact for the
 full-space phase-shift state too, since the split keeps the eigenvectors of
-every line of Q^perp that can be ground.  Any other H_ini takes a dense
-eigensolve of H(s) per record (``_ground_projection``).
+every line of Q^perp that can be ground.
 """
 
 from __future__ import annotations
@@ -63,16 +63,15 @@ import numpy as np
 
 from .aeqs import (
     AeqsInstance,
-    BlockSplit,
     KroneckerSum,
     ProjectorComplement,
+    _block_split,
     _compress,
     as_dense,
     dynamical_basis,
     ground_state,
 )
 from .linalg import (
-    DEGENERACY_TOL,
     OPERATOR_DEFECT_TOL,
     CapacityError,
     hadamard_power,
@@ -440,36 +439,19 @@ def _evolution(instance: AeqsInstance, schedule: Schedule, method: str):
     if not unique:
         raise EvolveError("H_ini has a degenerate ground state; evolution start undefined")
     psi = psi.astype(complex)
-    split = isinstance(instance.h_ini, ProjectorComplement)
-    if method != "phase" or split:
-        q = dynamical_basis(h_ini, h_fin, psi)
-    if split:
-        ground = BlockSplit(h_ini, h_fin, q, vectors=True).ground_projection
-    else:
-        def ground(s, psi):
-            return _ground_projection(_interp(h_ini, h_fin, s), psi)
+    ground = _block_split(instance, h_ini, h_fin, vectors=True).ground_projection
     if method == "phase":
         steps = phase_shift_factors(instance, schedule)
-    elif method == "trotter":
-        ini_values, ini_vectors = np.linalg.eigh(_compress(h_ini, q))
-        fin_values, fin_vectors = np.linalg.eigh(_compress(h_fin, q))
-        steps = _SplittingSteps(ini_values, ini_vectors, fin_values, fin_vectors, schedule, q)
     else:
-        steps = _MidpointSteps(h_ini, h_fin, q, schedule)
+        q = dynamical_basis(h_ini, h_fin, psi)
+        if method == "trotter":
+            ini_values, ini_vectors = np.linalg.eigh(_compress(h_ini, q))
+            fin_values, fin_vectors = np.linalg.eigh(_compress(h_fin, q))
+            steps = _SplittingSteps(ini_values, ini_vectors, fin_values, fin_vectors, schedule, q)
+        else:
+            steps = _MidpointSteps(h_ini, h_fin, q, schedule)
     # (psi^* B)^* is B^dagger psi without copying B^dagger.
     return steps, (psi.conj() @ steps.basis).conj()[:, None], ground
-
-
-def _ground_projection(h: np.ndarray, psi: np.ndarray) -> tuple:
-    """(lowest eigenvalue of h, weight of psi on its whole eigenspace).
-
-    Eigenvalues within DEGENERACY_TOL of the lowest count as ground, so a
-    degenerate ground space yields the weight on all of it rather than on
-    one arbitrary vector in it.
-    """
-    values, vectors = np.linalg.eigh(h)
-    ground = vectors[:, values <= values[0] + DEGENERACY_TOL]
-    return float(values[0]), float(np.sum(np.abs(ground.conj().T @ psi) ** 2))
 
 
 def evolve_trace(instance: AeqsInstance, schedule: Schedule, method: str = "trotter",

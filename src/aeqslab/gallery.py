@@ -612,21 +612,6 @@ def _build_usubsum() -> GalleryEntry:
             schema=schema,
         )
 
-    def promise(x: str) -> bool:
-        try:
-            t, counts = parse_usubsum(x)
-        except PromiseError:
-            return False
-        return usubsum_subset_count(t, counts) <= 1
-
-    family = AeqsFamily(
-        alphabet=("0", "1", "#"),
-        builder=build,
-        promise=promise,
-        tags=("1qqaf", "linsize", "constgap"),
-        name="usubsum",
-    )
-
     def oracle(x: str) -> str:
         try:
             t, counts = parse_usubsum(x)
@@ -636,6 +621,14 @@ def _build_usubsum() -> GalleryEntry:
         if hits > 1:
             return NOT_PROMISED
         return ACCEPT if hits == 1 else REJECT
+
+    family = AeqsFamily(
+        alphabet=("0", "1", "#"),
+        builder=build,
+        promise=lambda x: oracle(x) != NOT_PROMISED,
+        tags=("1qqaf", "linsize", "constgap"),
+        name="usubsum",
+    )
 
     return GalleryEntry(
         name="usubsum",
@@ -805,21 +798,6 @@ def _build_multdup() -> GalleryEntry:
             schema=schema,
         )
 
-    def promise(x: str) -> bool:
-        try:
-            blocks = parse_multdup(x)
-        except PromiseError:
-            return False
-        return len(multdup_differences(blocks)) <= 1
-
-    family = AeqsFamily(
-        alphabet=("0", "1", "#"),
-        builder=build,
-        promise=promise,
-        tags=("1qqaf", "logsize", "constgap"),
-        name="multdup",
-    )
-
     def oracle(x: str) -> str:
         try:
             blocks = parse_multdup(x)
@@ -829,6 +807,14 @@ def _build_multdup() -> GalleryEntry:
         if len(diffs) > 1:
             return NOT_PROMISED
         return ACCEPT if not diffs else REJECT
+
+    family = AeqsFamily(
+        alphabet=("0", "1", "#"),
+        builder=build,
+        promise=lambda x: oracle(x) != NOT_PROMISED,
+        tags=("1qqaf", "logsize", "constgap"),
+        name="multdup",
+    )
 
     return GalleryEntry(
         name="multdup",

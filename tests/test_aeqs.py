@@ -2,6 +2,7 @@ import dataclasses
 import decimal
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,14 @@ from aeqslab.aeqs import (
     xor_product,
 )
 from aeqslab import compilers, evolve, gallery
-from aeqslab.linalg import SPARSE_EIG_MIN_DIM, SparseHermitian, hermitian_eig, lowest_eigenpairs
+from aeqslab.linalg import (
+    DEGENERACY_TOL,
+    SPARSE_EIG_MIN_DIM,
+    SparseHermitian,
+    hermitian_eig,
+    lowest_eigenpairs,
+    spectral_norm,
+)
 from aeqslab.qqa import generate_moqqaf
 
 RNG = np.random.default_rng(23)
@@ -572,21 +580,50 @@ def block_inputs():
 BLOCK_INPUTS = block_inputs()
 
 
+def dense_scan_gap(h_ini: np.ndarray, h_fin: np.ndarray, grid: int) -> float:
+    """Smallest gap of the dense H(s) over the gap scan's grid, one full
+    eigvalsh per point: the oracle of the block split's scan."""
+    gaps = []
+    for s in np.arange(grid) / (grid - 1):
+        values = np.linalg.eigvalsh((1.0 - s) * h_ini + s * h_fin)
+        gaps.append(float(values[1] - values[0]) if len(values) > 1 else math.inf)
+    return min(gaps)
+
+
+def dense_ground_projection(h: np.ndarray, psi: np.ndarray) -> tuple:
+    """(lowest eigenvalue of h, weight of psi on the eigenvectors within
+    DEGENERACY_TOL of it), from one full eigh: the oracle of the block
+    split's records."""
+    values, vectors = np.linalg.eigh(h)
+    ground = vectors[:, values <= values[0] + DEGENERACY_TOL]
+    return float(values[0]), float(np.sum(np.abs(ground.conj().T @ psi) ** 2))
+
+
+def with_dense_h_ini(inst):
+    """The same instance with H_ini stored dense, so that it takes the
+    whole-space block split rather than the dynamical subspace of g."""
+    return dataclasses.replace(inst, h_ini=as_dense(inst.h_ini))
+
+
 class TestBlockSplit:
     """The gap scan, the time bound and the trace records read off the block
-    split of H(s), against dense eigensolves of H(s)."""
+    split of H(s), against dense eigensolves of H(s): on the dynamical
+    subspace of g for H_ini = I - |g><g|, and on the whole space for the
+    same H_ini stored dense."""
 
     @pytest.mark.parametrize("label,inst", BLOCK_INPUTS, ids=[c[0] for c in BLOCK_INPUTS])
     def test_gap_and_bound_match_dense_scan(self, label, inst):
-        # A dense H_ini takes the dense scan (_scan_gap) and spectral_norm.
         assert isinstance(inst.h_ini, ProjectorComplement)
-        dense = dataclasses.replace(inst, h_ini=as_dense(inst.h_ini))
+        h_ini, h_fin = as_dense(inst.h_ini), as_dense(inst.h_fin)
+        diff_norm = spectral_norm(h_fin - h_ini)
         for grid in (2, 16):
-            got, expect = minimum_interpolation_gap(inst, grid), minimum_interpolation_gap(dense, grid)
-            assert got == expect or abs(got - expect) <= 1e-12
-            got = adiabatic_time_bound(inst, 0.1, 1.0, grid=grid)
-            expect = adiabatic_time_bound(dense, 0.1, 1.0, grid=grid)
-            assert got == expect or abs(got - expect) <= 1e-12 * abs(expect)
+            gap = dense_scan_gap(h_ini, h_fin, grid)
+            bound = diff_norm ** 2.0 / (0.1 * gap ** 3.0) if gap > DEGENERACY_TOL else math.inf
+            for route in (inst, with_dense_h_ini(inst)):
+                got = minimum_interpolation_gap(route, grid)
+                assert got == gap or abs(got - gap) <= 1e-12
+                got = adiabatic_time_bound(route, 0.1, 1.0, grid=grid)
+                assert got == bound or abs(got - bound) <= 1e-12 * abs(bound)
 
     @pytest.mark.parametrize("label,inst", BLOCK_INPUTS, ids=[c[0] for c in BLOCK_INPUTS])
     def test_records_match_dense_ground_projection(self, label, inst, monkeypatch):
@@ -599,17 +636,19 @@ class TestBlockSplit:
 
         monkeypatch.setattr(aeqs.BlockSplit, "ground_projection", recording)
         power_of_two = inst.dim & (inst.dim - 1) == 0
+        methods = ("midpoint", "trotter", "phase") if power_of_two else ("midpoint", "trotter")
         schedule = evolve.Schedule(6.0, 64)
-        for method in ("midpoint", "trotter", "phase") if power_of_two else ("midpoint", "trotter"):
-            seen.clear()
-            trace = evolve.evolve_trace(inst, schedule, method, record_every=16)
-            assert [(s, got) for s, _, got in seen] == [
-                (r.s, (r.ground_energy, r.overlap_sq)) for r in trace.records]
-            final = evolve.final_overlap_sq(inst, schedule, method)
-            assert seen[-1][0] == 1.0 and final == seen[-1][2][1]
-            for s, psi, (energy, weight) in seen:
-                expect = evolve._ground_projection(aeqs.interpolated_hamiltonian(inst, s), psi)
-                assert abs(energy - expect[0]) <= 1e-12 and abs(weight - expect[1]) <= 1e-12
+        for route in (inst, with_dense_h_ini(inst)):
+            for method in methods:
+                seen.clear()
+                trace = evolve.evolve_trace(route, schedule, method, record_every=16)
+                assert [(s, got) for s, _, got in seen] == [
+                    (r.s, (r.ground_energy, r.overlap_sq)) for r in trace.records]
+                final = evolve.final_overlap_sq(route, schedule, method)
+                assert seen[-1][0] == 1.0 and final == seen[-1][2][1]
+                for s, psi, (energy, weight) in seen:
+                    expect = dense_ground_projection(aeqs.interpolated_hamiltonian(inst, s), psi)
+                    assert abs(energy - expect[0]) <= 1e-12 and abs(weight - expect[1]) <= 1e-12
 
     @pytest.mark.parametrize("name,x", [("usubsum", "0#1#1"), ("equal", "abbabaab"),
                                         ("sym_coin", "abba")])
@@ -618,15 +657,35 @@ class TestBlockSplit:
         # Q^perp count too; usubsum "0#1#1" has one in its ground space.
         inst = gallery.build(name).family.build(x)
         h_ini, h_fin = as_dense(inst.h_ini), as_dense(inst.h_fin)
-        q = aeqs.dynamical_basis(h_ini, h_fin, inst.h_ini.vector)
-        split = aeqs.BlockSplit(h_ini, h_fin, q, vectors=True)
         rng = np.random.default_rng(3)
-        for s in (0.0, 0.25, 0.5, 0.9, 1.0):
-            psi = rng.standard_normal(inst.dim) + 1j * rng.standard_normal(inst.dim)
-            psi /= np.linalg.norm(psi)
-            got = split.ground_projection(s, psi)
-            expect = evolve._ground_projection(aeqs.interpolated_hamiltonian(inst, s), psi)
-            assert abs(got[0] - expect[0]) <= 1e-12 and abs(got[1] - expect[1]) <= 1e-12
+        for route in (inst, with_dense_h_ini(inst)):
+            split = aeqs._block_split(route, h_ini, h_fin, vectors=True)
+            for s in (0.0, 0.25, 0.5, 0.9, 1.0):
+                psi = rng.standard_normal(inst.dim) + 1j * rng.standard_normal(inst.dim)
+                psi /= np.linalg.norm(psi)
+                got = split.ground_projection(s, psi)
+                expect = dense_ground_projection(aeqs.interpolated_hamiltonian(inst, s), psi)
+                assert abs(got[0] - expect[0]) <= 1e-12 and abs(got[1] - expect[1]) <= 1e-12
+
+    def test_whole_space_split_has_no_lines(self):
+        inst = gallery.build("equal").family.build("ab")
+        split = aeqs._block_split(with_dense_h_ini(inst), as_dense(inst.h_ini),
+                                  as_dense(inst.h_fin), vectors=True)
+        assert np.array_equal(split.q, np.eye(inst.dim))
+        assert split.mu.shape == (0,) and split.lines.shape == (inst.dim, 0)
+
+    def test_whole_space_scan_memory_stays_near_one_matrix(self):
+        # xor "01" is a KroneckerSum of dim 256: the scan keeps one dim x dim
+        # H(s) at a time, not a (grid, dim, dim) stack (67 MB here).
+        inst = xor_family().build("01")
+        assert inst.dim == 256 and not isinstance(inst.h_ini, ProjectorComplement)
+        tracemalloc.start()
+        try:
+            minimum_interpolation_gap(inst, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * inst.dim ** 2 * 16
 
     def test_difference_norm_on_q_perp(self):
         # H_fin = 5 (I - |g><g|): Q = span(g), where both Hamiltonians vanish,

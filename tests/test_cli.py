@@ -296,6 +296,22 @@ class TestUsageErrors:
         assert code == 3, err
         assert message in err
 
+    @pytest.mark.parametrize("command", ["compile", "run"])
+    def test_non_unitary_moqqaf_document(self, capsys, tmp_path, command):
+        # U_cent = diag(3, 1) parses, but its completeness defect is 8.
+        identity = [[["u"], ["u"], 1], [["v"], ["v"], 1]]
+        doc = {"schema": 1, "kind": "moqqaf", "name": "scaled", "alphabet": ["1"],
+               "dimension_schema": [{"name": "state", "labels": ["u", "v"]}],
+               "operators": {"cent": [[["u"], ["u"], 3], [["v"], ["v"], 1]],
+                             "dollar": identity, "1": identity},
+               "initial_mixture": {"diagonal": [[["u"], 0]]},
+               "halting": [], "criteria": {"acc": [["u"]], "rej": [["v"]]}}
+        specfile = tmp_path / "doc.json"
+        specfile.write_text(json.dumps(doc))
+        code, err = self.main_exit(capsys, command, str(specfile), "1")
+        assert code == 3, err
+        assert "not a quasi-automaton level" in err and "defect 8.000e+00" in err
+
     @pytest.mark.parametrize("amplitude", [
         {"rational": [1]}, {"complex": [1]}, {"quotient": [1, 2, 3]}, {"product": 3},
     ], ids=["rational-1", "complex-1", "quotient-3", "product-number"])

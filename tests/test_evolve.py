@@ -514,7 +514,7 @@ class TestDynamicalSubspace:
     @pytest.mark.parametrize("name,x", [("l_prefix_0", "0"), ("l_prefix_1", "1")])
     def test_search_matches_full_space_evaluations(self, name, x):
         inst = gallery.build(name).family.build(x)
-        result = find_sufficient_t(inst, 0.99, t_cap=1e4)
+        result = find_sufficient_t(inst, 0.99, t_cap=128.0)
         assert result.t == 70.0
         assert [t for t, _ in result.evaluations] == [t for t, _ in self.CRITERION_6_EVALUATIONS]
         for (_, got), (_, expect) in zip(result.evaluations, self.CRITERION_6_EVALUATIONS):
