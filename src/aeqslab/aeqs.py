@@ -149,7 +149,9 @@ def lowest_pairs(h, k: int) -> list:
     min(SPARSE_EIG_MIN_DIM, dense_max()) and is densified into the dense
     eigensolve at or below it, where that is the cheaper route; the
     dense_max() bound keeps a lowered AEQS_DENSE_MAX from turning a small
-    sparse instance into a CapacityError.
+    sparse instance into a CapacityError.  At or below it, a diagonal
+    SparseHermitian needs no eigensolve: a stable argsort of its diagonal
+    gives the pairs, with hermitian_eig as its oracle in tier-1.
     """
     k = int(k)
     dim = hamiltonian_dim(h)
@@ -178,6 +180,13 @@ def lowest_pairs(h, k: int) -> list:
         return [(value, np.kron(pa[i][1], pb[j][1])) for value, i, j in sums[:k]]
     if isinstance(h, SparseHermitian) and dim > min(SPARSE_EIG_MIN_DIM, dense_max()):
         return lowest_eigenpairs(h, k)
+    if isinstance(h, SparseHermitian) and np.array_equal(h.rows, h.cols):
+        # Diagonal: the pairs are its entries, ascending and ties in index
+        # order, with basis vectors.
+        values = np.zeros(dim)
+        values[h.rows] = h.vals.real
+        return [(float(values[i]), np.eye(1, dim, i, dtype=complex)[0])
+                for i in np.argsort(values, kind="stable")[:k]]
     dec = hermitian_eig(as_dense(h))
     return [(float(dec.values[i]), dec.vectors[:, i]) for i in range(k)]
 
@@ -336,9 +345,10 @@ def commutator_negligible(norm: float) -> bool:
     return norm <= COMMUTATOR_NEGLIGIBLE
 
 
-def _compress(h: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Q^dagger H Q, Hermitian by construction."""
-    r = q.conj().T @ h @ q
+def _compress(h: np.ndarray, q) -> np.ndarray:
+    """Q^dagger H Q, Hermitian by construction; H itself, symmetrized, when
+    q is None (the whole space)."""
+    r = h if q is None else q.conj().T @ h @ q
     return (r + r.conj().T) / 2.0
 
 
@@ -387,7 +397,8 @@ def _grid(grid: int) -> np.ndarray:
 class BlockSplit:
     """H(s) = (1 - s) H_ini + s H_fin split on Q (+) Q^perp, where either
     H_ini = I - |g><g| and Q = dynamical_basis(H_ini, H_fin, g), or Q is the
-    whole space (the identity) and H_ini is any Hamiltonian.
+    whole space and H_ini is any Hamiltonian.  ``q`` is None for the whole
+    space, which is then never built as an identity matrix.
 
     Q is invariant under both Hamiltonians, so H(s) is block-diagonal.  On Q
     it is the k x k compression (1 - s) A + s B; on Q^perp, where H_ini is
@@ -404,10 +415,10 @@ class BlockSplit:
                  vectors: bool = False):
         self.q = q
         self.ini, self.fin = _compress(h_ini, q), _compress(h_fin, q)
-        k, n_perp = q.shape[1], len(q) - q.shape[1]
-        self.mu, self.lines = np.empty(0), np.empty((len(q), 0), dtype=complex)
-        if not n_perp:
+        self.mu, self.lines = np.empty(0), np.empty((len(h_fin), 0), dtype=complex)
+        if q is None or q.shape[1] == len(q):
             return
+        k, n_perp = q.shape[1], len(q) - q.shape[1]
         # H_fin on Q^perp is P H_fin P for P = I - Q Q^dagger.  Adding
         # shift Q Q^dagger, with shift above ||H_fin||, puts the k directions
         # of Q above every mu, and no basis of Q^perp is needed; the
@@ -453,7 +464,8 @@ class BlockSplit:
         lines = (1.0 - s) + s * self.mu
         energy = min(values[0], lines[0]) if len(lines) else values[0]
         top = energy + DEGENERACY_TOL
-        block = vectors[:, values <= top].conj().T @ (self.q.conj().T @ psi)
+        block = vectors[:, values <= top].conj().T @ (psi if self.q is None
+                                                      else self.q.conj().T @ psi)
         perp = self.lines[:, lines[: self.lines.shape[1]] <= top].conj().T @ psi
         return float(energy), float(np.sum(np.abs(block) ** 2) + np.sum(np.abs(perp) ** 2))
 
@@ -462,10 +474,8 @@ def _block_split(instance: AeqsInstance, h_ini: np.ndarray, h_fin: np.ndarray,
                  vectors: bool = False) -> BlockSplit:
     """The BlockSplit of H(s): on the dynamical subspace of g when H_ini is
     the ProjectorComplement I - |g><g|, else on the whole space."""
-    if isinstance(instance.h_ini, ProjectorComplement):
-        q = dynamical_basis(h_ini, h_fin, instance.h_ini.vector)
-    else:
-        q = np.eye(len(h_ini), dtype=complex)
+    q = (dynamical_basis(h_ini, h_fin, instance.h_ini.vector)
+         if isinstance(instance.h_ini, ProjectorComplement) else None)
     return BlockSplit(h_ini, h_fin, q, vectors)
 
 

@@ -30,16 +30,21 @@ compilers it is often 2-dimensional whatever the full dimension.  Its
 invariance is checked to aeqs.SUBSPACE_TOL, and the full space is used when the
 check fails, so the reduction cannot silently change a result.  The
 phase-shift method runs in the full space.  Each step acts on k
-coefficients.  For k <= PAIRWISE_DIM_MAX the steps are built STEP_CHUNK at a
-time as k x k matrices and multiplied down pairwise (a tree-ordered
-product) in one buffer of 2 * STEP_CHUNK * k^2 complex numbers, allocated
-once per stretch of steps between records whatever R is; for larger k,
-where a k^3 product costs more than a k^2 step, they are applied to the
-state one by one.  The splitting phases are linear in j, so each chunk
-takes them by angle addition from two k-vectors of exp and two ratio
-tables built once per run, as long as the longest chunk (at most
-STEP_CHUNK columns).  The instance is still
-densified, so EVOLVE_DIM_MAX still applies.  A run whose step phases can
+coefficients, and ``_advance`` chooses its route by k.  For k = 2 both
+compressed Hamiltonians are shifted to trace zero, so every step is in
+SU(2) and is fixed by its first column (alpha_j, beta_j); the steps are
+built STEP_CHUNK at a time as these pairs and multiplied down pairwise (a
+tree-ordered product) by the Cayley-Klein rule in one buffer of
+2 * 2 * STEP_CHUNK complex numbers, and the global phase of the shift is
+restored once per stretch, in closed form.  For other k <= PAIRWISE_DIM_MAX
+they are built as k x k matrices and multiplied down the same way in a
+buffer of 2 * STEP_CHUNK * k^2.  Either buffer is allocated once per
+stretch of steps between records whatever R is.  For larger k, where a k^3
+product costs more than a k^2 step, the steps are applied to the state one
+by one.  The splitting phases are linear in j, so each chunk takes them by
+angle addition from two k-vectors of exp and two ratio tables built once
+per run, as long as the longest chunk (at most STEP_CHUNK columns).  The
+instance is still densified, so EVOLVE_DIM_MAX still applies.  A run whose step phases can
 exceed STEP_PHASE_MAX radians raises EvolveError, since rounding leaves such
 phases no significant digit.  Final and recorded overlaps are weights on the
 whole ground eigenspace, which is well defined when it is degenerate.  They
@@ -274,10 +279,19 @@ class _SplittingSteps:
     and D_fin(j0 + n) = D_fin(j0) exp(-2i n gamma lambda_fin).  The two
     ratio tables, one column per n, are built once, as long as the longest
     chunk asked for so far; each chunk then evaluates two k-vectors of exp.
+
+    For k = 2 both spectra are shifted to trace zero, (-d, d), which puts
+    every step in SU(2).  ``means`` keeps the two shifts; ``apply`` restores
+    their phase, and ``_advance`` restores it once per stretch.
     """
 
     def __init__(self, ini_values, ini_vectors, fin_values, fin_vectors,
                  schedule: Schedule, q=None):
+        self.means = None
+        if len(ini_values) == 2:
+            self.means = (ini_values.mean(), fin_values.mean())
+            ini_values, fin_values = (np.array([-1.0, 1.0]) * (v[1] - v[0]) / 2.0
+                                      for v in (ini_values, fin_values))
         self.ini_values, self.fin_values = ini_values, fin_values
         self.basis = ini_vectors if q is None else q @ ini_vectors
         self.m = ini_vectors.conj().T @ fin_vectors
@@ -299,15 +313,17 @@ class _SplittingSteps:
 
     def matrices(self, j0: int, j1: int, out: np.ndarray) -> np.ndarray:
         """Steps j0 .. j1-1 as a k x k x (j1 - j0) stack, computed in
-        ``out``, a k^2 x (j1 - j0) array."""
+        ``out``, a k^2 x (j1 - j0) array.  For k = 2, ``out`` has 2 rows and
+        receives the first columns (alpha_j, beta_j) of the SU(2) steps."""
         d_ini, d_fin, ratio_ini, ratio_fin = self._phases(j0, j1)
         k = len(d_ini)
+        cols = len(out) // k
         # V(j0 + n)[i, l] = ratio_ini[i, n] sum_p coupling[i, l, p] ratio_fin[p, n],
-        # with D_ini(j0) and D_fin(j0) folded into the k^3 coupling.
+        # with D_ini(j0) and D_fin(j0) folded into the coupling.
         left = d_ini[:, None] * self.m * d_fin
-        coupling = left[:, None, :] * self.m.conj()[None, :, :]
-        np.matmul(coupling.reshape(k * k, k), ratio_fin, out=out)
-        v = out.reshape(k, k, -1)
+        coupling = left[:, None, :] * self.m[:cols].conj()[None, :, :]
+        np.matmul(coupling.reshape(k * cols, k), ratio_fin, out=out)
+        v = out.reshape(k, cols, -1)
         v *= ratio_ini[:, None, :]
         return v
 
@@ -317,7 +333,7 @@ class _SplittingSteps:
         for a, b in zip(p_ini.T[..., None], p_fin.T[..., None]):
             # (c^dagger M)^dagger is M^dagger c without copying M^dagger.
             c = a * (self.m @ (b * (c.conj().T @ self.m).conj().T))
-        return c
+        return c if self.means is None else _shift_phase(self, j0, j1) * c
 
     def step(self, j: int, r_steps: int) -> np.ndarray:
         """V(j) as a full-space matrix, for the schedule's R = r_steps."""
@@ -327,19 +343,28 @@ class _SplittingSteps:
 
 
 def _unit_phases(values: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """exp(i values[:, None] angles[None, :]), built in its own storage."""
+    """exp(i values[:, None] angles[None, :]), built in its own storage.  A
+    trace-zero pair (-d, d) takes the exp of its first row and conjugates it."""
     table = np.zeros((len(values), len(angles)), dtype=complex)
-    np.multiply.outer(values, angles, out=table.imag)
-    return np.exp(table, out=table)
+    rows = 1 if len(values) == 2 and values[0] == -values[1] else len(values)
+    np.multiply.outer(values[:rows], angles, out=table.imag[:rows])
+    np.exp(table[:rows], out=table[:rows])
+    if rows < len(values):
+        np.conjugate(table[0], out=table[1])
+    return table
 
 
 class _MidpointSteps:
-    """Exact midpoint steps in the reduced space, on coefficients in Q."""
+    """Exact midpoint steps in the reduced space, on coefficients in Q, from
+    the compressions ``ini`` and ``fin`` of the two Hamiltonians to Q."""
 
-    def __init__(self, h_ini, h_fin, q, schedule: Schedule):
-        self.ini, self.fin = _compress(h_ini, q), _compress(h_fin, q)
+    def __init__(self, ini, fin, q, schedule: Schedule):
+        self.ini, self.fin = ini, fin
         self.basis = q
         self.schedule = schedule
+        # For k = 2, tr H(s) / 2 is taken out of every step, which leaves it
+        # in SU(2).
+        self.means = None if len(ini) != 2 else (np.trace(ini).real / 2, np.trace(fin).real / 2)
 
     def _eig(self, j0: int, j1: int):
         """Eigenvectors and step phases of H(s_j) for j0 <= j < j1."""
@@ -349,10 +374,33 @@ class _MidpointSteps:
         return vectors, np.exp(-1j * (sch.t_total / sch.r_steps / sch.hbar) * values)
 
     def matrices(self, j0: int, j1: int, out: np.ndarray) -> np.ndarray:
-        vectors, phases = self._eig(j0, j1)
-        k = vectors.shape[1]
-        return np.einsum("nim,nm,nlm->iln", vectors, phases, vectors.conj(),
-                         out=out.reshape(k, k, -1))
+        """Steps j0 .. j1-1 as in ``_SplittingSteps.matrices``.  For k = 2 the
+        trace-zero part H' = [[h, z^*], [z, -h]] of H(s_j) gives the SU(2)
+        step exp(-i dt H') = cos(dt w) - i sin(dt w) H' / w, w = |(h, z)|, in
+        closed form."""
+        if self.means is None:
+            vectors, phases = self._eig(j0, j1)
+            k = vectors.shape[1]
+            return np.einsum("nim,nm,nlm->iln", vectors, phases, vectors.conj(),
+                             out=out.reshape(k, k, -1))
+        sch = self.schedule
+        dt = sch.t_total / sch.r_steps / sch.hbar
+        s = (2 * np.arange(j0, j1) + 1) / (2 * sch.r_steps)
+        z = out[1]
+        np.multiply(s, self.fin[1, 0] - self.ini[1, 0], out=z)
+        z += self.ini[1, 0]
+        h = s * ((self.fin[0, 0] - self.fin[1, 1]).real - (self.ini[0, 0] - self.ini[1, 1]).real)
+        h += (self.ini[0, 0] - self.ini[1, 1]).real
+        h /= 2.0
+        w = np.hypot(h, np.abs(z), out=s)
+        np.cos(dt * w, out=out[0].real)
+        # sin(dt w) / w, which is dt where w = 0.
+        sine = np.divide(np.sin(dt * w), w, out=np.full_like(w, dt), where=w > 0)
+        np.multiply(sine, h, out=out[0].imag)
+        np.negative(out[0].imag, out=out[0].imag)
+        z *= sine
+        z *= -1j
+        return out
 
     def apply(self, j0: int, j1: int, c: np.ndarray) -> np.ndarray:
         for j in range(j0, j1):
@@ -397,22 +445,75 @@ def _ordered_product(steps: np.ndarray, halves: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(steps[..., 0])
 
 
+def _cayley_klein_product(pairs: np.ndarray, halves: np.ndarray) -> tuple:
+    """(alpha, beta), the first column of U[n-1] ... U[0] for SU(2) steps
+    U[j] = [[alpha_j, -beta_j^*], [beta_j, alpha_j^*]] given as the columns
+    of ``pairs``, a 2 x n array, multiplied down pairwise.
+
+    The first column of U1 U0 is (a1 a0 - b1^* b0, b1 a0 + a1^* b0).
+    ``pairs`` lies in ``halves[0]``, and each level of the tree writes its
+    products and their terms into the other half, so no level allocates.
+    Both halves are overwritten.
+    """
+    target = 1
+    while pairs.shape[-1] > 1:
+        n = pairs.shape[-1]
+        if n % 2:
+            (a1, b1), (a0, b0) = pairs[:, n - 1], pairs[:, n - 2]
+            pairs[:, n - 2] = a1 * a0 - b1.conjugate() * b0, b1 * a0 + a1.conjugate() * b0
+        h = n // 2
+        late, early = pairs[:, 1:2 * h:2], pairs[:, 0:2 * h:2]
+        pairs, term = halves[target, :, :h], halves[target, :, h:2 * h]
+        np.multiply(late, early[0], out=pairs)
+        np.conjugate(late[::-1], out=term)
+        term *= early[1]
+        pairs[0] -= term[0]
+        pairs[1] += term[1]
+        target = 1 - target
+    return pairs[0, 0], pairs[1, 0]
+
+
+def _shift_phase(steps, j0: int, j1: int) -> complex:
+    """The global phase that shifting both Hamiltonians to trace zero takes
+    out of steps j0 .. j1-1: exp(-i sum_j (a_j m_ini + b_j m_fin)) for the
+    means ``steps.means``, where a_j and b_j sum to
+    gamma (2 R n - (j1^2 - j0^2)) and gamma (j1^2 - j0^2), n = j1 - j0, in
+    exact integers."""
+    sch = steps.schedule
+    squares = j1 * j1 - j0 * j0
+    m_ini, m_fin = steps.means
+    return np.exp(-1j * sch.gamma * ((2 * sch.r_steps * (j1 - j0) - squares) * m_ini
+                                     + squares * m_fin))
+
+
 def _advance(steps, c: np.ndarray, j0: int, j1: int) -> np.ndarray:
     """Apply steps j0 .. j1-1 to the coefficient block c, STEP_CHUNK at a time.
 
-    When c has at most PAIRWISE_DIM_MAX rows, ``steps.matrices(a, b, out)``
-    computes steps a .. b-1 in the first half of a buffer allocated once for
-    the call, and they are multiplied down pairwise between its two halves;
-    otherwise ``steps.apply(a, b, c)`` applies them to c one after another.
+    The route follows k, the number of rows of c.  For k = 2,
+    ``steps.matrices(a, b, out)`` computes the first columns of the SU(2)
+    steps a .. b-1 in the first half of a 2 x 2 x STEP_CHUNK buffer
+    allocated once for the call, they are multiplied down pairwise by the
+    Cayley-Klein rule (``_cayley_klein_product``), and the phase the SU(2)
+    shift took out is put back once (``_shift_phase``).  For other k up to
+    PAIRWISE_DIM_MAX it computes whole k x k steps in the same way, in a
+    2 x k^2 x STEP_CHUNK buffer, multiplied down as matrices; above it
+    ``steps.apply(a, b, c)`` applies them to c one after another.
     """
-    pairwise = len(c) <= PAIRWISE_DIM_MAX
-    if pairwise:
-        halves = np.empty((2, len(c) ** 2, min(STEP_CHUNK, j1 - j0)), dtype=complex)
+    k = len(c)
+    if k > PAIRWISE_DIM_MAX:
+        for a in range(j0, j1, STEP_CHUNK):
+            c = steps.apply(a, min(a + STEP_CHUNK, j1), c)
+        return c
+    halves = np.empty((2, k if k == 2 else k * k, min(STEP_CHUNK, j1 - j0)), dtype=complex)
     for a in range(j0, j1, STEP_CHUNK):
         b = min(a + STEP_CHUNK, j1)
-        c = (_ordered_product(steps.matrices(a, b, halves[0, :, :b - a]), halves) @ c
-             if pairwise else steps.apply(a, b, c))
-    return c
+        computed = steps.matrices(a, b, halves[0, :, :b - a])
+        if k == 2:
+            alpha, beta = _cayley_klein_product(computed.reshape(2, -1), halves)
+            c = np.array([[alpha, -beta.conjugate()], [beta, alpha.conjugate()]]) @ c
+        else:
+            c = _ordered_product(computed, halves) @ c
+    return _shift_phase(steps, j0, j1) * c if k == 2 else c
 
 
 def _evolution(instance: AeqsInstance, schedule: Schedule, method: str):
@@ -439,19 +540,25 @@ def _evolution(instance: AeqsInstance, schedule: Schedule, method: str):
     if not unique:
         raise EvolveError("H_ini has a degenerate ground state; evolution start undefined")
     psi = psi.astype(complex)
-    ground = _block_split(instance, h_ini, h_fin, vectors=True).ground_projection
+    split = _block_split(instance, h_ini, h_fin, vectors=True)
     if method == "phase":
         steps = phase_shift_factors(instance, schedule)
     else:
-        q = dynamical_basis(h_ini, h_fin, psi)
+        if split.q is None:
+            q = dynamical_basis(h_ini, h_fin, psi)
+            ini, fin = _compress(h_ini, q), _compress(h_fin, q)
+        else:
+            # A split on a subspace has H_ini = I - |g><g| and Q the dynamical
+            # subspace of g, which is psi.
+            q, ini, fin = split.q, split.ini, split.fin
         if method == "trotter":
-            ini_values, ini_vectors = np.linalg.eigh(_compress(h_ini, q))
-            fin_values, fin_vectors = np.linalg.eigh(_compress(h_fin, q))
+            ini_values, ini_vectors = np.linalg.eigh(ini)
+            fin_values, fin_vectors = np.linalg.eigh(fin)
             steps = _SplittingSteps(ini_values, ini_vectors, fin_values, fin_vectors, schedule, q)
         else:
-            steps = _MidpointSteps(h_ini, h_fin, q, schedule)
+            steps = _MidpointSteps(ini, fin, q, schedule)
     # (psi^* B)^* is B^dagger psi without copying B^dagger.
-    return steps, (psi.conj() @ steps.basis).conj()[:, None], ground
+    return steps, (psi.conj() @ steps.basis).conj()[:, None], split.ground_projection
 
 
 def evolve_trace(instance: AeqsInstance, schedule: Schedule, method: str = "trotter",

@@ -468,6 +468,39 @@ class TestSparseDenseCrossover:
         want = [value for value, _ in lowest_eigenpairs(h, 3)]
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
+    def test_diagonal_pairs_match_dense_eigensolve(self, monkeypatch):
+        # Every diagonal H_fin of the sweep at or below the crossover takes
+        # a stable argsort and no eigensolve; the checked dense eigensolve
+        # is its oracle, degenerate ground spaces included.
+        calls = count_eigen_paths(monkeypatch)
+        entries, checked, degenerate = {}, 0, 0
+        for name, x in sweep_inputs():
+            if name in MEASURE_ONCE_ENTRIES:
+                continue
+            if name not in entries:
+                entries[name] = gallery.build(name)
+            h = entries[name].family.build(x).h_fin
+            if not (isinstance(h, SparseHermitian) and np.array_equal(h.rows, h.cols)
+                    and h.dim <= SPARSE_EIG_MIN_DIM):
+                continue
+            pairs = lowest_pairs(h, min(2, h.dim))
+            oracle = hermitian_eig(h.to_dense())
+            for i, (value, vector) in enumerate(pairs):
+                assert value == oracle.values[i], (name, x)
+                assert np.array_equal(np.abs(vector), np.abs(oracle.vectors[:, i])), (name, x)
+            checked += 1
+            degenerate += len(pairs) == 2 and pairs[1][0] - pairs[0][0] <= DEGENERACY_TOL
+        assert calls == {"lanczos": 0, "dense": 0}
+        assert (checked, degenerate) == (1159, 47)
+
+    def test_diagonal_with_ties_and_unstored_zeros(self):
+        # Entries 0 are not stored; ties keep index order.
+        h = SparseHermitian.diagonal([2.0, 0.0, -1.0, 0.0, -1.0, 3.0])
+        pairs = lowest_pairs(h, 6)
+        assert [value for value, _ in pairs] == [-1.0, -1.0, 0.0, 0.0, 2.0, 3.0]
+        assert [int(np.argmax(np.abs(v))) for _, v in pairs] == [2, 4, 1, 3, 0, 5]
+        assert_eigenpairs(h, pairs)
+
     @pytest.mark.parametrize("dim,lanczos,dense", [(SPARSE_EIG_MIN_DIM, 0, 1),
                                                    (SPARSE_EIG_MIN_DIM + 1, 1, 0)])
     def test_path_taken(self, monkeypatch, dim, lanczos, dense):
@@ -671,7 +704,7 @@ class TestBlockSplit:
         inst = gallery.build("equal").family.build("ab")
         split = aeqs._block_split(with_dense_h_ini(inst), as_dense(inst.h_ini),
                                   as_dense(inst.h_fin), vectors=True)
-        assert np.array_equal(split.q, np.eye(inst.dim))
+        assert split.q is None   # the whole space, never built as an identity
         assert split.mu.shape == (0,) and split.lines.shape == (inst.dim, 0)
 
     def test_whole_space_scan_memory_stays_near_one_matrix(self):

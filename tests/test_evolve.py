@@ -1,14 +1,17 @@
 import csv
 import io
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from aeqslab import evolve, gallery
+from aeqslab import aeqs, evolve, gallery
 from aeqslab.aeqs import (
     AeqsInstance,
     ProjectorComplement,
+    _compress,
     as_dense,
     deflation_vector,
     from_oracle,
@@ -401,6 +404,135 @@ class TestAngleAdditionTables:
             assert steps._ratio_ini.shape[1] == 64
             want = product(inst, sch) @ start_state(inst)
             assert np.abs(steps.basis @ c[:, 0] - want).max() <= 1e-10, method
+
+
+def reference_steps(inst, sch, method, j0, j1):
+    """Product of the full-space steps j0 .. j1-1, one unitary_exp each:
+    exp(-i dt H(s_j)) for midpoint, exp(-i a_j H_ini) exp(-i b_j H_fin)
+    for trotter and phase."""
+    h_ini, h_fin = as_dense(inst.h_ini), as_dense(inst.h_fin)
+    u = np.eye(inst.dim, dtype=complex)
+    for j in range(j0, j1):
+        if method == "midpoint":
+            s = sch.midpoint_s(j)
+            step = unitary_exp((1 - s) * h_ini + s * h_fin, sch.t_total / sch.r_steps / sch.hbar)
+        else:
+            step = unitary_exp(h_ini, sch.alpha(j)) @ unitary_exp(h_fin, sch.beta(j))
+        u = step @ u
+    return u
+
+
+# Runs on a two-dimensional dynamical subspace: the projector instances
+# l_prefix_0 "0" (dim 12) and equal "ab" (dim 4), and at dim 2 a
+# Hadamard-diagonal dense H_ini, where the phase method has k = 2 too.
+K2_CASES = {
+    "l_prefix_0:0": lambda: gallery.build("l_prefix_0").family.build("0"),
+    "equal:ab": lambda: gallery.build("equal").family.build("ab"),
+    "hadamard2": lambda: hadamard_diag_instance(2, rng=np.random.default_rng(7)),
+}
+K2_RUNS = [(case, method) for case in K2_CASES for method in ("midpoint", "trotter", "phase")
+           if method != "phase" or case == "hadamard2"]
+PRODUCTS = {"midpoint": midpoint_propagator, "trotter": trotter_product,
+            "phase": phase_shift_product}
+
+
+class TestCayleyKleinRoute:
+    """At k = 2 the steps are SU(2) pairs (alpha, beta) multiplied by the
+    Cayley-Klein rule, with the trace's phase put back in closed form; the
+    states must match full-space products, global phase included."""
+
+    @pytest.mark.parametrize("case,method", K2_RUNS)
+    def test_records_match_full_space_steps(self, case, method, monkeypatch):
+        # Chunks of 64 and R = 203: records after 29, 64 and 203 steps give
+        # stretches of 29, 35 and 139 = 64 + 64 + 11 steps, all but one of
+        # odd length.
+        monkeypatch.setattr(evolve, "STEP_CHUNK", 64)
+        inst = K2_CASES[case]()
+        sch = Schedule(5.0, 203)
+        steps, c, _ = evolve._evolution(inst, sch, method)
+        assert c.shape == (2, 1) and steps.means is not None
+        psi, done = start_state(inst), 0
+        for end in (29, 64, 203):
+            c = evolve._advance(steps, c, done, end)
+            psi = reference_steps(inst, sch, method, done, end) @ psi
+            assert np.abs(steps.basis @ c[:, 0] - psi).max() <= 1e-12, end
+            done = end
+        want = PRODUCTS[method](inst, sch) @ start_state(inst)
+        assert np.abs(steps.basis @ c[:, 0] - want).max() <= 1e-12
+        trace = evolve_trace(inst, sch, method, record_every=29)
+        assert np.abs(trace.final_state - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("method", ["midpoint", "trotter"])
+    def test_shift_phase_is_the_sum_of_step_phases(self, method):
+        # The pinned search's largest refinement, over a whole run and a
+        # stretch in its middle; fsum keeps the direct sum exact to rounding.
+        inst = gallery.build("l_prefix_0").family.build("0")
+        sch = Schedule(128.0, default_r_policy(128.0))
+        steps, _, _ = evolve._evolution(inst, sch, method)
+        m_ini, m_fin = steps.means
+        for j0, j1 in ((0, sch.r_steps), (1000, 777_777)):
+            js = np.arange(j0, j1)
+            angle = math.fsum(((2 * sch.r_steps - 2 * js - 1) * sch.gamma * m_ini).tolist()
+                              + ((2 * js + 1) * sch.gamma * m_fin).tolist())
+            got = evolve._shift_phase(steps, j0, j1)
+            assert abs(got - np.exp(-1j * angle)) <= 1e-12 * max(1.0, abs(angle))
+
+    @pytest.mark.parametrize("method", ["midpoint", "trotter"])
+    def test_full_chunk_allocates_one_buffer(self, method):
+        # The 2 x 2 x STEP_CHUNK buffer is the one array a chunk needs: the
+        # tree's levels write into its halves.  Tables are grown by a first
+        # call, outside the measurement.
+        inst = gallery.build("l_prefix_0").family.build("0")
+        chunk = evolve.STEP_CHUNK
+        steps, c, _ = evolve._evolution(inst, Schedule(8.0, 2 * chunk), method)
+        c = evolve._advance(steps, c, 0, chunk)
+        buffer = 2 * 2 * chunk * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            evolve._advance(steps, c, chunk, 2 * chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert buffer <= peak < 2 * buffer
+
+
+class TestOneDynamicalBasisPerRun:
+    @pytest.mark.parametrize("method", ["midpoint", "trotter"])
+    @pytest.mark.parametrize("dense_h_ini", [False, True])
+    def test_one_call_per_run(self, method, dense_h_ini, monkeypatch):
+        # I - |g><g| reuses the block split's basis; a dense H_ini has a
+        # whole-space split and builds the basis of its start state.
+        inst = gallery.build("l_prefix_0").family.build("0")
+        if dense_h_ini:
+            inst = AeqsInstance(size_bits=inst.size_bits, epsilon=inst.epsilon,
+                                h_ini=as_dense(inst.h_ini), h_fin=inst.h_fin,
+                                s_acc=inst.s_acc, s_rej=inst.s_rej)
+        calls = []
+        original = aeqs.dynamical_basis
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(aeqs, "dynamical_basis", counted)
+        monkeypatch.setattr(evolve, "dynamical_basis", counted)
+        final_overlap_sq(inst, Schedule(4.0, 64), method)
+        assert len(calls) == 1
+        evolve_trace(inst, Schedule(4.0, 64), method, record_every=16)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("name,x", [("l_prefix_0", "0"), ("equal", "abbabaab"),
+                                        ("sym_coin", "abba"), ("usubsum", "0#1#1")])
+    def test_split_basis_is_the_start_state_basis(self, name, x):
+        # The reused basis and compressions are the bits the run would
+        # compute from its start state.
+        inst = gallery.build(name).family.build(x)
+        h_ini, h_fin = as_dense(inst.h_ini), as_dense(inst.h_fin)
+        split = aeqs._block_split(inst, h_ini, h_fin, vectors=True)
+        q = dynamical_basis(h_ini, h_fin, start_state(inst))
+        assert np.array_equal(split.q, q)
+        assert np.array_equal(split.ini, _compress(h_ini, q))
+        assert np.array_equal(split.fin, _compress(h_fin, q))
 
 
 class TestFindSufficientT:
