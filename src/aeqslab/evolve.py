@@ -30,17 +30,19 @@ compilers it is often 2-dimensional whatever the full dimension.  Its
 invariance is checked to aeqs.SUBSPACE_TOL, and the full space is used when the
 check fails, so the reduction cannot silently change a result.  The
 phase-shift method runs in the full space.  Each step acts on k
-coefficients, and ``_advance`` chooses its route by k.  For k = 2 both
-compressed Hamiltonians are shifted to trace zero, so every step is in
-SU(2) and is fixed by its first column (alpha_j, beta_j); the steps are
+coefficients, and ``_advance`` chooses its route by the step kind and k.
+Splitting steps on k = 2 coefficients (trotter, and the phase-shift method
+at dim 2) shift both Hamiltonians' spectra to trace zero, so every step is
+in SU(2) and is fixed by its first column (alpha_j, beta_j); the steps are
 built STEP_CHUNK at a time as these pairs and multiplied down pairwise (a
 tree-ordered product) by the Cayley-Klein rule in one buffer of
 2 * 2 * STEP_CHUNK complex numbers, and the global phase of the shift is
-restored once per stretch, in closed form.  For other k <= PAIRWISE_DIM_MAX
-they are built as k x k matrices and multiplied down the same way in a
-buffer of 2 * STEP_CHUNK * k^2.  Either buffer is allocated once per
-stretch of steps between records whatever R is.  For larger k, where a k^3
-product costs more than a k^2 step, the steps are applied to the state one
+restored once per stretch, in closed form.  Other steps with
+k <= PAIRWISE_DIM_MAX (midpoint steps at every such k) are built as k x k
+matrices and multiplied down the same way in a buffer of
+2 * STEP_CHUNK * k^2.  Either buffer is allocated once per stretch of steps
+between records whatever R is.  For larger k, where a k^3 product costs
+more than a k^2 step, the steps are applied to the state one
 by one.  The splitting phases are linear in j, so each chunk takes them by
 angle addition from two k-vectors of exp and two ratio tables built once
 per run, as long as the longest chunk (at most STEP_CHUNK columns).  The
@@ -343,15 +345,10 @@ class _SplittingSteps:
 
 
 def _unit_phases(values: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """exp(i values[:, None] angles[None, :]), built in its own storage.  A
-    trace-zero pair (-d, d) takes the exp of its first row and conjugates it."""
+    """exp(i values[:, None] angles[None, :]), built in its own storage."""
     table = np.zeros((len(values), len(angles)), dtype=complex)
-    rows = 1 if len(values) == 2 and values[0] == -values[1] else len(values)
-    np.multiply.outer(values[:rows], angles, out=table.imag[:rows])
-    np.exp(table[:rows], out=table[:rows])
-    if rows < len(values):
-        np.conjugate(table[0], out=table[1])
-    return table
+    np.multiply.outer(values, angles, out=table.imag)
+    return np.exp(table, out=table)
 
 
 class _MidpointSteps:
@@ -362,9 +359,6 @@ class _MidpointSteps:
         self.ini, self.fin = ini, fin
         self.basis = q
         self.schedule = schedule
-        # For k = 2, tr H(s) / 2 is taken out of every step, which leaves it
-        # in SU(2).
-        self.means = None if len(ini) != 2 else (np.trace(ini).real / 2, np.trace(fin).real / 2)
 
     def _eig(self, j0: int, j1: int):
         """Eigenvectors and step phases of H(s_j) for j0 <= j < j1."""
@@ -374,33 +368,10 @@ class _MidpointSteps:
         return vectors, np.exp(-1j * (sch.t_total / sch.r_steps / sch.hbar) * values)
 
     def matrices(self, j0: int, j1: int, out: np.ndarray) -> np.ndarray:
-        """Steps j0 .. j1-1 as in ``_SplittingSteps.matrices``.  For k = 2 the
-        trace-zero part H' = [[h, z^*], [z, -h]] of H(s_j) gives the SU(2)
-        step exp(-i dt H') = cos(dt w) - i sin(dt w) H' / w, w = |(h, z)|, in
-        closed form."""
-        if self.means is None:
-            vectors, phases = self._eig(j0, j1)
-            k = vectors.shape[1]
-            return np.einsum("nim,nm,nlm->iln", vectors, phases, vectors.conj(),
-                             out=out.reshape(k, k, -1))
-        sch = self.schedule
-        dt = sch.t_total / sch.r_steps / sch.hbar
-        s = (2 * np.arange(j0, j1) + 1) / (2 * sch.r_steps)
-        z = out[1]
-        np.multiply(s, self.fin[1, 0] - self.ini[1, 0], out=z)
-        z += self.ini[1, 0]
-        h = s * ((self.fin[0, 0] - self.fin[1, 1]).real - (self.ini[0, 0] - self.ini[1, 1]).real)
-        h += (self.ini[0, 0] - self.ini[1, 1]).real
-        h /= 2.0
-        w = np.hypot(h, np.abs(z), out=s)
-        np.cos(dt * w, out=out[0].real)
-        # sin(dt w) / w, which is dt where w = 0.
-        sine = np.divide(np.sin(dt * w), w, out=np.full_like(w, dt), where=w > 0)
-        np.multiply(sine, h, out=out[0].imag)
-        np.negative(out[0].imag, out=out[0].imag)
-        z *= sine
-        z *= -1j
-        return out
+        vectors, phases = self._eig(j0, j1)
+        k = vectors.shape[1]
+        return np.einsum("nim,nm,nlm->iln", vectors, phases, vectors.conj(),
+                         out=out.reshape(k, k, -1))
 
     def apply(self, j0: int, j1: int, c: np.ndarray) -> np.ndarray:
         for j in range(j0, j1):
@@ -489,31 +460,32 @@ def _shift_phase(steps, j0: int, j1: int) -> complex:
 def _advance(steps, c: np.ndarray, j0: int, j1: int) -> np.ndarray:
     """Apply steps j0 .. j1-1 to the coefficient block c, STEP_CHUNK at a time.
 
-    The route follows k, the number of rows of c.  For k = 2,
+    Splitting steps on k = 2 coefficients carry ``means``: then
     ``steps.matrices(a, b, out)`` computes the first columns of the SU(2)
     steps a .. b-1 in the first half of a 2 x 2 x STEP_CHUNK buffer
     allocated once for the call, they are multiplied down pairwise by the
     Cayley-Klein rule (``_cayley_klein_product``), and the phase the SU(2)
-    shift took out is put back once (``_shift_phase``).  For other k up to
-    PAIRWISE_DIM_MAX it computes whole k x k steps in the same way, in a
-    2 x k^2 x STEP_CHUNK buffer, multiplied down as matrices; above it
-    ``steps.apply(a, b, c)`` applies them to c one after another.
+    shift took out is put back once (``_shift_phase``).  Other steps on at
+    most PAIRWISE_DIM_MAX coefficients are computed whole in the same way,
+    in a 2 x k^2 x STEP_CHUNK buffer, and multiplied down as matrices; above
+    it ``steps.apply(a, b, c)`` applies them to c one after another.
     """
     k = len(c)
     if k > PAIRWISE_DIM_MAX:
         for a in range(j0, j1, STEP_CHUNK):
             c = steps.apply(a, min(a + STEP_CHUNK, j1), c)
         return c
-    halves = np.empty((2, k if k == 2 else k * k, min(STEP_CHUNK, j1 - j0)), dtype=complex)
+    su2 = getattr(steps, "means", None) is not None
+    halves = np.empty((2, k if su2 else k * k, min(STEP_CHUNK, j1 - j0)), dtype=complex)
     for a in range(j0, j1, STEP_CHUNK):
         b = min(a + STEP_CHUNK, j1)
         computed = steps.matrices(a, b, halves[0, :, :b - a])
-        if k == 2:
+        if su2:
             alpha, beta = _cayley_klein_product(computed.reshape(2, -1), halves)
             c = np.array([[alpha, -beta.conjugate()], [beta, alpha.conjugate()]]) @ c
         else:
             c = _ordered_product(computed, halves) @ c
-    return _shift_phase(steps, j0, j1) * c if k == 2 else c
+    return _shift_phase(steps, j0, j1) * c if su2 else c
 
 
 def _evolution(instance: AeqsInstance, schedule: Schedule, method: str):

@@ -437,9 +437,10 @@ PRODUCTS = {"midpoint": midpoint_propagator, "trotter": trotter_product,
 
 
 class TestCayleyKleinRoute:
-    """At k = 2 the steps are SU(2) pairs (alpha, beta) multiplied by the
-    Cayley-Klein rule, with the trace's phase put back in closed form; the
-    states must match full-space products, global phase included."""
+    """At k = 2 splitting steps are SU(2) pairs (alpha, beta) multiplied by
+    the Cayley-Klein rule, with the trace's phase put back in closed form,
+    and midpoint steps keep the k x k route; the states must match
+    full-space products, global phase included."""
 
     @pytest.mark.parametrize("case,method", K2_RUNS)
     def test_records_match_full_space_steps(self, case, method, monkeypatch):
@@ -450,7 +451,8 @@ class TestCayleyKleinRoute:
         inst = K2_CASES[case]()
         sch = Schedule(5.0, 203)
         steps, c, _ = evolve._evolution(inst, sch, method)
-        assert c.shape == (2, 1) and steps.means is not None
+        assert c.shape == (2, 1)
+        assert (getattr(steps, "means", None) is None) == (method == "midpoint")
         psi, done = start_state(inst), 0
         for end in (29, 64, 203):
             c = evolve._advance(steps, c, done, end)
@@ -462,13 +464,12 @@ class TestCayleyKleinRoute:
         trace = evolve_trace(inst, sch, method, record_every=29)
         assert np.abs(trace.final_state - want).max() <= 1e-12
 
-    @pytest.mark.parametrize("method", ["midpoint", "trotter"])
-    def test_shift_phase_is_the_sum_of_step_phases(self, method):
+    def test_shift_phase_is_the_sum_of_step_phases(self):
         # The pinned search's largest refinement, over a whole run and a
         # stretch in its middle; fsum keeps the direct sum exact to rounding.
         inst = gallery.build("l_prefix_0").family.build("0")
         sch = Schedule(128.0, default_r_policy(128.0))
-        steps, _, _ = evolve._evolution(inst, sch, method)
+        steps, _, _ = evolve._evolution(inst, sch, "trotter")
         m_ini, m_fin = steps.means
         for j0, j1 in ((0, sch.r_steps), (1000, 777_777)):
             js = np.arange(j0, j1)
@@ -477,14 +478,13 @@ class TestCayleyKleinRoute:
             got = evolve._shift_phase(steps, j0, j1)
             assert abs(got - np.exp(-1j * angle)) <= 1e-12 * max(1.0, abs(angle))
 
-    @pytest.mark.parametrize("method", ["midpoint", "trotter"])
-    def test_full_chunk_allocates_one_buffer(self, method):
+    def test_full_chunk_allocates_one_buffer(self):
         # The 2 x 2 x STEP_CHUNK buffer is the one array a chunk needs: the
         # tree's levels write into its halves.  Tables are grown by a first
         # call, outside the measurement.
         inst = gallery.build("l_prefix_0").family.build("0")
         chunk = evolve.STEP_CHUNK
-        steps, c, _ = evolve._evolution(inst, Schedule(8.0, 2 * chunk), method)
+        steps, c, _ = evolve._evolution(inst, Schedule(8.0, 2 * chunk), "trotter")
         c = evolve._advance(steps, c, 0, chunk)
         buffer = 2 * 2 * chunk * np.dtype(complex).itemsize
         tracemalloc.start()
