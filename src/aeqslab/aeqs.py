@@ -13,9 +13,13 @@ time bound's ||H_fin - H_ini|| and the evolution's trace records are read
 off one BlockSplit of H(s) (``_block_split``).  When H_ini is a
 ProjectorComplement (every gallery and compiler instance), the dynamical
 subspace Q of its ground state (``dynamical_basis``) and its complement
-split H(s) into a k x k block and lines from one eigensolve of H_fin on
-Q^perp.  For any other H_ini, Q is the whole space: the block is H(s)
-itself, with no lines.
+split H(s) into a k x k block and lines, the eigenvalues of H_fin on
+Q^perp.  When H_fin is a ProjectorComplement I - |f><f| too (the
+measure-once gallery entries and every compiled instance), those are
+1 - ||f - Q Q^dagger f||^2 and 1, in closed form; for any other H_fin they
+come from one eigensolve of H_fin on Q^perp.  The type of the stored
+operator chooses, as in ``lowest_pairs``.  For any other H_ini, Q is the
+whole space: the block is H(s) itself, with no lines.
 """
 
 from __future__ import annotations
@@ -139,38 +143,62 @@ def as_dense(h) -> np.ndarray:
     return np.asarray(h, dtype=complex)
 
 
+def _projector_eigenpairs(h: ProjectorComplement, k: int) -> tuple:
+    """(values, vectors): the k lowest eigenvalues of I - |g><g|, ascending,
+    and orthonormal eigenvectors as the contiguous columns of a dim x k
+    array in Fortran order, the first of them g.
+
+    The Householder reflection R = I - 2 u u^dagger / |u|^2 with
+    u = g + phase(g_m) e_m, m where |g| is largest, maps e_m to g up to
+    phase, so R e_i for the other i are orthonormal vectors of eigenvalue 1.
+    |u|^2 = 2 + 2 |g_m| >= 2.
+    """
+    g = h.vector
+    order = np.argsort(np.abs(g), kind="stable")
+    m, others = order[-1], order[: k - 1]
+    u = g.copy()
+    u[m] += g[m] / abs(g[m])
+    vectors = np.zeros((h.dim, k), dtype=complex, order="F")
+    vectors[:, 0] = g
+    vectors[others, np.arange(1, k)] = 1.0
+    vectors[:, 1:] -= np.outer(u, (2.0 / np.vdot(u, u).real) * u[others].conj())
+    values = np.ones(k)
+    values[0] = 0.0
+    return values, vectors
+
+
+def _eigenbasis(h) -> tuple:
+    """(values, vectors): every eigenpair of a Hamiltonian, values ascending
+    and vectors as columns; in closed form for a ProjectorComplement
+    (``_projector_eigenpairs``), else by eigh of its Hermitian part."""
+    if isinstance(h, ProjectorComplement):
+        return _projector_eigenpairs(h, h.dim)
+    m = as_dense(h)
+    return np.linalg.eigh((m + m.conj().T) / 2.0)
+
+
 def lowest_pairs(h, k: int) -> list:
     """k lowest eigenpairs, values ascending, of a Hamiltonian in any
     supported representation; 1 <= k <= dim.
 
-    Eigen paths: ProjectorComplement is closed form, KroneckerSum combines
-    its factors' lowest pairs, and a dense matrix runs the full checked
-    dense eigensolve.  A SparseHermitian runs Lanczos above dim
+    Eigen paths: ProjectorComplement is closed form
+    (``_projector_eigenpairs``), KroneckerSum combines its factors' lowest
+    pairs, and a dense matrix runs the full checked dense eigensolve.  A
+    diagonal SparseHermitian needs no eigensolve at any dim: a stable
+    argsort of its diagonal gives the pairs, with hermitian_eig as its
+    oracle in tier-1.  Any other SparseHermitian runs Lanczos above dim
     min(SPARSE_EIG_MIN_DIM, dense_max()) and is densified into the dense
     eigensolve at or below it, where that is the cheaper route; the
     dense_max() bound keeps a lowered AEQS_DENSE_MAX from turning a small
-    sparse instance into a CapacityError.  At or below it, a diagonal
-    SparseHermitian needs no eigensolve: a stable argsort of its diagonal
-    gives the pairs, with hermitian_eig as its oracle in tier-1.
+    sparse instance into a CapacityError.
     """
     k = int(k)
     dim = hamiltonian_dim(h)
     if not 1 <= k <= dim:
         raise AeqsError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
     if isinstance(h, ProjectorComplement):
-        # The Householder reflection R = I - 2 u u^dagger / |u|^2 with
-        # u = g + phase(g_m) e_m, m where |g| is largest, maps e_m to g up to
-        # phase, so R e_i for the other i are orthonormal vectors of
-        # eigenvalue 1.  |u|^2 = 2 + 2 |g_m| >= 2.
-        g = h.vector
-        order = np.argsort(np.abs(g), kind="stable")
-        m, others = order[-1], order[: k - 1]
-        u = g.copy()
-        u[m] += g[m] / abs(g[m])
-        vectors = np.zeros((dim, k - 1), dtype=complex)
-        vectors[others, np.arange(k - 1)] = 1.0
-        vectors -= np.outer(u, (2.0 / np.vdot(u, u).real) * u[others].conj())
-        return [(0.0, g)] + [(1.0, v) for v in vectors.T]
+        values, vectors = _projector_eigenpairs(h, k)
+        return [(float(value), v) for value, v in zip(values, vectors.T)]
     if isinstance(h, KroneckerSum):
         # The k lowest sums come from each factor's k lowest pairs.
         pa = lowest_pairs(h.a, min(k, h.dims[0]))
@@ -178,8 +206,6 @@ def lowest_pairs(h, k: int) -> list:
         sums = sorted(((la + lb, i, j) for i, (la, _) in enumerate(pa)
                        for j, (lb, _) in enumerate(pb)), key=lambda t: t[0])
         return [(value, np.kron(pa[i][1], pb[j][1])) for value, i, j in sums[:k]]
-    if isinstance(h, SparseHermitian) and dim > min(SPARSE_EIG_MIN_DIM, dense_max()):
-        return lowest_eigenpairs(h, k)
     if isinstance(h, SparseHermitian) and np.array_equal(h.rows, h.cols):
         # Diagonal: the pairs are its entries, ascending and ties in index
         # order, with basis vectors.
@@ -187,6 +213,8 @@ def lowest_pairs(h, k: int) -> list:
         values[h.rows] = h.vals.real
         return [(float(values[i]), np.eye(1, dim, i, dtype=complex)[0])
                 for i in np.argsort(values, kind="stable")[:k]]
+    if isinstance(h, SparseHermitian) and dim > min(SPARSE_EIG_MIN_DIM, dense_max()):
+        return lowest_eigenpairs(h, k)
     dec = hermitian_eig(as_dense(h))
     return [(float(dec.values[i]), dec.vectors[:, i]) for i in range(k)]
 
@@ -405,20 +433,41 @@ class BlockSplit:
     the identity, it is (1 - s) I + s H_fin|Q^perp.  The spectrum of H(s) is
     thus the k x k block's eigenvalues together with the lines
     (1 - s) + s mu_i, where mu ascending are the eigenvalues of H_fin on
-    Q^perp, found by one eigensolve for every s; when Q is the whole space
-    there are no lines and no such eigensolve.  With ``vectors``, the
-    eigenvectors of the lines that can lie within DEGENERACY_TOL of the
-    ground energy at some s are kept, and no others.
+    Q^perp, the same for every s; when Q is the whole space there are no
+    lines.  With ``f``, H_fin is I - |f><f| and mu is found in closed form
+    from f; without it, by one eigensolve of H_fin on Q^perp.  With
+    ``vectors``, the eigenvectors of the lines that can lie within
+    DEGENERACY_TOL of the ground energy at some s are kept, and no others.
     """
 
     def __init__(self, h_ini: np.ndarray, h_fin: np.ndarray, q: np.ndarray,
-                 vectors: bool = False):
+                 vectors: bool = False, f: np.ndarray | None = None):
         self.q = q
         self.ini, self.fin = _compress(h_ini, q), _compress(h_fin, q)
         self.mu, self.lines = np.empty(0), np.empty((len(h_fin), 0), dtype=complex)
         if q is None or q.shape[1] == len(q):
             return
         k, n_perp = q.shape[1], len(q) - q.shape[1]
+        if f is not None:
+            # H_fin = I - |f><f| is I - |Pf><Pf| on Q^perp, Pf = f - Q Q^dagger f,
+            # so mu = [1 - ||Pf||^2, 1, ..., 1] with no eigensolve.  The
+            # invariance residual of Q under H_fin is ||Pf|| ||Q^dagger f||, so
+            # Pf is either about 0 or about f.  Unit lines, at 1 for every s,
+            # are never ground: the ground energy of H(s) is at most
+            # min(<g|H(s)|g>, <f|H(s)|f>) = min(s, 1 - s) (1 - |<g|f>|^2) <= 1/2
+            # (for k = 2 the block on Q has trace 1; for k = 1 it is s, and the
+            # Pf line is 1 - s).  The Pf line is lowest at s = 1, at mu_0, so
+            # it is kept when mu_0 <= 1/2 + DEGENERACY_TOL: that is when f is
+            # orthogonal to Q, where k = 1 and mu_0 is about 0.  The dense
+            # rule below would keep every unit line once |<g|f>|^2 is within
+            # DEGENERACY_TOL of 0.
+            pf = f - q @ (q.conj().T @ f)
+            weight = np.vdot(pf, pf).real
+            self.mu = np.ones(n_perp)
+            self.mu[0] = 1.0 - weight
+            if vectors and self.mu[0] <= 0.5 + DEGENERACY_TOL:
+                self.lines = (pf / math.sqrt(weight))[:, None]
+            return
         # H_fin on Q^perp is P H_fin P for P = I - Q Q^dagger.  Adding
         # shift Q Q^dagger, with shift above ||H_fin||, puts the k directions
         # of Q above every mu, and no basis of Q^perp is needed; the
@@ -473,10 +522,12 @@ class BlockSplit:
 def _block_split(instance: AeqsInstance, h_ini: np.ndarray, h_fin: np.ndarray,
                  vectors: bool = False) -> BlockSplit:
     """The BlockSplit of H(s): on the dynamical subspace of g when H_ini is
-    the ProjectorComplement I - |g><g|, else on the whole space."""
+    the ProjectorComplement I - |g><g|, else on the whole space; H_fin on
+    Q^perp in closed form when it is a ProjectorComplement I - |f><f| too."""
     q = (dynamical_basis(h_ini, h_fin, instance.h_ini.vector)
          if isinstance(instance.h_ini, ProjectorComplement) else None)
-    return BlockSplit(h_ini, h_fin, q, vectors)
+    f = instance.h_fin.vector if isinstance(instance.h_fin, ProjectorComplement) else None
+    return BlockSplit(h_ini, h_fin, q, vectors, f=f)
 
 
 def minimum_interpolation_gap(instance: AeqsInstance, grid: int = GAP_SCAN_GRID) -> float:

@@ -17,10 +17,15 @@ change between the eigenbases of H_ini and H_fin with a diagonal phase on
 either side (``_SplittingSteps``).  Trotter takes both eigenbases from
 ``eigh``; the phase-shift method is the same step in the full space with
 H_ini's eigenbasis given in closed form as W^(x)k, so PS_ini and PS_fin are
-its two phase vectors.  Midpoint steps are the only other step kind
-(``_MidpointSteps``).  ``midpoint_propagator`` and ``trotter_product``
-multiply full-space exponentials from ``linalg.unitary_exp``, written from the
-formulas above, and stay independent references for that kernel.
+its two phase vectors.  Its H_fin eigenbasis is in closed form too when
+H_fin is a ProjectorComplement I - |f><f| (f, then Householder images of
+basis vectors: ``aeqs._projector_eigenpairs``, shared with
+``aeqs.lowest_pairs``), and from a full-space ``eigh`` otherwise;
+``aeqs._eigenbasis`` chooses by the stored operator's type.  Midpoint steps
+are the only other step kind (``_MidpointSteps``).  ``midpoint_propagator``
+and ``trotter_product`` multiply full-space exponentials from
+``linalg.unitary_exp``, written from the formulas above, and stay independent
+references for that kernel.
 
 Evolving a state (``evolve_trace``, ``final_overlap_sq``) with midpoint or
 trotter runs in the dynamical subspace: the smallest subspace that contains
@@ -74,6 +79,7 @@ from .aeqs import (
     ProjectorComplement,
     _block_split,
     _compress,
+    _eigenbasis,
     as_dense,
     dynamical_basis,
     ground_state,
@@ -227,7 +233,9 @@ def trotter_error(instance: AeqsInstance, schedule: Schedule) -> float:
 
 def phase_shift_factors(instance: AeqsInstance, schedule: Schedule) -> _SplittingSteps:
     """The splitting steps in the full space, with H_ini = W diag(W H_ini W) W
-    for W = W^(x)k; raises NotHadamardDiagonal when that does not hold."""
+    for W = W^(x)k; raises NotHadamardDiagonal when that does not hold.
+    The eigenbasis of H_fin is ``aeqs._eigenbasis``: in closed form for a
+    ProjectorComplement, from eigh otherwise."""
     dim = _evolved_dim(instance)
     k = dim.bit_length() - 1
     if 2**k != dim:
@@ -236,8 +244,7 @@ def phase_shift_factors(instance: AeqsInstance, schedule: Schedule) -> _Splittin
     ini_values, off = _hadamard_diagonal(instance.h_ini, w)
     if off > OPERATOR_DEFECT_TOL:
         raise NotHadamardDiagonal(f"H_ini is not Hadamard-diagonal: off-diagonal norm {off:.3e}")
-    h_fin = as_dense(instance.h_fin)
-    fin_values, fin_vectors = np.linalg.eigh((h_fin + h_fin.conj().T) / 2.0)
+    fin_values, fin_vectors = _eigenbasis(instance.h_fin)
     return _SplittingSteps(ini_values, w, fin_values, fin_vectors, schedule)
 
 

@@ -15,7 +15,7 @@ with full reorthogonalization so that dense and sparse routes stay
 independent of each other.  Sparse operators of dimension at most
 ``SPARSE_EIG_MIN_DIM`` are cheaper to densify and solve on the dense path,
 so ``aeqs.lowest_pairs`` takes Lanczos only above it, or above
-``dense_max()`` where that is lower.
+``dense_max()`` where that is lower, and never for a diagonal operator.
 """
 
 from __future__ import annotations

@@ -236,6 +236,20 @@ class TestPhaseShift:
             assert off == pytest.approx(want, rel=1e-5, abs=1e-15)
         assert off <= want + 1e-15
 
+    @pytest.mark.parametrize("dim", [4, 16, 64, 256])
+    def test_closed_form_fin_basis_matches_trotter_product(self, dim):
+        # H_fin = I - |f><f| stored as a ProjectorComplement: the phase
+        # method takes its eigenbasis in closed form, not from eigh.
+        rng = np.random.default_rng(dim)
+        f = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        inst = AeqsInstance(size_bits=dim.bit_length() - 1, epsilon=0.9,
+                            h_ini=ProjectorComplement(deflation_vector(dim, 0)),
+                            h_fin=ProjectorComplement(f / np.linalg.norm(f)),
+                            s_acc=frozenset({0}), s_rej=frozenset({1}))
+        sch = Schedule(3.0, 8)
+        z = phase_shift_product(inst, sch)
+        assert spectral_norm(z - trotter_product(inst, sch)) <= 1e-12
+
     def test_projector_not_hadamard_diagonal_rejected(self):
         inst = projector_instance(np.arange(8.0), random_unitary(8))
         inst.h_ini = ProjectorComplement(random_unitary(8)[:, 0])
