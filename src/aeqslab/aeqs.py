@@ -64,14 +64,17 @@ class ProjectorComplement:
 
     Stored implicitly so rank-one-deflation Hamiltonians on large spaces
     never materialize dense matrices.  Spectrum: 0 on g (unique), 1 on the
-    orthogonal complement.
+    orthogonal complement.  ``vector`` is a private read-only copy of g:
+    the ground state is handed out by reference, and one operator may be
+    shared by many instances.
     """
 
     def __init__(self, vector: np.ndarray):
-        vector = np.asarray(vector, dtype=complex)
+        vector = np.array(vector, dtype=complex)
         norm = np.linalg.norm(vector)
         if abs(norm - 1.0) > NORM_TOL:
             raise AeqsError(f"deflation vector not normalized: |v| = {norm}")
+        vector.flags.writeable = False
         self.vector = vector
         self.dim = len(vector)
 
@@ -167,6 +170,13 @@ def _projector_eigenpairs(h: ProjectorComplement, k: int) -> tuple:
     return values, vectors
 
 
+def _projector_lowest_two(h: ProjectorComplement) -> tuple:
+    """``_lowest_two`` of I - |g><g| read off the spectrum above, with no
+    eigenvector built: ground energy 0, ground state g itself and gap 1, or
+    gap inf on a one-dimensional space."""
+    return 0.0, h.vector, 1.0 if h.dim > 1 else math.inf, True
+
+
 def _eigenbasis(h) -> tuple:
     """(values, vectors): every eigenpair of a Hamiltonian, values ascending
     and vectors as columns; in closed form for a ProjectorComplement
@@ -221,8 +231,11 @@ def lowest_pairs(h, k: int) -> list:
 
 def _lowest_two(h) -> tuple:
     """(ground energy, ground state, spectral gap, uniqueness flag) from the
-    two lowest pairs; a one-dimensional space has gap inf and a unique
-    ground state."""
+    two lowest pairs, or in closed form for a ProjectorComplement
+    (``_projector_lowest_two``); a one-dimensional space has gap inf and a
+    unique ground state."""
+    if isinstance(h, ProjectorComplement):
+        return _projector_lowest_two(h)
     pairs = lowest_pairs(h, min(2, hamiltonian_dim(h)))
     energy, psi = pairs[0]
     if len(pairs) == 1:

@@ -20,6 +20,7 @@ for both models.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,10 +38,19 @@ from .linalg import OPERATOR_DEFECT_TOL, CapacityError, hadamard_power, ilog, sp
 from .qqa import CENT, DOLLAR, BasisSchema
 
 GARBAGE_CAPACITY = 65536
+# Input lengths whose layout a compiled garbage-tape family keeps.
+GARBAGE_LAYOUTS = 4
 
 
 class CompileError(Exception):
     pass
+
+
+def _check_symbols(spec, x: str) -> None:
+    """Raise CompileError on the first symbol of x outside spec.alphabet."""
+    for sym in x:
+        if sym not in spec.alphabet:
+            raise CompileError(f"symbol {sym!r} outside the automaton's alphabet")
 
 
 def _unitary_defect(u: np.ndarray) -> float:
@@ -115,11 +125,10 @@ class MoQfaSpec:
 
 def run_moqfa(spec: MoQfaSpec, x: str) -> tuple:
     """(accept probability, reject probability) by direct simulation."""
+    _check_symbols(spec, x)
     psi = np.zeros(spec.n_states, dtype=complex)
     psi[spec.initial] = 1.0
     for sym in [CENT, *x, DOLLAR]:
-        if sym not in spec.ops:
-            raise CompileError(f"symbol {sym!r} outside the automaton's alphabet")
         psi = spec.ops[sym] @ psi
     probs = np.abs(psi) ** 2
     return (
@@ -135,26 +144,29 @@ def from_moqfa(spec: MoQfaSpec) -> AeqsFamily:
     the Hadamard image of the initial inner state); H_fin is the run-image
     I - |psi_x><psi_x| of the same mixture, giving ground energy 0 and gap 1
     on every input.  Padding states act as identity, carry initial-mixture
-    weight 1, and join neither criteria set.
+    weight 1, and join neither criteria set.  Everything but psi_x depends
+    on the spec alone and is built once per family.
     """
     pad = spec.padded_states
     k0 = ilog(pad)
     schema = BasisSchema([("state", tuple(range(pad)))])
     threshold = decision_threshold(spec.error_bound)
-    w_col = hadamard_power(k0)[:, spec.initial].copy()
+    ops = {sym: spec.padded_op(sym) for sym in spec.ops}
+    h_ini = ProjectorComplement(hadamard_power(k0)[:, spec.initial])
 
     def build(x: str) -> AeqsInstance:
+        _check_symbols(spec, x)
         psi = np.zeros(pad, dtype=complex)
         psi[spec.initial] = 1.0
         for sym in [CENT, *x, DOLLAR]:
-            psi = spec.padded_op(sym) @ psi
+            psi = ops[sym] @ psi
         return AeqsInstance(
             size_bits=k0,
             epsilon=threshold,
-            h_ini=ProjectorComplement(w_col),
+            h_ini=h_ini,
             h_fin=ProjectorComplement(psi),
-            s_acc=frozenset(spec.q_acc),
-            s_rej=frozenset(spec.q_rej),
+            s_acc=spec.q_acc,
+            s_rej=spec.q_rej,
             schema=schema,
         )
 
@@ -217,9 +229,9 @@ class GarbageQfaSpec:
                 raise CompileError(f"symbol {sym!r} isometry defect {defect:.3e}")
 
 
-def run_garbage_1qfa(spec: GarbageQfaSpec, x: str) -> tuple:
-    """(accept, reject) probabilities: unitary run on states x garbage
-    content, projective readout on the inner state at the end."""
+def _garbage_run(spec: GarbageQfaSpec, x: str) -> dict:
+    """{(state, garbage word): amplitude} after the unitary run on the
+    extended input; the rigid discipline keeps the amplitudes graded."""
     psi = {(spec.initial, ()): 1.0 + 0j}
     for sym in [CENT, *x, DOLLAR]:
         nxt: dict = {}
@@ -228,6 +240,14 @@ def run_garbage_1qfa(spec: GarbageQfaSpec, x: str) -> tuple:
                 key = (p, tape + (xi,))
                 nxt[key] = nxt.get(key, 0j) + amp * a
         psi = nxt
+    return psi
+
+
+def run_garbage_1qfa(spec: GarbageQfaSpec, x: str) -> tuple:
+    """(accept, reject) probabilities: unitary run on states x garbage
+    content, projective readout on the inner state at the end."""
+    _check_symbols(spec, x)
+    psi = _garbage_run(spec, x)
     p_acc = sum(abs(a) ** 2 for (q, _t), a in psi.items() if q in spec.q_acc)
     p_rej = sum(abs(a) ** 2 for (q, _t), a in psi.items() if q in spec.q_rej)
     return float(p_acc), float(p_rej)
@@ -243,59 +263,89 @@ def garbage_strings(xi_size: int, max_len: int) -> list:
     return out
 
 
-def from_garbage_1qfa(spec: GarbageQfaSpec) -> AeqsFamily:
-    """Compile onto the configuration space Q x G_n.
+@dataclass(frozen=True)
+class GarbageLayout:
+    """The part of a compiled garbage-tape instance that depends only on the
+    input length: the space Q x G_n, state-major, so that configuration
+    (q, w) has index q W + pos[w], with W = len(words).  Every input of
+    the length shares it, and nothing writes to it."""
 
-    Reading the extended input fills n+2 garbage cells, so G_n holds words
-    of length up to |x|+2.  The compiled Hamiltonians mirror the measure-once
-    compilation on this larger space.
+    words: list
+    pos: dict                    # garbage word -> its position in words
+    schema: BasisSchema
+    h_ini: ProjectorComplement
+    s_acc: frozenset
+    s_rej: frozenset
+
+
+def garbage_layout(spec: GarbageQfaSpec, length: int) -> GarbageLayout:
+    """The layout of the inputs of one length.  Reading the extended input
+    fills length+2 garbage cells, so G_n holds the words of up to that
+    length.  Raises CapacityError before any word is listed when the space
+    exceeds GARBAGE_CAPACITY."""
+    max_len = length + 2
+    xi = spec.xi_size
+    n_words = max_len + 1 if xi == 1 else (xi ** (max_len + 1) - 1) // (xi - 1)
+    dim = spec.n_states * n_words
+    if dim > GARBAGE_CAPACITY:
+        raise CapacityError(
+            f"configuration space {dim} exceeds garbage capacity {GARBAGE_CAPACITY}"
+        )
+    words = garbage_strings(xi, max_len)
+    schema = BasisSchema([("state", tuple(range(spec.n_states))), ("garbage", tuple(words))])
+
+    def criteria(states):
+        # The union of the ranges [q W, (q + 1) W), inserted in a fixed order:
+        # a frozenset's iteration order, and so the order in which decide
+        # sums the overlaps, can depend on it.
+        return frozenset(itertools.chain.from_iterable(
+            range(q * n_words, (q + 1) * n_words) for q in states))
+
+    return GarbageLayout(
+        words=words,
+        pos={w: i for i, w in enumerate(words)},
+        schema=schema,
+        h_ini=ProjectorComplement(deflation_vector(dim, schema.index((spec.initial, ())))),
+        s_acc=criteria(spec.q_acc),
+        s_rej=criteria(spec.q_rej),
+    )
+
+
+def from_garbage_1qfa(spec: GarbageQfaSpec) -> AeqsFamily:
+    """Compile onto the configuration space Q x G_n (``garbage_layout``).
+
+    The compiled Hamiltonians mirror the measure-once compilation on this
+    larger space.  Everything but psi_x depends on the input length alone
+    and is built once per length.
     """
     spec.validate()
     threshold = decision_threshold(spec.error_bound)
+    # Keyed by input length, so the inputs never grow it: it can only hold
+    # lengths whose space fits GARBAGE_CAPACITY.  With one garbage symbol
+    # those run to about GARBAGE_CAPACITY / n_states, and a layout of
+    # length n lists O(n^2) tape cells, so only the most recent are kept.
+    layout_of = functools.lru_cache(maxsize=GARBAGE_LAYOUTS)(
+        functools.partial(garbage_layout, spec))
 
     def build(x: str) -> AeqsInstance:
-        max_len = len(x) + 2
-        words = garbage_strings(spec.xi_size, max_len)
-        dim = spec.n_states * len(words)
-        if dim > GARBAGE_CAPACITY:
-            raise CapacityError(
-                f"configuration space {dim} exceeds garbage capacity {GARBAGE_CAPACITY}"
-            )
-        schema = BasisSchema([("state", tuple(range(spec.n_states))),
-                              ("garbage", tuple(words))])
-        # Unitary run (the rigid discipline keeps the amplitudes graded).
-        amps = {(spec.initial, ()): 1.0 + 0j}
-        for sym in [CENT, *x, DOLLAR]:
-            nxt: dict = {}
-            for (q, tape), amp in amps.items():
-                for (p, xi, a) in spec.delta.get((q, sym), ()):
-                    key = (p, tape + (xi,))
-                    nxt[key] = nxt.get(key, 0j) + amp * a
-            amps = nxt
-        psi = np.zeros(dim, dtype=complex)
-        for (q, tape), amp in amps.items():
-            psi[schema.index((q, tape))] = amp
+        _check_symbols(spec, x)
+        layout = layout_of(len(x))
+        n_words, pos = len(layout.words), layout.pos
+        psi = np.zeros(layout.schema.dim, dtype=complex)
+        for (q, tape), amp in _garbage_run(spec, x).items():
+            psi[q * n_words + pos[tape]] = amp
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-9:
             raise CompileError(f"run lost norm ({norm}); rigid discipline violated?")
         psi /= norm
-
-        s_acc = frozenset(
-            schema.index((q, w)) for q in spec.q_acc for w in words
-        )
-        s_rej = frozenset(
-            schema.index((q, w)) for q in spec.q_rej for w in words
-        )
         return AeqsInstance(
-            size_bits=schema.size_bits,
+            size_bits=layout.schema.size_bits,
             epsilon=threshold,
-            h_ini=ProjectorComplement(
-                deflation_vector(schema.dim, schema.index((spec.initial, ())))
-            ),
+            h_ini=layout.h_ini,
             h_fin=ProjectorComplement(psi),
-            s_acc=s_acc,
-            s_rej=s_rej,
-            schema=schema,
+            s_acc=layout.s_acc,
+            s_rej=layout.s_rej,
+            schema=layout.schema,
         )
 
     return AeqsFamily(

@@ -105,6 +105,71 @@ class TestSpectralGap:
             spectral_gap(np.array([[1.0]], dtype=complex))
 
 
+def pairs_route(h):
+    """(ground energy, ground state, gap, unique) read off lowest_pairs(h, 2),
+    the general route that a ProjectorComplement's closed form skips."""
+    pairs = lowest_pairs(h, min(2, h.dim))
+    if len(pairs) == 1:
+        return pairs[0][0], pairs[0][1], math.inf, True
+    gap = max(0.0, pairs[1][0] - pairs[0][0])
+    return pairs[0][0], pairs[0][1], gap, gap > DEGENERACY_TOL
+
+
+def projector_instance(dim, h_fin):
+    cut = (dim + 1) // 3
+    return AeqsInstance(size_bits=max(1, (dim - 1).bit_length()), epsilon=0.5,
+                        h_ini=ProjectorComplement(aeqs.deflation_vector(dim, 0)), h_fin=h_fin,
+                        s_acc=frozenset(range(cut)), s_rej=frozenset(range(cut, 2 * cut)))
+
+
+class TestProjectorClosedForm:
+    """The verdict of I - |g><g| in closed form against lowest_pairs(h, 2)
+    and a dense eigh of to_dense()."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 256])
+    def test_ground_state_and_gap(self, dim):
+        h = ProjectorComplement(random_unit(np.random.default_rng(dim), dim))
+        energy, psi, gap, unique = aeqs._lowest_two(h)
+        want = pairs_route(h)
+        assert (energy, gap, unique) == (want[0], want[2], want[3])
+        assert np.array_equal(psi, want[1])
+        assert ground_state(h)[0] == energy and ground_state(h)[2]
+        assert np.array_equal(ground_state(h)[1], h.vector)
+        values, vectors = np.linalg.eigh(h.to_dense())
+        assert abs(energy - values[0]) <= 1e-12
+        assert abs(np.vdot(vectors[:, 0], psi)) == pytest.approx(1.0, abs=1e-12)
+        if dim == 1:
+            assert gap == math.inf
+            with pytest.raises(AeqsError):
+                spectral_gap(h)
+        else:
+            assert spectral_gap(h) == gap == 1.0
+            assert abs(gap - (values[1] - values[0])) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 256])
+    def test_decide_fields(self, dim, monkeypatch):
+        h = ProjectorComplement(random_unit(np.random.default_rng(dim + 1), dim))
+        closed = decide(projector_instance(dim, h)).as_dict()
+        dense = decide(projector_instance(dim, h.to_dense())).as_dict()
+        monkeypatch.setattr(aeqs, "_lowest_two", pairs_route)
+        assert decide(projector_instance(dim, h)).as_dict() == closed
+        for key in ("outcome", "unique_ground"):
+            assert dense[key] == closed[key]
+        for key in ("ground_energy", "accuracy", "acc_overlap", "rej_overlap"):
+            assert dense[key] == pytest.approx(closed[key], abs=1e-12)
+        assert dense["spectral_gap"] == pytest.approx(closed["spectral_gap"], abs=1e-12)
+
+    def test_vector_is_a_read_only_copy(self):
+        g = random_unit(np.random.default_rng(3), 4)
+        h = ProjectorComplement(g)
+        with pytest.raises(ValueError):
+            h.vector[0] = 1.0
+        with pytest.raises(ValueError):
+            ground_state(h)[1][0] = 1.0
+        g[0] = 2.0          # the caller's array stays writable and its own
+        assert h.vector[0] != 2.0 and np.linalg.norm(h.vector) == pytest.approx(1.0)
+
+
 class TestDecide:
     def test_full_accepting_space(self):
         inst = diag_instance([0, 1], [0, 1], s_acc=(0, 1))

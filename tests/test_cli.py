@@ -27,6 +27,20 @@ MOQFA_DOC = {
 }
 
 
+GARBAGE_DOC = {
+    "schema": 1,
+    "kind": "garbage-1qfa",
+    "name": "all",
+    "alphabet": ["0", "1"],
+    "states": 1,
+    "garbage_symbols": 1,
+    "initial": 0,
+    "accepting": [0],
+    "rejecting": [],
+    "transitions": [[0, sym, 0, 1, 1] for sym in ("cent", "dollar", "0", "1")],
+}
+
+
 def run_cli(*args):
     return subprocess.run([*CLI, *args], capture_output=True, text=True)
 
@@ -295,6 +309,16 @@ class TestUsageErrors:
         code, err = self.main_exit(capsys, "compile", str(specfile), "1")
         assert code == 3, err
         assert message in err
+
+    @pytest.mark.parametrize("doc", [MOQFA_DOC, GARBAGE_DOC], ids=["moqfa", "garbage-1qfa"])
+    def test_symbol_outside_machine_alphabet(self, capsys, tmp_path, doc):
+        specfile = tmp_path / "doc.json"
+        specfile.write_text(json.dumps(doc))
+        code, err = self.main_exit(capsys, "run", str(specfile), "00")
+        assert code == 0, err
+        code, err = self.main_exit(capsys, "run", str(specfile), "02")
+        assert code == 3, err
+        assert "symbol '2' outside the automaton's alphabet" in err
 
     @pytest.mark.parametrize("command", ["compile", "run"])
     def test_non_unitary_moqqaf_document(self, capsys, tmp_path, command):

@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from aeqslab import aeqs, gallery
 from aeqslab import compilers as cp
-from aeqslab.aeqs import decide
+from aeqslab.aeqs import decide, deflation_vector
 from aeqslab.linalg import CapacityError
-from aeqslab.qqa import CENT, DOLLAR
+from aeqslab.qqa import CENT, DOLLAR, BasisSchema
 
 RNG = np.random.default_rng(31)
 
@@ -208,3 +211,138 @@ def _final_amplitudes(spec, x):
                 nxt[key] = nxt.get(key, 0j) + amp * a
         psi = nxt
     return psi
+
+
+def index_route(spec, x):
+    """The per-entry BasisSchema.index route to a compiled garbage-tape
+    instance: (schema, psi, s_acc, s_rej, initial index)."""
+    words = cp.garbage_strings(spec.xi_size, len(x) + 2)
+    schema = BasisSchema([("state", tuple(range(spec.n_states))), ("garbage", tuple(words))])
+    psi = np.zeros(schema.dim, dtype=complex)
+    for (q, tape), amp in _final_amplitudes(spec, x).items():
+        psi[schema.index((q, tape))] = amp
+    psi /= np.linalg.norm(psi)
+    s_acc = frozenset(schema.index((q, w)) for q in spec.q_acc for w in words)
+    s_rej = frozenset(schema.index((q, w)) for q in spec.q_rej for w in words)
+    return schema, psi, s_acc, s_rej, schema.index((spec.initial, ()))
+
+
+# Shapes of the decide benchmark's compiled garbage-tape sweep.
+SWEEP_GARBAGE_SHAPES = [(2, 1), (3, 1), (2, 2), (3, 2)]
+
+
+class TestGarbageLayout:
+    @pytest.mark.parametrize("n_states, xi_size", SWEEP_GARBAGE_SHAPES)
+    def test_layout_matches_index_route(self, n_states, xi_size):
+        spec = cp.random_garbage_spec(np.random.default_rng(7 * n_states + xi_size),
+                                      n_states, xi_size)
+        fam = cp.from_garbage_1qfa(spec)
+        for x in bitstrings(4):
+            inst = fam.build(x)
+            schema, psi, s_acc, s_rej, initial = index_route(spec, x)
+            assert inst.schema.coords == schema.coords
+            assert inst.s_acc == s_acc and inst.s_rej == s_rej
+            assert np.array_equal(inst.h_fin.vector, psi)
+            assert np.array_equal(inst.h_ini.vector, deflation_vector(schema.dim, initial))
+
+    def test_one_layout_per_length(self):
+        fam = cp.from_garbage_1qfa(cp.random_garbage_spec(RNG, 2, 2))
+        a, b, c = fam.build("01"), fam.build("10"), fam.build("011")
+        assert a.h_ini is b.h_ini and a.s_acc is b.s_acc and a.schema is b.schema
+        assert c.h_ini is not a.h_ini and c.dim > a.dim
+
+    def test_capacity_at_the_same_length(self, monkeypatch):
+        # The index route sized the space by listing the words: with
+        # xi_size 2 the last length that fits is 12.
+        spec = cp.random_garbage_spec(RNG, 2, 2)
+        assert spec.n_states * len(cp.garbage_strings(2, 12 + 2)) <= cp.GARBAGE_CAPACITY
+        assert spec.n_states * len(cp.garbage_strings(2, 13 + 2)) > cp.GARBAGE_CAPACITY
+        assert cp.garbage_layout(spec, 12).schema.dim <= cp.GARBAGE_CAPACITY
+        listed = count_calls(monkeypatch, cp, "garbage_strings")
+        fam = cp.from_garbage_1qfa(spec)
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                fam.build("0" * 13)
+        # No layout was built, so none is kept for that length.
+        assert listed == []
+
+
+class TestMoqfaFamily:
+    @pytest.mark.parametrize("n_states", [2, 3, 4])
+    def test_psi_matches_padded_op_route(self, n_states):
+        spec = cp.random_moqfa_spec(np.random.default_rng(n_states), n_states)
+        fam = cp.from_moqfa(spec)
+        for x in bitstrings(4):
+            psi = np.zeros(spec.padded_states, dtype=complex)
+            psi[spec.initial] = 1.0
+            for sym in [CENT, *x, DOLLAR]:
+                psi = spec.padded_op(sym) @ psi
+            assert np.array_equal(fam.build(x).h_fin.vector, psi)
+
+    def test_spec_parts_shared(self):
+        fam = cp.from_moqfa(cp.random_moqfa_spec(RNG, 3))
+        a, b = fam.build("0"), fam.build("110")
+        assert a.h_ini is b.h_ini and a.s_acc is b.s_acc and a.s_rej is b.s_rej
+
+
+class TestSymbolOutsideAlphabet:
+    def test_moqfa(self):
+        spec = parity_spec()
+        for call in (lambda: cp.run_moqfa(spec, "02"), lambda: cp.from_moqfa(spec).build("02")):
+            with pytest.raises(cp.CompileError, match="symbol '2' outside"):
+                call()
+
+    def test_garbage(self):
+        spec = cp.random_garbage_spec(RNG, 2, 1)
+        fam = cp.from_garbage_1qfa(spec)
+        for call in (lambda: cp.run_garbage_1qfa(spec, "02"), lambda: fam.build("02")):
+            with pytest.raises(cp.CompileError, match="symbol '2' outside"):
+                call()
+
+    def test_checked_before_the_layout(self):
+        # An over-capacity length with a bad symbol names the symbol.
+        fam = cp.from_garbage_1qfa(cp.random_garbage_spec(RNG, 2, 2))
+        with pytest.raises(cp.CompileError, match="symbol '2' outside"):
+            fam.build("2" * 20)
+
+
+def count_calls(monkeypatch, owner, attribute):
+    calls = []
+    original = getattr(owner, attribute)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attribute, counted)
+    return calls
+
+
+class TestRouteGuard:
+    """Which routes a batch of compiled inputs takes; no timing."""
+
+    def test_decide_builds_no_projector_eigenpairs(self, monkeypatch):
+        families = [cp.from_moqfa(cp.random_moqfa_spec(RNG, 3)),
+                    cp.from_garbage_1qfa(cp.random_garbage_spec(RNG, 2, 2)),
+                    gallery.build("l_prefix_0").family]
+        calls = count_calls(monkeypatch, aeqs, "_projector_eigenpairs")
+        for fam in families:
+            for x in bitstrings(3):
+                decide(fam.build(x))
+        assert calls == []
+
+    def test_schema_index_calls_per_length_not_per_input(self, monkeypatch):
+        spec = cp.random_garbage_spec(RNG, 3, 2)
+        calls = count_calls(monkeypatch, BasisSchema, "index")
+
+        def index_calls(inputs):
+            calls.clear()
+            fam = cp.from_garbage_1qfa(spec)
+            for x in inputs:
+                fam.build(x)
+            return len(calls)
+
+        per_length = index_calls(["101"])
+        assert per_length <= 1
+        assert index_calls(["".join(w) for w in itertools.product("01", repeat=3)]) == per_length
+        assert index_calls(list(bitstrings(3))) == 4 * per_length
