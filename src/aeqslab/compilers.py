@@ -229,17 +229,31 @@ class GarbageQfaSpec:
                 raise CompileError(f"symbol {sym!r} isometry defect {defect:.3e}")
 
 
-def _garbage_run(spec: GarbageQfaSpec, x: str) -> dict:
-    """{(state, garbage word): amplitude} after the unitary run on the
-    extended input; the rigid discipline keeps the amplitudes graded."""
-    psi = {(spec.initial, ()): 1.0 + 0j}
+def _garbage_tables(spec: GarbageQfaSpec) -> dict:
+    """symbol -> the n_states x (xi_size n_states) table T of one step:
+    T[q, (g - 1) n_states + p] sums the amplitudes of q -> p writing g."""
+    n = spec.n_states
+    symbols = [CENT, DOLLAR, *spec.alphabet]
+    tables = [[[0j] * (spec.xi_size * n) for _ in range(n)] for _ in symbols]
+    for sym, table in zip(symbols, tables):
+        for q, row in enumerate(table):
+            for (p, xi, amp) in spec.delta.get((q, sym), ()):
+                row[(xi - 1) * n + p] += amp
+    return dict(zip(symbols, np.array(tables)))
+
+
+def _garbage_run(spec: GarbageQfaSpec, tables: dict, x: str) -> np.ndarray:
+    """The amplitudes after the unitary run on the extended input, as an
+    xi_size^m x n_states array over the words of length m = len(x) + 2 (the
+    rigid discipline leaves every shorter word empty).  Row i is the word
+    whose digits g - 1 spell i in base xi_size, first cell most significant:
+    its place among the words of length m in ``garbage_strings``.  Row w of
+    psi @ T holds the words w + (g,) for g = 1..xi_size, each a row of
+    n_states, so one reshape lists the next grade in order."""
+    psi = np.zeros((1, spec.n_states), dtype=complex)
+    psi[0, spec.initial] = 1.0
     for sym in [CENT, *x, DOLLAR]:
-        nxt: dict = {}
-        for (q, tape), amp in psi.items():
-            for (p, xi, a) in spec.delta.get((q, sym), ()):
-                key = (p, tape + (xi,))
-                nxt[key] = nxt.get(key, 0j) + amp * a
-        psi = nxt
+        psi = (psi @ tables[sym]).reshape(-1, spec.n_states)
     return psi
 
 
@@ -247,10 +261,9 @@ def run_garbage_1qfa(spec: GarbageQfaSpec, x: str) -> tuple:
     """(accept, reject) probabilities: unitary run on states x garbage
     content, projective readout on the inner state at the end."""
     _check_symbols(spec, x)
-    psi = _garbage_run(spec, x)
-    p_acc = sum(abs(a) ** 2 for (q, _t), a in psi.items() if q in spec.q_acc)
-    p_rej = sum(abs(a) ** 2 for (q, _t), a in psi.items() if q in spec.q_rej)
-    return float(p_acc), float(p_rej)
+    probs = (np.abs(_garbage_run(spec, _garbage_tables(spec), x)) ** 2).sum(axis=0)
+    return (float(probs[sorted(spec.q_acc)].sum()),
+            float(probs[sorted(spec.q_rej)].sum()))
 
 
 def garbage_strings(xi_size: int, max_len: int) -> list:
@@ -267,11 +280,10 @@ def garbage_strings(xi_size: int, max_len: int) -> list:
 class GarbageLayout:
     """The part of a compiled garbage-tape instance that depends only on the
     input length: the space Q x G_n, state-major, so that configuration
-    (q, w) has index q W + pos[w], with W = len(words).  Every input of
-    the length shares it, and nothing writes to it."""
+    (q, w) has index q W + (the place of w in words), with W = len(words).
+    Every input of the length shares it, and nothing writes to it."""
 
     words: list
-    pos: dict                    # garbage word -> its position in words
     schema: BasisSchema
     h_ini: ProjectorComplement
     s_acc: frozenset
@@ -303,7 +315,6 @@ def garbage_layout(spec: GarbageQfaSpec, length: int) -> GarbageLayout:
 
     return GarbageLayout(
         words=words,
-        pos={w: i for i, w in enumerate(words)},
         schema=schema,
         h_ini=ProjectorComplement(deflation_vector(dim, schema.index((spec.initial, ())))),
         s_acc=criteria(spec.q_acc),
@@ -316,10 +327,13 @@ def from_garbage_1qfa(spec: GarbageQfaSpec) -> AeqsFamily:
 
     The compiled Hamiltonians mirror the measure-once compilation on this
     larger space.  Everything but psi_x depends on the input length alone
-    and is built once per length.
+    and is built once per length; the step tables are built once.  The run
+    fills only the top grade, the words of length len(x) + 2, which are the
+    last of each state's range of words.
     """
     spec.validate()
     threshold = decision_threshold(spec.error_bound)
+    tables = _garbage_tables(spec)
     # Keyed by input length, so the inputs never grow it: it can only hold
     # lengths whose space fits GARBAGE_CAPACITY.  With one garbage symbol
     # those run to about GARBAGE_CAPACITY / n_states, and a layout of
@@ -330,10 +344,10 @@ def from_garbage_1qfa(spec: GarbageQfaSpec) -> AeqsFamily:
     def build(x: str) -> AeqsInstance:
         _check_symbols(spec, x)
         layout = layout_of(len(x))
-        n_words, pos = len(layout.words), layout.pos
+        top = _garbage_run(spec, tables, x)
+        n_words = len(layout.words)
         psi = np.zeros(layout.schema.dim, dtype=complex)
-        for (q, tape), amp in _garbage_run(spec, x).items():
-            psi[q * n_words + pos[tape]] = amp
+        psi.reshape(spec.n_states, n_words)[:, n_words - len(top):] = top.T
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-9:
             raise CompileError(f"run lost norm ({norm}); rigid discipline violated?")

@@ -97,6 +97,8 @@ STEP_CHUNK = 2**15        # steps built and multiplied at a time
 PAIRWISE_DIM_MAX = 6      # largest subspace dimension multiplied down pairwise; above
                           # k = 8 applying trotter steps one by one is faster
 BISECT_STEPS = 5          # halvings of the bracket a time search ends with
+STEP_BUDGET = 2**25       # most steps R one time-search evaluation may take: 16 times the
+                          # pinned l_prefix search's largest R (2^21 at T = 128)
 STEP_PHASE_MAX = 1e9      # rad; largest step phase (T/(R hbar)) ||H|| evolved.  A phase
                           # near 1e9 carries a rounding error of about 1e-7 rad; far
                           # beyond it the step's exponentials have no significant digit
@@ -599,8 +601,11 @@ def find_sufficient_t(instance: AeqsInstance, target_overlap_sq: float,
     target final overlap.
 
     The search is deterministic, so a larger target can never return a
-    smaller time.  If the cap is exceeded the result carries the best
-    overlap found and converged=False instead of failing silently.
+    smaller time.  If the cap is exceeded, or an evaluation would take more
+    than STEP_BUDGET steps (it is then not run), the result carries the best
+    overlap found and converged=False instead of failing silently; with no
+    evaluation run, that is overlap 0 at t_start.  ``r_policy`` is called
+    once per evaluation, skipped ones included.
     """
     if not 0.0 < target_overlap_sq < 1.0:
         raise EvolveError("target overlap must lie strictly between 0 and 1")
@@ -608,29 +613,33 @@ def find_sufficient_t(instance: AeqsInstance, target_overlap_sq: float,
     evaluations = []
 
     def success(t: float):
-        overlap = final_overlap_sq(instance, Schedule(t, r_policy(t)), method)
+        """(target reached, overlap), or None past the step budget."""
+        r_steps = r_policy(t)
+        if r_steps > STEP_BUDGET:
+            return None
+        overlap = final_overlap_sq(instance, Schedule(t, r_steps), method)
         evaluations.append((t, overlap))
         return overlap >= target_overlap_sq, overlap
 
     t = t_start
-    ok, overlap = success(t)
-    if ok:
-        return TimeSearchResult(t, overlap, True, evaluations)
-    while t < t_cap:
+    outcome = success(t)
+    if outcome is not None and outcome[0]:
+        return TimeSearchResult(t, outcome[1], True, evaluations)
+    while outcome is not None and t < t_cap:
         t_next = min(2 * t, t_cap)
-        ok, overlap = success(t_next)
-        if ok:
-            lo, hi, hi_overlap = t, t_next, overlap
+        outcome = success(t_next)
+        if outcome is not None and outcome[0]:
+            lo, hi, hi_overlap = t, t_next, outcome[1]
             for _ in range(BISECT_STEPS):
                 mid = (lo + hi) / 2
-                ok_mid, overlap_mid = success(mid)
-                if ok_mid:
-                    hi, hi_overlap = mid, overlap_mid
+                mid_outcome = success(mid)
+                if mid_outcome is None:
+                    break
+                if mid_outcome[0]:
+                    hi, hi_overlap = mid, mid_outcome[1]
                 else:
                     lo = mid
             return TimeSearchResult(hi, hi_overlap, True, evaluations)
         t = t_next
-        if t >= t_cap:
-            break
-    best = max(evaluations, key=lambda pair: pair[1])
+    best = max(evaluations, key=lambda pair: pair[1], default=(t_start, 0.0))
     return TimeSearchResult(best[0], best[1], False, evaluations)

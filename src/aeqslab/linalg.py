@@ -147,14 +147,31 @@ def coalesce(dim: int, rows, cols, vals):
     keys are summed in the order they appear, so a given list of triplets
     always merges to the same bits.  Nothing is pruned: an exact cancellation
     stays a stored zero.
+
+    The sort is a stable (timsort) argsort, which only merges runs when the
+    triplets arrive in sorted runs, as sparse products emit them.  When no
+    key repeats, each value is the one-term sum 0.0 + v that ``bincount``
+    would form.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=complex)
-    keys, inverse = np.unique(rows * dim + cols, return_inverse=True)
-    merged = np.empty(len(keys), dtype=complex)
-    merged.real = np.bincount(inverse, vals.real, len(keys))
-    merged.imag = np.bincount(inverse, vals.imag, len(keys))
+    keys = rows * dim + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if first.all():
+        merged = vals[order]
+        merged += 0.0           # in place: no second copy at peak memory
+    else:
+        inverse = np.empty(len(keys), dtype=np.int64)
+        inverse[order] = np.cumsum(first) - 1
+        keys = keys[first]
+        merged = np.empty(len(keys), dtype=complex)
+        merged.real = np.bincount(inverse, vals.real, len(keys))
+        merged.imag = np.bincount(inverse, vals.imag, len(keys))
     return keys // dim, keys % dim, merged
 
 

@@ -23,6 +23,7 @@ one state through the unitaries, with no operator product formed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -166,14 +167,19 @@ class SparseOp:
     """Sparse complex matrix as (row, col)-sorted triplet arrays.
 
     Duplicate keys are summed on construction (``linalg.coalesce``), so every
-    key is stored once.
+    key is stored once.  An op is never changed after construction, so it
+    keeps its row pointers and its adjoint once formed: a Kraus family that
+    acts at every step of a two-way run forms them once.
     """
 
-    __slots__ = ("dim", "rows", "cols", "vals")
+    __slots__ = ("dim", "rows", "cols", "vals", "_indptr", "_adjoint")
 
     def __init__(self, dim: int, rows=(), cols=(), vals=()):
-        self.dim = int(dim)
-        self.rows, self.cols, self.vals = coalesce(self.dim, rows, cols, vals)
+        self._set(int(dim), *coalesce(int(dim), rows, cols, vals))
+
+    def _set(self, dim, rows, cols, vals):
+        self.dim, self.rows, self.cols, self.vals = dim, rows, cols, vals
+        self._indptr = self._adjoint = None
 
     @classmethod
     def from_rules(cls, dim: int, rules: Iterable) -> "SparseOp":
@@ -205,12 +211,21 @@ class SparseOp:
         rs, cs = np.nonzero(mat)
         return cls(mat.shape[0], rs, cs, mat[rs, cs])
 
+    @property
+    def indptr(self) -> np.ndarray:
+        """Row pointers: the entries of row r are [indptr[r], indptr[r + 1])."""
+        if self._indptr is None:
+            self._indptr = np.zeros(self.dim + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.rows, minlength=self.dim), out=self._indptr[1:])
+        return self._indptr
+
     def _product_terms(self, other: "SparseOp"):
-        """Unmerged triplets of self @ other: one per pair (r, k), (k, c)."""
+        """Unmerged triplets of self @ other: one per pair (r, k), (k, c), in
+        the order of self's entries, so the rows come out sorted."""
         if self.dim != other.dim:
             raise QqaError("dimension mismatch in sparse product")
-        start = np.searchsorted(other.rows, self.cols, side="left")
-        counts = np.searchsorted(other.rows, self.cols, side="right") - start
+        start = other.indptr[self.cols]
+        counts = other.indptr[self.cols + 1] - start
         left = np.repeat(np.arange(len(self.vals)), counts)
         right = np.arange(len(left)) + np.repeat(start - (np.cumsum(counts) - counts), counts)
         return self.rows[left], other.cols[right], self.vals[left] * other.vals[right]
@@ -219,12 +234,16 @@ class SparseOp:
         return SparseOp(self.dim, *self._product_terms(other))._pruned(PRODUCT_PRUNE_TOL)
 
     def _pruned(self, tol: float) -> "SparseOp":
+        """A new op without the entries of magnitude at most tol."""
         keep = np.abs(self.vals) > tol
-        self.rows, self.cols, self.vals = self.rows[keep], self.cols[keep], self.vals[keep]
-        return self
+        pruned = SparseOp.__new__(SparseOp)
+        pruned._set(self.dim, self.rows[keep], self.cols[keep], self.vals[keep])
+        return pruned
 
     def adjoint(self) -> "SparseOp":
-        return SparseOp(self.dim, self.cols, self.rows, self.vals.conj())
+        if self._adjoint is None:
+            self._adjoint = SparseOp(self.dim, self.cols, self.rows, self.vals.conj())
+        return self._adjoint
 
     def to_dense(self) -> np.ndarray:
         if self.dim > dense_max():
@@ -495,7 +514,10 @@ def generate_2qqaf(level: TwoWayQqafLevel, x: str, *, return_trace: bool = False
     if t < 0:
         raise QqaError("negative step count")
     schema = level.surface_schema(x)
-    families = [level.first_step_builder(x, schema)] + [level.step_builder(x, schema)] * t
+    # An iterator, so that the first move's family and the adjoints it keeps
+    # are released once that move is applied.
+    families = itertools.chain([level.first_step_builder(x, schema)],
+                               itertools.repeat(level.step_builder(x, schema), t))
     return _channel_output(level.lam0_builder(x, schema), families, schema,
                            return_trace=return_trace)
 

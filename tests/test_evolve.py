@@ -19,6 +19,7 @@ from aeqslab.aeqs import (
 )
 from aeqslab.evolve import (
     PAIRWISE_DIM_MAX,
+    STEP_BUDGET,
     STEP_PHASE_MAX,
     EvolveError,
     NotHadamardDiagonal,
@@ -574,6 +575,38 @@ class TestFindSufficientT:
         inst = gallery.build("l_prefix_0").family.build("0")
         with pytest.raises(EvolveError, match="STEP_PHASE_MAX"):
             find_sufficient_t(inst, 0.99, r_policy=lambda t: 1, t_start=2 * STEP_PHASE_MAX)
+
+    @pytest.mark.parametrize("case", ["l_prefix_0", "orthogonal pair"])
+    def test_step_budget_ends_an_unreachable_search(self, case):
+        # l_prefix_0 "0" does not reach 1 - 1e-12 by T = 256, and the
+        # orthogonal rank-one pair's gap closes at s = 1/2, so it reaches no
+        # target.  The doubling stops at T = 512, R = 2^27 > STEP_BUDGET,
+        # instead of running on to t_cap = 1e4 (R = 1e12).
+        if case == "l_prefix_0":
+            inst, target = gallery.build("l_prefix_0").family.build("0"), 1 - 1e-12
+        else:
+            e = np.eye(4, dtype=complex)
+            inst = AeqsInstance(size_bits=2, epsilon=0.9, h_ini=ProjectorComplement(e[0]),
+                                h_fin=ProjectorComplement(e[1]),
+                                s_acc=frozenset({1}), s_rej=frozenset({2}))
+            target = 0.99
+        asked = []
+
+        def policy(t):
+            asked.append(t)
+            return default_r_policy(t)
+
+        res = find_sufficient_t(inst, target, r_policy=policy)
+        assert not res.converged
+        assert asked == [2.0**j for j in range(10)]
+        assert [t for t, _ in res.evaluations] == asked[:-1]
+        assert default_r_policy(asked[-2]) <= STEP_BUDGET < default_r_policy(asked[-1])
+        assert (res.t, res.overlap_sq) == max(res.evaluations, key=lambda pair: pair[1])
+
+    def test_over_budget_start_runs_nothing(self):
+        inst = gallery.build("equal").family.build("ab")
+        res = find_sufficient_t(inst, 0.99, r_policy=lambda t: STEP_BUDGET + 1, t_start=3.0)
+        assert (res.t, res.overlap_sq, res.converged, res.evaluations) == (3.0, 0.0, False, [])
 
     def test_default_policy_floor(self):
         assert default_r_policy(0.5) == 64

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from aeqslab import gallery, linalg, qqa
 from aeqslab.linalg import SparseHermitian, spectral_norm
 from aeqslab.qqa import (
     CENT,
@@ -327,6 +330,119 @@ class TestGenerate2qqaf:
         vals = np.sort(np.linalg.eigvalsh(e.operator.to_dense()))
         lam = sorted([0.0, 1, 2, 3, 4])
         assert np.allclose(vals, lam)
+
+
+def unique_coalesce(dim, rows, cols, vals):
+    """The np.unique route to coalesce."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=complex)
+    keys, inverse = np.unique(rows * dim + cols, return_inverse=True)
+    merged = np.empty(len(keys), dtype=complex)
+    merged.real = np.bincount(inverse, vals.real, len(keys))
+    merged.imag = np.bincount(inverse, vals.imag, len(keys))
+    return keys // dim, keys % dim, merged
+
+
+def coalesce_cases():
+    rng = np.random.default_rng(17)
+
+    def triplets(dim, n, key_range=None, repeat=True):
+        keys = rng.choice(key_range or dim * dim, size=n, replace=repeat)
+        vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return dim, keys // dim, keys % dim, vals
+
+    signed_zeros = np.array([0.0, -0.0, -0.0 - 0.0j, 1.0 - 0.0j, -0.0 + 1.0j])
+    return [
+        triplets(7, 0),                                 # empty
+        triplets(7, 1),                                 # a single entry
+        triplets(7, 40),                                # with duplicates
+        triplets(50, 40, repeat=False),                 # no repeated key
+        triplets(7, 30, key_range=1),                   # all one key
+        (5, [4, 4, 0], [4, 4, 0], [1.0, 2.0, 3.0]),     # the key dim^2 - 1
+        (3, [2, 0, 1, 1, 2], [0, 2, 1, 1, 0], signed_zeros),
+        (3, [0, 1, 2, 2, 0], [0, 1, 2, 1, 1], signed_zeros),
+        (1 << 20, [(1 << 20) - 1, 0], [(1 << 20) - 1, 1], [1j, -1.0]),
+    ]
+
+
+@pytest.mark.parametrize("dim, rows, cols, vals", coalesce_cases())
+def test_coalesce_matches_unique_route_bit_for_bit(dim, rows, cols, vals):
+    got = linalg.coalesce(dim, rows, cols, vals)
+    expect = unique_coalesce(dim, rows, cols, vals)
+    for a, b in zip(got, expect):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def searchsorted_product_terms(self, other):
+    """The product terms found by two binary searches per product."""
+    start = np.searchsorted(other.rows, self.cols, side="left")
+    counts = np.searchsorted(other.rows, self.cols, side="right") - start
+    left = np.repeat(np.arange(len(self.vals)), counts)
+    right = np.arange(len(left)) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+    return self.rows[left], other.cols[right], self.vals[left] * other.vals[right]
+
+
+def per_step_adjoint(self):
+    """A fresh adjoint on every call."""
+    return SparseOp(self.dim, self.cols, self.rows, self.vals.conj())
+
+
+def pal_inputs():
+    words = ["".join(w) for n in range(3) for w in itertools.product("ab", repeat=n)]
+    return [w + "#" + v for w in words for v in words]
+
+
+def pal_generate(x):
+    generated, trace = generate_2qqaf(gallery._pal_level(x), x, return_trace=True)
+    op = generated.operator
+    return [a.tobytes() for a in (op.rows, op.cols, op.vals, op.full_rows, op.full_cols,
+                                  op.full_vals)], trace
+
+
+class TestSparseKernelOracles:
+    """The row-pointer product, the kept adjoints and the sorted-run
+    coalesce against the routes they replaced: the same bits."""
+
+    def test_pal_marked_generation_bit_for_bit(self, monkeypatch):
+        inputs = pal_inputs()
+        got = [pal_generate(x) for x in inputs]
+        monkeypatch.setattr(linalg, "coalesce", unique_coalesce)
+        monkeypatch.setattr(qqa, "coalesce", unique_coalesce)
+        monkeypatch.setattr(SparseOp, "_product_terms", searchsorted_product_terms)
+        monkeypatch.setattr(SparseOp, "adjoint", per_step_adjoint)
+        for x, result in zip(inputs, got):
+            assert pal_generate(x) == result, x
+
+    def test_pruning_leaves_the_op(self):
+        op = SparseOp.from_rules(3, [(0, 0, 1e-17), (1, 2, 1.0), (2, 1, 1e-17)])
+        adjoint, indptr = op.adjoint(), op.indptr.copy()
+        pruned = op._pruned(1e-16)
+        assert op.nnz() == 3 and pruned.nnz() == 1
+        assert op.adjoint() is adjoint and np.array_equal(op.indptr, indptr)
+        assert pruned.adjoint().nnz() == 1
+
+    def test_one_adjoint_per_kraus_operator(self, monkeypatch):
+        # 2n + 3 = 13 steps after the first move on "ab#ba": one channel call
+        # per step, and one adjoint per operator of the two families.
+        conjugations = []
+        adjoints = []
+        conjugate, adjoint = qqa.sparse_conjugate, SparseOp.adjoint
+
+        def counted_conjugate(kraus, h):
+            conjugations.append(len(kraus))
+            return conjugate(kraus, h)
+
+        def kept_adjoint(self):
+            adjoints.append(adjoint(self))
+            return adjoints[-1]
+
+        monkeypatch.setattr(qqa, "sparse_conjugate", counted_conjugate)
+        monkeypatch.setattr(SparseOp, "adjoint", kept_adjoint)
+        generate_2qqaf(gallery._pal_level("ab#ba"), "ab#ba")
+        assert conjugations == [2] * 14
+        assert len(adjoints) == 28
+        assert len({id(a) for a in adjoints}) == 4
 
 
 class TestDropRightEndmarker:
