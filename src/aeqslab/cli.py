@@ -15,6 +15,7 @@ import time
 
 from . import gallery, linalg
 from .aeqs import (
+    AeqsFamily,
     AeqsInstance,
     adiabatic_time_bound,
     commutator_check,
@@ -67,8 +68,6 @@ def _entry_from_document(doc: MachineSpecDocument) -> gallery.GalleryEntry:
 
 
 def _moqqaf_family(doc: MachineSpecDocument):
-    from .aeqs import AeqsFamily, DEFAULT_ACCURACY_BOUND, ProjectorComplement, deflation_vector
-
     level, criteria = doc.to_moqqaf()
     report = validate_level(level)
     if not report.passed:
@@ -79,17 +78,9 @@ def _moqqaf_family(doc: MachineSpecDocument):
         )
 
     def builder(x: str) -> AeqsInstance:
-        generated = generate_moqqaf(level, x)
-        distinguished = 0
-        return AeqsInstance(
-            size_bits=level.schema.size_bits,
-            epsilon=DEFAULT_ACCURACY_BOUND,
-            h_ini=ProjectorComplement(deflation_vector(level.dim, distinguished)),
-            h_fin=generated.operator,
-            s_acc=criteria["acc"],
-            s_rej=criteria["rej"],
-            schema=level.schema,
-        )
+        return gallery.aeqs_instance(level.schema, level.schema.state_of(0),
+                                     generate_moqqaf(level, x).operator,
+                                     criteria["acc"], criteria["rej"])
 
     return AeqsFamily(
         alphabet=level.alphabet,

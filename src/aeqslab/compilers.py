@@ -34,7 +34,7 @@ from .aeqs import (
     ProjectorComplement,
     deflation_vector,
 )
-from .linalg import OPERATOR_DEFECT_TOL, CapacityError, hadamard_power, ilog, spectral_norm
+from .linalg import OPERATOR_DEFECT_TOL, RUN_NORM_TOL, CapacityError, ilog, spectral_norm
 from .qqa import CENT, DOLLAR, BasisSchema
 
 GARBAGE_CAPACITY = 65536
@@ -152,7 +152,7 @@ def from_moqfa(spec: MoQfaSpec) -> AeqsFamily:
     schema = BasisSchema([("state", tuple(range(pad)))])
     threshold = decision_threshold(spec.error_bound)
     ops = {sym: spec.padded_op(sym) for sym in spec.ops}
-    h_ini = ProjectorComplement(hadamard_power(k0)[:, spec.initial])
+    h_ini = ProjectorComplement(deflation_vector(pad, spec.initial))
 
     def build(x: str) -> AeqsInstance:
         _check_symbols(spec, x)
@@ -349,7 +349,7 @@ def from_garbage_1qfa(spec: GarbageQfaSpec) -> AeqsFamily:
         psi = np.zeros(layout.schema.dim, dtype=complex)
         psi.reshape(spec.n_states, n_words)[:, n_words - len(top):] = top.T
         norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > 1e-9:
+        if abs(norm - 1.0) > RUN_NORM_TOL:
             raise CompileError(f"run lost norm ({norm}); rigid discipline violated?")
         psi /= norm
         return AeqsInstance(

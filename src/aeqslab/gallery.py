@@ -23,7 +23,8 @@ basis is closed under the generation maps and reproduces the constructions'
 analyzed spectra exactly.  Their steps are permutations F, and Lambda0
 differs from the identity only at the idle track's start, so the diagonal of
 F Lambda0 F^dagger is read off that start's forward landing: no step is
-inverted.  Every permutation operator is built by ``permutation_op``.  The
+inverted.  Every instance is assembled by ``aeqs_instance`` and every
+permutation operator by ``permutation_op``.  The
 marked-palindrome construction is kept verbatim on its full
 surface-configuration space; deviations of its ground support from the
 intended accept/reject spaces are REPORTED as findings by verify(), never
@@ -32,6 +33,7 @@ patched.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -71,8 +73,20 @@ class PromiseError(GalleryError):
     """Input does not have the block shape the promise problem requires."""
 
 
-def initial_hamiltonian(schema: BasisSchema, distinguished_state) -> ProjectorComplement:
-    return ProjectorComplement(deflation_vector(schema.dim, schema.index(distinguished_state)))
+def aeqs_instance(schema: BasisSchema, start, h_fin, s_acc: frozenset,
+                  s_rej: frozenset) -> AeqsInstance:
+    """The instance of one input: H_ini deflates the start state, H_fin and
+    the criteria index sets are the construction's, and the size and
+    accuracy bound are the schema's and the default."""
+    return AeqsInstance(
+        size_bits=schema.size_bits,
+        epsilon=DEFAULT_ACCURACY_BOUND,
+        h_ini=ProjectorComplement(deflation_vector(schema.dim, schema.index(start))),
+        h_fin=h_fin,
+        s_acc=s_acc,
+        s_rej=s_rej,
+        schema=schema,
+    )
 
 
 def permutation_op(schema: BasisSchema, step: Callable) -> SparseOp:
@@ -110,6 +124,71 @@ class GalleryEntry:
         if self.orientation == "swapped":
             return REJECT if side == ACCEPT else ACCEPT
         return side
+
+
+# ---------------------------------------------------------------------------
+# Parts shared by the entries
+# ---------------------------------------------------------------------------
+
+def _measure_once_entry(name: str, level_of: Callable[[int], QqafLevel], start,
+                        criteria: Callable, oracle: Callable[[str], str], tags: tuple,
+                        notes: str) -> GalleryEntry:
+    """An entry on a measure-once level per input length.
+
+    H_fin is I - |g><g| with g from ``measure_once_ground``, so its ground
+    energy 0 and gap 1 are exact.  ``criteria(x, schema)`` gives the two
+    index sets.  The validation report checks the very level that built the
+    instance: both read one cache, keyed by length and so bounded by the
+    lengths asked for, not by the inputs.
+    """
+    level_of = functools.cache(level_of)
+
+    def build(x: str) -> AeqsInstance:
+        level = level_of(len(x))
+        h_fin = ProjectorComplement(measure_once_ground(level, x))
+        return aeqs_instance(level.schema, start, h_fin, *criteria(x, level.schema))
+
+    return GalleryEntry(
+        name=name,
+        family=AeqsFamily(alphabet=level_of(0).alphabet, builder=build, tags=tags, name=name),
+        oracle=oracle,
+        expectations=[
+            Expectation("ground energy 0 on every input", lambda x: True,
+                        energy=lambda x: 0.0),
+            Expectation("spectral gap exactly 1", lambda x: True,
+                        gap_lower=lambda x: 1.0),
+        ],
+        notes=notes,
+        validation_levels=lambda x: [level_of(len(x))],
+    )
+
+
+def _landing_diagonal(schema: BasisSchema, halting, deformed: tuple,
+                      weight: float) -> SparseHermitian:
+    """F Lambda0 F^dagger of a track construction whose Lambda0 is ``weight``
+    at the idle track's start and 1 elsewhere: 0 on the halting states,
+    ``weight`` on the states that begin with ``deformed`` (that start's
+    landing), 1 on the rest."""
+    diag = np.ones(schema.dim)
+    for idx, st in enumerate(schema.all_states()):
+        if st in halting:
+            diag[idx] = 0.0
+        elif st[:len(deformed)] == deformed:
+            diag[idx] = weight
+    return SparseHermitian.diagonal(diag)
+
+
+def _register_level(schema: BasisSchema, alphabet: tuple, step: Callable, cent: list,
+                    dollar: list, name: str) -> QqafLevel:
+    """One track on its full register space, for the unitarity/completeness
+    report: the permutation ``step(state, symbol)`` per symbol, the given
+    endmarker families, and Lambda0 = I."""
+    ops = {CENT: cent}
+    for sym in alphabet:
+        ops[sym] = [permutation_op(schema, lambda s, sym=sym: step(s, sym))]
+    ops[DOLLAR] = dollar
+    return QqafLevel(schema=schema, alphabet=alphabet, ops=ops,
+                     lam0=SparseHermitian.diagonal(np.ones(schema.dim)), name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -151,52 +230,20 @@ def _prefix_level(n: int, a: str) -> QqafLevel:
 
 
 def _build_l_prefix(a: str) -> GalleryEntry:
-    levels: dict[int, QqafLevel] = {}
-
-    def level_for(n: int) -> QqafLevel:
-        if n not in levels:
-            levels[n] = _prefix_level(n, a)
-        return levels[n]
-
-    def build(x: str) -> AeqsInstance:
-        level = level_for(len(x))
-        schema = level.schema
-        s_rej = {("q2", 0)}
+    def criteria(x: str, schema: BasisSchema):
+        s_rej = [("q2", 0)]
         if len(x) == 0:
             # The empty string never reaches the branch cell; its ground
             # state stays on the start tuple, which we class as rejecting.
-            s_rej.add(("q0", 0))
-        return AeqsInstance(
-            size_bits=schema.size_bits,
-            epsilon=DEFAULT_ACCURACY_BOUND,
-            h_ini=initial_hamiltonian(schema, ("q0", 0)),
-            h_fin=ProjectorComplement(measure_once_ground(level, x)),
-            s_acc=schema.indices_of([("q1", 0)]),
-            s_rej=schema.indices_of(s_rej),
-            schema=schema,
-        )
+            s_rej.append(("q0", 0))
+        return schema.indices_of([("q1", 0)]), schema.indices_of(s_rej)
 
-    family = AeqsFamily(
-        alphabet=("0", "1"), builder=build,
-        tags=("1moqqaf", "logsize", "constgap", "0-energy"), name=f"l_prefix_{a}",
-    )
-
-    def oracle(x: str) -> str:
-        return ACCEPT if x.startswith(a) else REJECT
-
-    return GalleryEntry(
-        name=f"l_prefix_{a}",
-        family=family,
-        oracle=oracle,
-        expectations=[
-            Expectation("ground energy 0 on every input", lambda x: True,
-                        energy=lambda x: 0.0),
-            Expectation("spectral gap exactly 1", lambda x: True,
-                        gap_lower=lambda x: 1.0),
-        ],
+    return _measure_once_entry(
+        f"l_prefix_{a}", lambda n: _prefix_level(n, a), ("q0", 0), criteria,
+        oracle=lambda x: ACCEPT if x.startswith(a) else REJECT,
+        tags=("1moqqaf", "logsize", "constgap", "0-energy"),
         notes="start tuple added to the rejection set at n=0 so the empty "
               "string is decided rather than indeterminate",
-        validation_levels=lambda x: [level_for(len(x))],
     )
 
 
@@ -248,53 +295,21 @@ def _equal_level(n: int) -> QqafLevel:
 
 
 def _build_equal() -> GalleryEntry:
-    levels: dict[int, QqafLevel] = {}
-
-    def level_for(n: int) -> QqafLevel:
-        if n not in levels:
-            levels[n] = _equal_level(n)
-        return levels[n]
-
-    def build(x: str) -> AeqsInstance:
+    def criteria(x: str, schema: BasisSchema):
         n = len(x)
-        level = level_for(n)
-        schema = level.schema
-        clock = max(1, 2 ** (n - 1)) if n >= 1 else 1
         s_acc = frozenset()
         if n % 2 == 0:
-            # Members have n = 2l symbols and land on clock value 3l+1.
-            s_acc = schema.indices_of([("q1", (3 * (n // 2) + 1) % clock)])
-        return AeqsInstance(
-            size_bits=schema.size_bits,
-            epsilon=DEFAULT_ACCURACY_BOUND,
-            h_ini=initial_hamiltonian(schema, ("q1", 0)),
-            h_fin=ProjectorComplement(measure_once_ground(level, x)),
-            s_acc=s_acc,
-            s_rej=frozenset(range(schema.dim)) - s_acc,
-            schema=schema,
-        )
+            # Members have n = 2l symbols and land on clock value 3l+1; the
+            # schema is (state, clock) with two states.
+            s_acc = schema.indices_of([("q1", (3 * (n // 2) + 1) % (schema.dim // 2))])
+        return s_acc, frozenset(range(schema.dim)) - s_acc
 
-    family = AeqsFamily(
-        alphabet=("a", "b"), builder=build,
-        tags=("1moqqaf", "logsize", "0-energy"), name="equal",
-    )
-
-    def oracle(x: str) -> str:
-        return ACCEPT if x.count("a") == x.count("b") else REJECT
-
-    return GalleryEntry(
-        name="equal",
-        family=family,
-        oracle=oracle,
-        expectations=[
-            Expectation("ground energy 0 on every input", lambda x: True,
-                        energy=lambda x: 0.0),
-            Expectation("spectral gap exactly 1", lambda x: True,
-                        gap_lower=lambda x: 1.0),
-        ],
+    return _measure_once_entry(
+        "equal", _equal_level, ("q1", 0), criteria,
+        oracle=lambda x: ACCEPT if x.count("a") == x.count("b") else REJECT,
+        tags=("1moqqaf", "logsize", "0-energy"),
         notes="acceptance clock index uses the even member length n = 2l; "
               "clock arithmetic is mod 2^(n-1) with a floor of 1 at n = 0",
-        validation_levels=lambda x: [level_for(len(x))],
     )
 
 
@@ -406,18 +421,10 @@ def _build_sym_coin() -> GalleryEntry:
             # the endmarker branches carry into this state.
             amps = _SymCoinTrack(x, i, j).dollar_amplitudes((sym, pos))
             diag[idx] = sum(amp * amp for amp in amps)
-        h_fin = SparseHermitian.diagonal(diag)
         s_acc = {(i, j, "acc", 0, "B", 0) for (i, j) in _sym_coin_tracks(n)}
-        s_rej = {(0, 0, "B", 0, "B", 0)}
-        return AeqsInstance(
-            size_bits=schema.size_bits,
-            epsilon=DEFAULT_ACCURACY_BOUND,
-            h_ini=initial_hamiltonian(schema, (0, 0, "B", 0, "B", 0)),
-            h_fin=h_fin,
-            s_acc=schema.indices_of(s_acc),
-            s_rej=schema.indices_of(s_rej),
-            schema=schema,
-        )
+        idle = (0, 0, "B", 0, "B", 0)
+        return aeqs_instance(schema, idle, SparseHermitian.diagonal(diag),
+                             schema.indices_of(s_acc), schema.indices_of([idle]))
 
     family = AeqsFamily(
         alphabet=("a", "b"), builder=build,
@@ -450,7 +457,7 @@ def _build_sym_coin() -> GalleryEntry:
         ],
         notes="basis curated to the pair-track chains and their landings; "
               "odd lengths use the same pair set (no middle self-pair)",
-        validation_levels=lambda x: _sym_coin_validation_levels(x),
+        validation_levels=_sym_coin_validation_levels,
     )
 
 
@@ -458,13 +465,10 @@ def _sym_coin_validation_levels(x: str) -> list:
     """Per-track operator families on the full register space, for the
     unitarity/completeness report."""
     n = len(x)
+    schema = BasisSchema([("sym", _SYM_SYMBOLS), ("pos", tuple(range(n + 2)))])
+    advance = [permutation_op(schema, lambda s: (s[0], (s[1] + 1) % (n + 2)))]
     levels = []
     for (i, j) in _sym_coin_tracks(n)[:2]:  # two tracks suffice per input
-        track = _SymCoinTrack(x, i, j)
-        schema = BasisSchema([("sym", _SYM_SYMBOLS), ("pos", tuple(range(n + 2)))])
-        ops = {CENT: [permutation_op(schema, lambda s: (s[0], (s[1] + 1) % (n + 2)))]}
-        for ch in ("a", "b"):
-            ops[ch] = [permutation_op(schema, lambda s, ch=ch: track.sym_step(s, ch))]
         p = i / (n + 1)
         k1_rules, k2_rules = [], []
         for s in schema.all_states():
@@ -475,15 +479,10 @@ def _sym_coin_validation_levels(x: str) -> list:
                 k2_rules.append((schema.index(("rej", 0)), schema.index(s), math.sqrt(1 - p)))
             else:
                 k1_rules.append((schema.index(nxt), schema.index(s), 1.0))
-        ops[DOLLAR] = [
-            SparseOp.from_rules(schema.dim, k1_rules),
-            SparseOp.from_rules(schema.dim, k2_rules),
-        ]
-        levels.append(
-            QqafLevel(schema=schema, alphabet=("a", "b"), ops=ops,
-                      lam0=SparseHermitian.diagonal(np.ones(schema.dim)),
-                      name=f"sym_coin[{i},{j}]")
-        )
+        dollar = [SparseOp.from_rules(schema.dim, k1_rules),
+                  SparseOp.from_rules(schema.dim, k2_rules)]
+        levels.append(_register_level(schema, ("a", "b"), _SymCoinTrack(x, i, j).sym_step,
+                                      advance, dollar, f"sym_coin[{i},{j}]"))
     return levels
 
 
@@ -564,15 +563,13 @@ def _build_usubsum() -> GalleryEntry:
         subsets = ["".join(bits) for bits in itertools.product("01", repeat=k)]
 
         states = []
-        tracks = {}
+        landings = {}
         for s in subsets:
             chosen = frozenset(i + 1 for i, bit in enumerate(s) if bit == "1")
-            track = _USubSumTrack(x, t, counts, chosen)
-            tracks[s] = track
-            landing = track.land()
+            landing = landings[s] = _USubSumTrack(x, t, counts, chosen).land()
             states.append((s, 0, 0, 0, 0))
             if landing != (0, 0):
-                states.append((s, landing[0], landing[1], 0, 0))
+                states.append((s, *landing, 0, 0))
         schema = BasisSchema(
             [
                 ("s", tuple(subsets)),
@@ -588,29 +585,12 @@ def _build_usubsum() -> GalleryEntry:
         q0 = {(s, k, 0, 0, 0) for s in subsets}
         # Lambda0 is deformed (to 1/2) only at the idle track's start, which
         # the steps carry to that track's landing.
-        deformed = (zero_track, *tracks[zero_track].land())
-
-        diag = np.zeros(schema.dim)
-        for idx, st in enumerate(schema.all_states()):
-            if st in q0:
-                diag[idx] = 0.0
-            elif st[:3] == deformed:
-                diag[idx] = 0.5
-            else:
-                diag[idx] = 1.0
-        h_fin = SparseHermitian.diagonal(diag)
-
+        deformed = (zero_track, *landings[zero_track])
         s_acc = {(s, k, 0, 0, 0) for s in subsets if s != zero_track}
-        s_rej = {(zero_track, k, t, 0, 0)}
-        return AeqsInstance(
-            size_bits=schema.size_bits,
-            epsilon=DEFAULT_ACCURACY_BOUND,
-            h_ini=initial_hamiltonian(schema, (zero_track, 0, 0, 0, 0)),
-            h_fin=h_fin,
-            s_acc=schema.indices_of(s_acc),
-            s_rej=schema.indices_of(s_rej),
-            schema=schema,
-        )
+        return aeqs_instance(schema, (zero_track, 0, 0, 0, 0),
+                             _landing_diagonal(schema, q0, deformed, 0.5),
+                             schema.indices_of(s_acc),
+                             schema.indices_of([(zero_track, k, t, 0, 0)]))
 
     def oracle(x: str) -> str:
         try:
@@ -646,26 +626,21 @@ def _build_usubsum() -> GalleryEntry:
         notes="basis curated to subset-track starts and landings; the "
               "rejection landing carries counter value t (the idle track "
               "accumulates the full first block)",
-        validation_levels=lambda x: _usubsum_validation_levels(x),
+        validation_levels=_usubsum_validation_levels,
     )
 
 
 def _usubsum_validation_levels(x: str) -> list:
     t, counts = parse_usubsum(x)
     k, l = len(counts), max(counts)
+    schema = BasisSchema([("i", tuple(range(k + 1))), ("j", tuple(range(-k * l, t + 1)))])
+    identity = [SparseOp.identity(schema.dim)]
     levels = []
     for s in ["1" + "0" * (k - 1), "0" * k]:
         chosen = frozenset(i + 1 for i, bit in enumerate(s) if bit == "1")
-        track = _USubSumTrack(x, t, counts, chosen)
-        schema = BasisSchema([("i", tuple(range(k + 1))), ("j", tuple(range(-k * l, t + 1)))])
-        ops = {CENT: [SparseOp.identity(schema.dim)], DOLLAR: [SparseOp.identity(schema.dim)]}
-        for sym in ("0", "1", "#"):
-            ops[sym] = [permutation_op(schema, lambda st, sym=sym: track.step(st, sym))]
-        levels.append(
-            QqafLevel(schema=schema, alphabet=("0", "1", "#"), ops=ops,
-                      lam0=SparseHermitian.diagonal(np.ones(schema.dim)),
-                      name=f"usubsum[s={s}] on {x!r}")
-        )
+        levels.append(_register_level(schema, ("0", "1", "#"),
+                                      _USubSumTrack(x, t, counts, chosen).step,
+                                      identity, identity, f"usubsum[s={s}] on {x!r}"))
     return levels
 
 
@@ -776,27 +751,10 @@ def _build_multdup() -> GalleryEntry:
         # Lambda0 = I - (1/2)|0,0,xi0,xi0><...|: the deformation sits on the
         # idle track's start and surfaces at whatever that chain lands on.
         deformed = (0, 0) + landings[(0, 0)]
-        diag = np.zeros(schema.dim)
-        for idx, st in enumerate(schema.all_states()):
-            if st in q0:
-                diag[idx] = 0.0
-            elif st[:6] == deformed:
-                diag[idx] = 0.5
-            else:
-                diag[idx] = 1.0
-        h_fin = SparseHermitian.diagonal(diag)
-
-        s_acc = q0
-        s_rej = {(0, 0, "B", k, 0, 0, "B", 0, 0, 0)}
-        return AeqsInstance(
-            size_bits=schema.size_bits,
-            epsilon=DEFAULT_ACCURACY_BOUND,
-            h_ini=initial_hamiltonian(schema, (0, 0, "B", 0, 0, 0, "B", 0, 0, 0)),
-            h_fin=h_fin,
-            s_acc=schema.indices_of(s_acc),
-            s_rej=schema.indices_of(s_rej),
-            schema=schema,
-        )
+        return aeqs_instance(schema, (0, 0, "B", 0, 0, 0, "B", 0, 0, 0),
+                             _landing_diagonal(schema, q0, deformed, 0.5),
+                             schema.indices_of(q0),
+                             schema.indices_of([(0, 0, "B", k, 0, 0, "B", 0, 0, 0)]))
 
     def oracle(x: str) -> str:
         try:
@@ -836,34 +794,29 @@ def _build_multdup() -> GalleryEntry:
               "witnesses (the complement side of the duplication problem); "
               "promise tightened to at most one differing symbol so the "
               "witness, and with it the ground state, stays unique",
-        validation_levels=lambda x: _multdup_validation_levels(x),
+        validation_levels=_multdup_validation_levels,
     )
 
 
 def _multdup_validation_levels(x: str) -> list:
     blocks = parse_multdup(x)
     k, l = len(blocks) - 1, len(blocks[0])
-    m = _MultDupTrack(blocks, 1, 1)
     n_pos = len(x) + 2
     schema = BasisSchema([
         ("sym", _MD_SYMBOLS), ("h", tuple(range(k + 1))),
         ("r", tuple(range(l + 1))), ("pos", tuple(range(n_pos))),
     ])
-
-    ops = {CENT: [permutation_op(schema, lambda s: (s[0], s[1], s[2], (s[3] + 1) % n_pos))]}
-    for ch in ("0", "1", "#"):
-        ops[ch] = [permutation_op(schema, lambda s, ch=ch: m.step(s, ch))]
-    ops[DOLLAR] = [permutation_op(
+    cent = [permutation_op(schema, lambda s: (s[0], s[1], s[2], (s[3] + 1) % n_pos))]
+    dollar = [permutation_op(
         schema, lambda s: (s[0], s[1], (s[2] - l) % (l + 1), (s[3] + 1) % n_pos)
     )]
-    return [QqafLevel(schema=schema, alphabet=("0", "1", "#"), ops=ops,
-                      lam0=SparseHermitian.diagonal(np.ones(schema.dim)),
-                      name=f"multdup[1,1] (k={k}, l={l})")]
+    return [_register_level(schema, ("0", "1", "#"), _MultDupTrack(blocks, 1, 1).step,
+                            cent, dollar, f"multdup[1,1] (k={k}, l={l})")]
 
 
 def _build_multdup_complement() -> GalleryEntry:
     base = _build_multdup()
-    entry = GalleryEntry(
+    return GalleryEntry(
         name="multdup_complement",
         family=complement(base.family),
         oracle=base.oracle,
@@ -878,7 +831,6 @@ def _build_multdup_complement() -> GalleryEntry:
               "problem's own accept side (all blocks equal)",
         validation_levels=base.validation_levels,
     )
-    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -1001,17 +953,10 @@ def _build_pal_marked() -> GalleryEntry:
     def build(x: str) -> AeqsInstance:
         generated = generate_2qqaf(_pal_level(x), x)
         schema = generated.basis
-        s_acc = {(("q1", 0, "q1", 1, 0), 0)}
-        s_rej = {(("q4", 0, "q1", 1, 0), 0), (("q5", 0, "q1", 1, 0), 0)}
-        return AeqsInstance(
-            size_bits=schema.size_bits,
-            epsilon=DEFAULT_ACCURACY_BOUND,
-            h_ini=initial_hamiltonian(schema, (("q1", 1, "q1", 1, 0), 0)),
-            h_fin=generated.operator,
-            s_acc=schema.indices_of(s_acc),
-            s_rej=schema.indices_of(s_rej),
-            schema=schema,
-        )
+        s_acc = [(("q1", 0, "q1", 1, 0), 0)]
+        s_rej = [(("q4", 0, "q1", 1, 0), 0), (("q5", 0, "q1", 1, 0), 0)]
+        return aeqs_instance(schema, (("q1", 1, "q1", 1, 0), 0), generated.operator,
+                             schema.indices_of(s_acc), schema.indices_of(s_rej))
 
     family = AeqsFamily(
         alphabet=("a", "b", "#"), builder=build,

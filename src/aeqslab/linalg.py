@@ -49,6 +49,10 @@ OPERATOR_DEFECT_TOL = 1e-9
 # Distance allowed between a verdict's ground energy or gap and a gallery
 # entry's analyzed value.
 EXPECTATION_TOL = 1e-8
+# Norm a compiled automaton's run may lose before it is renormalized.
+RUN_NORM_TOL = 1e-9
+# Imaginary part allowed in a machine document's amplitude that must be real.
+REAL_PART_TOL = 1e-15
 LANCZOS_SEED = 0x5EED
 LANCZOS_MAX_ITER = 800
 

@@ -128,14 +128,19 @@ class BasisSchema:
         return tuple(reversed(parts))
 
     def indices_of(self, states) -> frozenset:
-        """Indices of the given tuples, silently skipping absent curated ones."""
+        """Indices of the given tuples, silently skipping absent curated ones.
+
+        The set is filled in ascending order, so its iteration order, which
+        ``aeqs.decide`` sums over, depends on the indices alone: not on the
+        order of ``states``, nor on the process's string hashing.
+        """
         out = []
         for s in states:
             s = tuple(s)
             if self._state_index is not None and s not in self._state_index:
                 continue
             out.append(self.index(s))
-        return frozenset(out)
+        return frozenset(sorted(out))
 
     def all_states(self):
         if self._state_index is not None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compilers import GarbageQfaSpec, MoQfaSpec
-from .linalg import SparseHermitian
+from .linalg import REAL_PART_TOL, SparseHermitian
 from .qqa import CENT, DOLLAR, BasisSchema, QqafLevel, SparseOp
 
 DOCUMENT_SCHEMA = 1
@@ -55,7 +55,7 @@ def evaluate_amplitude(expr) -> complex:
         return p / q
     if op == "sqrt":
         value = evaluate_amplitude(arg)
-        if abs(value.imag) > 1e-15 or value.real < 0:
+        if abs(value.imag) > REAL_PART_TOL or value.real < 0:
             raise DocumentError("sqrt argument must be a nonnegative real")
         return complex(math.sqrt(value.real))
     if op == "product":
@@ -71,7 +71,7 @@ def evaluate_amplitude(expr) -> complex:
     if op == "complex":
         re, im = (evaluate_amplitude(a) for a in _operands(op, arg, 2))
         for part in (re, im):
-            if abs(part.imag) > 1e-15:
+            if abs(part.imag) > REAL_PART_TOL:
                 raise DocumentError("complex parts must be real expressions")
         return complex(re.real, im.real)
     raise DocumentError(f"unknown amplitude operator {op!r}")
@@ -232,7 +232,7 @@ class MachineSpecDocument:
         diag = np.ones(schema.dim)
         for tup, expr in _entries(mixture.get("diagonal", []), 2, "mixture diagonal"):
             value = evaluate_amplitude(expr)
-            if abs(value.imag) > 1e-15:
+            if abs(value.imag) > REAL_PART_TOL:
                 raise DocumentError("initial mixture must be real")
             diag[state_index(tup)] = value.real
         lam0 = SparseHermitian.diagonal(diag)

@@ -317,9 +317,11 @@ class TestMoqfaFamily:
             assert np.array_equal(fam.build(x).h_fin.vector, psi)
 
     def test_spec_parts_shared(self):
-        fam = cp.from_moqfa(cp.random_moqfa_spec(RNG, 3))
+        spec = cp.random_moqfa_spec(RNG, 3)
+        fam = cp.from_moqfa(spec)
         a, b = fam.build("0"), fam.build("110")
         assert a.h_ini is b.h_ini and a.s_acc is b.s_acc and a.s_rej is b.s_rej
+        assert np.array_equal(a.h_ini.vector, deflation_vector(spec.padded_states, spec.initial))
 
 
 class TestSymbolOutsideAlphabet:

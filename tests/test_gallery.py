@@ -6,7 +6,14 @@ import pytest
 from aeqslab import gallery
 from aeqslab.aeqs import ProjectorComplement, decide, ground_state, lowest_pairs
 from aeqslab.linalg import spectral_norm
-from aeqslab.qqa import SparseOp, generate_2qqaf, generate_moqqaf, gram_defect, validate_level
+from aeqslab.qqa import (
+    SparseOp,
+    generate_2qqaf,
+    generate_moqqaf,
+    gram_defect,
+    measure_once_ground,
+    validate_level,
+)
 
 
 class TestOracles:
@@ -119,6 +126,22 @@ class TestMeasureOnceRoute:
                 assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, (x, field)
             # The closed form makes the analyzed values exact.
             assert got.ground_energy == 0.0 and got.spectral_gap == 1.0
+
+    @pytest.mark.parametrize("name", ["l_prefix_0", "equal"])
+    def test_validation_checks_the_building_level(self, name, monkeypatch):
+        # The validation report must look at the operators the instance was
+        # built from: the same cached level object, not an equal rebuild.
+        used = []
+
+        def recording(level, x):
+            used.append(level)
+            return measure_once_ground(level, x)
+
+        monkeypatch.setattr(gallery, "measure_once_ground", recording)
+        entry = gallery.build(name)
+        for x in ["", entry.family.alphabet[0], "".join(entry.family.alphabet) * 2]:
+            entry.family.build(x)
+            assert entry.validation_levels(x)[0] is used[-1], x
 
 
 class TestSymCoinEntry:
