@@ -4,8 +4,8 @@ An AEQS decides a language by the location of the ground state of a final
 Hamiltonian that is generated, symbol by symbol, from an input string by a
 quantum quasi-automaton.  This package provides:
 
-- ``linalg``    complex dense/sparse Hermitian kernels (eigensolvers, unitary
-  exponentials, tensor products),
+- ``linalg``    complex dense/sparse kernels (the one sparse matrix type,
+  eigensolvers, unitary exponentials),
 - ``qqa``       quasi-automaton levels and Hamiltonian generation,
 - ``aeqs``      AEQS instances/families, the ground-state decision rule,
   spectral diagnostics, and closure combinators,

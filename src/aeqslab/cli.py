@@ -15,17 +15,20 @@ import time
 
 from . import gallery, linalg
 from .aeqs import (
+    AeqsError,
     AeqsFamily,
     AeqsInstance,
     adiabatic_time_bound,
+    as_dense,
     commutator_check,
     commutator_negligible,
     decide,
     minimum_interpolation_gap,
 )
-from .evolve import EVOLVE_DIM_MAX, Schedule, evolve_trace
+from .compilers import CompileError, from_garbage_1qfa, from_moqfa
+from .evolve import EVOLVE_DIM_MAX, EvolveError, Schedule, evolve_trace
 from .gallery import GALLERY_NAMES, GalleryError, PromiseError, build
-from .linalg import OPERATOR_DEFECT_TOL, CapacityError
+from .linalg import OPERATOR_DEFECT_TOL, CapacityError, SparseHermitian
 from .qqa import QqaError, generate_moqqaf, validate_level
 from .specdoc import DocumentError, MachineSpecDocument, sparse_hermitian_to_json
 
@@ -53,8 +56,6 @@ def _load_target(target: str):
 
 
 def _entry_from_document(doc: MachineSpecDocument) -> gallery.GalleryEntry:
-    from .compilers import from_garbage_1qfa, from_moqfa
-
     if doc.kind == "moqfa":
         family = from_moqfa(doc.to_moqfa())
     elif doc.kind == "garbage-1qfa":
@@ -200,8 +201,6 @@ def cmd_compile(args) -> int:
     entry = _entry_from_document(doc)
     instance = entry.family.build(args.input)
     verdict = decide(instance)
-    from .aeqs import as_dense
-    from .linalg import SparseHermitian
 
     def serialize(h):
         if not isinstance(h, SparseHermitian):
@@ -322,9 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .aeqs import AeqsError
-    from .compilers import CompileError
-    from .evolve import EvolveError
 
     # --seed applies to this command only: main may run again in one process.
     seed = linalg.LANCZOS_SEED

@@ -34,7 +34,14 @@ from .aeqs import (
     ProjectorComplement,
     deflation_vector,
 )
-from .linalg import OPERATOR_DEFECT_TOL, RUN_NORM_TOL, CapacityError, ilog, spectral_norm
+from .linalg import (
+    OPERATOR_DEFECT_TOL,
+    RUN_NORM_TOL,
+    THRESHOLD_SLACK,
+    CapacityError,
+    ilog,
+    spectral_norm,
+)
 from .qqa import CENT, DOLLAR, BasisSchema
 
 GARBAGE_CAPACITY = 65536
@@ -69,7 +76,7 @@ def decision_threshold(error_bound: float | None) -> float:
     if error_bound is None or error_bound <= 0.0:
         return DEFAULT_ACCURACY_BOUND
     a_min = math.sqrt(1.0 - error_bound)
-    return min(DEFAULT_ACCURACY_BOUND, max(0.5, 1.0 - math.sqrt(1.0 - a_min) - 1e-9))
+    return min(DEFAULT_ACCURACY_BOUND, max(0.5, 1.0 - math.sqrt(1.0 - a_min) - THRESHOLD_SLACK))
 
 
 # ---------------------------------------------------------------------------

@@ -50,13 +50,12 @@ from .aeqs import (
     decide,
     deflation_vector,
 )
-from .linalg import EXPECTATION_TOL, SparseHermitian
+from .linalg import EXPECTATION_TOL, SparseHermitian, SparseOp
 from .qqa import (
     CENT,
     DOLLAR,
     BasisSchema,
     QqafLevel,
-    SparseOp,
     TwoWayQqafLevel,
     generate_moqqaf,  # noqa: F401 -- the benchmark's tracer wraps gallery.generate_moqqaf
     measure_once_ground,

@@ -4,10 +4,11 @@ Conventions used across the package:
 
 - dense matrices and state vectors are ``numpy.ndarray`` of dtype complex128,
 - a state vector is normalized when its l2 norm is 1 within ``NORM_TOL``,
-- sparse operators are sorted triplet arrays (``rows``, ``cols``, ``vals``,
-  ordered by (row, col)) built through the shared ``coalesce``; sparse
-  Hermitian operators store only the upper triangle (row <= col) and leave
-  the conjugate mirror implicit.
+- every sparse matrix is a ``SparseOp``: triplet arrays (``rows``, ``cols``,
+  ``vals``) sorted by (row, col) with unique keys, merged through the shared
+  ``coalesce``.  A ``SparseHermitian`` is the SparseOp that is Hermitian by
+  construction; it stores both triangles, and its ``nnz`` and the machine
+  files count the upper one (row <= col).
 
 Dense eigensolves are delegated to LAPACK (``numpy.linalg.eigh``) behind the
 contract checks below; the sparse path is a hand-rolled Lanczos iteration
@@ -53,6 +54,18 @@ EXPECTATION_TOL = 1e-8
 RUN_NORM_TOL = 1e-9
 # Imaginary part allowed in a machine document's amplitude that must be real.
 REAL_PART_TOL = 1e-15
+# Entries at or below these magnitudes are dropped from a sparse product and
+# from a conjugated Hamiltonian.
+PRODUCT_PRUNE_TOL = 1e-15
+CONJUGATE_PRUNE_TOL = 1e-16
+# Margin taken off a compiled automaton's accuracy threshold, so that a
+# member on its error bound is not rejected by rounding.
+THRESHOLD_SLACK = 1e-9
+# Lanczos: a start or Ritz vector that deflation leaves shorter than
+# LANCZOS_VANISHED_TOL has vanished; a Krylov residual below
+# LANCZOS_BREAKDOWN_TOL ends the iteration.
+LANCZOS_VANISHED_TOL = 1e-12
+LANCZOS_BREAKDOWN_TOL = 1e-13
 LANCZOS_SEED = 0x5EED
 LANCZOS_MAX_ITER = 800
 
@@ -179,25 +192,120 @@ def coalesce(dim: int, rows, cols, vals):
     return keys // dim, keys % dim, merged
 
 
-def triplet_matvec(dim: int, rows, cols, vals, x: np.ndarray) -> np.ndarray:
-    """y = A x for the matrix A whose triplets are (rows, cols, vals)."""
-    terms = vals * x[cols]
-    y = np.empty(dim, dtype=complex)
-    y.real = np.bincount(rows, terms.real, dim)
-    y.imag = np.bincount(rows, terms.imag, dim)
-    return y
+class SparseOp:
+    """Sparse complex matrix as (row, col)-sorted triplet arrays.
 
-
-class SparseHermitian:
-    """Hermitian operator stored as upper-triangle triplets (row <= col).
-
-    Hermiticity holds by construction: diagonal entries are forced real and
-    the strict lower triangle is the implicit conjugate mirror.  Duplicate
-    (row, col) keys are summed on construction.
+    Duplicate keys are summed on construction (``coalesce``), so every key is
+    stored once.  An op is never changed after construction, so it keeps its
+    row pointers and its adjoint once formed: a Kraus family that acts at
+    every step of a two-way run forms them once.
     """
 
+    __slots__ = ("dim", "rows", "cols", "vals", "_indptr", "_adjoint")
+
     def __init__(self, dim: int, rows=(), cols=(), vals=()):
-        self.dim = int(dim)
+        self._set(int(dim), *coalesce(int(dim), rows, cols, vals))
+
+    def _set(self, dim, rows, cols, vals):
+        self.dim, self.rows, self.cols, self.vals = dim, rows, cols, vals
+        self._indptr = self._adjoint = None
+
+    @classmethod
+    def from_rules(cls, dim: int, rules) -> "SparseOp":
+        """rules: iterable of (row, col, amplitude); duplicates summed."""
+        rules = list(rules)
+        rows = np.array([r for r, _, _ in rules], dtype=np.int64)
+        cols = np.array([c for _, c, _ in rules], dtype=np.int64)
+        bad = (rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise LinalgError(f"entry ({rows[i]},{cols[i]}) out of range for dim {dim}")
+        return cls(dim, rows, cols, [a for _, _, a in rules])
+
+    @classmethod
+    def identity(cls, dim: int) -> "SparseOp":
+        idx = np.arange(dim)
+        return cls(dim, idx, idx, np.ones(dim))
+
+    @classmethod
+    def permutation(cls, dim: int, mapping) -> "SparseOp":
+        """mapping: col -> row; must be a bijection on range(dim)."""
+        if set(mapping) != set(range(dim)) or set(mapping.values()) != set(range(dim)):
+            raise LinalgError("permutation mapping is not a bijection")
+        return cls(dim, list(mapping.values()), list(mapping.keys()), np.ones(dim))
+
+    @classmethod
+    def from_dense(cls, mat: np.ndarray) -> "SparseOp":
+        mat = np.asarray(mat, dtype=complex)
+        rs, cs = np.nonzero(mat)
+        return cls(mat.shape[0], rs, cs, mat[rs, cs])
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """Row pointers: the entries of row r are [indptr[r], indptr[r + 1])."""
+        if self._indptr is None:
+            self._indptr = np.zeros(self.dim + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.rows, minlength=self.dim), out=self._indptr[1:])
+        return self._indptr
+
+    def _product_terms(self, other: "SparseOp"):
+        """Unmerged triplets of self @ other: one per pair (r, k), (k, c), in
+        the order of self's entries, so the rows come out sorted."""
+        if self.dim != other.dim:
+            raise LinalgError("dimension mismatch in sparse product")
+        start = other.indptr[self.cols]
+        counts = other.indptr[self.cols + 1] - start
+        left = np.repeat(np.arange(len(self.vals)), counts)
+        right = np.arange(len(left)) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+        return self.rows[left], other.cols[right], self.vals[left] * other.vals[right]
+
+    def __matmul__(self, other: "SparseOp") -> "SparseOp":
+        return SparseOp(self.dim, *self._product_terms(other))._pruned(PRODUCT_PRUNE_TOL)
+
+    def _pruned(self, tol: float) -> "SparseOp":
+        """A new op without the entries of magnitude at most tol."""
+        keep = np.abs(self.vals) > tol
+        pruned = SparseOp.__new__(SparseOp)
+        pruned._set(self.dim, self.rows[keep], self.cols[keep], self.vals[keep])
+        return pruned
+
+    def adjoint(self) -> "SparseOp":
+        if self._adjoint is None:
+            self._adjoint = SparseOp(self.dim, self.cols, self.rows, self.vals.conj())
+        return self._adjoint
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        terms = self.vals * x[self.cols]
+        y = np.empty(self.dim, dtype=complex)
+        y.real = np.bincount(self.rows, terms.real, self.dim)
+        y.imag = np.bincount(self.rows, terms.imag, self.dim)
+        return y
+
+    def to_dense(self) -> np.ndarray:
+        if self.dim > dense_max():
+            raise CapacityError(f"densifying dimension {self.dim} exceeds threshold {dense_max()}")
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        m[self.rows, self.cols] = self.vals
+        return m
+
+    def nnz(self) -> int:
+        return len(self.vals)
+
+
+class SparseHermitian(SparseOp):
+    """A SparseOp that is Hermitian by construction.
+
+    The given triplets are folded into the upper triangle (row <= col), the
+    ones below it conjugated, and repeated keys are summed; diagonal entries
+    are forced real.  Both triangles are then stored, sorted, so ``matvec``
+    and ``to_dense`` are SparseOp's.  ``nnz`` counts the upper triangle: the
+    triplets a machine file lists.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, dim: int, rows=(), cols=(), vals=()):
+        dim = int(dim)
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=complex)
@@ -205,9 +313,8 @@ class SparseHermitian:
             raise LinalgError("triplet arrays must have equal length")
         if len(rows) and (rows.min() < 0 or cols.min() < 0 or rows.max() >= dim or cols.max() >= dim):
             raise LinalgError("triplet index out of range")
-        # Move entries into the upper triangle, conjugating as needed.
         swap = rows > cols
-        r, c, v = coalesce(self.dim, np.where(swap, cols, rows), np.where(swap, rows, cols),
+        r, c, v = coalesce(dim, np.where(swap, cols, rows), np.where(swap, rows, cols),
                            np.where(swap, vals.conj(), vals))
         diag = r == c
         if np.any(np.abs(v[diag].imag) > HERMITICITY_TOL):
@@ -215,13 +322,15 @@ class SparseHermitian:
         v = np.where(diag, v.real + 0j, v)
         if not np.all(np.isfinite(v.view(float))):
             raise LinalgError("non-finite entry in sparse operator")
-        self.rows, self.cols, self.vals = r, c, v
-        # Both triangles, the stored upper one first, built once for matvec
-        # and to_dense.
         off = ~diag
-        self.full_rows = np.concatenate([r, c[off]])
-        self.full_cols = np.concatenate([c, r[off]])
-        self.full_vals = np.concatenate([v, v[off].conj()])
+        if off.any():
+            # The upper keys are unique and their mirror is disjoint from
+            # them, so one sort orders both triangles; no second merge.
+            r, c, v = (np.concatenate([r, c[off]]), np.concatenate([c, r[off]]),
+                       np.concatenate([v, v[off].conj()]))
+            order = np.argsort(r * dim + c, kind="stable")
+            r, c, v = r[order], c[order], v[order]
+        self._set(dim, r, c, v)
 
     @classmethod
     def from_dense(cls, h: np.ndarray) -> "SparseHermitian":
@@ -236,18 +345,8 @@ class SparseHermitian:
         keep = values != 0
         return cls(len(values), idx[keep], idx[keep], values[keep])
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return triplet_matvec(self.dim, self.full_rows, self.full_cols, self.full_vals, x)
-
-    def to_dense(self) -> np.ndarray:
-        if self.dim > dense_max():
-            raise CapacityError(f"densifying dimension {self.dim} exceeds threshold {dense_max()}")
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        h[self.full_rows, self.full_cols] = self.full_vals
-        return h
-
     def nnz(self) -> int:
-        return len(self.vals)
+        return int(np.count_nonzero(self.rows <= self.cols))
 
 
 def _lanczos_lowest_one(matvec, n, *, rng, max_iter, deflate):
@@ -265,7 +364,7 @@ def _lanczos_lowest_one(matvec, n, *, rng, max_iter, deflate):
 
     q = project(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     nq = np.linalg.norm(q)
-    if nq < 1e-12:
+    if nq < LANCZOS_VANISHED_TOL:
         raise ConvergenceFailure("deflated start vector vanished")
     q /= nq
 
@@ -287,7 +386,7 @@ def _lanczos_lowest_one(matvec, n, *, rng, max_iter, deflate):
         for _ in range(2):
             w = w - basis[: m + 1].T @ (basis[: m + 1].conj() @ w)
         beta = float(np.linalg.norm(w))
-        exhausted = beta < 1e-13 or m + 1 == m_cap
+        exhausted = beta < LANCZOS_BREAKDOWN_TOL or m + 1 == m_cap
 
         if m >= 1 or exhausted:
             t = np.diag(alphas)
@@ -301,7 +400,7 @@ def _lanczos_lowest_one(matvec, n, *, rng, max_iter, deflate):
                 v = basis[: m + 1].T @ tvecs[:, 0]
                 v = project(v)
                 nv = np.linalg.norm(v)
-                if nv < 1e-12:
+                if nv < LANCZOS_VANISHED_TOL:
                     raise ConvergenceFailure("Ritz vector collapsed under deflation", best_values=best)
                 v /= nv
                 val = float(np.real(np.vdot(v, matvec(v))))
@@ -368,16 +467,6 @@ def spectral_norm(a: np.ndarray) -> float:
     gram = a.conj().T @ a
     vals = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
     return float(np.sqrt(max(vals[-1], 0.0)))
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of operators or vectors."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    out_elems = a.size * b.size
-    if out_elems > dense_max() ** 2:
-        raise CapacityError(f"tensor result with {out_elems} entries exceeds capacity")
-    return np.kron(a, b)
 
 
 _W1 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)

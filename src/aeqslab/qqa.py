@@ -14,6 +14,11 @@ each hold one unitary.  A time-bounded two-way level (``TwoWayQqafLevel``)
 builds its Kraus families per input on a surface-configuration space with a
 circular tape, through its ``first_step_builder`` and ``step_builder``.
 
+Every operator here is a ``linalg.SparseOp``: the Kraus operators, and the
+channel's running state, which starts from Lambda0 itself (a
+``SparseHermitian`` stores both triangles).  Only the generated E is rebuilt,
+as a ``SparseHermitian`` from its upper triangle with Pi0 applied.
+
 ``generate_moqqaf`` is the general measure-once construction: it serves the
 machine documents of ``aeqslab compile`` and is the tests' oracle.  When
 Lambda0 = I - |e_m><e_m| and nothing halts, E is exactly I - |g><g| for
@@ -25,27 +30,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .linalg import (
-    OPERATOR_DEFECT_TOL,
-    CapacityError,
-    SparseHermitian,
-    coalesce,
-    dense_max,
-    ilog,
-    triplet_matvec,
-)
+from .linalg import CONJUGATE_PRUNE_TOL, OPERATOR_DEFECT_TOL, SparseHermitian, SparseOp, ilog
 
 CENT = "cent"
 DOLLAR = "dollar"
-
-# Entries at or below these magnitudes are dropped from a sparse product and
-# from a conjugated Hamiltonian.
-PRODUCT_PRUNE_TOL = 1e-15
-CONJUGATE_PRUNE_TOL = 1e-16
 
 
 class QqaError(Exception):
@@ -165,101 +157,8 @@ def flat_schema(dim: int) -> BasisSchema:
 
 
 # ---------------------------------------------------------------------------
-# Sparse general (non-Hermitian) operators
+# Sparse channels
 # ---------------------------------------------------------------------------
-
-class SparseOp:
-    """Sparse complex matrix as (row, col)-sorted triplet arrays.
-
-    Duplicate keys are summed on construction (``linalg.coalesce``), so every
-    key is stored once.  An op is never changed after construction, so it
-    keeps its row pointers and its adjoint once formed: a Kraus family that
-    acts at every step of a two-way run forms them once.
-    """
-
-    __slots__ = ("dim", "rows", "cols", "vals", "_indptr", "_adjoint")
-
-    def __init__(self, dim: int, rows=(), cols=(), vals=()):
-        self._set(int(dim), *coalesce(int(dim), rows, cols, vals))
-
-    def _set(self, dim, rows, cols, vals):
-        self.dim, self.rows, self.cols, self.vals = dim, rows, cols, vals
-        self._indptr = self._adjoint = None
-
-    @classmethod
-    def from_rules(cls, dim: int, rules: Iterable) -> "SparseOp":
-        """rules: iterable of (row, col, amplitude); duplicates summed."""
-        rules = list(rules)
-        rows = np.array([r for r, _, _ in rules], dtype=np.int64)
-        cols = np.array([c for _, c, _ in rules], dtype=np.int64)
-        bad = (rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise QqaError(f"entry ({rows[i]},{cols[i]}) out of range for dim {dim}")
-        return cls(dim, rows, cols, [a for _, _, a in rules])
-
-    @classmethod
-    def identity(cls, dim: int) -> "SparseOp":
-        idx = np.arange(dim)
-        return cls(dim, idx, idx, np.ones(dim))
-
-    @classmethod
-    def permutation(cls, dim: int, mapping) -> "SparseOp":
-        """mapping: col -> row; must be a bijection on range(dim)."""
-        if set(mapping) != set(range(dim)) or set(mapping.values()) != set(range(dim)):
-            raise QqaError("permutation mapping is not a bijection")
-        return cls(dim, list(mapping.values()), list(mapping.keys()), np.ones(dim))
-
-    @classmethod
-    def from_dense(cls, mat: np.ndarray) -> "SparseOp":
-        mat = np.asarray(mat, dtype=complex)
-        rs, cs = np.nonzero(mat)
-        return cls(mat.shape[0], rs, cs, mat[rs, cs])
-
-    @property
-    def indptr(self) -> np.ndarray:
-        """Row pointers: the entries of row r are [indptr[r], indptr[r + 1])."""
-        if self._indptr is None:
-            self._indptr = np.zeros(self.dim + 1, dtype=np.int64)
-            np.cumsum(np.bincount(self.rows, minlength=self.dim), out=self._indptr[1:])
-        return self._indptr
-
-    def _product_terms(self, other: "SparseOp"):
-        """Unmerged triplets of self @ other: one per pair (r, k), (k, c), in
-        the order of self's entries, so the rows come out sorted."""
-        if self.dim != other.dim:
-            raise QqaError("dimension mismatch in sparse product")
-        start = other.indptr[self.cols]
-        counts = other.indptr[self.cols + 1] - start
-        left = np.repeat(np.arange(len(self.vals)), counts)
-        right = np.arange(len(left)) + np.repeat(start - (np.cumsum(counts) - counts), counts)
-        return self.rows[left], other.cols[right], self.vals[left] * other.vals[right]
-
-    def __matmul__(self, other: "SparseOp") -> "SparseOp":
-        return SparseOp(self.dim, *self._product_terms(other))._pruned(PRODUCT_PRUNE_TOL)
-
-    def _pruned(self, tol: float) -> "SparseOp":
-        """A new op without the entries of magnitude at most tol."""
-        keep = np.abs(self.vals) > tol
-        pruned = SparseOp.__new__(SparseOp)
-        pruned._set(self.dim, self.rows[keep], self.cols[keep], self.vals[keep])
-        return pruned
-
-    def adjoint(self) -> "SparseOp":
-        if self._adjoint is None:
-            self._adjoint = SparseOp(self.dim, self.cols, self.rows, self.vals.conj())
-        return self._adjoint
-
-    def to_dense(self) -> np.ndarray:
-        if self.dim > dense_max():
-            raise CapacityError(f"densifying dimension {self.dim} exceeds threshold")
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        m[self.rows, self.cols] = self.vals
-        return m
-
-    def nnz(self) -> int:
-        return len(self.vals)
-
 
 def _merged(dim: int, terms: list) -> SparseOp:
     """One SparseOp from a list of (rows, cols, vals) parts, merged once."""
@@ -281,20 +180,12 @@ def gram_defect(kraus: list) -> float:
 
 
 def sparse_conjugate(kraus: list, h: SparseOp) -> SparseOp:
-    """Apply the channel  H -> sum_j K_j H K_j^dag  to a full-storage Hermitian H."""
+    """Apply the channel  H -> sum_j K_j H K_j^dag  to H, both triangles stored."""
     terms = []
     for k in kraus:
         kh = SparseOp(h.dim, *k._product_terms(h))        # merged, not pruned
         terms.append(kh._product_terms(k.adjoint()))
     return _merged(h.dim, terms)._pruned(CONJUGATE_PRUNE_TOL)
-
-
-def _upper_triangle(h: SparseOp, dead) -> SparseHermitian:
-    """The stored upper triangle of a full-storage Hermitian, with the rows
-    and columns in `dead` removed."""
-    dead = np.fromiter(dead, dtype=np.int64)
-    keep = (h.rows <= h.cols) & ~np.isin(h.rows, dead) & ~np.isin(h.cols, dead)
-    return SparseHermitian(h.dim, h.rows[keep], h.cols[keep], h.vals[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +311,10 @@ def validate_level(level, x: str | None = None) -> ValidationReport:
         lam0 = level.lam0_builder(x, schema)
     else:
         families, lam0 = level.ops, level.lam0
-    on = lam0.full_rows == lam0.full_cols
+    on = lam0.rows == lam0.cols
     diag = np.zeros(lam0.dim)
-    diag[lam0.full_rows[on]] = lam0.full_vals[on].real
-    off = np.bincount(lam0.full_rows[~on], np.abs(lam0.full_vals[~on]), lam0.dim)
+    diag[lam0.rows[on]] = lam0.vals[on].real
+    off = np.bincount(lam0.rows[~on], np.abs(lam0.vals[~on]), lam0.dim)
     return ValidationReport(
         level_name=level.name,
         defects=[SymbolDefect(symbol, gram_defect(family)) for symbol, family in families.items()],
@@ -451,11 +342,16 @@ def _extended_symbols(level, x: str) -> list:
 def _channel_output(lam0: SparseHermitian, families, schema: BasisSchema, dead=(),
                     return_trace: bool = False):
     """Pi0 . A(Lambda0) . Pi0, A applying the Kraus families in order and Pi0
-    removing the `dead` indices; with return_trace, also tr A(Lambda0)."""
-    h = SparseOp(lam0.dim, lam0.full_rows, lam0.full_cols, lam0.full_vals)
+    removing the `dead` indices; with return_trace, also tr A(Lambda0).
+
+    The output is rebuilt as a SparseHermitian from its upper triangle."""
+    h = lam0
     for family in families:
         h = sparse_conjugate(family, h)
-    generated = GeneratedHamiltonian(_upper_triangle(h, dead), schema)
+    dead = np.fromiter(dead, dtype=np.int64)
+    keep = (h.rows <= h.cols) & ~np.isin(h.rows, dead) & ~np.isin(h.cols, dead)
+    generated = GeneratedHamiltonian(
+        SparseHermitian(h.dim, h.rows[keep], h.cols[keep], h.vals[keep]), schema)
     if return_trace:
         return generated, float(h.vals[h.rows == h.cols].real.sum())
     return generated
@@ -500,7 +396,7 @@ def measure_once_ground(level: QqafLevel, x: str) -> np.ndarray:
     g[zeros[0]] = 1.0
     for symbol in _extended_symbols(level, x):
         u = level.unitary(symbol)
-        g = triplet_matvec(level.dim, u.rows, u.cols, u.vals, g)
+        g = u.matvec(g)
     return g
 
 

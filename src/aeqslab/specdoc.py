@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compilers import GarbageQfaSpec, MoQfaSpec
-from .linalg import REAL_PART_TOL, SparseHermitian
-from .qqa import CENT, DOLLAR, BasisSchema, QqafLevel, SparseOp
+from .linalg import REAL_PART_TOL, SparseHermitian, SparseOp
+from .qqa import CENT, DOLLAR, BasisSchema, QqafLevel
 
 DOCUMENT_SCHEMA = 1
 
@@ -257,9 +257,10 @@ def _coerce_label(value):
 
 def sparse_hermitian_to_json(h: SparseHermitian) -> list:
     """Upper-triangle triplets as [row, col, re, im] with full precision."""
+    upper = h.rows <= h.cols
     return [
         [int(r), int(c), float(v.real), float(v.imag)]
-        for r, c, v in zip(h.rows, h.cols, h.vals)
+        for r, c, v in zip(h.rows[upper], h.cols[upper], h.vals[upper])
     ]
 
 

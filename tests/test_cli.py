@@ -7,6 +7,15 @@ import sys
 
 import pytest
 
+from aeqslab.aeqs import as_dense
+from aeqslab.compilers import from_moqfa
+from aeqslab.linalg import SparseHermitian
+from aeqslab.specdoc import (
+    MachineSpecDocument,
+    sparse_hermitian_from_json,
+    sparse_hermitian_to_json,
+)
+
 CLI = [sys.executable, "-m", "aeqslab.cli"]
 
 MOQFA_DOC = {
@@ -162,14 +171,22 @@ class TestCompile:
         assert abs(data["ground_energy"]) < 1e-9
         assert data["outcome"] == "accept"
         # Round trip: reload the emitted triplets; equality is bit-exact.
-        from aeqslab.specdoc import sparse_hermitian_from_json
-
         h = sparse_hermitian_from_json(data["dimension"], data["h_fin"])
-        payload2 = json.dumps(
-            [[int(r), int(c), float(v.real), float(v.imag)]
-             for r, c, v in zip(h.rows, h.cols, h.vals)]
-        )
-        assert json.loads(payload2) == data["h_fin"]
+        assert json.loads(json.dumps(sparse_hermitian_to_json(h))) == data["h_fin"]
+
+    def test_non_diagonal_h_ini_lists_the_upper_triangle(self, tmp_path):
+        specfile = tmp_path / "parity.json"
+        specfile.write_text(json.dumps(MOQFA_DOC))
+        out = tmp_path / "compiled.json"
+        assert run_cli("compile", str(specfile), "11", "--out", str(out)).returncode == 0
+        data = json.loads(out.read_text())
+        triplets = data["h_ini"]
+        assert any(r != c for r, c, _, _ in triplets)
+        assert all(r <= c for r, c, _, _ in triplets)
+        doc = MachineSpecDocument.from_json(json.dumps(MOQFA_DOC))
+        emitted = SparseHermitian.from_dense(as_dense(from_moqfa(doc.to_moqfa()).build("11").h_ini))
+        reloaded = sparse_hermitian_from_json(data["dimension"], triplets)
+        assert reloaded.to_dense().tobytes() == emitted.to_dense().tobytes()
 
     def test_identity_moqqaf_compiles_to_mixture(self, tmp_path):
         doc = {

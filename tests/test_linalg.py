@@ -8,11 +8,11 @@ from aeqslab.linalg import (
     ConvergenceFailure,
     NotHermitianError,
     SparseHermitian,
+    SparseOp,
     hadamard_power,
     hermitian_eig,
     lowest_eigenpairs,
     spectral_norm,
-    tensor,
     unitary_exp,
 )
 
@@ -103,6 +103,27 @@ class TestSparseHermitian:
     def test_imaginary_diagonal_rejected(self):
         with pytest.raises(NotHermitianError):
             SparseHermitian(2, [0], [0], [1j])
+
+    def test_any_triangle_gives_the_same_storage(self):
+        h = np.array([[1.0, 2 - 1j, 0, 0.5j],
+                      [2 + 1j, 0, 3.0, 0],
+                      [0, 3.0, -1.0, 1 + 1j],
+                      [-0.5j, 0, 1 - 1j, 2.0]])
+        r, c = np.nonzero(h)
+        upper, lower = r <= c, r >= c
+        mixed = np.where(np.minimum(r, c) == 1, lower, upper)     # (2, 1), the rest upper
+        ops = [SparseHermitian(4, r[keep], c[keep], h[r, c][keep])
+               for keep in (upper, lower, mixed)]
+        assert issubclass(SparseHermitian, SparseOp)
+        assert np.all(np.diff(ops[0].rows * 4 + ops[0].cols) > 0)     # sorted, unique keys
+        for op in ops:
+            assert [a.tobytes() for a in (op.rows, op.cols, op.vals)] == \
+                [a.tobytes() for a in (ops[0].rows, ops[0].cols, ops[0].vals)]
+            assert np.array_equal(op.to_dense(), h)
+            assert op.nnz() == int(upper.sum()) == 7
+        # Dyadic entries: every product and sum is exact on both routes.
+        for x in (np.array([1.0, -2j, 0.5, 3 + 1j]), np.array([0.25 - 1j, 1.0, -0.75, 2j])):
+            assert np.abs(ops[0].matvec(x) - ops[0].to_dense() @ x).max() <= 1e-15
 
 
 class TestLowestEigenpairs:
@@ -200,20 +221,6 @@ class TestSpectralNorm:
 
 
 class TestTensorAndHadamard:
-    def test_identity_tensor(self):
-        assert np.allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_vector_tensor(self):
-        e0 = np.array([1, 0], dtype=complex)
-        e1 = np.array([0, 1], dtype=complex)
-        assert np.allclose(tensor(e0, e1), [0, 1, 0, 0])
-
-    def test_tensor_respects_products(self):
-        a, b = random_hermitian(2), random_hermitian(3)
-        u = RNG.standard_normal(2) + 0j
-        v = RNG.standard_normal(3) + 0j
-        assert np.allclose(tensor(a, b) @ tensor(u, v), tensor(a @ u, b @ v))
-
     def test_hadamard_k0_and_k1(self):
         assert np.allclose(hadamard_power(0), [[1.0]])
         w = hadamard_power(1)
