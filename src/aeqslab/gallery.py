@@ -9,8 +9,9 @@ Two of the constructions (prefix language, letter-count equality) live on
 their full index product space with genuinely unitary per-symbol operators.
 Their Lambda0 is I - |e_m><e_m| and they halt on nothing, so the paper's
 E = U Lambda0 U^dagger is exactly I - |g><g| with g = U e_m: H_fin is
-stored as that ProjectorComplement, g from ``qqa.measure_once_ground``, and
-its ground energy 0 and gap 1 are exact.  ``generate_moqqaf`` builds the
+stored as that ProjectorComplement, g from a ``qqa.MeasureOnceGrounds``
+carrier per input length, which shares the states of an input's prefix
+with the inputs after it, and its ground energy 0 and gap 1 are exact.  ``generate_moqqaf`` builds the
 same operator from the same levels and is the tests' oracle.
 The three track-based constructions (symmetric coincidence, unary subset
 sum, multiple duplication) are generated on the dynamically relevant
@@ -55,10 +56,10 @@ from .qqa import (
     CENT,
     DOLLAR,
     BasisSchema,
+    MeasureOnceGrounds,
     QqafLevel,
     TwoWayQqafLevel,
     generate_moqqaf,  # noqa: F401 -- the benchmark's tracer wraps gallery.generate_moqqaf
-    measure_once_ground,
 )
 
 ACCEPT, REJECT, NOT_PROMISED = "accept", "reject", "not-promised"
@@ -134,22 +135,25 @@ def _measure_once_entry(name: str, level_of: Callable[[int], QqafLevel], start,
                         notes: str) -> GalleryEntry:
     """An entry on a measure-once level per input length.
 
-    H_fin is I - |g><g| with g from ``measure_once_ground``, so its ground
-    energy 0 and gap 1 are exact.  ``criteria(x, schema)`` gives the two
-    index sets.  The validation report checks the very level that built the
-    instance: both read one cache, keyed by length and so bounded by the
-    lengths asked for, not by the inputs.
+    H_fin is I - |g><g| with g from the length's ``MeasureOnceGrounds``
+    carrier, so its ground energy 0 and gap 1 are exact.
+    ``criteria(x, schema)`` gives the two index sets.  The validation report
+    checks the very level that built the instance: both read one cache of
+    carriers, keyed by length and so bounded by the lengths asked for, not
+    by the inputs.
     """
-    level_of = functools.cache(level_of)
+    carrier_of = functools.cache(lambda n: MeasureOnceGrounds(level_of(n)))
 
     def build(x: str) -> AeqsInstance:
-        level = level_of(len(x))
-        h_fin = ProjectorComplement(measure_once_ground(level, x))
-        return aeqs_instance(level.schema, start, h_fin, *criteria(x, level.schema))
+        carrier = carrier_of(len(x))
+        h_fin = ProjectorComplement(carrier.ground(x))
+        schema = carrier.level.schema
+        return aeqs_instance(schema, start, h_fin, *criteria(x, schema))
 
     return GalleryEntry(
         name=name,
-        family=AeqsFamily(alphabet=level_of(0).alphabet, builder=build, tags=tags, name=name),
+        family=AeqsFamily(alphabet=carrier_of(0).level.alphabet, builder=build, tags=tags,
+                          name=name),
         oracle=oracle,
         expectations=[
             Expectation("ground energy 0 on every input", lambda x: True,
@@ -158,7 +162,7 @@ def _measure_once_entry(name: str, level_of: Callable[[int], QqafLevel], start,
                         gap_lower=lambda x: 1.0),
         ],
         notes=notes,
-        validation_levels=lambda x: [level_of(len(x))],
+        validation_levels=lambda x: [carrier_of(len(x)).level],
     )
 
 

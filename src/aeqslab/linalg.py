@@ -262,12 +262,16 @@ class SparseOp:
     def __matmul__(self, other: "SparseOp") -> "SparseOp":
         return SparseOp(self.dim, *self._product_terms(other))._pruned(PRODUCT_PRUNE_TOL)
 
+    def _masked(self, keep: np.ndarray) -> "SparseOp":
+        """A new op of the entries where ``keep`` holds; a subset of sorted
+        unique keys needs no merge."""
+        op = SparseOp.__new__(SparseOp)
+        op._set(self.dim, self.rows[keep], self.cols[keep], self.vals[keep])
+        return op
+
     def _pruned(self, tol: float) -> "SparseOp":
         """A new op without the entries of magnitude at most tol."""
-        keep = np.abs(self.vals) > tol
-        pruned = SparseOp.__new__(SparseOp)
-        pruned._set(self.dim, self.rows[keep], self.cols[keep], self.vals[keep])
-        return pruned
+        return self._masked(np.abs(self.vals) > tol)
 
     def adjoint(self) -> "SparseOp":
         if self._adjoint is None:
@@ -340,10 +344,16 @@ class SparseHermitian(SparseOp):
 
     @classmethod
     def diagonal(cls, values) -> "SparseHermitian":
+        """diag(values), zeros not stored.  The nonzero indices are sorted
+        and unique and the values real, so the storage is set directly: the
+        bits the constructor would store, without its fold, sort and merge."""
         values = np.asarray(values, dtype=float)
-        idx = np.arange(len(values))
-        keep = values != 0
-        return cls(len(values), idx[keep], idx[keep], values[keep])
+        if not np.all(np.isfinite(values)):
+            raise LinalgError("non-finite entry in sparse operator")
+        idx = np.flatnonzero(values)
+        op = cls.__new__(cls)
+        op._set(len(values), idx, idx, values[idx] + 0j)
+        return op
 
     def nnz(self) -> int:
         return int(np.count_nonzero(self.rows <= self.cols))

@@ -16,19 +16,25 @@ circular tape, through its ``first_step_builder`` and ``step_builder``.
 
 Every operator here is a ``linalg.SparseOp``: the Kraus operators, and the
 channel's running state, which starts from Lambda0 itself (a
-``SparseHermitian`` stores both triangles).  Only the generated E is rebuilt,
-as a ``SparseHermitian`` from its upper triangle with Pi0 applied.
+``SparseHermitian`` stores both triangles).  The families are applied in
+runs (family, times): a two-way level's moves are one run of the first
+move and one of ``steps(x)`` repeats of the step family, and a run
+conjugates only the entries its family moves, the states it maps to
+themselves being set aside and merged back once.  Only the generated E is
+rebuilt, as a ``SparseHermitian`` from its upper triangle with Pi0 applied.
 
 ``generate_moqqaf`` is the general measure-once construction: it serves the
 machine documents of ``aeqslab compile`` and is the tests' oracle.  When
 Lambda0 = I - |e_m><e_m| and nothing halts, E is exactly I - |g><g| for
-g = U_cent_x_dollar e_m, and ``measure_once_ground`` returns g by carrying
-one state through the unitaries, with no operator product formed.
+g = U_cent_x_dollar e_m.  A ``MeasureOnceGrounds`` carrier checks that
+shape once per level and returns g by carrying one state through the
+unitaries, with no operator product formed, resuming from the prefix an
+input shares with the one before; ``measure_once_ground`` is one such
+carry.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -339,15 +345,72 @@ def _extended_symbols(level, x: str) -> list:
     return symbols
 
 
-def _channel_output(lam0: SparseHermitian, families, schema: BasisSchema, dead=(),
+def _fixed_owner(family: list, dim: int) -> np.ndarray:
+    """owner[c] = j for the family's fixed columns, -1 for the others.
+
+    Column c is fixed by operator j when the family stores one entry in
+    column c, the entry (c, c) = 1.0 of operator j, and no column outside
+    the fixed set reaches row c.  A fixed column maps only to itself, so
+    dropping the reached rows once leaves every rule holding.
+    """
+    count = np.zeros(dim, dtype=np.int64)
+    owner = np.full(dim, -1)
+    for j, k in enumerate(family):
+        count += np.bincount(k.cols, minlength=dim)
+        owner[k.cols[(k.rows == k.cols) & (k.vals == 1.0)]] = j
+    owner[count != 1] = -1
+    moving = owner < 0
+    for k in family:
+        owner[k.rows[moving[k.cols]]] = -1
+    return owner
+
+
+def _apply_run(family: list, times: int, h: SparseOp) -> SparseOp:
+    """H after ``times`` applications of H -> sum_j K_j H K_j^dag.
+
+    Only the entries the family moves are conjugated.  Let F be the fixed
+    columns (``_fixed_owner``).  On an entry (r, c) of H with r and c in F,
+    the channel is the identity when one operator fixes both, and zero
+    otherwise: K_j H_FF K_j^dag summed over the family is H_FF's same-owner
+    entries.  No column outside F reaches a row in F, so the conjugate of
+    the other entries has no F x F key, and an F x F entry of H reaches no
+    other key.  The two parts' keys are disjoint, every key's sum runs over
+    the terms it had when H was conjugated whole, in the same order, and
+    the bits do not change: the F x F part is merged once at the end,
+    where adding 0.0 gives it the same signed zeros, and pruned as each
+    step would have pruned it.  The other entries touch only their own
+    indices and the columns outside F, so the operators are cut to those
+    columns once per run; ``sparse_conjugate`` still runs once per step.
+    """
+    owner = _fixed_owner(family, h.dim)
+    fixed = owner >= 0
+    if not fixed.any():
+        for _ in range(times):
+            h = sparse_conjugate(family, h)
+        return h
+    both = fixed[h.rows] & fixed[h.cols]
+    kept = h._masked(both & (owner[h.rows] == owner[h.cols]))
+    rest = h._masked(~both)
+    touched = ~fixed
+    touched[rest.rows] = touched[rest.cols] = True
+    cut = [k._masked(touched[k.cols]) for k in family]
+    for _ in range(times):
+        rest = sparse_conjugate(cut, rest)
+    return _merged(h.dim, [(kept.rows, kept.cols, kept.vals),
+                           (rest.rows, rest.cols, rest.vals)])._pruned(CONJUGATE_PRUNE_TOL)
+
+
+def _channel_output(lam0: SparseHermitian, runs, schema: BasisSchema, dead=(),
                     return_trace: bool = False):
-    """Pi0 . A(Lambda0) . Pi0, A applying the Kraus families in order and Pi0
-    removing the `dead` indices; with return_trace, also tr A(Lambda0).
+    """Pi0 . A(Lambda0) . Pi0, A applying each run (family, times) of Kraus
+    families in order (``_apply_run``) and Pi0 removing the `dead` indices;
+    with return_trace, also tr A(Lambda0).
 
     The output is rebuilt as a SparseHermitian from its upper triangle."""
     h = lam0
-    for family in families:
-        h = sparse_conjugate(family, h)
+    for family, times in runs:
+        if times:
+            h = _apply_run(family, times, h)
     dead = np.fromiter(dead, dtype=np.int64)
     keep = (h.rows <= h.cols) & ~np.isin(h.rows, dead) & ~np.isin(h.cols, dead)
     generated = GeneratedHamiltonian(
@@ -365,46 +428,79 @@ def generate_moqqaf(level: QqafLevel, x: str) -> GeneratedHamiltonian:
     u = SparseOp.identity(level.dim)
     for symbol in _extended_symbols(level, x):
         u = level.unitary(symbol) @ u
-    return _channel_output(level.lam0, [[u]], level.schema, level.q0_indices)
+    return _channel_output(level.lam0, [([u], 1)], level.schema, level.q0_indices)
 
 
-def measure_once_ground(level: QqafLevel, x: str) -> np.ndarray:
-    """g = U_cent_x_dollar e_m for a measure-once level with
-    Lambda0 = I - |e_m><e_m| and no halting indices.
+class MeasureOnceGrounds:
+    """g = U_cent_x_dollar e_m for the inputs x of one measure-once level
+    with Lambda0 = I - |e_m><e_m| and no halting indices.
 
     For such a level Pi0 removes nothing and U Lambda0 U^dag = I - |g><g|,
     so ``generate_moqqaf(level, x)`` is exactly that rank-one complement:
     e_m is carried through each symbol's unitary in turn and no operator
     product is formed.  The families must be unitary, as ``validate_level``
-    checks.  Raises QqaError on a level of any other shape.
+    checks.  The constructor checks the level's shape once and raises
+    QqaError on a level of any other shape.
+
+    ``ground(x)`` keeps the states of the longest extended-symbol prefix x
+    shares with the previous call and carries on from there, so a sweep in
+    lexicographic order makes one matvec per new prefix.  The states are
+    handed out read-only.
     """
-    _check_symbols(level, x)
-    for symbol in level.ops:
-        level.unitary(symbol)      # raises unless the family holds one operator
-    if level.q0_indices:
-        raise QqaError(f"level {level.name!r} halts on {len(level.q0_indices)} indices")
-    lam0 = level.lam0
-    on = lam0.rows == lam0.cols
-    if np.any(lam0.vals[~on] != 0):
-        raise QqaError(f"level {level.name!r} has a non-diagonal Lambda0")
-    diag = np.zeros(level.dim)
-    diag[lam0.rows[on]] = lam0.vals[on].real
-    zeros = np.flatnonzero(diag == 0)
-    if len(zeros) != 1 or np.any(np.delete(diag, zeros) != 1):
-        raise QqaError(f"level {level.name!r}: Lambda0 is not I - |e_m><e_m|")
-    g = np.zeros(level.dim, dtype=complex)
-    g[zeros[0]] = 1.0
-    for symbol in _extended_symbols(level, x):
-        u = level.unitary(symbol)
-        g = u.matvec(g)
-    return g
+
+    def __init__(self, level: QqafLevel):
+        for symbol in level.ops:
+            level.unitary(symbol)      # raises unless the family holds one operator
+        if level.q0_indices:
+            raise QqaError(f"level {level.name!r} halts on {len(level.q0_indices)} indices")
+        lam0 = level.lam0
+        on = lam0.rows == lam0.cols
+        if np.any(lam0.vals[~on] != 0):
+            raise QqaError(f"level {level.name!r} has a non-diagonal Lambda0")
+        diag = np.zeros(level.dim)
+        diag[lam0.rows[on]] = lam0.vals[on].real
+        zeros = np.flatnonzero(diag == 0)
+        if len(zeros) != 1 or np.any(np.delete(diag, zeros) != 1):
+            raise QqaError(f"level {level.name!r}: Lambda0 is not I - |e_m><e_m|")
+        self.level = level
+        self._start = np.zeros(level.dim, dtype=complex)
+        self._start[zeros[0]] = 1.0
+        self._start.flags.writeable = False
+        # The state after each symbol of the last input's extended symbols:
+        # at most len(x) + 2 vectors, bounded by the input length, not by
+        # the number of inputs.
+        self._symbols = []
+        self._states = []
+
+    def ground(self, x: str) -> np.ndarray:
+        _check_symbols(self.level, x)
+        symbols = _extended_symbols(self.level, x)
+        shared = 0
+        for old, new in zip(self._symbols, symbols):
+            if old != new:
+                break
+            shared += 1
+        del self._symbols[shared:], self._states[shared:]
+        for symbol in symbols[shared:]:
+            g = self.level.unitary(symbol).matvec(self._states[-1] if self._states
+                                                  else self._start)
+            g.flags.writeable = False
+            self._symbols.append(symbol)
+            self._states.append(g)
+        return self._states[-1]
+
+
+def measure_once_ground(level: QqafLevel, x: str) -> np.ndarray:
+    """g with ``generate_moqqaf(level, x)`` = I - |g><g|; see
+    ``MeasureOnceGrounds``."""
+    return MeasureOnceGrounds(level).ground(x)
 
 
 def generate_qqaf(level: QqafLevel, x: str, *, return_trace: bool = False):
     """E = Pi0 . A_cent_x_dollar(Lambda0) . Pi0 with per-symbol Kraus sums."""
     _check_symbols(level, x)
-    families = [level.kraus(symbol) for symbol in _extended_symbols(level, x)]
-    return _channel_output(level.lam0, families, level.schema, level.q0_indices, return_trace)
+    runs = [(level.kraus(symbol), 1) for symbol in _extended_symbols(level, x)]
+    return _channel_output(level.lam0, runs, level.schema, level.q0_indices, return_trace)
 
 
 def generate_2qqaf(level: TwoWayQqafLevel, x: str, *, return_trace: bool = False):
@@ -415,11 +511,8 @@ def generate_2qqaf(level: TwoWayQqafLevel, x: str, *, return_trace: bool = False
     if t < 0:
         raise QqaError("negative step count")
     schema = level.surface_schema(x)
-    # An iterator, so that the first move's family and the adjoints it keeps
-    # are released once that move is applied.
-    families = itertools.chain([level.first_step_builder(x, schema)],
-                               itertools.repeat(level.step_builder(x, schema), t))
-    return _channel_output(level.lam0_builder(x, schema), families, schema,
+    runs = [(level.first_step_builder(x, schema), 1), (level.step_builder(x, schema), t)]
+    return _channel_output(level.lam0_builder(x, schema), runs, schema,
                            return_trace=return_trace)
 
 

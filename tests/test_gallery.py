@@ -7,11 +7,13 @@ from aeqslab import gallery
 from aeqslab.aeqs import ProjectorComplement, decide, ground_state, lowest_pairs
 from aeqslab.linalg import spectral_norm
 from aeqslab.qqa import (
+    CENT,
+    DOLLAR,
+    MeasureOnceGrounds,
     SparseOp,
     generate_2qqaf,
     generate_moqqaf,
     gram_defect,
-    measure_once_ground,
     validate_level,
 )
 
@@ -106,10 +108,20 @@ class TestEqualEntry:
                 assert validate_level(level).passed
 
 
+def one_shot_ground(level, x):
+    """g = U_cent_x_dollar e_m, carried afresh through every symbol; e_m is
+    the one index the diagonal Lambda0 does not store."""
+    g = np.zeros(level.dim, dtype=complex)
+    g[np.setdiff1d(np.arange(level.dim), level.lam0.rows)] = 1.0
+    for symbol in [CENT, *x, DOLLAR]:
+        g = level.unitary(symbol).matvec(g)
+    return g
+
+
 class TestMeasureOnceRoute:
-    """The prefix and equal entries store H_fin as I - |g><g| with g from
-    qqa.measure_once_ground; generate_moqqaf on the same level, the paper's
-    general construction, is the oracle."""
+    """The prefix and equal entries store H_fin as I - |g><g| with g from a
+    qqa.MeasureOnceGrounds carrier; generate_moqqaf on the same level, the
+    paper's general construction, is the oracle."""
 
     @pytest.mark.parametrize("name", ["l_prefix_0", "l_prefix_1", "equal"])
     def test_matches_generate_moqqaf_route(self, name):
@@ -132,16 +144,50 @@ class TestMeasureOnceRoute:
         # The validation report must look at the operators the instance was
         # built from: the same cached level object, not an equal rebuild.
         used = []
+        ground = MeasureOnceGrounds.ground
 
-        def recording(level, x):
-            used.append(level)
-            return measure_once_ground(level, x)
+        def recording(carrier, x):
+            used.append(carrier.level)
+            return ground(carrier, x)
 
-        monkeypatch.setattr(gallery, "measure_once_ground", recording)
+        monkeypatch.setattr(MeasureOnceGrounds, "ground", recording)
         entry = gallery.build(name)
         for x in ["", entry.family.alphabet[0], "".join(entry.family.alphabet) * 2]:
             entry.family.build(x)
             assert entry.validation_levels(x)[0] is used[-1], x
+
+    @pytest.mark.parametrize("order", ["lexicographic", "reversed", "shuffled"])
+    @pytest.mark.parametrize("name", ["l_prefix_0", "l_prefix_1", "equal"])
+    def test_carrier_matches_one_shot_carry(self, name, order):
+        # A carrier resumes from the prefix it shares with the previous
+        # input; a fresh carry through every symbol gives the same bits.
+        entry = gallery.build(name)
+        inputs = list(gallery.strings_up_to(entry.family.alphabet, 8))
+        if order == "reversed":
+            inputs.reverse()
+        elif order == "shuffled":
+            inputs = [inputs[i] for i in np.random.default_rng(4).permutation(len(inputs))]
+        for x in inputs:
+            got = entry.family.build(x).h_fin.vector
+            assert got.tobytes() == one_shot_ground(entry.validation_levels(x)[0], x).tobytes(), x
+
+    @pytest.mark.parametrize("name", ["l_prefix_0", "l_prefix_1", "equal"])
+    def test_sweep_shares_prefix_states(self, name, monkeypatch):
+        # One matvec per new extended-symbol prefix of a lexicographic sweep
+        # (per length: the left endmarker, every nonempty prefix of x and one
+        # right endmarker per input) instead of len(x) + 2 per input.
+        calls = []
+        matvec = SparseOp.matvec
+
+        def counted(op, v):
+            calls.append(op)
+            return matvec(op, v)
+
+        monkeypatch.setattr(SparseOp, "matvec", counted)
+        entry = gallery.build(name)
+        for x in gallery.strings_up_to(entry.family.alphabet, 8):
+            entry.family.build(x)
+        assert len(calls) == 1524       # a fresh carry per input: 4,608
 
 
 class TestSymCoinEntry:

@@ -126,6 +126,48 @@ class TestSparseHermitian:
             assert np.abs(ops[0].matvec(x) - ops[0].to_dense() @ x).max() <= 1e-15
 
 
+def constructor_diagonal(values):
+    """diag(values) through the general constructor: fold, merge, check."""
+    values = np.asarray(values, dtype=float)
+    idx = np.arange(len(values))
+    keep = values != 0
+    return SparseHermitian(len(values), idx[keep], idx[keep], values[keep])
+
+
+class TestDiagonal:
+    """SparseHermitian.diagonal sets its storage directly; the constructor
+    route is the oracle."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_bits_as_constructor(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 60))
+        values = rng.standard_normal(dim)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-17, 1.0, -1.0])
+        at = rng.random(dim) < 0.5
+        values[at] = rng.choice(special, int(at.sum()))
+        got, want = SparseHermitian.diagonal(values), constructor_diagonal(values)
+        assert type(got) is SparseHermitian and got.dim == want.dim == dim
+        for a, b in zip((got.rows, got.cols, got.vals), (want.rows, want.cols, want.vals)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.nnz() == want.nnz() == np.count_nonzero(values)
+
+    def test_empty_and_all_zero(self):
+        for values in ([0.0, -0.0, 0.0], [0.0]):
+            got = SparseHermitian.diagonal(values)
+            assert got.nnz() == 0 and got.vals.dtype == complex and got.rows.dtype == np.int64
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        values = [1.0, bad, 0.0]
+        with pytest.raises(linalg.LinalgError, match="non-finite") as direct:
+            SparseHermitian.diagonal(values)
+        with pytest.raises(linalg.LinalgError) as general:
+            constructor_diagonal(values)
+        assert type(direct.value) is type(general.value)
+        assert str(direct.value) == str(general.value)
+
+
 class TestLowestEigenpairs:
     def test_diagonal_example(self):
         vals = np.concatenate([[0.5], np.ones(19)])

@@ -10,6 +10,7 @@ from aeqslab.qqa import (
     CENT,
     DOLLAR,
     BasisSchema,
+    MeasureOnceGrounds,
     QqaError,
     QqafLevel,
     SparseOp,
@@ -460,6 +461,125 @@ class TestSparseKernelOracles:
         assert len({id(a) for a in adjoints}) == 4
 
 
+def per_step_run(family, times, h):
+    """A run applied one channel step at a time, every entry conjugated."""
+    for _ in range(times):
+        h = qqa.sparse_conjugate(family, h)
+    return h
+
+
+def triplet_bytes(op):
+    return [a.tobytes() for a in (op.rows, op.cols, op.vals)]
+
+
+def planted_family(rng, dim, n_ops):
+    """A Kraus family with identity columns planted in every operator and
+    the other columns sent to random rows, the planted ones among them.
+    Column ``moving[0]`` is absorbed onto the identity column ``planted[0]``,
+    and two near-misses are not fixed: a second entry under a 1.0, and a
+    diagonal entry just above 1.0."""
+    order = rng.permutation(dim)
+    planted, moving = order[: dim // 2], order[dim // 2:]
+    rules = [[] for _ in range(n_ops)]
+
+    def op():
+        return rules[int(rng.integers(n_ops))]
+
+    for c in planted[:-2]:
+        op().append((c, c, complex(1.0, rng.choice([0.0, -0.0]))))
+    op().extend([(planted[-2], planted[-2], 1.0), (moving[1], planted[-2], 0.5)])
+    op().append((planted[-1], planted[-1], 1.0 + 2.0 ** -52))
+    op().extend([(planted[0], moving[0], 0.6), (moving[0], moving[0], 0.8)])
+    for c in moving[1:]:
+        for r in rng.choice(dim, size=int(rng.integers(1, 3)), replace=False):
+            op().append((r, c, complex(*rng.standard_normal(2))))
+    return [SparseOp.from_rules(dim, r) for r in rules], planted
+
+
+def random_sparse_hermitian(rng, dim, nnz):
+    """Entries anywhere, some real (a signed-zero imaginary part in the
+    mirror), some purely imaginary, some below the conjugate's prune tol."""
+    r, c = rng.integers(dim, size=(2, nnz))
+    v = rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz)
+    kind = rng.integers(4, size=nnz)
+    v = np.where(kind == 0, v.real + 0j, v)
+    v = np.where(kind == 1, 1j * v.imag, v)
+    v = np.where(kind == 2, v * 1e-17, v)
+    return SparseHermitian(dim, r, c, np.where(r == c, v.real + 0j, v))
+
+
+class TestRunSplit:
+    """A run of one Kraus family conjugates only the entries the family
+    moves; the per-step loop over every entry is the oracle, bit for bit."""
+
+    def test_pal_marked_runs_bit_for_bit(self, monkeypatch):
+        # pal_inputs() holds every input the benchmark draws: w#v, |w| = |v| = 2.
+        inputs = pal_inputs()
+        got = [pal_generate(x) for x in inputs]
+        monkeypatch.setattr(qqa, "_apply_run", per_step_run)
+        for x, result in zip(inputs, got):
+            assert pal_generate(x) == result, x
+
+    def test_pal_marked_parks_most_states(self):
+        # On "ab#ba" (dim 11,025) the step family maps 10,920 states to
+        # themselves; only the 105 whose parked registers read xi0 move.
+        x = "ab#ba"
+        level = gallery._pal_level(x)
+        schema = level.surface_schema(x)
+        assert np.count_nonzero(qqa._fixed_owner(level.step_builder(x, schema),
+                                                 schema.dim) >= 0) == 10920
+        assert not (qqa._fixed_owner(level.first_step_builder(x, schema),
+                                     schema.dim) >= 0).any()
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("times", [1, 2, 5])
+    def test_planted_families_bit_for_bit(self, seed, times):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(8, 30))
+        family, planted = planted_family(rng, dim, n_ops=int(rng.integers(1, 4)))
+        owner = qqa._fixed_owner(family, dim)
+        assert owner[planted[0]] == -1                  # absorbs a moving column
+        assert owner[planted[-2]] == owner[planted[-1]] == -1
+        assert (owner >= 0).any()
+        h = random_sparse_hermitian(rng, dim, 3 * dim)
+        got = qqa._apply_run(family, times, h)
+        want = per_step_run(family, times, h)
+        assert triplet_bytes(got) == triplet_bytes(want)
+
+    @pytest.mark.parametrize("times", [1, 2, 3])
+    def test_absorbing_state(self, times):
+        # Column 1 is moved onto column 0, which the family maps to itself.
+        # H starts away from state 0, and the first step moves weight onto
+        # it, so column 0 must be conjugated with the moving entries on the
+        # later steps, not kept aside.
+        family = [SparseOp.from_rules(3, [(0, 0, 1.0), (0, 1, 0.6), (2, 2, 1.0)]),
+                  SparseOp.from_rules(3, [(1, 1, 0.8)])]
+        assert list(qqa._fixed_owner(family, 3)) == [-1, -1, 0]
+        h = SparseHermitian(3, [1, 1, 2], [1, 2, 2], [2.0, 0.125j, 3.0])
+        got = qqa._apply_run(family, times, h)
+        assert triplet_bytes(got) == triplet_bytes(per_step_run(family, times, h))
+        dense = h.to_dense()
+        for _ in range(times):
+            dense = sum(k.to_dense() @ dense @ k.to_dense().conj().T for k in family)
+        assert np.abs(got.to_dense() - dense).max() <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_way_generation_bit_for_bit(self, seed, monkeypatch):
+        rng = np.random.default_rng(100 + seed)
+        dim = 12
+        ops = {sym: planted_family(rng, dim, n_ops=2)[0] for sym in (CENT, DOLLAR, "0", "1")}
+        level = QqafLevel(schema=flat_schema(dim), alphabet=("0", "1"), ops=ops,
+                          lam0=random_sparse_hermitian(rng, dim, 30),
+                          q0_indices=frozenset({3, 7}), name="planted")
+        inputs = ["", "0", "10", "0110"]
+        got = [generate_qqaf(level, x, return_trace=True) for x in inputs]
+        monkeypatch.setattr(qqa, "_apply_run", per_step_run)
+        for x, (generated, trace) in zip(inputs, got):
+            want, want_trace = generate_qqaf(level, x, return_trace=True)
+            assert triplet_bytes(generated.operator) == triplet_bytes(want.operator), x
+            assert trace == want_trace, x
+
+
 class TestDropRightEndmarker:
     def test_identity_dollar_keeps_level(self):
         level = identity_level()
@@ -548,6 +668,42 @@ class TestMeasureOnceGround:
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbolError):
             measure_once_ground(identity_level(), "2")
+
+
+class TestMeasureOnceGrounds:
+    """A carrier per level: the checks run once, and each input resumes
+    from the prefix it shares with the one before."""
+
+    @pytest.mark.parametrize("dollar", [True, False])
+    def test_matches_one_shot_in_any_order(self, dollar):
+        level = random_moqqaf_level(dim=5, rng=np.random.default_rng(9))
+        if not dollar:
+            level = drop_right_endmarker(level)
+        carrier = MeasureOnceGrounds(level)
+        # Without the right endmarker an input can be a prefix of the last.
+        for x in ["0110", "011", "0111", "", "1", "0110", "0110", "10", "011"]:
+            got = carrier.ground(x)
+            assert got.tobytes() == MeasureOnceGrounds(level).ground(x).tobytes(), x
+            assert len(carrier._states) == len(x) + 1 + dollar
+
+    def test_states_are_read_only(self):
+        carrier = MeasureOnceGrounds(random_moqqaf_level(dim=4))
+        first = carrier.ground("01")
+        kept = first.copy()
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        carrier.ground("00")
+        carrier.ground("1")
+        assert np.array_equal(first, kept)
+        assert not any(g.flags.writeable for g in carrier._states)
+
+    def test_level_checked_once_at_construction(self):
+        with pytest.raises(QqaError, match="halts on 1 indices"):
+            MeasureOnceGrounds(random_moqqaf_level(q0=frozenset({1})))
+        carrier = MeasureOnceGrounds(identity_level())
+        with pytest.raises(UnknownSymbolError):
+            carrier.ground("2")
+        assert np.array_equal(carrier.ground("01"), [1, 0, 0])
 
 
 class TestValidateLevel:
