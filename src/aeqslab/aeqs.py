@@ -32,9 +32,12 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    COMMUTATOR_NEGLIGIBLE,
     DEGENERACY_TOL,
     NORM_TOL,
     SPARSE_EIG_MIN_DIM,
+    SUBSPACE_TOL,
+    TIE_TOL,
     CapacityError,
     SparseHermitian,
     dense_max,
@@ -44,11 +47,8 @@ from .linalg import (
 )
 from .qqa import BasisSchema, flat_schema
 
-TIE_TOL = 1e-9
 DEFAULT_ACCURACY_BOUND = 0.999  # constructions analyzed at accuracy exactly 1
-COMMUTATOR_NEGLIGIBLE = 1e-12
 GAP_SCAN_GRID = 64
-SUBSPACE_TOL = 1e-10      # dropped directions and invariance residual, per unit norm of H
 # Instances an AeqsFamily keeps.  Re-reads come within the last 4 inputs
 # (inverse_image on a fixed point of its map, a combinator and its operand
 # on one input) or after a whole sweep, which no small bound keeps.
@@ -216,11 +216,10 @@ def lowest_pairs(h, k: int) -> list:
         sums = sorted(((la + lb, i, j) for i, (la, _) in enumerate(pa)
                        for j, (lb, _) in enumerate(pb)), key=lambda t: t[0])
         return [(value, np.kron(pa[i][1], pb[j][1])) for value, i, j in sums[:k]]
-    if isinstance(h, SparseHermitian) and np.array_equal(h.rows, h.cols):
-        # Diagonal: the pairs are its entries, ascending and ties in index
-        # order, with basis vectors.
-        values = np.zeros(dim)
-        values[h.rows] = h.vals.real
+    values = _diagonal(h)
+    if values is not None:
+        # The pairs are its entries, ascending and ties in index order, with
+        # basis vectors.
         return [(float(values[i]), np.eye(1, dim, i, dtype=complex)[0])
                 for i in np.argsort(values, kind="stable")[:k]]
     if isinstance(h, SparseHermitian) and dim > min(SPARSE_EIG_MIN_DIM, dense_max()):
@@ -229,13 +228,42 @@ def lowest_pairs(h, k: int) -> list:
     return [(float(dec.values[i]), dec.vectors[:, i]) for i in range(k)]
 
 
+def _diagonal(h) -> np.ndarray | None:
+    """The diagonal of a SparseHermitian that stores nothing off it, else
+    None."""
+    if not (isinstance(h, SparseHermitian) and np.array_equal(h.rows, h.cols)):
+        return None
+    values = np.zeros(h.dim)
+    values[h.rows] = h.vals.real
+    return values
+
+
+def diagonal_lowest_two(values: np.ndarray) -> tuple:
+    """(ground energy, ground index, spectral gap, uniqueness flag) of
+    diag(values), the two lowest pairs of ``lowest_pairs`` with no basis
+    vector built: a stable argsort, so ties go to the lower index."""
+    order = np.argsort(values, kind="stable")[:2]
+    energy = float(values[order[0]])
+    if len(order) == 1:
+        return energy, int(order[0]), math.inf, True
+    gap = max(0.0, float(values[order[1]]) - energy)
+    return energy, int(order[0]), gap, gap > DEGENERACY_TOL
+
+
 def _lowest_two(h) -> tuple:
     """(ground energy, ground state, spectral gap, uniqueness flag) from the
     two lowest pairs, or in closed form for a ProjectorComplement
-    (``_projector_lowest_two``); a one-dimensional space has gap inf and a
+    (``_projector_lowest_two``) and a diagonal SparseHermitian
+    (``diagonal_lowest_two``); a one-dimensional space has gap inf and a
     unique ground state."""
     if isinstance(h, ProjectorComplement):
         return _projector_lowest_two(h)
+    values = _diagonal(h)
+    if values is not None:
+        energy, ground, gap, unique = diagonal_lowest_two(values)
+        psi = np.zeros(len(values), dtype=complex)
+        psi[ground] = 1.0
+        return energy, psi, gap, unique
     pairs = lowest_pairs(h, min(2, hamiltonian_dim(h)))
     energy, psi = pairs[0]
     if len(pairs) == 1:
@@ -335,36 +363,61 @@ def _mass_outside(amps: np.ndarray, indices: np.ndarray) -> float:
     return float(outside.sum())
 
 
-def decide(instance: AeqsInstance) -> Verdict:
-    """Locate the final Hamiltonian's ground state among the criteria spans.
+def decide_rows(amps: np.ndarray, energies, gaps, unique, acc_idx: np.ndarray,
+                rej_idx: np.ndarray, epsilon: float) -> list:
+    """The Verdicts of m ground states from their squared amplitudes.
 
-    accept  iff accuracy(acc overlap) >= threshold and acc > rej overlap,
+    ``amps`` is a C-contiguous (m, dim) float array, row r holding |psi_r|^2;
+    ``energies``, ``gaps`` and ``unique`` give each row's ground energy,
+    spectral gap and uniqueness flag; ``acc_idx`` and ``rej_idx`` are int
+    arrays of the criteria's basis indices, shared by every row.
+
+    accept  iff accuracy(acc overlap) >= epsilon and acc > rej overlap,
     reject  symmetrically; anything else (including a degenerate ground
     space or a tie) is indeterminate.
-    """
-    threshold = instance.epsilon
-    energy, psi, gap, unique = _lowest_two(instance.h_fin)
-    amps = np.abs(psi) ** 2
-    acc_idx, rej_idx = (np.fromiter(s, dtype=np.int64, count=len(s))
-                        for s in (instance.s_acc, instance.s_rej))
-    acc, rej = math.sqrt(amps[acc_idx].sum()), math.sqrt(amps[rej_idx].sum())
 
-    outcome = "indeterminate"
-    accuracy = 0.0
-    if unique and abs(acc - rej) > TIE_TOL:
-        side, overlap, idx = ("accept", acc, acc_idx) if acc > rej else ("reject", rej, rej_idx)
-        achieved = overlap_accuracy(overlap, _mass_outside(amps, idx))
-        if achieved >= threshold:
-            outcome, accuracy = side, achieved
-    return Verdict(
-        outcome=outcome,
-        ground_energy=float(energy),
-        spectral_gap=float(gap),
-        accuracy=float(accuracy),
-        acc_overlap=float(acc),
-        rej_overlap=float(rej),
-        unique_ground=bool(unique),
-    )
+    Each row's sums are the bits of the one-row call: ``take`` gathers the
+    columns into a C-contiguous block, whose axis-1 sum runs along each row
+    as a 1-D sum does.  The F-ordered ``amps[:, idx]`` sums in another order
+    and moves the last bits.  The weight off the leading side is summed on
+    the row itself, and only for a row the rule decides.
+    """
+    acc = amps.take(acc_idx, axis=1).sum(axis=1).tolist()
+    rej = amps.take(rej_idx, axis=1).sum(axis=1).tolist()
+    verdicts = []
+    for r, (a, b, energy, gap, one) in enumerate(zip(acc, rej, energies, gaps, unique)):
+        a, b = math.sqrt(a), math.sqrt(b)
+        outcome, accuracy = "indeterminate", 0.0
+        if one and abs(a - b) > TIE_TOL:
+            side, overlap, idx = ("accept", a, acc_idx) if a > b else ("reject", b, rej_idx)
+            achieved = overlap_accuracy(overlap, _mass_outside(amps[r], idx))
+            if achieved >= epsilon:
+                outcome, accuracy = side, achieved
+        verdicts.append(Verdict(
+            outcome=outcome,
+            ground_energy=float(energy),
+            spectral_gap=float(gap),
+            accuracy=float(accuracy),
+            acc_overlap=a,
+            rej_overlap=b,
+            unique_ground=bool(one),
+        ))
+    return verdicts
+
+
+def criteria_indices(s: frozenset) -> np.ndarray:
+    """A criteria set's indices as an int array, in the set's iteration
+    order: the order ``decide`` sums them in."""
+    return np.fromiter(s, dtype=np.int64, count=len(s))
+
+
+def decide(instance: AeqsInstance) -> Verdict:
+    """Locate the final Hamiltonian's ground state among the criteria spans:
+    ``decide_rows`` on its one row."""
+    energy, psi, gap, unique = _lowest_two(instance.h_fin)
+    return decide_rows((np.abs(psi) ** 2)[None, :], [energy], [gap], [unique],
+                       criteria_indices(instance.s_acc), criteria_indices(instance.s_rej),
+                       instance.epsilon)[0]
 
 
 def interpolated_hamiltonian(instance: AeqsInstance, s: float) -> np.ndarray:

@@ -78,9 +78,10 @@ def _moqqaf_family(doc: MachineSpecDocument):
             f"{report.lam0_min_eigenvalue:.3e} (tolerance {OPERATOR_DEFECT_TOL:.0e})"
         )
 
+    h_ini = gallery.start_deflation(level.schema, level.schema.state_of(0))
+
     def builder(x: str) -> AeqsInstance:
-        return gallery.aeqs_instance(level.schema, level.schema.state_of(0),
-                                     generate_moqqaf(level, x).operator,
+        return gallery.aeqs_instance(level.schema, h_ini, generate_moqqaf(level, x).operator,
                                      criteria["acc"], criteria["rej"])
 
     return AeqsFamily(

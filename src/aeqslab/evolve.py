@@ -32,7 +32,7 @@ trotter runs in the dynamical subspace: the smallest subspace that contains
 the start state and is invariant under H_ini and H_fin
 (``aeqs.dynamical_basis``).  For the H_ini = I - |g><g| of the gallery and the
 compilers it is often 2-dimensional whatever the full dimension.  Its
-invariance is checked to aeqs.SUBSPACE_TOL, and the full space is used when the
+invariance is checked to linalg.SUBSPACE_TOL, and the full space is used when the
 check fails, so the reduction cannot silently change a result.  The
 phase-shift method runs in the full space.  Each step acts on k
 coefficients, and ``_advance`` chooses its route by the step kind and k.

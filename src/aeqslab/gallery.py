@@ -11,8 +11,9 @@ Their Lambda0 is I - |e_m><e_m| and they halt on nothing, so the paper's
 E = U Lambda0 U^dagger is exactly I - |g><g| with g = U e_m: H_fin is
 stored as that ProjectorComplement, g from a ``qqa.MeasureOnceGrounds``
 carrier per input length, which shares the states of an input's prefix
-with the inputs after it, and its ground energy 0 and gap 1 are exact.  ``generate_moqqaf`` builds the
-same operator from the same levels and is the tests' oracle.
+with the inputs after it, and its ground energy 0 and gap 1 are exact.
+``generate_moqqaf`` builds the same operator from the same levels and is the
+tests' oracle.
 The three track-based constructions (symmetric coincidence, unary subset
 sum, multiple duplication) are generated on the dynamically relevant
 sub-basis of their index space: the nondeterministic-track chains plus
@@ -24,12 +25,18 @@ basis is closed under the generation maps and reproduces the constructions'
 analyzed spectra exactly.  Their steps are permutations F, and Lambda0
 differs from the identity only at the idle track's start, so the diagonal of
 F Lambda0 F^dagger is read off that start's forward landing: no step is
-inverted.  Every instance is assembled by ``aeqs_instance`` and every
-permutation operator by ``permutation_op``.  The
-marked-palindrome construction is kept verbatim on its full
-surface-configuration space; deviations of its ground support from the
-intended accept/reject spaces are REPORTED as findings by verify(), never
+inverted.  Each track construction writes its automaton steps and state
+order once, in a layout function (``TrackLayout``).  Every instance is
+assembled by ``aeqs_instance`` and every permutation operator by
+``permutation_op``.  The marked-palindrome construction is kept verbatim on
+its full surface-configuration space; deviations of its ground support from
+the intended accept/reject spaces are REPORTED as findings by verify(), never
 patched.
+
+verify() decides a sweep without building instances: each group of inputs
+of one length is one call of the decision kernel ``aeqs.decide_rows``, on
+rows the entry reads off its carrier or its layouts (``GalleryEntry.rows``).
+``family.build(x)`` stays for run, trace, gap and the time search.
 """
 
 from __future__ import annotations
@@ -48,8 +55,10 @@ from .aeqs import (
     DEFAULT_ACCURACY_BOUND,
     ProjectorComplement,
     complement,
-    decide,
+    criteria_indices,
+    decide_rows,
     deflation_vector,
+    diagonal_lowest_two,
 )
 from .linalg import EXPECTATION_TOL, SparseHermitian, SparseOp
 from .qqa import (
@@ -73,15 +82,21 @@ class PromiseError(GalleryError):
     """Input does not have the block shape the promise problem requires."""
 
 
-def aeqs_instance(schema: BasisSchema, start, h_fin, s_acc: frozenset,
+def start_deflation(schema: BasisSchema, start) -> ProjectorComplement:
+    """H_ini = I - |g><g| with g the deflation vector of the start state."""
+    return ProjectorComplement(deflation_vector(schema.dim, schema.index(start)))
+
+
+def aeqs_instance(schema: BasisSchema, h_ini: ProjectorComplement, h_fin, s_acc: frozenset,
                   s_rej: frozenset) -> AeqsInstance:
-    """The instance of one input: H_ini deflates the start state, H_fin and
-    the criteria index sets are the construction's, and the size and
-    accuracy bound are the schema's and the default."""
+    """The instance of one input: H_ini deflates the start state
+    (``start_deflation``), H_fin and the criteria index sets are the
+    construction's, and the size and accuracy bound are the schema's and the
+    default."""
     return AeqsInstance(
         size_bits=schema.size_bits,
         epsilon=DEFAULT_ACCURACY_BOUND,
-        h_ini=ProjectorComplement(deflation_vector(schema.dim, schema.index(start))),
+        h_ini=h_ini,
         h_fin=h_fin,
         s_acc=s_acc,
         s_rej=s_rej,
@@ -116,6 +131,9 @@ class GalleryEntry:
     orientation: str = "direct"           # "swapped": construction accepts the oracle's reject side
     findings_mode: bool = False           # deviations become findings, not mismatches
     validation_levels: Callable[[str], list] = None
+    # The arguments of aeqs.decide_rows for a list of inputs of one length,
+    # built with no instance; None decides each input from family.build(x).
+    rows: Callable[[list], tuple] | None = None
 
     def expected_outcome(self, x: str) -> str:
         side = self.oracle(x)
@@ -137,22 +155,40 @@ def _measure_once_entry(name: str, level_of: Callable[[int], QqafLevel], start,
 
     H_fin is I - |g><g| with g from the length's ``MeasureOnceGrounds``
     carrier, so its ground energy 0 and gap 1 are exact.
-    ``criteria(x, schema)`` gives the two index sets.  The validation report
-    checks the very level that built the instance: both read one cache of
-    carriers, keyed by length and so bounded by the lengths asked for, not
-    by the inputs.
+    ``criteria(n, schema)`` gives the two index sets of length n.  One cache,
+    keyed by length and so bounded by the lengths asked for, not by the
+    inputs, holds each length's carrier, H_ini, criteria and criteria index
+    arrays.  ``build``, the verify rows and the validation report all read
+    it, so the report checks the very level that built the instance.
     """
-    carrier_of = functools.cache(lambda n: MeasureOnceGrounds(level_of(n)))
+    @functools.cache
+    def parts(n: int) -> tuple:
+        carrier = MeasureOnceGrounds(level_of(n))
+        schema = carrier.level.schema
+        s_acc, s_rej = criteria(n, schema)
+        return (carrier, start_deflation(schema, start), s_acc, s_rej,
+                criteria_indices(s_acc), criteria_indices(s_rej))
 
     def build(x: str) -> AeqsInstance:
-        carrier = carrier_of(len(x))
-        h_fin = ProjectorComplement(carrier.ground(x))
-        schema = carrier.level.schema
-        return aeqs_instance(schema, start, h_fin, *criteria(x, schema))
+        carrier, h_ini, s_acc, s_rej, _, _ = parts(len(x))
+        return aeqs_instance(carrier.level.schema, h_ini, ProjectorComplement(carrier.ground(x)),
+                             s_acc, s_rej)
+
+    def rows(xs: list) -> tuple:
+        # |g|^2 per input, and the spectrum of I - |g><g| as
+        # aeqs._projector_lowest_two reads it: ground energy 0, gap 1 (inf
+        # on a one-dimensional space) and a unique ground state.
+        carrier, _, _, _, acc_idx, rej_idx = parts(len(xs[0]))
+        m, dim = len(xs), carrier.level.dim
+        amps = np.empty((m, dim))
+        for r, x in enumerate(xs):
+            amps[r] = np.abs(carrier.ground(x)) ** 2
+        return (amps, [0.0] * m, [1.0 if dim > 1 else math.inf] * m, [True] * m,
+                acc_idx, rej_idx, DEFAULT_ACCURACY_BOUND)
 
     return GalleryEntry(
         name=name,
-        family=AeqsFamily(alphabet=carrier_of(0).level.alphabet, builder=build, tags=tags,
+        family=AeqsFamily(alphabet=parts(0)[0].level.alphabet, builder=build, tags=tags,
                           name=name),
         oracle=oracle,
         expectations=[
@@ -162,23 +198,77 @@ def _measure_once_entry(name: str, level_of: Callable[[int], QqafLevel], start,
                         gap_lower=lambda x: 1.0),
         ],
         notes=notes,
-        validation_levels=lambda x: [carrier_of(len(x)).level],
+        validation_levels=lambda x: [parts(len(x))[0].level],
+        rows=rows,
     )
 
 
-def _landing_diagonal(schema: BasisSchema, halting, deformed: tuple,
-                      weight: float) -> SparseHermitian:
+@dataclass
+class TrackLayout:
+    """One input's curated basis for a track construction: the schema's
+    coordinates, the curated states in order, the diagonal of H_fin on them,
+    the start state and the accept and reject states.  Criteria states
+    outside the curated basis are skipped, as ``BasisSchema.indices_of``
+    skips them."""
+
+    coords: list
+    states: list
+    diag: np.ndarray
+    start: tuple
+    acc: set
+    rej: set
+
+
+def _layout_instance(layout: TrackLayout) -> AeqsInstance:
+    schema = BasisSchema(layout.coords, states=layout.states)
+    return aeqs_instance(schema, start_deflation(schema, layout.start),
+                         SparseHermitian.diagonal(layout.diag),
+                         schema.indices_of(layout.acc), schema.indices_of(layout.rej))
+
+
+def _layout_rows(layout_of: Callable[[str], TrackLayout], swapped: bool = False) -> Callable:
+    """The ``GalleryEntry.rows`` of a track entry, read off each input's
+    layout with no instance built.
+
+    H_fin is diagonal, so the ground state is the basis vector of the index
+    ``diagonal_lowest_two`` picks, as in ``decide``.  Its squared amplitudes
+    are 1 there and 0 elsewhere, so every sum the kernel forms over them has
+    at most one nonzero term.  A row therefore keeps three bins, the accept
+    states, the reject states and the rest, with the 1 in the ground
+    state's bin, and the kernel's sums are the bits of the full row's.
+    ``swapped`` exchanges the accept and reject bins, as ``complement``
+    exchanges the criteria.
+    """
+    acc_idx, rej_idx = np.array([0]), np.array([1])
+    if swapped:
+        acc_idx, rej_idx = rej_idx, acc_idx
+
+    def rows(xs: list) -> tuple:
+        amps = np.zeros((len(xs), 3))
+        spectra = []
+        for r, x in enumerate(xs):
+            layout = layout_of(x)
+            energy, ground, gap, unique = diagonal_lowest_two(layout.diag)
+            state = layout.states[ground]
+            amps[r, 0 if state in layout.acc else 1 if state in layout.rej else 2] = 1.0
+            spectra.append((energy, gap, unique))
+        return (amps, *zip(*spectra), acc_idx, rej_idx, DEFAULT_ACCURACY_BOUND)
+
+    return rows
+
+
+def _landing_diagonal(states: list, halting, deformed: tuple, weight: float) -> np.ndarray:
     """F Lambda0 F^dagger of a track construction whose Lambda0 is ``weight``
     at the idle track's start and 1 elsewhere: 0 on the halting states,
     ``weight`` on the states that begin with ``deformed`` (that start's
     landing), 1 on the rest."""
-    diag = np.ones(schema.dim)
-    for idx, st in enumerate(schema.all_states()):
+    diag = np.ones(len(states))
+    for idx, st in enumerate(states):
         if st in halting:
             diag[idx] = 0.0
         elif st[:len(deformed)] == deformed:
             diag[idx] = weight
-    return SparseHermitian.diagonal(diag)
+    return diag
 
 
 def _register_level(schema: BasisSchema, alphabet: tuple, step: Callable, cent: list,
@@ -233,9 +323,9 @@ def _prefix_level(n: int, a: str) -> QqafLevel:
 
 
 def _build_l_prefix(a: str) -> GalleryEntry:
-    def criteria(x: str, schema: BasisSchema):
+    def criteria(n: int, schema: BasisSchema):
         s_rej = [("q2", 0)]
-        if len(x) == 0:
+        if n == 0:
             # The empty string never reaches the branch cell; its ground
             # state stays on the start tuple, which we class as rejecting.
             s_rej.append(("q0", 0))
@@ -298,8 +388,7 @@ def _equal_level(n: int) -> QqafLevel:
 
 
 def _build_equal() -> GalleryEntry:
-    def criteria(x: str, schema: BasisSchema):
-        n = len(x)
+    def criteria(n: int, schema: BasisSchema):
         s_acc = frozenset()
         if n % 2 == 0:
             # Members have n = 2l symbols and land on clock value 3l+1; the
@@ -381,62 +470,53 @@ def _sym_coin_tracks(n: int):
     return [(i, n + 1 - i) for i in range(1, n // 2 + 1)]
 
 
-def _build_sym_coin() -> GalleryEntry:
-    def schema_for(x: str) -> BasisSchema:
-        n = len(x)
-        tracks = [(0, 0)] + _sym_coin_tracks(n)
-        states = []
-        for (i, j) in tracks:
-            if (i, j) == (0, 0):
-                states.append((0, 0, "B", 0, "B", 0))
-                continue
-            track = _SymCoinTrack(x, i, j)
-            landed = track.forward_pass(("B", 0))
-            sym_land = landed[0]
-            members = {("B", 0)}
-            if sym_land == "acc":
-                members |= {("acc", 0), ("rej", 0), (x[i - 1], 0)}
-            else:
-                members.add((sym_land, 0))
-            for (sym, pos) in sorted(members):
-                states.append((i, j, sym, pos, "B", 0))
-        coords = [
-            ("i", tuple(range(0, n // 2 + 1))),
-            ("j", tuple(range(0, n + 2))),
-            ("sym", _SYM_SYMBOLS),
-            ("pos", tuple(range(n + 2))),
-            ("sym0", _SYM_SYMBOLS),
-            ("pos0", tuple(range(n + 2))),
-        ]
-        return BasisSchema(coords, states=states)
-
-    def build(x: str) -> AeqsInstance:
-        n = len(x)
-        schema = schema_for(x)
-        diag = np.zeros(schema.dim)
-        for idx, (i, j, sym, pos, _s0, _p0) in enumerate(schema.all_states()):
-            if (i, j) == (0, 0):
-                # Lambda0 = I - (1/3)|0,0,B,0,B,0><...|: the idle track holds
-                # only its start, the one deformed state.
-                diag[idx] = 2.0 / 3.0
-                continue
+def _sym_coin_layout(x: str) -> TrackLayout:
+    """The idle track's start, then for each pair track its start and the
+    landings of its chain, with the weight each state carries."""
+    n = len(x)
+    tracks = _sym_coin_tracks(n)
+    idle = (0, 0, "B", 0, "B", 0)
+    # Lambda0 = I - (1/3)|0,0,B,0,B,0><...|: the idle track holds only its
+    # start, the one deformed state.
+    states, diag = [idle], [2.0 / 3.0]
+    for (i, j) in tracks:
+        track = _SymCoinTrack(x, i, j)
+        sym_land = track.forward_pass(("B", 0))[0]
+        members = {("B", 0)}
+        if sym_land == "acc":
+            members |= {("acc", 0), ("rej", 0), (x[i - 1], 0)}
+        else:
+            members.add((sym_land, 0))
+        for (sym, pos) in sorted(members):
+            states.append((i, j, sym, pos, "B", 0))
             # Lambda0 is 1 on every other track, so the entry is the weight
             # the endmarker branches carry into this state.
-            amps = _SymCoinTrack(x, i, j).dollar_amplitudes((sym, pos))
-            diag[idx] = sum(amp * amp for amp in amps)
-        s_acc = {(i, j, "acc", 0, "B", 0) for (i, j) in _sym_coin_tracks(n)}
-        idle = (0, 0, "B", 0, "B", 0)
-        return aeqs_instance(schema, idle, SparseHermitian.diagonal(diag),
-                             schema.indices_of(s_acc), schema.indices_of([idle]))
+            diag.append(sum(amp * amp for amp in track.dollar_amplitudes((sym, pos))))
+    coords = [
+        ("i", tuple(range(0, n // 2 + 1))),
+        ("j", tuple(range(0, n + 2))),
+        ("sym", _SYM_SYMBOLS),
+        ("pos", tuple(range(n + 2))),
+        ("sym0", _SYM_SYMBOLS),
+        ("pos0", tuple(range(n + 2))),
+    ]
+    return TrackLayout(coords, states, np.array(diag), idle,
+                       acc={(i, j, "acc", 0, "B", 0) for (i, j) in tracks}, rej={idle})
 
+
+def _build_sym_coin() -> GalleryEntry:
     family = AeqsFamily(
-        alphabet=("a", "b"), builder=build,
+        alphabet=("a", "b"), builder=lambda x: _layout_instance(_sym_coin_layout(x)),
         tags=("1qqaf", "logsize", "polygap"), name="sym_coin",
     )
 
-    def witnesses(x: str):
+    # One entry: verify asks the oracle and every expectation of an input
+    # before it moves to the next, so the last input's witnesses serve all
+    # five calls, and the cache holds one tuple whatever the sweep.
+    @functools.lru_cache(maxsize=1)
+    def witnesses(x: str) -> tuple:
         n = len(x)
-        return [(i, j) for (i, j) in _sym_coin_tracks(n) if x[i - 1] == x[j - 1]]
+        return tuple((i, j) for (i, j) in _sym_coin_tracks(n) if x[i - 1] == x[j - 1])
 
     def oracle(x: str) -> str:
         return ACCEPT if witnesses(x) else REJECT
@@ -461,6 +541,7 @@ def _build_sym_coin() -> GalleryEntry:
         notes="basis curated to the pair-track chains and their landings; "
               "odd lengths use the same pair set (no middle self-pair)",
         validation_levels=_sym_coin_validation_levels,
+        rows=_layout_rows(_sym_coin_layout),
     )
 
 
@@ -558,43 +639,40 @@ class _USubSumTrack:
         return state
 
 
+def _usubsum_layout(x: str) -> TrackLayout:
+    """Each subset track's start and, when it moves, its landing."""
+    t, counts = parse_usubsum(x)
+    k, l = len(counts), max(counts)
+    j_labels = tuple(range(-k * l, t + 1))
+    subsets = ["".join(bits) for bits in itertools.product("01", repeat=k)]
+
+    states = []
+    landings = {}
+    for s in subsets:
+        chosen = frozenset(i + 1 for i, bit in enumerate(s) if bit == "1")
+        landing = landings[s] = _USubSumTrack(x, t, counts, chosen).land()
+        states.append((s, 0, 0, 0, 0))
+        if landing != (0, 0):
+            states.append((s, *landing, 0, 0))
+    coords = [
+        ("s", tuple(subsets)),
+        ("i", tuple(range(k + 1))),
+        ("j", j_labels),
+        ("i0", tuple(range(k + 1))),
+        ("j0", j_labels),
+    ]
+    zero_track = "0" * k
+    q0 = {(s, k, 0, 0, 0) for s in subsets}
+    # Lambda0 is deformed (to 1/2) only at the idle track's start, which the
+    # steps carry to that track's landing.
+    deformed = (zero_track, *landings[zero_track])
+    return TrackLayout(coords, states, _landing_diagonal(states, q0, deformed, 0.5),
+                       (zero_track, 0, 0, 0, 0),
+                       acc={(s, k, 0, 0, 0) for s in subsets if s != zero_track},
+                       rej={(zero_track, k, t, 0, 0)})
+
+
 def _build_usubsum() -> GalleryEntry:
-    def build(x: str) -> AeqsInstance:
-        t, counts = parse_usubsum(x)
-        k, l = len(counts), max(counts)
-        j_labels = tuple(range(-k * l, t + 1))
-        subsets = ["".join(bits) for bits in itertools.product("01", repeat=k)]
-
-        states = []
-        landings = {}
-        for s in subsets:
-            chosen = frozenset(i + 1 for i, bit in enumerate(s) if bit == "1")
-            landing = landings[s] = _USubSumTrack(x, t, counts, chosen).land()
-            states.append((s, 0, 0, 0, 0))
-            if landing != (0, 0):
-                states.append((s, *landing, 0, 0))
-        schema = BasisSchema(
-            [
-                ("s", tuple(subsets)),
-                ("i", tuple(range(k + 1))),
-                ("j", j_labels),
-                ("i0", tuple(range(k + 1))),
-                ("j0", j_labels),
-            ],
-            states=states,
-        )
-
-        zero_track = "0" * k
-        q0 = {(s, k, 0, 0, 0) for s in subsets}
-        # Lambda0 is deformed (to 1/2) only at the idle track's start, which
-        # the steps carry to that track's landing.
-        deformed = (zero_track, *landings[zero_track])
-        s_acc = {(s, k, 0, 0, 0) for s in subsets if s != zero_track}
-        return aeqs_instance(schema, (zero_track, 0, 0, 0, 0),
-                             _landing_diagonal(schema, q0, deformed, 0.5),
-                             schema.indices_of(s_acc),
-                             schema.indices_of([(zero_track, k, t, 0, 0)]))
-
     def oracle(x: str) -> str:
         try:
             t, counts = parse_usubsum(x)
@@ -607,7 +685,7 @@ def _build_usubsum() -> GalleryEntry:
 
     family = AeqsFamily(
         alphabet=("0", "1", "#"),
-        builder=build,
+        builder=lambda x: _layout_instance(_usubsum_layout(x)),
         promise=lambda x: oracle(x) != NOT_PROMISED,
         tags=("1qqaf", "linsize", "constgap"),
         name="usubsum",
@@ -630,6 +708,7 @@ def _build_usubsum() -> GalleryEntry:
               "rejection landing carries counter value t (the idle track "
               "accumulates the full first block)",
         validation_levels=_usubsum_validation_levels,
+        rows=_layout_rows(_usubsum_layout),
     )
 
 
@@ -718,47 +797,44 @@ class _MultDupTrack:
         return (sym, h, (r - self.l) % (self.l + 1), (pos + 1) % self.n_pos)
 
 
+def _multdup_layout(x: str) -> TrackLayout:
+    """Each comparison track's start and, when it moves, its landing."""
+    blocks = parse_multdup(x)
+    k, l = len(blocks) - 1, len(blocks[0])
+    tracks = [(0, 0)] + [(i, j) for i in range(1, k + 1) for j in range(1, l + 1)]
+
+    states = []
+    landings = {}
+    start = ("B", 0, 0, 0)
+    for (i, j) in tracks:
+        landing = landings[(i, j)] = _MultDupTrack(blocks, i, j).forward_pass(start)
+        states.append((i, j) + start + ("B", 0, 0, 0))
+        if landing != start:
+            states.append((i, j) + landing + ("B", 0, 0, 0))
+    n_pos = len(x) + 2
+    coords = [
+        ("i", tuple(range(k + 1))),
+        ("j", tuple(range(l + 1))),
+        ("sym", _MD_SYMBOLS),
+        ("h", tuple(range(k + 1))),
+        ("r", tuple(range(l + 1))),
+        ("pos", tuple(range(n_pos))),
+        ("sym0", _MD_SYMBOLS),
+        ("h0", tuple(range(k + 1))),
+        ("r0", tuple(range(l + 1))),
+        ("pos0", tuple(range(n_pos))),
+    ]
+    q0 = {(i, j, "B", k, 0, 0, "B", 0, 0, 0)
+          for i in range(1, k + 1) for j in range(1, l + 1)}
+    # Lambda0 = I - (1/2)|0,0,xi0,xi0><...|: the deformation sits on the
+    # idle track's start and surfaces at whatever that chain lands on.
+    deformed = (0, 0) + landings[(0, 0)]
+    return TrackLayout(coords, states, _landing_diagonal(states, q0, deformed, 0.5),
+                       (0, 0, "B", 0, 0, 0, "B", 0, 0, 0), acc=q0,
+                       rej={(0, 0, "B", k, 0, 0, "B", 0, 0, 0)})
+
+
 def _build_multdup() -> GalleryEntry:
-    def build(x: str) -> AeqsInstance:
-        blocks = parse_multdup(x)
-        k, l = len(blocks) - 1, len(blocks[0])
-        tracks = [(0, 0)] + [(i, j) for i in range(1, k + 1) for j in range(1, l + 1)]
-
-        states = []
-        landings = {}
-        start = ("B", 0, 0, 0)
-        for (i, j) in tracks:
-            landing = landings[(i, j)] = _MultDupTrack(blocks, i, j).forward_pass(start)
-            states.append((i, j) + start + ("B", 0, 0, 0))
-            if landing != start:
-                states.append((i, j) + landing + ("B", 0, 0, 0))
-        n_pos = len(x) + 2
-        schema = BasisSchema(
-            [
-                ("i", tuple(range(k + 1))),
-                ("j", tuple(range(l + 1))),
-                ("sym", _MD_SYMBOLS),
-                ("h", tuple(range(k + 1))),
-                ("r", tuple(range(l + 1))),
-                ("pos", tuple(range(n_pos))),
-                ("sym0", _MD_SYMBOLS),
-                ("h0", tuple(range(k + 1))),
-                ("r0", tuple(range(l + 1))),
-                ("pos0", tuple(range(n_pos))),
-            ],
-            states=states,
-        )
-
-        q0 = {(i, j, "B", k, 0, 0, "B", 0, 0, 0)
-              for i in range(1, k + 1) for j in range(1, l + 1)}
-        # Lambda0 = I - (1/2)|0,0,xi0,xi0><...|: the deformation sits on the
-        # idle track's start and surfaces at whatever that chain lands on.
-        deformed = (0, 0) + landings[(0, 0)]
-        return aeqs_instance(schema, (0, 0, "B", 0, 0, 0, "B", 0, 0, 0),
-                             _landing_diagonal(schema, q0, deformed, 0.5),
-                             schema.indices_of(q0),
-                             schema.indices_of([(0, 0, "B", k, 0, 0, "B", 0, 0, 0)]))
-
     def oracle(x: str) -> str:
         try:
             blocks = parse_multdup(x)
@@ -771,7 +847,7 @@ def _build_multdup() -> GalleryEntry:
 
     family = AeqsFamily(
         alphabet=("0", "1", "#"),
-        builder=build,
+        builder=lambda x: _layout_instance(_multdup_layout(x)),
         promise=lambda x: oracle(x) != NOT_PROMISED,
         tags=("1qqaf", "logsize", "constgap"),
         name="multdup",
@@ -798,6 +874,7 @@ def _build_multdup() -> GalleryEntry:
               "promise tightened to at most one differing symbol so the "
               "witness, and with it the ground state, stays unique",
         validation_levels=_multdup_validation_levels,
+        rows=_layout_rows(_multdup_layout),
     )
 
 
@@ -833,6 +910,7 @@ def _build_multdup_complement() -> GalleryEntry:
         notes="criteria-swapped wrapper whose accept side is the duplication "
               "problem's own accept side (all blocks equal)",
         validation_levels=base.validation_levels,
+        rows=_layout_rows(_multdup_layout, swapped=True),
     )
 
 
@@ -958,8 +1036,9 @@ def _build_pal_marked() -> GalleryEntry:
         schema = generated.basis
         s_acc = [(("q1", 0, "q1", 1, 0), 0)]
         s_rej = [(("q4", 0, "q1", 1, 0), 0), (("q5", 0, "q1", 1, 0), 0)]
-        return aeqs_instance(schema, (("q1", 1, "q1", 1, 0), 0), generated.operator,
-                             schema.indices_of(s_acc), schema.indices_of(s_rej))
+        return aeqs_instance(schema, start_deflation(schema, (("q1", 1, "q1", 1, 0), 0)),
+                             generated.operator, schema.indices_of(s_acc),
+                             schema.indices_of(s_rej))
 
     family = AeqsFamily(
         alphabet=("a", "b", "#"), builder=build,
@@ -1094,23 +1173,56 @@ class VerifyReport:
         }
 
 
-def verify(entry: GalleryEntry, inputs) -> VerifyReport:
-    """Sweep decide() against the classical oracle and the spectral claims.
+def _verdicts(entry: GalleryEntry, xs: list) -> list:
+    """The verdicts of xs, in order: one ``decide_rows`` call per length on
+    ``entry.rows``, with no instance built, or ``family.decide(x)`` per
+    input for an entry without rows."""
+    if entry.rows is None:
+        return [entry.family.decide(x) for x in xs]
+    groups = {}
+    for pos, x in enumerate(xs):
+        groups.setdefault(len(x), []).append(pos)
+    verdicts = [None] * len(xs)
+    for positions in groups.values():
+        decided = decide_rows(*entry.rows([xs[pos] for pos in positions]))
+        for pos, verdict in zip(positions, decided):
+            verdicts[pos] = verdict
+    return verdicts
 
-    Promise-problem inputs outside the promise are skipped.  For entries in
-    findings mode, deviations are accumulated as structured findings naming
-    the construction instead of as mismatches.
+
+def verify(entry: GalleryEntry, inputs) -> VerifyReport:
+    """Sweep the decisions against the classical oracle and the spectral
+    claims.
+
+    ``inputs`` is read once.  Promise-problem inputs outside the promise are
+    skipped.  The oracle and the expectations are asked of each input before
+    the next; the promised inputs are then decided by ``_verdicts``.
+    Records, mismatches, findings and expectation failures come in input
+    order.  For entries in findings mode, deviations are accumulated as
+    structured findings naming the construction instead of as mismatches.
     """
     report = VerifyReport(entry=entry.name)
+    checks = []           # (x, expected, [(description, wanted energy, wanted gap)])
     for x in inputs:
         expected = entry.expected_outcome(x)
         if expected == NOT_PROMISED:
             report.skipped_unpromised += 1
             continue
-        verdict = entry.family.decide(x)
+        claims = []
+        for exp in entry.expectations:
+            if not exp.applies(x):
+                continue
+            report.expectation_hits[exp.description] = (
+                report.expectation_hits.get(exp.description, 0) + 1
+            )
+            claims.append((exp.description,
+                           None if exp.energy is None else exp.energy(x),
+                           None if exp.gap_lower is None else exp.gap_lower(x)))
+        checks.append((x, expected, claims))
+    verdicts = _verdicts(entry, [x for x, _, _ in checks])
+    for (x, expected, claims), verdict in zip(checks, verdicts):
         report.checked += 1
-        record = VerifyRecord(x=x, expected=expected, verdict=verdict)
-        report.records.append(record)
+        report.records.append(VerifyRecord(x=x, expected=expected, verdict=verdict))
         if verdict.outcome != expected:
             item = {
                 "x": x,
@@ -1127,24 +1239,15 @@ def verify(entry: GalleryEntry, inputs) -> VerifyReport:
                 report.findings.append(item)
             else:
                 report.mismatches.append(item)
-        for exp in entry.expectations:
-            if not exp.applies(x):
-                continue
-            report.expectation_hits[exp.description] = (
-                report.expectation_hits.get(exp.description, 0) + 1
-            )
-            if exp.energy is not None:
-                want = exp.energy(x)
-                if abs(verdict.ground_energy - want) > EXPECTATION_TOL:
-                    report.expectation_failures.append(
-                        {"x": x, "expectation": exp.description,
-                         "want_energy": want, "got_energy": verdict.ground_energy}
-                    )
-            if exp.gap_lower is not None:
-                want = exp.gap_lower(x)
-                if verdict.spectral_gap < want - EXPECTATION_TOL:
-                    report.expectation_failures.append(
-                        {"x": x, "expectation": exp.description,
-                         "want_gap_at_least": want, "got_gap": verdict.spectral_gap}
-                    )
+        for description, energy, gap in claims:
+            if energy is not None and abs(verdict.ground_energy - energy) > EXPECTATION_TOL:
+                report.expectation_failures.append(
+                    {"x": x, "expectation": description,
+                     "want_energy": energy, "got_energy": verdict.ground_energy}
+                )
+            if gap is not None and verdict.spectral_gap < gap - EXPECTATION_TOL:
+                report.expectation_failures.append(
+                    {"x": x, "expectation": description,
+                     "want_gap_at_least": gap, "got_gap": verdict.spectral_gap}
+                )
     return report

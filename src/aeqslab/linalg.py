@@ -61,6 +61,14 @@ CONJUGATE_PRUNE_TOL = 1e-16
 # Margin taken off a compiled automaton's accuracy threshold, so that a
 # member on its error bound is not rejected by rounding.
 THRESHOLD_SLACK = 1e-9
+# A ground state whose accept and reject overlaps differ by at most this is
+# a tie, and its verdict indeterminate.
+TIE_TOL = 1e-9
+# Spectral norm of [H_ini, H_fin] at or below which the pair commutes.
+COMMUTATOR_NEGLIGIBLE = 1e-12
+# Remainder below which a dynamical-subspace direction is dropped, and the
+# invariance residual allowed, per unit norm of the Hamiltonians.
+SUBSPACE_TOL = 1e-10
 # Lanczos: a start or Ritz vector that deflation leaves shorter than
 # LANCZOS_VANISHED_TOL has vanished; a Krylov residual below
 # LANCZOS_BREAKDOWN_TOL ends the iteration.

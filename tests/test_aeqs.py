@@ -249,6 +249,113 @@ class TestDecide:
         assert b.ground_energy == pytest.approx(c * a.ground_energy, rel=1e-8, abs=1e-10)
 
 
+def formula_verdict(amps, energy, gap, unique, acc_idx, rej_idx, epsilon):
+    """One input's decision written out on a 1-D row of squared amplitudes:
+    the sums of the one-input rule, for the row kernel to match bit for
+    bit."""
+    acc, rej = math.sqrt(amps[acc_idx].sum()), math.sqrt(amps[rej_idx].sum())
+    outcome, accuracy = "indeterminate", 0.0
+    if unique and abs(acc - rej) > aeqs.TIE_TOL:
+        side, overlap, idx = ("accept", acc, acc_idx) if acc > rej else ("reject", rej, rej_idx)
+        outside = amps.copy()
+        outside[idx] = 0.0
+        achieved = 1.0 - math.sqrt(min(1.0, float(outside.sum()) / (1.0 + overlap)))
+        if achieved >= epsilon:
+            outcome, accuracy = side, achieved
+    return aeqs.Verdict(outcome, float(energy), float(gap), float(accuracy), acc, rej,
+                        bool(unique))
+
+
+@st.composite
+def kernel_rows(draw):
+    """(amps, energies, gaps, unique, acc_idx, rej_idx, epsilon) for the row
+    kernel: dims 1-600, criteria of any size (empty included) in any order,
+    rows spread out, peaked near accuracy 1, or with the two overlaps within
+    a few TIE_TOL of each other, and epsilon often one ulp from a row's
+    accuracy."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, dim = draw(st.integers(1, 6)), draw(st.integers(1, 600))
+    n_acc = draw(st.integers(0, dim))
+    n_rej = draw(st.integers(0, dim - n_acc))
+    order = rng.permutation(dim)
+    acc_idx, rej_idx = order[:n_acc], order[n_acc:n_acc + n_rej]
+    amps = np.zeros((m, dim))
+    for row in amps:
+        kind = draw(st.sampled_from(["spread", "peaked", "tie"]))
+        if kind == "tie" and n_acc and n_rej:
+            row[acc_idx[0]] = 0.5
+            row[rej_idx[0]] = 0.5 * (1.0 + draw(st.floats(-4e-9, 4e-9)))
+            row += rng.random(dim) * 1e-12
+        elif kind == "peaked":
+            row[:] = rng.random(dim) * 10.0 ** -draw(st.integers(2, 17))
+            row[rng.integers(dim)] = 1.0
+        else:
+            psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            row[:] = np.abs(psi) ** 2
+        row /= row.sum()
+    unique = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    energies, gaps = rng.standard_normal(m), rng.random(m)
+    achieved = [formula_verdict(row, 0.0, 0.0, True, acc_idx, rej_idx, 0.0).accuracy
+                for row in amps]
+    target = achieved[draw(st.integers(0, m - 1))]
+    epsilon = draw(st.sampled_from([
+        float(rng.random()), target, float(np.nextafter(target, 0.0)),
+        min(1.0, float(np.nextafter(target, 2.0)))]))
+    return amps, energies, gaps, unique, acc_idx, rej_idx, epsilon
+
+
+class TestDecideRows:
+    """aeqs.decide_rows, the one decision kernel: m rows at once give the
+    bits of m one-row calls and of the one-input formula."""
+
+    @given(kernel_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_one_row_calls_and_formula(self, case):
+        amps, energies, gaps, unique, acc_idx, rej_idx, epsilon = case
+        rows = aeqs.decide_rows(amps, energies, gaps, unique, acc_idx, rej_idx, epsilon)
+        assert len(rows) == len(amps)
+        for r, verdict in enumerate(rows):
+            one = aeqs.decide_rows(amps[r:r + 1], energies[r:r + 1], gaps[r:r + 1],
+                                   unique[r:r + 1], acc_idx, rej_idx, epsilon)
+            want = formula_verdict(amps[r], energies[r], gaps[r], unique[r], acc_idx,
+                                   rej_idx, epsilon)
+            assert repr(verdict.as_dict()) == repr(one[0].as_dict()) == repr(want.as_dict())
+
+    def test_outcomes_at_the_boundaries(self):
+        amps = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.9, 0.1, 0.0]])
+        got = aeqs.decide_rows(amps, [0.0] * 4, [1.0] * 4, [True, True, True, False],
+                               np.array([0]), np.array([1]), 0.5)
+        assert [v.outcome for v in got] == ["indeterminate", "accept", "indeterminate",
+                                             "indeterminate"]
+        assert got[1].accuracy == 1.0 and got[2].acc_overlap == got[2].rej_overlap == 0.0
+
+    def test_decide_is_the_one_row_call(self):
+        inst = gallery.build("equal").family.build("abab")
+        energy, psi, gap, unique = aeqs._lowest_two(inst.h_fin)
+        want = formula_verdict(np.abs(psi) ** 2, energy, gap, unique,
+                               aeqs.criteria_indices(inst.s_acc),
+                               aeqs.criteria_indices(inst.s_rej), inst.epsilon)
+        assert repr(decide(inst).as_dict()) == repr(want.as_dict())
+
+
+class TestDiagonalLowestTwo:
+    """The diagonal route of _lowest_two: a stable argsort, against the
+    pairs lowest_pairs gives and a dense eigensolve."""
+
+    @pytest.mark.parametrize("values", [[0.5], [1.0, 0.0, 0.0, 2.0], [0.0, 1.0, 1e-10],
+                                        [3.0, -1.0, 2.0, -1.0 + 2e-9]])
+    def test_matches_lowest_pairs(self, values):
+        h = SparseHermitian.diagonal(values)
+        energy, ground, gap, unique = aeqs.diagonal_lowest_two(np.array(values))
+        pairs = lowest_pairs(h, min(2, h.dim))
+        assert energy == pairs[0][0] and pairs[0][1][ground] == 1.0
+        assert gap == (pairs[1][0] - energy if len(pairs) == 2 else math.inf)
+        assert unique == (gap > DEGENERACY_TOL)
+        e, psi, g, u = aeqs._lowest_two(h)
+        assert (e, g, u) == (energy, gap, unique) and np.array_equal(psi, pairs[0][1])
+        assert abs(energy - np.linalg.eigvalsh(h.to_dense())[0]) <= 1e-15
+
+
 class TestInterpolationAndCommutator:
     def test_endpoints_and_midpoint(self):
         inst = gallery.build("l_prefix_0").family.build("0")

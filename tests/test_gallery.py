@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from aeqslab import gallery
-from aeqslab.aeqs import ProjectorComplement, decide, ground_state, lowest_pairs
+from aeqslab.aeqs import (
+    AeqsInstance,
+    ProjectorComplement,
+    decide,
+    deflation_vector,
+    ground_state,
+    lowest_pairs,
+)
 from aeqslab.linalg import spectral_norm
 from aeqslab.qqa import (
     CENT,
     DOLLAR,
     MeasureOnceGrounds,
+    QqaError,
     SparseOp,
     generate_2qqaf,
     generate_moqqaf,
@@ -188,6 +196,102 @@ class TestMeasureOnceRoute:
         for x in gallery.strings_up_to(entry.family.alphabet, 8):
             entry.family.build(x)
         assert len(calls) == 1524       # a fresh carry per input: 4,608
+
+
+    @pytest.mark.parametrize("name", ["l_prefix_0", "l_prefix_1", "equal"])
+    def test_verify_shares_prefix_states(self, name, monkeypatch):
+        # verify reads the same carriers as build: the same 1,524 matvecs.
+        calls = []
+        matvec = SparseOp.matvec
+
+        def counted(op, v):
+            calls.append(op)
+            return matvec(op, v)
+
+        monkeypatch.setattr(SparseOp, "matvec", counted)
+        entry = gallery.build(name)
+        gallery.verify(entry, gallery.strings_up_to(entry.family.alphabet, 8))
+        assert len(calls) == 1524
+
+    @pytest.mark.parametrize("name", ["l_prefix_0", "equal"])
+    def test_h_ini_shared_per_length(self, name):
+        entry = gallery.build(name)
+        a, b = (entry.family.build(x) for x in entry.family.alphabet[:2])
+        assert a.h_ini is b.h_ini
+        start = a.schema.index(("q0", 0) if name == "l_prefix_0" else ("q1", 0))
+        assert a.h_ini.vector.tobytes() == deflation_vector(a.dim, start).tobytes()
+        assert entry.family.build("").h_ini is not a.h_ini
+
+
+# The decide benchmark's sweep: every verify call it makes, at its sizes.
+SWEEP = {name: list(gallery.strings_up_to(gallery.build(name).family.alphabet, 8))
+         for name in ("l_prefix_0", "l_prefix_1", "equal", "sym_coin")}
+SWEEP["usubsum"] = gallery.usubsum_inputs(4, 3, 3, promised_only=False)
+SWEEP["multdup"] = SWEEP["multdup_complement"] = gallery.multdup_inputs(3, 3)
+
+
+class TestVerifyRows:
+    """verify decides each length's inputs as rows of aeqs.decide_rows,
+    with no instance built; decide on family.build(x) is the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP))
+    def test_records_match_built_instances(self, name):
+        report = gallery.verify(gallery.build(name), iter(SWEEP[name]))
+        built = gallery.build(name)
+        assert report.checked == len(report.records) > 0
+        assert report.checked + report.skipped_unpromised == len(SWEEP[name])
+        for record in report.records:
+            want = decide(built.family.build(record.x))
+            assert repr(record.verdict.as_dict()) == repr(want.as_dict()), record.x
+
+    def test_no_instance_built(self, monkeypatch):
+        built = []
+        post_init = AeqsInstance.__post_init__
+
+        def counted(instance):
+            built.append(instance)
+            post_init(instance)
+
+        monkeypatch.setattr(AeqsInstance, "__post_init__", counted)
+        for name, inputs in SWEEP.items():
+            gallery.verify(gallery.build(name), inputs)
+        assert built == []
+        # The counter sees the route that does build: an entry without rows.
+        gallery.verify(gallery.build("pal_marked"), ["a#a"])
+        assert len(built) == 1
+
+    def test_records_and_failures_keep_input_order(self):
+        # Lengths interleaved, read once from an iterator.
+        inputs = ["ab", "", "abab", "b", "ba", "a"]
+        entry = gallery.build("equal")
+        entry.expectations.append(
+            gallery.Expectation("bogus", lambda x: True, energy=lambda x: 0.25))
+        report = gallery.verify(entry, iter(inputs))
+        assert [r.x for r in report.records] == inputs
+        assert [f["x"] for f in report.expectation_failures] == inputs
+        assert report.expectation_hits["bogus"] == len(inputs)
+
+    def test_bad_symbol_raises_as_build_does(self):
+        entry = gallery.build("l_prefix_0")
+        with pytest.raises(QqaError):
+            entry.family.build("02")
+        with pytest.raises(QqaError):
+            gallery.verify(entry, ["0", "02"])
+
+    def test_sym_coin_witnesses_once_per_input(self, monkeypatch):
+        # Two track lists per input: the witnesses, which the oracle and the
+        # expectations share, and the layout.
+        calls = []
+        tracks = gallery._sym_coin_tracks
+
+        def counted(n):
+            calls.append(n)
+            return tracks(n)
+
+        monkeypatch.setattr(gallery, "_sym_coin_tracks", counted)
+        inputs = list(gallery.strings_up_to("ab", 5))
+        report = gallery.verify(gallery.build("sym_coin"), inputs)
+        assert report.passed and len(calls) == 2 * len(inputs)
 
 
 class TestSymCoinEntry:

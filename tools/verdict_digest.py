@@ -1,0 +1,98 @@
+"""Digest every verdict of the decide benchmark's inputs, for comparing two
+versions of the package bit for bit.
+
+    python3 tools/verdict_digest.py --seed N [--smoke]
+
+The inputs come from ``perfbench/workloads.py`` for the given seed and size,
+and the package from this checkout's ``src``.  The script prints one JSON
+line: per part, the SHA-256 of its results serialized as JSON (floats by
+``repr``, so every bit counts) and the number of verdicts or reports.  The parts are:
+
+- ``verify``: each sweep entry's ``VerifyReport.as_dict()``, then each of
+  its records' input, expected outcome and ``Verdict.as_dict()``;
+- ``moqfa`` and ``garbage``: the compiled families' verdicts on every input;
+- ``pal_marked``: the ``aeqslab run pal_marked`` reports and exit codes, with
+  the ``seconds`` field masked;
+- ``xor``: the dense xor family's verdicts.
+
+Two versions give equal digests on a part only when every one of its
+results is byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import env  # noqa: E402
+
+
+class Digest:
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.count = 0
+
+    def add(self, *items, count: int = 1):
+        """Hash the items as ``count`` results."""
+        for item in items:
+            self.sha.update(json.dumps(item, sort_keys=True).encode())
+            self.sha.update(b"\n")
+        self.count += count
+
+    def as_dict(self) -> dict:
+        return {"sha256": self.sha.hexdigest(), "count": self.count}
+
+
+def digests(seed: int, size: str, workdir: Path) -> dict:
+    workloads = env.fresh_workloads()
+    from aeqslab import aeqs, cli, compilers, gallery
+
+    sweep = workloads.Sweep(seed, size, workdir)
+    sweep.setup()
+    parts = {name: Digest() for name in ("verify", "moqfa", "garbage", "pal_marked", "xor")}
+    for name, inputs in sweep.verify_inputs:
+        report = gallery.verify(gallery.build(name), inputs)
+        parts["verify"].add(report.as_dict(), [
+            (record.x, record.expected, record.verdict.as_dict()) for record in report.records],
+            count=len(report.records))
+    for part, (specs, strings), compile_ in (("moqfa", sweep.moqfa, compilers.from_moqfa),
+                                             ("garbage", sweep.garbage,
+                                              compilers.from_garbage_1qfa)):
+        for spec in specs:
+            family = compile_(spec)
+            for x in strings:
+                parts[part].add(aeqs.decide(family.build(x)).as_dict())
+
+    sparse, dense = workloads.DecideLarge(seed, size, workdir)._inputs()
+    out = workdir / "run.json"
+    for x in sparse:
+        code = cli.main(["run", "pal_marked", x, "--out", str(out)])
+        report = json.loads(out.read_text(encoding="utf-8"))
+        report["seconds"] = None
+        parts["pal_marked"].add(code, report)
+    for x in dense:
+        parts["xor"].add(workloads.dense_family().decide(x).as_dict())
+    return {name: digest.as_dict() for name, digest in parts.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--smoke", action="store_true", help="the benchmark's tiny inputs")
+    args = parser.parse_args(argv)
+    env.pin_threads()
+    env.add_src()
+    with tempfile.TemporaryDirectory() as workdir:
+        parts = digests(args.seed, "smoke" if args.smoke else "full", Path(workdir))
+    print(json.dumps({"seed": args.seed, "smoke": args.smoke, "parts": parts}, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
