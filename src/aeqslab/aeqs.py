@@ -110,6 +110,11 @@ def deflation_vector(dim: int, distinguished: int) -> np.ndarray:
     return np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
 
 
+def deflation_hamiltonian(dim: int, distinguished: int) -> ProjectorComplement:
+    """H_ini = I - |g><g| with g = ``deflation_vector(dim, distinguished)``."""
+    return ProjectorComplement(deflation_vector(dim, distinguished))
+
+
 class KroneckerSum:
     """The Kronecker sum A (x) I + I (x) B of two Hamiltonians.
 

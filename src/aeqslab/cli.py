@@ -23,6 +23,7 @@ from .aeqs import (
     commutator_check,
     commutator_negligible,
     decide,
+    deflation_hamiltonian,
     minimum_interpolation_gap,
 )
 from .compilers import CompileError, from_garbage_1qfa, from_moqfa
@@ -78,10 +79,11 @@ def _moqqaf_family(doc: MachineSpecDocument):
             f"{report.lam0_min_eigenvalue:.3e} (tolerance {OPERATOR_DEFECT_TOL:.0e})"
         )
 
-    h_ini = gallery.start_deflation(level.schema, level.schema.state_of(0))
+    schema = level.schema
+    h_ini = deflation_hamiltonian(schema.dim, schema.index(schema.state_of(0)))
 
     def builder(x: str) -> AeqsInstance:
-        return gallery.aeqs_instance(level.schema, h_ini, generate_moqqaf(level, x).operator,
+        return gallery.aeqs_instance(schema, h_ini, generate_moqqaf(level, x).operator,
                                      criteria["acc"], criteria["rej"])
 
     return AeqsFamily(

@@ -32,7 +32,7 @@ from .aeqs import (
     AeqsInstance,
     DEFAULT_ACCURACY_BOUND,
     ProjectorComplement,
-    deflation_vector,
+    deflation_hamiltonian,
 )
 from .linalg import (
     OPERATOR_DEFECT_TOL,
@@ -159,7 +159,7 @@ def from_moqfa(spec: MoQfaSpec) -> AeqsFamily:
     schema = BasisSchema([("state", tuple(range(pad)))])
     threshold = decision_threshold(spec.error_bound)
     ops = {sym: spec.padded_op(sym) for sym in spec.ops}
-    h_ini = ProjectorComplement(deflation_vector(pad, spec.initial))
+    h_ini = deflation_hamiltonian(pad, spec.initial)
 
     def build(x: str) -> AeqsInstance:
         _check_symbols(spec, x)
@@ -323,7 +323,7 @@ def garbage_layout(spec: GarbageQfaSpec, length: int) -> GarbageLayout:
     return GarbageLayout(
         words=words,
         schema=schema,
-        h_ini=ProjectorComplement(deflation_vector(dim, schema.index((spec.initial, ())))),
+        h_ini=deflation_hamiltonian(dim, schema.index((spec.initial, ()))),
         s_acc=criteria(spec.q_acc),
         s_rej=criteria(spec.q_rej),
     )

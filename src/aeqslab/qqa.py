@@ -11,14 +11,15 @@ projection yields a positive semidefinite Hamiltonian:
 Levels come in two kinds.  A one-way level (``QqafLevel``) holds a Kraus
 family per symbol; a measure-once level is the one-way level whose families
 each hold one unitary.  A time-bounded two-way level (``TwoWayQqafLevel``)
-builds its Kraus families per input on a surface-configuration space with a
-circular tape, through its ``first_step_builder`` and ``step_builder``.
+is the data of one input: its Lambda0 and two Kraus families, the first
+move and the step, on that input's surface-configuration space with a
+circular tape (``surface_schema``), and the step's repeat count.
 
 Every operator here is a ``linalg.SparseOp``: the Kraus operators, and the
 channel's running state, which starts from Lambda0 itself (a
 ``SparseHermitian`` stores both triangles).  The families are applied in
 runs (family, times): a two-way level's moves are one run of the first
-move and one of ``steps(x)`` repeats of the step family, and a run
+move and one of ``steps`` repeats of the step family, and a run
 conjugates only the entries its family moves, the states it maps to
 themselves being set aside and merged back once.  Only the generated E is
 rebuilt, as a ``SparseHermitian`` from its upper triangle with Pi0 applied.
@@ -29,14 +30,12 @@ Lambda0 = I - |e_m><e_m| and nothing halts, E is exactly I - |g><g| for
 g = U_cent_x_dollar e_m.  A ``MeasureOnceGrounds`` carrier checks that
 shape once per level and returns g by carrying one state through the
 unitaries, with no operator product formed, resuming from the prefix an
-input shares with the one before; ``measure_once_ground`` is one such
-carry.
+input shares with the one before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -44,6 +43,7 @@ from .linalg import CONJUGATE_PRUNE_TOL, OPERATOR_DEFECT_TOL, SparseHermitian, S
 
 CENT = "cent"
 DOLLAR = "dollar"
+STEP = "step"
 
 
 class QqaError(Exception):
@@ -236,28 +236,26 @@ class QqafLevel:
         return family[0]
 
 
+def surface_schema(inner_labels: tuple, n: int) -> BasisSchema:
+    """The surface space of an input of length n: inner_labels x head
+    positions [0, n+1], the tape being circular (positions advance mod n+2)."""
+    return BasisSchema([("inner", inner_labels), ("pos", tuple(range(n + 2)))])
+
+
 @dataclass
 class TwoWayQqafLevel:
-    """Time-bounded two-way level on a surface-configuration space.
+    """Time-bounded two-way level of one input, on its surface space.
 
-    The surface space for input x is inner_labels x positions [0, |x|+1] with
-    a circular tape (positions advance mod |x|+2).  The moves are built per
-    input as sparse Kraus families on that space:
-    ``first_step_builder(x, schema)`` for the first move and
-    ``step_builder(x, schema)`` for each of the ``steps(x)`` moves after it.
+    ``ops`` holds two Kraus families: ``ops[CENT]``, the first move, applied
+    once, and ``ops[STEP]``, the step, applied ``steps`` times after it.
     """
 
-    inner_labels: tuple
+    schema: BasisSchema
     alphabet: tuple
-    steps: Callable[[str], int]
-    lam0_builder: Callable[[str, BasisSchema], SparseHermitian]
-    first_step_builder: Callable[[str, BasisSchema], list]
-    step_builder: Callable[[str, BasisSchema], list]
+    lam0: SparseHermitian
+    ops: dict                      # CENT -> first move, STEP -> step (lists of SparseOp)
+    steps: int
     name: str = "2qqaf"
-
-    def surface_schema(self, x: str) -> BasisSchema:
-        positions = tuple(range(len(x) + 2))
-        return BasisSchema([("inner", self.inner_labels), ("pos", positions)])
 
 
 @dataclass
@@ -299,31 +297,23 @@ class ValidationReport:
         return max((d.defect for d in self.defects), default=0.0)
 
 
-def validate_level(level, x: str | None = None) -> ValidationReport:
-    """Report per-family completeness defects and Lambda0's least eigenvalue.
+def validate_level(level) -> ValidationReport:
+    """Report per-family completeness defects and Lambda0's least eigenvalue,
+    for a level of either kind.
 
     Each defect is ``gram_defect``: ||sum K'K - I|| exactly on the
     column-orthogonal families every level here has, an upper bound
     otherwise.  The least eigenvalue is the Gershgorin bound: exact on a
-    diagonal Lambda0, never above the true minimum otherwise.  Two-way levels
-    are validated for a specific input x since their operators are per-input;
-    x defaults to the empty string.
+    diagonal Lambda0, never above the true minimum otherwise.
     """
-    if isinstance(level, TwoWayQqafLevel):
-        x = x if x is not None else ""
-        schema = level.surface_schema(x)
-        families = {CENT: level.first_step_builder(x, schema),
-                    "step": level.step_builder(x, schema)}
-        lam0 = level.lam0_builder(x, schema)
-    else:
-        families, lam0 = level.ops, level.lam0
+    lam0 = level.lam0
     on = lam0.rows == lam0.cols
     diag = np.zeros(lam0.dim)
     diag[lam0.rows[on]] = lam0.vals[on].real
     off = np.bincount(lam0.rows[~on], np.abs(lam0.vals[~on]), lam0.dim)
     return ValidationReport(
         level_name=level.name,
-        defects=[SymbolDefect(symbol, gram_defect(family)) for symbol, family in families.items()],
+        defects=[SymbolDefect(symbol, gram_defect(family)) for symbol, family in level.ops.items()],
         lam0_min_eigenvalue=float((diag - off).min()),
     )
 
@@ -332,10 +322,10 @@ def validate_level(level, x: str | None = None) -> ValidationReport:
 # Generation
 # ---------------------------------------------------------------------------
 
-def _check_symbols(level, x: str) -> None:
+def check_symbols(alphabet: tuple, x: str) -> None:
     for ch in x:
-        if ch not in level.alphabet:
-            raise UnknownSymbolError(f"symbol {ch!r} not in alphabet {level.alphabet}")
+        if ch not in alphabet:
+            raise UnknownSymbolError(f"symbol {ch!r} not in alphabet {alphabet}")
 
 
 def _extended_symbols(level, x: str) -> list:
@@ -424,7 +414,7 @@ def generate_moqqaf(level: QqafLevel, x: str) -> GeneratedHamiltonian:
     """E = Pi0 . U_cent_x_dollar Lambda0 U^dag . Pi0 (right-to-left product)
     for a measure-once level: the unitaries are multiplied first, then
     Lambda0 is conjugated once."""
-    _check_symbols(level, x)
+    check_symbols(level.alphabet, x)
     u = SparseOp.identity(level.dim)
     for symbol in _extended_symbols(level, x):
         u = level.unitary(symbol) @ u
@@ -473,7 +463,7 @@ class MeasureOnceGrounds:
         self._states = []
 
     def ground(self, x: str) -> np.ndarray:
-        _check_symbols(self.level, x)
+        check_symbols(self.level.alphabet, x)
         symbols = _extended_symbols(self.level, x)
         shared = 0
         for old, new in zip(self._symbols, symbols):
@@ -490,30 +480,20 @@ class MeasureOnceGrounds:
         return self._states[-1]
 
 
-def measure_once_ground(level: QqafLevel, x: str) -> np.ndarray:
-    """g with ``generate_moqqaf(level, x)`` = I - |g><g|; see
-    ``MeasureOnceGrounds``."""
-    return MeasureOnceGrounds(level).ground(x)
-
-
 def generate_qqaf(level: QqafLevel, x: str, *, return_trace: bool = False):
     """E = Pi0 . A_cent_x_dollar(Lambda0) . Pi0 with per-symbol Kraus sums."""
-    _check_symbols(level, x)
+    check_symbols(level.alphabet, x)
     runs = [(level.kraus(symbol), 1) for symbol in _extended_symbols(level, x)]
     return _channel_output(level.lam0, runs, level.schema, level.q0_indices, return_trace)
 
 
-def generate_2qqaf(level: TwoWayQqafLevel, x: str, *, return_trace: bool = False):
-    """E = (A^(n,x))^t (A_first(Lambda~0)) on the surface space of x, with
-    t = steps(x); no surface state is projected out."""
-    _check_symbols(level, x)
-    t = int(level.steps(x))
-    if t < 0:
+def generate_2qqaf(level: TwoWayQqafLevel, *, return_trace: bool = False):
+    """E = (A^(n,x))^t (A_first(Lambda~0)) on the level's surface space, with
+    t = ``level.steps``; no surface state is projected out."""
+    if level.steps < 0:
         raise QqaError("negative step count")
-    schema = level.surface_schema(x)
-    runs = [(level.first_step_builder(x, schema), 1), (level.step_builder(x, schema), t)]
-    return _channel_output(level.lam0_builder(x, schema), runs, schema,
-                           return_trace=return_trace)
+    runs = [(level.ops[CENT], 1), (level.ops[STEP], level.steps)]
+    return _channel_output(level.lam0, runs, level.schema, return_trace=return_trace)
 
 
 def drop_right_endmarker(level: QqafLevel) -> QqafLevel:

@@ -118,7 +118,7 @@ def pairs_route(h):
 def projector_instance(dim, h_fin):
     cut = (dim + 1) // 3
     return AeqsInstance(size_bits=max(1, (dim - 1).bit_length()), epsilon=0.5,
-                        h_ini=ProjectorComplement(aeqs.deflation_vector(dim, 0)), h_fin=h_fin,
+                        h_ini=aeqs.deflation_hamiltonian(dim, 0), h_fin=h_fin,
                         s_acc=frozenset(range(cut)), s_rej=frozenset(range(cut, 2 * cut)))
 
 
@@ -591,7 +591,7 @@ def sweep_inputs():
     return inputs
 
 
-# Entries whose H_fin is stored as I - |g><g| (qqa.measure_once_ground).
+# Entries whose H_fin is stored as I - |g><g| (qqa.MeasureOnceGrounds).
 MEASURE_ONCE_ENTRIES = ("l_prefix_0", "l_prefix_1", "equal")
 
 
@@ -816,7 +816,7 @@ def rank_one_pair(dim, f):
     """H_ini = I - |g><g| for g = deflation_vector(dim, 0) and
     H_fin = I - |f><f|, both stored as ProjectorComplements."""
     return AeqsInstance(size_bits=max(1, (dim - 1).bit_length()), epsilon=0.9,
-                        h_ini=ProjectorComplement(aeqs.deflation_vector(dim, 0)),
+                        h_ini=aeqs.deflation_hamiltonian(dim, 0),
                         h_fin=ProjectorComplement(f), s_acc=frozenset({0}), s_rej=frozenset({1}))
 
 

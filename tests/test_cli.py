@@ -84,6 +84,12 @@ class TestRun:
         assert result.returncode == 3
         assert "alphabet" in result.stderr
 
+    def test_unknown_symbol_on_pal_marked_is_usage_error(self):
+        # The palindrome level checks the symbols before it reads them.
+        result = run_cli("run", "pal_marked", "ab#bc")
+        assert result.returncode == 3, result.stderr
+        assert "'c'" in result.stderr and "alphabet" in result.stderr
+
     def test_unpromised_input_reports_indeterminate(self):
         result = run_cli("run", "usubsum", "0#1#1")
         assert result.returncode == 2

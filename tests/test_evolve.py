@@ -13,7 +13,7 @@ from aeqslab.aeqs import (
     ProjectorComplement,
     _compress,
     as_dense,
-    deflation_vector,
+    deflation_hamiltonian,
     from_oracle,
     ground_state,
 )
@@ -65,7 +65,7 @@ def projector_instance(fin_values, fin_vectors):
     dim = len(fin_values)
     h_fin = (fin_vectors * np.asarray(fin_values, dtype=float)) @ fin_vectors.conj().T
     return AeqsInstance(size_bits=dim.bit_length() - 1, epsilon=0.9,
-                        h_ini=ProjectorComplement(deflation_vector(dim, 0)),
+                        h_ini=deflation_hamiltonian(dim, 0),
                         h_fin=(h_fin + h_fin.conj().T) / 2,
                         s_acc=frozenset({0}), s_rej=frozenset({1}))
 
@@ -212,7 +212,7 @@ class TestPhaseShift:
     def test_projector_check_matches_dense(self, dim, distinguished):
         # H_ini = I - |g><g| is checked from W g alone; the dense conjugation
         # W H_ini W is the oracle.
-        h_ini = ProjectorComplement(deflation_vector(dim, distinguished))
+        h_ini = deflation_hamiltonian(dim, distinguished)
         w = hadamard_power(dim.bit_length() - 1)
         diagonal, off = evolve._hadamard_diagonal(h_ini, w)
         want_diagonal, want_off = evolve._hadamard_diagonal(h_ini.to_dense(), w)
@@ -244,7 +244,7 @@ class TestPhaseShift:
         rng = np.random.default_rng(dim)
         f = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         inst = AeqsInstance(size_bits=dim.bit_length() - 1, epsilon=0.9,
-                            h_ini=ProjectorComplement(deflation_vector(dim, 0)),
+                            h_ini=deflation_hamiltonian(dim, 0),
                             h_fin=ProjectorComplement(f / np.linalg.norm(f)),
                             s_acc=frozenset({0}), s_rej=frozenset({1}))
         sch = Schedule(3.0, 8)
@@ -316,7 +316,7 @@ class TestEvolveTrace:
         # Both Hamiltonians have row sums 1 (to rounding), so the bound on the
         # step phase is T/(R hbar).
         inst = AeqsInstance(size_bits=1, epsilon=0.9,
-                            h_ini=ProjectorComplement(deflation_vector(2, 0)),
+                            h_ini=deflation_hamiltonian(2, 0),
                             h_fin=np.diag([1.0, 0.0]).astype(complex),
                             s_acc=frozenset({1}), s_rej=frozenset({0}))
         evolve_trace(inst, Schedule(0.5 * STEP_PHASE_MAX, 1), method)

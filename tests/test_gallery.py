@@ -16,6 +16,7 @@ from aeqslab.linalg import spectral_norm
 from aeqslab.qqa import (
     CENT,
     DOLLAR,
+    STEP,
     MeasureOnceGrounds,
     QqaError,
     SparseOp,
@@ -293,6 +294,31 @@ class TestVerifyRows:
         report = gallery.verify(gallery.build("sym_coin"), inputs)
         assert report.passed and len(calls) == 2 * len(inputs)
 
+    @pytest.mark.parametrize("name,parse", [("usubsum", "parse_usubsum"),
+                                            ("multdup", "parse_multdup"),
+                                            ("multdup_complement", "parse_multdup")])
+    def test_oracle_parses_once_per_input(self, monkeypatch, name, parse):
+        # The oracle, which every expectation asks again, parses an input and
+        # counts its subsets once; the layout of a promised input parses it
+        # once more.
+        calls = {parse: 0, "usubsum_subset_count": 0}
+
+        def counted(attr):
+            original = getattr(gallery, attr)
+
+            def call(*args):
+                calls[attr] += 1
+                return original(*args)
+            monkeypatch.setattr(gallery, attr, call)
+
+        counted(parse)
+        counted("usubsum_subset_count")
+        inputs = SWEEP[name]
+        report = gallery.verify(gallery.build(name), inputs)
+        assert report.passed and report.checked > 0
+        assert calls[parse] <= len(inputs) + report.checked
+        assert calls["usubsum_subset_count"] <= len(inputs)
+
 
 class TestSymCoinEntry:
     def test_sweep_matches_oracle(self):
@@ -475,25 +501,25 @@ class TestPalMarkedEntry:
         e = gallery.build("pal_marked")
         for x in PAL_INPUTS + ["a#b"]:
             for level in e.validation_levels(x):
-                report = validate_level(level, x)
+                # The level is the data of x: no second copy of x is asked.
+                report = validate_level(level)
                 assert report.passed, (x, [(d.symbol, d.defect) for d in report.defects])
+                assert [d.symbol for d in report.defects] == ["cent", "step"]
 
     @pytest.mark.parametrize("x", PAL_INPUTS)
     def test_kraus_builders_match_reference_loops(self, x):
         level = gallery._pal_level(x)
-        schema = level.surface_schema(x)
-        assert_same_triplets(level.first_step_builder(x, schema),
-                             reference_pal_first_step(x, schema))
-        assert_same_triplets(level.step_builder(x, schema),
-                             reference_pal_step(x, schema))
+        assert_same_triplets(level.ops[CENT], reference_pal_first_step(x, level.schema))
+        assert_same_triplets(level.ops[STEP], reference_pal_step(x, level.schema))
 
     @pytest.mark.parametrize("x", ["ab#ba", "ab#ab"])
     def test_generated_operator_matches_reference_loops(self, x):
         level = gallery._pal_level(x)
-        reference = dataclasses.replace(level, first_step_builder=reference_pal_first_step,
-                                        step_builder=reference_pal_step)
-        assert_same_triplets([generate_2qqaf(level, x).operator],
-                             [generate_2qqaf(reference, x).operator])
+        reference = dataclasses.replace(level, ops={
+            CENT: reference_pal_first_step(x, level.schema),
+            STEP: reference_pal_step(x, level.schema)})
+        assert_same_triplets([generate_2qqaf(level).operator],
+                             [generate_2qqaf(reference).operator])
 
     def test_dimension_is_full_surface_space(self):
         inst = gallery.build("pal_marked").family.build("a#a")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,6 +10,7 @@ from aeqslab.linalg import SparseHermitian, spectral_norm
 from aeqslab.qqa import (
     CENT,
     DOLLAR,
+    STEP,
     BasisSchema,
     MeasureOnceGrounds,
     QqaError,
@@ -22,8 +24,8 @@ from aeqslab.qqa import (
     generate_moqqaf,
     generate_qqaf,
     gram_defect,
-    measure_once_ground,
     sparse_conjugate,
+    surface_schema,
     validate_level,
 )
 
@@ -311,43 +313,56 @@ class TestGenerateQqaf:
 
 
 class TestGenerate2qqaf:
-    def _shift_level(self, t_steps):
+    def _shift_level(self, t_steps, x):
         # One inner state, so surface index = head position; the first move
         # is the identity and every later move shifts the head right.
-        def shift(x, schema):
-            n_pos = len(x) + 2
-            return [SparseOp.permutation(schema.dim, {p: (p + 1) % n_pos for p in range(n_pos)})]
-
+        schema = surface_schema(("s",), len(x))
+        n_pos = len(x) + 2
         return TwoWayQqafLevel(
-            inner_labels=("s",), alphabet=("0", "1"),
-            steps=lambda x: t_steps,
-            lam0_builder=lambda x, schema: SparseHermitian.diagonal(
-                np.arange(schema.dim, dtype=float)
-            ),
-            first_step_builder=lambda x, schema: [SparseOp.identity(schema.dim)],
-            step_builder=shift,
+            schema=schema, alphabet=("0", "1"),
+            lam0=SparseHermitian.diagonal(np.arange(schema.dim, dtype=float)),
+            ops={CENT: [SparseOp.identity(schema.dim)],
+                 STEP: [SparseOp.permutation(schema.dim,
+                                             {p: (p + 1) % n_pos for p in range(n_pos)})]},
+            steps=t_steps,
             name="mini2",
         )
 
     def test_zero_steps_identity_first_move(self):
-        level = self._shift_level(0)
-        e = generate_2qqaf(level, "01")
+        level = self._shift_level(0, "01")
+        e = generate_2qqaf(level)
         assert np.allclose(e.operator.to_dense(), np.diag(np.arange(4.0)))
 
     def test_surface_dimension(self):
-        level = self._shift_level(1)
-        e = generate_2qqaf(level, "010")
+        level = self._shift_level(1, "010")
+        e = generate_2qqaf(level)
         assert e.dim == 1 * (3 + 2)
 
     def test_head_is_circular(self):
         # After |x|+2 steps the head returns; the diagonal mixture is
         # permuted fully around the ring.
-        level = self._shift_level(5)   # |x| = 3 -> ring of 5
-        e, trace = generate_2qqaf(level, "010", return_trace=True)
+        level = self._shift_level(5, "010")   # |x| = 3 -> ring of 5
+        e, trace = generate_2qqaf(level, return_trace=True)
         assert trace == pytest.approx(sum(range(5)), abs=1e-9)
         vals = np.sort(np.linalg.eigvalsh(e.operator.to_dense()))
         lam = sorted([0.0, 1, 2, 3, 4])
         assert np.allclose(vals, lam)
+
+    def test_negative_step_count_raises(self):
+        with pytest.raises(QqaError, match="negative step count"):
+            generate_2qqaf(self._shift_level(-1, "01"))
+
+    def test_level_is_the_data_of_one_input(self):
+        # The input is fixed when the level is built: generation takes no
+        # second copy of it, and the level holds no callable.
+        level = gallery._pal_level("ab#ba")
+        assert not any(callable(getattr(level, f.name)) for f in dataclasses.fields(level))
+        with pytest.raises(TypeError):
+            generate_2qqaf(level, "ab#ab")
+
+    def test_pal_level_checks_symbols_first(self):
+        with pytest.raises(UnknownSymbolError, match="'c'"):
+            gallery._pal_level("ab#bc")
 
 
 def unique_coalesce(dim, rows, cols, vals):
@@ -412,7 +427,7 @@ def pal_inputs():
 
 
 def pal_generate(x):
-    generated, trace = generate_2qqaf(gallery._pal_level(x), x, return_trace=True)
+    generated, trace = generate_2qqaf(gallery._pal_level(x), return_trace=True)
     op = generated.operator
     return [a.tobytes() for a in (op.rows, op.cols, op.vals)], trace
 
@@ -455,7 +470,7 @@ class TestSparseKernelOracles:
 
         monkeypatch.setattr(qqa, "sparse_conjugate", counted_conjugate)
         monkeypatch.setattr(SparseOp, "adjoint", kept_adjoint)
-        generate_2qqaf(gallery._pal_level("ab#ba"), "ab#ba")
+        generate_2qqaf(gallery._pal_level("ab#ba"))
         assert conjugations == [2] * 14
         assert len(adjoints) == 28
         assert len({id(a) for a in adjoints}) == 4
@@ -523,13 +538,10 @@ class TestRunSplit:
     def test_pal_marked_parks_most_states(self):
         # On "ab#ba" (dim 11,025) the step family maps 10,920 states to
         # themselves; only the 105 whose parked registers read xi0 move.
-        x = "ab#ba"
-        level = gallery._pal_level(x)
-        schema = level.surface_schema(x)
-        assert np.count_nonzero(qqa._fixed_owner(level.step_builder(x, schema),
-                                                 schema.dim) >= 0) == 10920
-        assert not (qqa._fixed_owner(level.first_step_builder(x, schema),
-                                     schema.dim) >= 0).any()
+        level = gallery._pal_level("ab#ba")
+        dim = level.schema.dim
+        assert np.count_nonzero(qqa._fixed_owner(level.ops[STEP], dim) >= 0) == 10920
+        assert not (qqa._fixed_owner(level.ops[CENT], dim) >= 0).any()
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("times", [1, 2, 5])
@@ -628,21 +640,22 @@ class TestMeasureOnceNeedsSingletons:
 
 
 class TestMeasureOnceGround:
-    """measure_once_ground gives g with generate_moqqaf(level, x) = I - |g><g|,
-    and refuses every level for which that would not hold."""
+    """A one-shot MeasureOnceGrounds(level).ground(x) gives g with
+    generate_moqqaf(level, x) = I - |g><g|, and refuses every level for which
+    that would not hold."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_complement_matches_generate_moqqaf(self, seed):
         level = random_moqqaf_level(dim=5, rng=np.random.default_rng(seed))
         for x in ["", "0", "10", "0110", "11010"]:
-            g = measure_once_ground(level, x)
+            g = MeasureOnceGrounds(level).ground(x)
             complement = np.eye(5) - np.outer(g, g.conj())
             assert np.abs(complement - generate_moqqaf(level, x).operator.to_dense()).max() <= 1e-12
 
     def test_lam0_zero_need_not_be_first(self):
         level = identity_level()
         level.lam0 = SparseHermitian.diagonal([1.0, 1.0, 0.0])
-        assert np.array_equal(measure_once_ground(level, "01"), [0, 0, 1])
+        assert np.array_equal(MeasureOnceGrounds(level).ground("01"), [0, 0, 1])
 
     @pytest.mark.parametrize("lam,match", [
         (np.diag([0.0, 0.0, 1.0]), "not I - "),
@@ -652,22 +665,22 @@ class TestMeasureOnceGround:
     ])
     def test_rejects_other_lam0(self, lam, match):
         with pytest.raises(QqaError, match=match):
-            measure_once_ground(level_with_lam0(lam), "01")
+            MeasureOnceGrounds(level_with_lam0(lam)).ground("01")
 
     def test_rejects_halting_indices(self):
         level = random_moqqaf_level(q0=frozenset({1}))
         with pytest.raises(QqaError, match="halts on 1 indices"):
-            measure_once_ground(level, "01")
+            MeasureOnceGrounds(level).ground("01")
 
     @pytest.mark.parametrize("symbol", [CENT, "1", DOLLAR])
     def test_rejects_two_operators(self, symbol):
         # "1" is not read by the input: every family must be a single unitary.
         with pytest.raises(QqaError, match="2 operators"):
-            measure_once_ground(two_operator_level(symbol), "00")
+            MeasureOnceGrounds(two_operator_level(symbol)).ground("00")
 
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbolError):
-            measure_once_ground(identity_level(), "2")
+            MeasureOnceGrounds(identity_level()).ground("2")
 
 
 class TestMeasureOnceGrounds:

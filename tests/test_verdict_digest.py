@@ -18,7 +18,8 @@ def digest(seed):
 def test_two_smoke_runs_give_equal_digests():
     first, second = digest(3), digest(3)
     assert first == second
-    assert set(first["parts"]) == {"verify", "moqfa", "garbage", "pal_marked", "xor"}
+    assert set(first["parts"]) == {"verify", "moqfa", "garbage", "pal_marked",
+                                   "pal_operators", "xor"}
     assert all(part["count"] > 0 for part in first["parts"].values())
     # The compiled specs are drawn from the seed, so another seed's differ.
     assert digest(4)["parts"]["moqfa"]["sha256"] != first["parts"]["moqfa"]["sha256"]

@@ -13,6 +13,9 @@ line: per part, the SHA-256 of its results serialized as JSON (floats by
 - ``moqfa`` and ``garbage``: the compiled families' verdicts on every input;
 - ``pal_marked``: the ``aeqslab run pal_marked`` reports and exit codes, with
   the ``seconds`` field masked;
+- ``pal_operators``: for the same inputs, the SHA-256 of the bytes of each
+  generated H_fin's row, column and value arrays, read from
+  ``family.build(x)``;
 - ``xor``: the dense xor family's verdicts.
 
 Two versions give equal digests on a part only when every one of its
@@ -55,7 +58,8 @@ def digests(seed: int, size: str, workdir: Path) -> dict:
 
     sweep = workloads.Sweep(seed, size, workdir)
     sweep.setup()
-    parts = {name: Digest() for name in ("verify", "moqfa", "garbage", "pal_marked", "xor")}
+    parts = {name: Digest() for name in ("verify", "moqfa", "garbage", "pal_marked",
+                                         "pal_operators", "xor")}
     for name, inputs in sweep.verify_inputs:
         report = gallery.verify(gallery.build(name), inputs)
         parts["verify"].add(report.as_dict(), [
@@ -76,6 +80,11 @@ def digests(seed: int, size: str, workdir: Path) -> dict:
         report = json.loads(out.read_text(encoding="utf-8"))
         report["seconds"] = None
         parts["pal_marked"].add(code, report)
+    pal_marked = gallery.build("pal_marked").family
+    for x in sparse:
+        h_fin = pal_marked.build(x).h_fin
+        parts["pal_operators"].add(x, [(str(a.dtype), hashlib.sha256(a.tobytes()).hexdigest())
+                                       for a in (h_fin.rows, h_fin.cols, h_fin.vals)])
     for x in dense:
         parts["xor"].add(workloads.dense_family().decide(x).as_dict())
     return {name: digest.as_dict() for name, digest in parts.items()}
