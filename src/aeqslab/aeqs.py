@@ -25,8 +25,7 @@ whole space: the block is H(s) itself, with no lines.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,10 +48,6 @@ from .qqa import BasisSchema, flat_schema
 
 DEFAULT_ACCURACY_BOUND = 0.999  # constructions analyzed at accuracy exactly 1
 GAP_SCAN_GRID = 64
-# Instances an AeqsFamily keeps.  Re-reads come within the last 4 inputs
-# (inverse_image on a fixed point of its map, a combinator and its operand
-# on one input) or after a whole sweep, which no small bound keeps.
-FAMILY_CACHE_SIZE = 4
 
 
 class AeqsError(Exception):
@@ -257,18 +252,11 @@ def diagonal_lowest_two(values: np.ndarray) -> tuple:
 
 def _lowest_two(h) -> tuple:
     """(ground energy, ground state, spectral gap, uniqueness flag) from the
-    two lowest pairs, or in closed form for a ProjectorComplement
-    (``_projector_lowest_two``) and a diagonal SparseHermitian
-    (``diagonal_lowest_two``); a one-dimensional space has gap inf and a
-    unique ground state."""
+    two lowest pairs of ``lowest_pairs``, or in closed form for a
+    ProjectorComplement (``_projector_lowest_two``); a one-dimensional space
+    has gap inf and a unique ground state."""
     if isinstance(h, ProjectorComplement):
         return _projector_lowest_two(h)
-    values = _diagonal(h)
-    if values is not None:
-        energy, ground, gap, unique = diagonal_lowest_two(values)
-        psi = np.zeros(len(values), dtype=complex)
-        psi[ground] = 1.0
-        return energy, psi, gap, unique
     pairs = lowest_pairs(h, min(2, hamiltonian_dim(h)))
     energy, psi = pairs[0]
     if len(pairs) == 1:
@@ -322,6 +310,23 @@ class AeqsInstance:
     @property
     def dim(self) -> int:
         return hamiltonian_dim(self.h_fin)
+
+
+def aeqs_instance(schema: BasisSchema, h_ini: ProjectorComplement, h_fin, s_acc: frozenset,
+                  s_rej: frozenset, epsilon: float = DEFAULT_ACCURACY_BOUND) -> AeqsInstance:
+    """The instance of one input of a compiled or gallery family: H_ini
+    deflates the start state (``deflation_hamiltonian``), H_fin and the
+    criteria index sets are the construction's, and the size is the
+    schema's."""
+    return AeqsInstance(
+        size_bits=schema.size_bits,
+        epsilon=epsilon,
+        h_ini=h_ini,
+        h_fin=h_fin,
+        s_acc=s_acc,
+        s_rej=s_rej,
+        schema=schema,
+    )
 
 
 @dataclass
@@ -642,18 +647,10 @@ class AeqsFamily:
     promise: Callable[[str], bool] | None = None
     tags: tuple = ()
     name: str = "family"
-    _cache: OrderedDict = field(default_factory=OrderedDict, repr=False)
 
     def build(self, x: str) -> AeqsInstance:
-        """The instance of x; the FAMILY_CACHE_SIZE most recently used
-        instances are kept."""
-        if x in self._cache:
-            self._cache.move_to_end(x)
-        else:
-            self._cache[x] = self.builder(x)
-            if len(self._cache) > FAMILY_CACHE_SIZE:
-                self._cache.popitem(last=False)
-        return self._cache[x]
+        """The instance of x, built anew: a family keeps no instance."""
+        return self.builder(x)
 
     def decide(self, x: str) -> Verdict:
         return decide(self.build(x))

@@ -19,6 +19,7 @@ from .aeqs import (
     AeqsFamily,
     AeqsInstance,
     adiabatic_time_bound,
+    aeqs_instance,
     as_dense,
     commutator_check,
     commutator_negligible,
@@ -83,8 +84,8 @@ def _moqqaf_family(doc: MachineSpecDocument):
     h_ini = deflation_hamiltonian(schema.dim, schema.index(schema.state_of(0)))
 
     def builder(x: str) -> AeqsInstance:
-        return gallery.aeqs_instance(schema, h_ini, generate_moqqaf(level, x).operator,
-                                     criteria["acc"], criteria["rej"])
+        return aeqs_instance(schema, h_ini, generate_moqqaf(level, x).operator,
+                             criteria["acc"], criteria["rej"])
 
     return AeqsFamily(
         alphabet=level.alphabet,

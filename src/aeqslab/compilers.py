@@ -32,6 +32,7 @@ from .aeqs import (
     AeqsInstance,
     DEFAULT_ACCURACY_BOUND,
     ProjectorComplement,
+    aeqs_instance,
     deflation_hamiltonian,
 )
 from .linalg import (
@@ -155,7 +156,6 @@ def from_moqfa(spec: MoQfaSpec) -> AeqsFamily:
     on the spec alone and is built once per family.
     """
     pad = spec.padded_states
-    k0 = ilog(pad)
     schema = BasisSchema([("state", tuple(range(pad)))])
     threshold = decision_threshold(spec.error_bound)
     ops = {sym: spec.padded_op(sym) for sym in spec.ops}
@@ -167,15 +167,8 @@ def from_moqfa(spec: MoQfaSpec) -> AeqsFamily:
         psi[spec.initial] = 1.0
         for sym in [CENT, *x, DOLLAR]:
             psi = ops[sym] @ psi
-        return AeqsInstance(
-            size_bits=k0,
-            epsilon=threshold,
-            h_ini=h_ini,
-            h_fin=ProjectorComplement(psi),
-            s_acc=spec.q_acc,
-            s_rej=spec.q_rej,
-            schema=schema,
-        )
+        return aeqs_instance(schema, h_ini, ProjectorComplement(psi), spec.q_acc, spec.q_rej,
+                             epsilon=threshold)
 
     return AeqsFamily(
         alphabet=spec.alphabet,
@@ -359,15 +352,8 @@ def from_garbage_1qfa(spec: GarbageQfaSpec) -> AeqsFamily:
         if abs(norm - 1.0) > RUN_NORM_TOL:
             raise CompileError(f"run lost norm ({norm}); rigid discipline violated?")
         psi /= norm
-        return AeqsInstance(
-            size_bits=layout.schema.size_bits,
-            epsilon=threshold,
-            h_ini=layout.h_ini,
-            h_fin=ProjectorComplement(psi),
-            s_acc=layout.s_acc,
-            s_rej=layout.s_rej,
-            schema=layout.schema,
-        )
+        return aeqs_instance(layout.schema, layout.h_ini, ProjectorComplement(psi),
+                             layout.s_acc, layout.s_rej, epsilon=threshold)
 
     return AeqsFamily(
         alphabet=spec.alphabet,

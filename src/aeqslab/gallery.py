@@ -27,7 +27,7 @@ differs from the identity only at the idle track's start, so the diagonal of
 F Lambda0 F^dagger is read off that start's forward landing: no step is
 inverted.  Each track construction writes its automaton steps and state
 order once, in a layout function (``TrackLayout``).  Every instance is
-assembled by ``aeqs_instance`` and every permutation operator by
+assembled by ``aeqs.aeqs_instance`` and every permutation operator by
 ``permutation_op``.  The marked-palindrome construction is kept verbatim on
 its full surface-configuration space; deviations of its ground support from
 the intended accept/reject spaces are REPORTED as findings by verify(), never
@@ -54,6 +54,7 @@ from .aeqs import (
     AeqsInstance,
     DEFAULT_ACCURACY_BOUND,
     ProjectorComplement,
+    aeqs_instance,
     complement,
     criteria_indices,
     decide_rows,
@@ -85,23 +86,6 @@ class PromiseError(GalleryError):
     """Input does not have the block shape the promise problem requires."""
 
 
-def aeqs_instance(schema: BasisSchema, h_ini: ProjectorComplement, h_fin, s_acc: frozenset,
-                  s_rej: frozenset) -> AeqsInstance:
-    """The instance of one input: H_ini deflates the start state
-    (``aeqs.deflation_hamiltonian``), H_fin and the criteria index sets are the
-    construction's, and the size and accuracy bound are the schema's and the
-    default."""
-    return AeqsInstance(
-        size_bits=schema.size_bits,
-        epsilon=DEFAULT_ACCURACY_BOUND,
-        h_ini=h_ini,
-        h_fin=h_fin,
-        s_acc=s_acc,
-        s_rej=s_rej,
-        schema=schema,
-    )
-
-
 def permutation_op(schema: BasisSchema, step: Callable) -> SparseOp:
     """The permutation operator |step(s)><s| summed over the basis states s."""
     return SparseOp.permutation(
@@ -111,10 +95,12 @@ def permutation_op(schema: BasisSchema, step: Callable) -> SparseOp:
 
 @dataclass
 class Expectation:
-    """A spectral claim checked on every swept input it applies to."""
+    """A spectral claim checked on every swept input whose oracle answer is
+    ``side`` (ACCEPT or REJECT, before orientation), or on every promised
+    input when ``side`` is None."""
 
     description: str
-    applies: Callable[[str], bool]
+    side: str | None = None
     energy: Callable[[str], float] | None = None
     gap_lower: Callable[[str], float] | None = None
 
@@ -133,11 +119,10 @@ class GalleryEntry:
     # built with no instance; None decides each input from family.build(x).
     rows: Callable[[list], tuple] | None = None
 
-    def expected_outcome(self, x: str) -> str:
-        side = self.oracle(x)
-        if side == NOT_PROMISED:
-            return NOT_PROMISED
-        if self.orientation == "swapped":
+    def expected_outcome(self, side: str) -> str:
+        """The construction's outcome on an input whose oracle answer is
+        ``side``: the other side when the orientation is swapped."""
+        if side != NOT_PROMISED and self.orientation == "swapped":
             return REJECT if side == ACCEPT else ACCEPT
         return side
 
@@ -190,10 +175,8 @@ def _measure_once_entry(name: str, level_of: Callable[[int], QqafLevel], start,
                           name=name),
         oracle=oracle,
         expectations=[
-            Expectation("ground energy 0 on every input", lambda x: True,
-                        energy=lambda x: 0.0),
-            Expectation("spectral gap exactly 1", lambda x: True,
-                        gap_lower=lambda x: 1.0),
+            Expectation("ground energy 0 on every input", energy=lambda x: 0.0),
+            Expectation("spectral gap exactly 1", gap_lower=lambda x: 1.0),
         ],
         notes=notes,
         validation_levels=lambda x: [parts(len(x))[0].level],
@@ -471,6 +454,7 @@ def _sym_coin_tracks(n: int):
 def _sym_coin_layout(x: str) -> TrackLayout:
     """The idle track's start, then for each pair track its start and the
     landings of its chain, with the weight each state carries."""
+    check_symbols(("a", "b"), x)
     n = len(x)
     tracks = _sym_coin_tracks(n)
     idle = (0, 0, "B", 0, "B", 0)
@@ -508,9 +492,9 @@ def _build_sym_coin() -> GalleryEntry:
         tags=("1qqaf", "logsize", "polygap"), name="sym_coin",
     )
 
-    # One entry: verify asks the oracle and every expectation of an input
-    # before it moves to the next, so the last input's witnesses serve all
-    # five calls, and the cache holds one tuple whatever the sweep.
+    # One entry: the oracle reads an input's witnesses, and the accepting
+    # energy claim reads them again before verify moves to the next input,
+    # so the last input's witnesses serve both and the cache holds one tuple.
     @functools.lru_cache(maxsize=1)
     def witnesses(x: str) -> tuple:
         n = len(x)
@@ -528,13 +512,10 @@ def _build_sym_coin() -> GalleryEntry:
         family=family,
         oracle=oracle,
         expectations=[
-            Expectation("accepts: energy i_min/(n+1)",
-                        lambda x: bool(witnesses(x)), energy=min_witness_energy),
-            Expectation("accepts: gap at least 1/(n+1)",
-                        lambda x: bool(witnesses(x)),
+            Expectation("accepts: energy i_min/(n+1)", ACCEPT, energy=min_witness_energy),
+            Expectation("accepts: gap at least 1/(n+1)", ACCEPT,
                         gap_lower=lambda x: 1.0 / (len(x) + 1)),
-            Expectation("rejects: energy 2/3",
-                        lambda x: not witnesses(x), energy=lambda x: 2.0 / 3.0),
+            Expectation("rejects: energy 2/3", REJECT, energy=lambda x: 2.0 / 3.0),
         ],
         notes="basis curated to the pair-track chains and their landings; "
               "odd lengths use the same pair set (no middle self-pair)",
@@ -671,10 +652,6 @@ def _usubsum_layout(x: str) -> TrackLayout:
 
 
 def _build_usubsum() -> GalleryEntry:
-    # One entry, as sym_coin's witnesses: verify asks the oracle and every
-    # expectation (each asks it again) of one input before the next, so the
-    # cache parses and counts each input once and holds one outcome.
-    @functools.lru_cache(maxsize=1)
     def oracle(x: str) -> str:
         try:
             t, counts = parse_usubsum(x)
@@ -698,13 +675,9 @@ def _build_usubsum() -> GalleryEntry:
         family=family,
         oracle=oracle,
         expectations=[
-            Expectation("accepts: ground energy 0",
-                        lambda x: oracle(x) == ACCEPT, energy=lambda x: 0.0),
-            Expectation("rejects: ground energy 1/2",
-                        lambda x: oracle(x) == REJECT, energy=lambda x: 0.5),
-            Expectation("gap at least 1/2 on both sides",
-                        lambda x: oracle(x) != NOT_PROMISED,
-                        gap_lower=lambda x: 0.5),
+            Expectation("accepts: ground energy 0", ACCEPT, energy=lambda x: 0.0),
+            Expectation("rejects: ground energy 1/2", REJECT, energy=lambda x: 0.5),
+            Expectation("gap at least 1/2 on both sides", gap_lower=lambda x: 0.5),
         ],
         notes="basis curated to subset-track starts and landings; the "
               "rejection landing carries counter value t (the idle track "
@@ -837,10 +810,6 @@ def _multdup_layout(x: str) -> TrackLayout:
 
 
 def _build_multdup() -> GalleryEntry:
-    # One entry, as sym_coin's witnesses: verify asks the oracle and every
-    # expectation (each asks it again) of one input before the next, so the
-    # cache parses each input once and holds one outcome.
-    @functools.lru_cache(maxsize=1)
     def oracle(x: str) -> str:
         try:
             blocks = parse_multdup(x)
@@ -867,13 +836,9 @@ def _build_multdup() -> GalleryEntry:
         # accepts the complement side of the duplication problem.
         orientation="swapped",
         expectations=[
-            Expectation("all blocks equal: ground energy 1/2",
-                        lambda x: oracle(x) == ACCEPT, energy=lambda x: 0.5),
-            Expectation("one difference: ground energy 0",
-                        lambda x: oracle(x) == REJECT, energy=lambda x: 0.0),
-            Expectation("gap at least 1/2 on promised inputs",
-                        lambda x: oracle(x) != NOT_PROMISED,
-                        gap_lower=lambda x: 0.5),
+            Expectation("all blocks equal: ground energy 1/2", ACCEPT, energy=lambda x: 0.5),
+            Expectation("one difference: ground energy 0", REJECT, energy=lambda x: 0.0),
+            Expectation("gap at least 1/2 on promised inputs", gap_lower=lambda x: 0.5),
         ],
         notes="verbatim orientation: the accepting space marks inequality "
               "witnesses (the complement side of the duplication problem); "
@@ -908,10 +873,8 @@ def _build_multdup_complement() -> GalleryEntry:
         oracle=base.oracle,
         orientation="direct",
         expectations=[
-            Expectation("all blocks equal: ground energy 1/2",
-                        lambda x: base.oracle(x) == ACCEPT, energy=lambda x: 0.5),
-            Expectation("one difference: ground energy 0",
-                        lambda x: base.oracle(x) == REJECT, energy=lambda x: 0.0),
+            Expectation("all blocks equal: ground energy 1/2", ACCEPT, energy=lambda x: 0.5),
+            Expectation("one difference: ground energy 0", REJECT, energy=lambda x: 0.0),
         ],
         notes="criteria-swapped wrapper whose accept side is the duplication "
               "problem's own accept side (all blocks equal)",
@@ -1199,9 +1162,10 @@ def verify(entry: GalleryEntry, inputs) -> VerifyReport:
     """Sweep the decisions against the classical oracle and the spectral
     claims.
 
-    ``inputs`` is read once.  Promise-problem inputs outside the promise are
-    skipped.  The oracle and the expectations are asked of each input before
-    the next; the promised inputs are then decided by ``_verdicts``.
+    ``inputs`` is read once.  The oracle is asked once per input; its answer
+    gives the expected outcome and the expectations that apply.
+    Promise-problem inputs outside the promise are skipped, and the promised
+    inputs are then decided by ``_verdicts``.
     Records, mismatches, findings and expectation failures come in input
     order.  For entries in findings mode, deviations are accumulated as
     structured findings naming the construction instead of as mismatches.
@@ -1209,13 +1173,14 @@ def verify(entry: GalleryEntry, inputs) -> VerifyReport:
     report = VerifyReport(entry=entry.name)
     checks = []           # (x, expected, [(description, wanted energy, wanted gap)])
     for x in inputs:
-        expected = entry.expected_outcome(x)
+        side = entry.oracle(x)
+        expected = entry.expected_outcome(side)
         if expected == NOT_PROMISED:
             report.skipped_unpromised += 1
             continue
         claims = []
         for exp in entry.expectations:
-            if not exp.applies(x):
+            if exp.side not in (None, side):
                 continue
             report.expectation_hits[exp.description] = (
                 report.expectation_hits.get(exp.description, 0) + 1

@@ -11,9 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from aeqslab import aeqs
 from aeqslab.aeqs import (
-    FAMILY_CACHE_SIZE,
     AeqsError,
-    AeqsFamily,
     AeqsInstance,
     KroneckerSum,
     ProjectorComplement,
@@ -339,8 +337,9 @@ class TestDecideRows:
 
 
 class TestDiagonalLowestTwo:
-    """The diagonal route of _lowest_two: a stable argsort, against the
-    pairs lowest_pairs gives and a dense eigensolve."""
+    """diagonal_lowest_two, which the track entries' verify rows read: a
+    stable argsort, against the pairs lowest_pairs gives, _lowest_two and a
+    dense eigensolve."""
 
     @pytest.mark.parametrize("values", [[0.5], [1.0, 0.0, 0.0, 2.0], [0.0, 1.0, 1e-10],
                                         [3.0, -1.0, 2.0, -1.0 + 2e-9]])
@@ -1124,39 +1123,48 @@ class TestBlockSplit:
         assert k == 2 and sizes and max(sizes) <= k, sizes
 
 
-class TestFamilyCache:
-    def counting_family(self):
-        calls = []
+def _operator_bytes(h) -> bytes:
+    """The stored arrays of a Hamiltonian, in any representation."""
+    if isinstance(h, ProjectorComplement):
+        return h.vector.tobytes()
+    if isinstance(h, SparseHermitian):
+        return h.rows.tobytes() + h.cols.tobytes() + h.vals.tobytes()
+    if isinstance(h, KroneckerSum):
+        return _operator_bytes(h.a) + _operator_bytes(h.b)
+    return np.asarray(h).tobytes()
 
-        def build(x):
-            calls.append(x)
-            return from_oracle(lambda s: True).build(x)
 
-        fam = AeqsFamily(alphabet=("0", "1"), builder=build)
-        return fam, calls
+def _instance_bytes(inst: AeqsInstance) -> tuple:
+    return (_operator_bytes(inst.h_ini), _operator_bytes(inst.h_fin),
+            aeqs.criteria_indices(inst.s_acc).tobytes(),
+            aeqs.criteria_indices(inst.s_rej).tobytes(), inst.epsilon, inst.size_bits)
 
-    def test_repeated_build_is_cached(self):
-        fam, calls = self.counting_family()
-        assert fam.build("01") is fam.build("01")
-        assert calls == ["01"]
 
-    def test_oldest_input_evicted(self):
-        fam, calls = self.counting_family()
-        inputs = [format(i, "b") for i in range(FAMILY_CACHE_SIZE + 1)]
-        first = fam.build(inputs[0])
-        for x in inputs[1:]:
-            fam.build(x)
-        assert len(fam._cache) == FAMILY_CACHE_SIZE
-        assert fam.build(inputs[-1]) is fam.build(inputs[-1])
-        assert fam.build(inputs[0]) is not first
-        assert calls == inputs + [inputs[0]]
+class TestBuildersDeterministic:
+    """A family keeps no instance, so two builds of one input are two
+    instances, and their operators, criteria and accuracy bound agree bit
+    for bit."""
 
-    def test_recent_use_keeps_an_input(self):
-        fam, calls = self.counting_family()
-        inputs = [format(i, "b") for i in range(FAMILY_CACHE_SIZE + 1)]
-        first = fam.build(inputs[0])
-        for x in inputs[1:]:
-            fam.build(inputs[0])   # keep the first input the most recent
-            fam.build(x)
-        assert fam.build(inputs[0]) is first
-        assert inputs[1] not in fam._cache
+    INPUTS = {"l_prefix_0": "0110", "l_prefix_1": "0110", "equal": "abba",
+              "sym_coin": "abba", "pal_marked": "a#a", "usubsum": "00#1#11",
+              "multdup": "01#01#11", "multdup_complement": "01#01#11",
+              "moqfa": "0110", "garbage": "011", "xor": "0110"}
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_two_builds_agree(self, name):
+        if name == "moqfa":
+            fam = compilers.from_moqfa(compilers.random_moqfa_spec(np.random.default_rng(5), 3))
+        elif name == "garbage":
+            fam = compilers.from_garbage_1qfa(
+                compilers.random_garbage_spec(np.random.default_rng(5), 2, 2))
+        elif name == "xor":
+            # The benchmark's dense xor family, on a fixed point of the reversal.
+            fam = xor_product(gallery.build("l_prefix_1").family,
+                              inverse_image(gallery.build("l_prefix_0").family,
+                                            lambda s: s[::-1], "reversal"))
+        else:
+            fam = gallery.build(name).family
+        x = self.INPUTS[name]
+        first, second = fam.build(x), fam.build(x)
+        assert first is not second
+        assert _instance_bytes(first) == _instance_bytes(second)

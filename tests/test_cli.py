@@ -90,6 +90,11 @@ class TestRun:
         assert result.returncode == 3, result.stderr
         assert "'c'" in result.stderr and "alphabet" in result.stderr
 
+    def test_unknown_symbol_on_sym_coin_is_usage_error(self):
+        result = run_cli("run", "sym_coin", "aca")
+        assert result.returncode == 3, result.stderr
+        assert "'c'" in result.stderr and "alphabet" in result.stderr
+
     def test_unpromised_input_reports_indeterminate(self):
         result = run_cli("run", "usubsum", "0#1#1")
         assert result.returncode == 2

@@ -18,8 +18,8 @@ from aeqslab.qqa import (
     DOLLAR,
     STEP,
     MeasureOnceGrounds,
-    QqaError,
     SparseOp,
+    UnknownSymbolError,
     generate_2qqaf,
     generate_moqqaf,
     gram_defect,
@@ -266,18 +266,19 @@ class TestVerifyRows:
         inputs = ["ab", "", "abab", "b", "ba", "a"]
         entry = gallery.build("equal")
         entry.expectations.append(
-            gallery.Expectation("bogus", lambda x: True, energy=lambda x: 0.25))
+            gallery.Expectation("bogus", energy=lambda x: 0.25))
         report = gallery.verify(entry, iter(inputs))
         assert [r.x for r in report.records] == inputs
         assert [f["x"] for f in report.expectation_failures] == inputs
         assert report.expectation_hits["bogus"] == len(inputs)
 
     def test_bad_symbol_raises_as_build_does(self):
-        entry = gallery.build("l_prefix_0")
-        with pytest.raises(QqaError):
-            entry.family.build("02")
-        with pytest.raises(QqaError):
-            gallery.verify(entry, ["0", "02"])
+        for name, good, bad in [("l_prefix_0", "0", "02"), ("sym_coin", "ab", "aca")]:
+            entry = gallery.build(name)
+            with pytest.raises(UnknownSymbolError):
+                entry.family.build(bad)
+            with pytest.raises(UnknownSymbolError):
+                gallery.verify(entry, [good, bad])
 
     def test_sym_coin_witnesses_once_per_input(self, monkeypatch):
         # Two track lists per input: the witnesses, which the oracle and the
@@ -298,9 +299,9 @@ class TestVerifyRows:
                                             ("multdup", "parse_multdup"),
                                             ("multdup_complement", "parse_multdup")])
     def test_oracle_parses_once_per_input(self, monkeypatch, name, parse):
-        # The oracle, which every expectation asks again, parses an input and
-        # counts its subsets once; the layout of a promised input parses it
-        # once more.
+        # verify asks the oracle once per input, which parses it and counts
+        # its subsets once; the layout of a promised input parses it once
+        # more.
         calls = {parse: 0, "usubsum_subset_count": 0}
 
         def counted(attr):
@@ -577,7 +578,7 @@ class TestVerifyMachinery:
     def test_expectation_failure_detected(self):
         e = gallery.build("equal")
         e.expectations.append(
-            gallery.Expectation("bogus", lambda x: True, energy=lambda x: 0.25)
+            gallery.Expectation("bogus", energy=lambda x: 0.25)
         )
         report = gallery.verify(e, ["ab"])
         assert not report.passed
