@@ -612,6 +612,14 @@ def minimum_interpolation_gap(instance: AeqsInstance, grid: int = GAP_SCAN_GRID)
     return _block_split(instance, as_dense(instance.h_ini), as_dense(instance.h_fin)).min_gap(grid)
 
 
+def check_time_bound_args(epsilon: float, delta: float, grid: int) -> None:
+    """Raise AeqsError unless epsilon and delta are finite and positive and
+    the gap scan has at least 2 grid points."""
+    if not all(math.isfinite(v) and v > 0 for v in (epsilon, delta)):
+        raise AeqsError("epsilon and delta must be finite and positive")
+    _grid(grid)                    # raises below 2 points
+
+
 def adiabatic_time_bound(instance: AeqsInstance, epsilon: float, delta: float,
                          c: float = 1.0, grid: int = GAP_SCAN_GRID) -> float:
     """Evolution-time lower-bound shape from the adiabatic theorem:
@@ -622,8 +630,7 @@ def adiabatic_time_bound(instance: AeqsInstance, epsilon: float, delta: float,
     read off the BlockSplit of H(s).  A (near-)degenerate interpolated ground
     space yields an unbounded-time signal, returned as +inf.
     """
-    if not all(math.isfinite(v) and v > 0 for v in (epsilon, delta)):
-        raise AeqsError("epsilon and delta must be finite and positive")
+    check_time_bound_args(epsilon, delta, grid)
     split = _block_split(instance, as_dense(instance.h_ini), as_dense(instance.h_fin))
     diff_norm = split.diff_norm()
     if diff_norm == 0.0:

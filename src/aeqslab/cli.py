@@ -21,6 +21,7 @@ from .aeqs import (
     adiabatic_time_bound,
     aeqs_instance,
     as_dense,
+    check_time_bound_args,
     commutator_check,
     commutator_negligible,
     decide,
@@ -230,6 +231,9 @@ def cmd_compile(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    # Checked before the dimension test: an instance above EVOLVE_DIM_MAX
+    # skips the scan, and its bad arguments must still be rejected.
+    check_time_bound_args(args.epsilon, args.delta, args.grid)
     entry = _load_target(args.target)
     instance = entry.family.build(args.input)
     verdict = decide(instance)

@@ -214,19 +214,16 @@ class GarbageQfaSpec:
                 if not (1 <= xi <= self.xi_size):
                     raise CompileError(f"garbage symbol {xi} outside 1..{self.xi_size}")
 
-    def isometry_defect(self, sym: str) -> float:
-        """|| V'V - I || for the induced grade map of one symbol."""
-        v = np.zeros((self.n_states * self.xi_size, self.n_states), dtype=complex)
-        for q in range(self.n_states):
-            for (p, xi, amp) in self.delta.get((q, sym), ()):
-                v[p * self.xi_size + (xi - 1), q] += amp
-        return spectral_norm(v.conj().T @ v - np.eye(self.n_states))
-
-    def validate(self) -> None:
-        for sym in [CENT, DOLLAR, *self.alphabet]:
-            defect = self.isometry_defect(sym)
+    def validate(self) -> dict:
+        """The step tables (``_garbage_tables``), once each symbol's grade
+        map V is checked to be an isometry: V^dagger V = conj(T) T^T for
+        its table T."""
+        tables = _garbage_tables(self)
+        for sym, t in tables.items():
+            defect = spectral_norm(t.conj() @ t.T - np.eye(self.n_states))
             if defect > OPERATOR_DEFECT_TOL:
                 raise CompileError(f"symbol {sym!r} isometry defect {defect:.3e}")
+        return tables
 
 
 def _garbage_tables(spec: GarbageQfaSpec) -> dict:
@@ -331,9 +328,8 @@ def from_garbage_1qfa(spec: GarbageQfaSpec) -> AeqsFamily:
     fills only the top grade, the words of length len(x) + 2, which are the
     last of each state's range of words.
     """
-    spec.validate()
+    tables = spec.validate()
     threshold = decision_threshold(spec.error_bound)
-    tables = _garbage_tables(spec)
     # Keyed by input length, so the inputs never grow it: it can only hold
     # lengths whose space fits GARBAGE_CAPACITY.  With one garbage symbol
     # those run to about GARBAGE_CAPACITY / n_states, and a layout of

@@ -22,16 +22,17 @@ spurious extra ground directions from dynamically unreachable index tuples
 (basis states that no computation produces still enter the operator's
 spectrum), which would drown the intended witness energies; the curated
 basis is closed under the generation maps and reproduces the constructions'
-analyzed spectra exactly.  Their steps are permutations F, and Lambda0
-differs from the identity only at the idle track's start, so the diagonal of
-F Lambda0 F^dagger is read off that start's forward landing: no step is
-inverted.  Each track construction writes its automaton steps and state
-order once, in a layout function (``TrackLayout``).  Every instance is
-assembled by ``aeqs.aeqs_instance`` and every permutation operator by
-``permutation_op``.  The marked-palindrome construction is kept verbatim on
-its full surface-configuration space; deviations of its ground support from
-the intended accept/reject spaces are REPORTED as findings by verify(), never
-patched.
+analyzed spectra exactly.  Each track class defines its registers and its
+moves once (a ``_Track``): permutations F, and the right endmarker as Kraus
+branches.  A layout function (``TrackLayout``) runs them, and
+``_register_level`` builds the validation report's level from them, so the
+report checks the moves the instance was built from.  Lambda0 differs from
+the identity only at the idle track's start, so the diagonal of
+F Lambda0 F^dagger is read off forward runs: no step is inverted.  Every
+instance is assembled by ``aeqs.aeqs_instance``.  The marked-palindrome
+construction is kept verbatim on its full surface-configuration space;
+deviations of its ground support from the intended accept/reject spaces are
+REPORTED as findings by verify(), never patched.
 
 verify() decides a sweep without building instances: each group of inputs
 of one length is one call of the decision kernel ``aeqs.decide_rows``, on
@@ -207,7 +208,7 @@ def _layout_instance(layout: TrackLayout) -> AeqsInstance:
                          schema.indices_of(layout.acc), schema.indices_of(layout.rej))
 
 
-def _layout_rows(layout_of: Callable[[str], TrackLayout], swapped: bool = False) -> Callable:
+def _layout_rows(layout_of: Callable[[str], TrackLayout]) -> Callable:
     """The ``GalleryEntry.rows`` of a track entry, read off each input's
     layout with no instance built.
 
@@ -217,12 +218,8 @@ def _layout_rows(layout_of: Callable[[str], TrackLayout], swapped: bool = False)
     at most one nonzero term.  A row therefore keeps three bins, the accept
     states, the reject states and the rest, with the 1 in the ground
     state's bin, and the kernel's sums are the bits of the full row's.
-    ``swapped`` exchanges the accept and reject bins, as ``complement``
-    exchanges the criteria.
     """
     acc_idx, rej_idx = np.array([0]), np.array([1])
-    if swapped:
-        acc_idx, rej_idx = rej_idx, acc_idx
 
     def rows(xs: list) -> tuple:
         amps = np.zeros((len(xs), 3))
@@ -238,31 +235,78 @@ def _layout_rows(layout_of: Callable[[str], TrackLayout], swapped: bool = False)
     return rows
 
 
-def _landing_diagonal(states: list, halting, deformed: tuple, weight: float) -> np.ndarray:
-    """F Lambda0 F^dagger of a track construction whose Lambda0 is ``weight``
-    at the idle track's start and 1 elsewhere: 0 on the halting states,
-    ``weight`` on the states that begin with ``deformed`` (that start's
-    landing), 1 on the rest."""
+class _Track:
+    """A deterministic register automaton of one nondeterministic track.
+
+    A track class gives its coordinates as ``registers`` and its moves as
+    ``move(state, c)``, a permutation for CENT, each input symbol and DOLLAR.
+    ``endmarker(state)`` lists the right endmarker's Kraus branches, one
+    (state, amplitude) per branch or None where the branch has no entry; by
+    default the one branch is DOLLAR's permutation.  The layouts run these
+    moves (``_run``) and the validation report checks them
+    (``_register_level``).
+    """
+
+    def endmarker(self, state) -> list:
+        return [(self.move(state, DOLLAR), 1.0)]
+
+
+def _run(track: _Track, x: str, state):
+    """The track's state after CENT, x and DOLLAR."""
+    move = track.move
+    state = move(state, CENT)
+    for c in x:
+        state = move(state, c)
+    return move(state, DOLLAR)
+
+
+def _register_level(track: _Track, alphabet: tuple, name: str) -> QqafLevel:
+    """One track on its full register space, for the unitarity/completeness
+    report: the permutation of each move, the endmarker's Kraus branches,
+    and Lambda0 = I."""
+    schema = BasisSchema(track.registers)
+    ops = {c: [permutation_op(schema, lambda s, c=c: track.move(s, c))]
+           for c in (CENT, *alphabet)}
+    branches = {}
+    for s in schema.all_states():
+        for b, hit in enumerate(track.endmarker(s)):
+            if hit is not None:
+                branches.setdefault(b, []).append((schema.index(hit[0]), schema.index(s), hit[1]))
+    ops[DOLLAR] = [SparseOp.from_rules(schema.dim, rules) for rules in branches.values()]
+    return QqafLevel(schema=schema, alphabet=alphabet, ops=ops,
+                     lam0=SparseHermitian.diagonal(np.ones(schema.dim)), name=name)
+
+
+def _layout_coords(track_coords: list, registers: list) -> list:
+    """A track layout's coordinates: the track, its registers, and a copy of
+    the registers (``name0``) holding the start."""
+    return [*track_coords, *registers, *((name + "0", labels) for name, labels in registers)]
+
+
+def _landing_layout(x: str, track_coords: list, tracks: dict, start: tuple, halting: set,
+                    acc: set, rej: set) -> TrackLayout:
+    """The layout of a track construction whose chain is a start and its
+    landing: each track's start and, when it moves, its landing, in the
+    order of ``tracks`` (its coordinates -> track).  The first track idles.
+    Lambda0 is 1/2 at its start and 1 elsewhere, and the steps carry that
+    start to the idle track's landing, so the diagonal of H_fin is 0 on the
+    halting states, 1/2 on that landing and 1 on the rest."""
+    states, deformed = [], None
+    for key, track in tracks.items():
+        landing = _run(track, x, start)
+        states.append(key + start + start)
+        if landing != start:
+            states.append(key + landing + start)
+        if deformed is None:
+            deformed = len(states) - 1
     diag = np.ones(len(states))
+    diag[deformed] = 0.5
     for idx, st in enumerate(states):
         if st in halting:
             diag[idx] = 0.0
-        elif st[:len(deformed)] == deformed:
-            diag[idx] = weight
-    return diag
-
-
-def _register_level(schema: BasisSchema, alphabet: tuple, step: Callable, cent: list,
-                    dollar: list, name: str) -> QqafLevel:
-    """One track on its full register space, for the unitarity/completeness
-    report: the permutation ``step(state, symbol)`` per symbol, the given
-    endmarker families, and Lambda0 = I."""
-    ops = {CENT: cent}
-    for sym in alphabet:
-        ops[sym] = [permutation_op(schema, lambda s, sym=sym: step(s, sym))]
-    ops[DOLLAR] = dollar
-    return QqafLevel(schema=schema, alphabet=alphabet, ops=ops,
-                     lam0=SparseHermitian.diagonal(np.ones(schema.dim)), name=name)
+    # Every track of one input has the same registers.
+    return TrackLayout(_layout_coords(track_coords, track.registers), states, diag, states[0],
+                       acc, rej)
 
 
 # ---------------------------------------------------------------------------
@@ -393,58 +437,48 @@ def _build_equal() -> GalleryEntry:
 _SYM_SYMBOLS = ("a", "b", "B", "acc", "rej")
 
 
-class _SymCoinTrack:
+class _SymCoinTrack(_Track):
     """Deterministic register automaton of one nondeterministic pair (i, j).
 
-    Register space: (symbol, position) with position advancing each step
+    Register space: (symbol, position) with position advancing each move
     mod n+2.  Reading the symbol at cell i records it (swap B <-> symbol);
     reading cell j flips the recorded symbol to the accept marker when it
     matches (swap symbol <-> acc); the right endmarker splits accept-marked
     mass sqrt(i/(n+1)) : sqrt((n-i+1)/(n+1)) between acc and rej landings.
+    The pair (0, 0), the idle track, only advances.
     """
 
-    def __init__(self, x: str, i: int, j: int):
-        self.x = x
-        self.n = len(x)
+    def __init__(self, n: int, i: int, j: int):
+        self.n_pos = n + 2
         self.i, self.j = i, j
-        self.n_pos = self.n + 2
 
-    def sym_step(self, state, c: str):
-        # Per-symbol permutation of (recorded symbol, position): record at
-        # cell i, match at cell j, advance everywhere.
+    @property
+    def registers(self) -> list:
+        return [("sym", _SYM_SYMBOLS), ("pos", tuple(range(self.n_pos)))]
+
+    def move(self, state, c: str):
+        # Record at cell i, match at cell j, advance everywhere.
         sym, pos = state
         nxt = (pos + 1) % self.n_pos
-        if pos == self.i and self.i > 0:
+        if pos == self.i and self.i > 0 and c != CENT and c != DOLLAR:
             if sym == "B":
                 return (c, nxt)
             if sym == c:
                 return ("B", nxt)
-        if pos == self.j and self.j > 0:
+        if pos == self.j and self.j > 0 and c != CENT and c != DOLLAR:
             if sym == c:
                 return ("acc", nxt)
             if sym == "acc":
                 return (c, nxt)
         return (sym, nxt)
 
-    def forward_pass(self, state):
-        """State after cent and all n symbol reads (before the endmarker)."""
-        sym, pos = state
-        state = (sym, (pos + 1) % self.n_pos)
-        for c in self.x:
-            state = self.sym_step(state, c)
-        return state
-
-    def dollar_amplitudes(self, state):
-        """Endmarker amplitudes into ``state``, one per branch that lands there."""
-        sym, pos = state
-        if pos != 0:
-            return []
-        p = self.i / (self.n + 1)
-        if sym == "acc":
-            return [math.sqrt(p)]
-        if sym == "rej":
-            return [1.0, math.sqrt(1.0 - p)]
-        return [1.0]
+    def endmarker(self, state) -> list:
+        # Kraus branches K1 (advance, accept-marked mass kept with sqrt(p))
+        # and K2 (accept-marked mass switched to rej with sqrt(1 - p)).
+        if state == ("acc", self.n_pos - 1):
+            p = self.i / (self.n_pos - 1)
+            return [(("acc", 0), math.sqrt(p)), (("rej", 0), math.sqrt(1.0 - p))]
+        return [(self.move(state, DOLLAR), 1.0), None]
 
 
 def _sym_coin_tracks(n: int):
@@ -456,34 +490,30 @@ def _sym_coin_layout(x: str) -> TrackLayout:
     landings of its chain, with the weight each state carries."""
     check_symbols(("a", "b"), x)
     n = len(x)
-    tracks = _sym_coin_tracks(n)
-    idle = (0, 0, "B", 0, "B", 0)
+    start = ("B", 0)
     # Lambda0 = I - (1/3)|0,0,B,0,B,0><...|: the idle track holds only its
     # start, the one deformed state.
-    states, diag = [idle], [2.0 / 3.0]
+    states, diag = [(0, 0) + start + start], [2.0 / 3.0]
+    tracks = _sym_coin_tracks(n)
     for (i, j) in tracks:
-        track = _SymCoinTrack(x, i, j)
-        sym_land = track.forward_pass(("B", 0))[0]
-        members = {("B", 0)}
-        if sym_land == "acc":
-            members |= {("acc", 0), ("rej", 0), (x[i - 1], 0)}
-        else:
-            members.add((sym_land, 0))
-        for (sym, pos) in sorted(members):
-            states.append((i, j, sym, pos, "B", 0))
-            # Lambda0 is 1 on every other track, so the entry is the weight
-            # the endmarker branches carry into this state.
-            diag.append(sum(amp * amp for amp in track.dollar_amplitudes((sym, pos))))
-    coords = [
-        ("i", tuple(range(0, n // 2 + 1))),
-        ("j", tuple(range(0, n + 2))),
-        ("sym", _SYM_SYMBOLS),
-        ("pos", tuple(range(n + 2))),
-        ("sym0", _SYM_SYMBOLS),
-        ("pos0", tuple(range(n + 2))),
-    ]
-    return TrackLayout(coords, states, np.array(diag), idle,
-                       acc={(i, j, "acc", 0, "B", 0) for (i, j) in tracks}, rej={idle})
+        track = _SymCoinTrack(n, i, j)
+        landing = _run(track, x, start)
+        # Lambda0 is 1 on every other track, so the entry is the weight the
+        # endmarker branches carry into the state from the last cell: 1 from
+        # its own cell's advance, except where the two branches of the
+        # accept-marked cell land.  A match also holds the start's preimage.
+        weight = {start: 1.0, landing: 1.0}
+        if landing[0] == "acc":
+            (acc, keep), (rej, switch) = track.endmarker(("acc", n + 1))
+            weight.update({acc: keep * keep, rej: 1.0 + switch * switch, (x[i - 1], 0): 1.0})
+        for member in sorted(weight):
+            states.append((i, j) + member + start)
+            diag.append(weight[member])
+    coords = _layout_coords([("i", tuple(range(n // 2 + 1))), ("j", tuple(range(n + 2)))],
+                            _SymCoinTrack(n, 0, 0).registers)
+    return TrackLayout(coords, states, np.array(diag), states[0],
+                       acc={(i, j, "acc", 0, "B", 0) for (i, j) in tracks},
+                       rej={states[0]})
 
 
 def _build_sym_coin() -> GalleryEntry:
@@ -528,25 +558,8 @@ def _sym_coin_validation_levels(x: str) -> list:
     """Per-track operator families on the full register space, for the
     unitarity/completeness report."""
     n = len(x)
-    schema = BasisSchema([("sym", _SYM_SYMBOLS), ("pos", tuple(range(n + 2)))])
-    advance = [permutation_op(schema, lambda s: (s[0], (s[1] + 1) % (n + 2)))]
-    levels = []
-    for (i, j) in _sym_coin_tracks(n)[:2]:  # two tracks suffice per input
-        p = i / (n + 1)
-        k1_rules, k2_rules = [], []
-        for s in schema.all_states():
-            sym, pos = s
-            nxt = (sym, (pos + 1) % (n + 2))
-            if pos == n + 1 and sym == "acc":
-                k1_rules.append((schema.index(("acc", 0)), schema.index(s), math.sqrt(p)))
-                k2_rules.append((schema.index(("rej", 0)), schema.index(s), math.sqrt(1 - p)))
-            else:
-                k1_rules.append((schema.index(nxt), schema.index(s), 1.0))
-        dollar = [SparseOp.from_rules(schema.dim, k1_rules),
-                  SparseOp.from_rules(schema.dim, k2_rules)]
-        levels.append(_register_level(schema, ("a", "b"), _SymCoinTrack(x, i, j).sym_step,
-                                      advance, dollar, f"sym_coin[{i},{j}]"))
-    return levels
+    return [_register_level(_SymCoinTrack(n, i, j), ("a", "b"), f"sym_coin[{i},{j}]")
+            for (i, j) in _sym_coin_tracks(n)[:2]]  # two tracks suffice per input
 
 
 # ---------------------------------------------------------------------------
@@ -579,26 +592,31 @@ def usubsum_subset_count(t: int, counts: list) -> int:
     return hits
 
 
-class _USubSumTrack:
-    """Counter automaton of one subset choice s over registers (i, j).
+class _USubSumTrack(_Track):
+    """Counter automaton of one subset choice s (a bit per block) over
+    registers (i, j).
 
     i counts separators (mod k+1), j accumulates +1 per 0 in the first block
-    and -1 per 1 inside chosen blocks, cyclically wrapped on [-kl, t].
+    and -1 per 1 inside chosen blocks, cyclically wrapped on [-kl, t].  The
+    endmarkers leave both alone.
     """
 
-    def __init__(self, x: str, t: int, counts: list, chosen: frozenset):
-        self.x = x
+    def __init__(self, t: int, counts: list, s: str):
         self.t = t
         self.k = len(counts)
         self.l = max(counts)
-        self.chosen = chosen
+        self.chosen = frozenset(i + 1 for i, bit in enumerate(s) if bit == "1")
         self.j_span = self.k * self.l + self.t + 1  # covers [-kl, t]
+
+    @property
+    def registers(self) -> list:
+        return [("i", tuple(range(self.k + 1))), ("j", tuple(range(-self.k * self.l, self.t + 1)))]
 
     def _wrap_j(self, j: int) -> int:
         lo = -self.k * self.l
         return (j - lo) % self.j_span + lo
 
-    def step(self, state, ch: str):
+    def move(self, state, ch: str):
         i, j = state
         if ch == "#":
             return ((i + 1) % (self.k + 1), j)
@@ -610,45 +628,22 @@ class _USubSumTrack:
             if i in self.chosen:
                 return (i, self._wrap_j(j - 1))
             return state
+        if ch == CENT or ch == DOLLAR:
+            return state
         raise GalleryError(f"bad symbol {ch!r}")
-
-    def land(self, state=(0, 0)):
-        for ch in self.x:
-            state = self.step(state, ch)
-        return state
 
 
 def _usubsum_layout(x: str) -> TrackLayout:
     """Each subset track's start and, when it moves, its landing."""
     t, counts = parse_usubsum(x)
-    k, l = len(counts), max(counts)
-    j_labels = tuple(range(-k * l, t + 1))
+    k = len(counts)
     subsets = ["".join(bits) for bits in itertools.product("01", repeat=k)]
-
-    states = []
-    landings = {}
-    for s in subsets:
-        chosen = frozenset(i + 1 for i, bit in enumerate(s) if bit == "1")
-        landing = landings[s] = _USubSumTrack(x, t, counts, chosen).land()
-        states.append((s, 0, 0, 0, 0))
-        if landing != (0, 0):
-            states.append((s, *landing, 0, 0))
-    coords = [
-        ("s", tuple(subsets)),
-        ("i", tuple(range(k + 1))),
-        ("j", j_labels),
-        ("i0", tuple(range(k + 1))),
-        ("j0", j_labels),
-    ]
-    zero_track = "0" * k
+    zero_track = subsets[0]
     q0 = {(s, k, 0, 0, 0) for s in subsets}
-    # Lambda0 is deformed (to 1/2) only at the idle track's start, which the
-    # steps carry to that track's landing.
-    deformed = (zero_track, *landings[zero_track])
-    return TrackLayout(coords, states, _landing_diagonal(states, q0, deformed, 0.5),
-                       (zero_track, 0, 0, 0, 0),
-                       acc={(s, k, 0, 0, 0) for s in subsets if s != zero_track},
-                       rej={(zero_track, k, t, 0, 0)})
+    return _landing_layout(x, [("s", tuple(subsets))],
+                           {(s,): _USubSumTrack(t, counts, s) for s in subsets}, (0, 0),
+                           halting=q0, acc=q0 - {(zero_track, k, 0, 0, 0)},
+                           rej={(zero_track, k, t, 0, 0)})
 
 
 def _build_usubsum() -> GalleryEntry:
@@ -689,16 +684,10 @@ def _build_usubsum() -> GalleryEntry:
 
 def _usubsum_validation_levels(x: str) -> list:
     t, counts = parse_usubsum(x)
-    k, l = len(counts), max(counts)
-    schema = BasisSchema([("i", tuple(range(k + 1))), ("j", tuple(range(-k * l, t + 1)))])
-    identity = [SparseOp.identity(schema.dim)]
-    levels = []
-    for s in ["1" + "0" * (k - 1), "0" * k]:
-        chosen = frozenset(i + 1 for i, bit in enumerate(s) if bit == "1")
-        levels.append(_register_level(schema, ("0", "1", "#"),
-                                      _USubSumTrack(x, t, counts, chosen).step,
-                                      identity, identity, f"usubsum[s={s}] on {x!r}"))
-    return levels
+    k = len(counts)
+    return [_register_level(_USubSumTrack(t, counts, s), ("0", "1", "#"),
+                            f"usubsum[s={s}] on {x!r}")
+            for s in ["1" + "0" * (k - 1), "0" * k]]
 
 
 # ---------------------------------------------------------------------------
@@ -730,17 +719,20 @@ def multdup_differences(blocks: list) -> list:
 _MD_SYMBOLS = ("0", "1", "B")
 
 
-class _MultDupTrack:
+class _MultDupTrack(_Track):
     """Comparison automaton of one pair (block i, cell j) over registers
-    (symbol, separators-seen, cell-in-block, position)."""
+    (symbol, separators-seen, cell-in-block, position) on an input of k + 1
+    blocks of length l."""
 
-    def __init__(self, blocks: list, i: int, j: int):
-        self.blocks = blocks
-        self.x = "#".join(blocks)
+    def __init__(self, k: int, l: int, i: int, j: int):
         self.i, self.j = i, j
-        self.k = len(blocks) - 1
-        self.l = len(blocks[0])
-        self.n_pos = len(self.x) + 2
+        self.k, self.l = k, l
+        self.n_pos = (k + 1) * (l + 1) + 1   # k + 1 blocks, k separators, 2 endmarkers
+
+    @property
+    def registers(self) -> list:
+        return [("sym", _MD_SYMBOLS), ("h", tuple(range(self.k + 1))),
+                ("r", tuple(range(self.l + 1))), ("pos", tuple(range(self.n_pos)))]
 
     def _sym_map(self, sym, h, r, c):
         # Recording swap at (w0)_j, comparison swap at (w_i)_j.
@@ -751,62 +743,33 @@ class _MultDupTrack:
             return {c: c, other: "B", "B": other}[sym]
         return sym
 
-    def step(self, state, c: str):
-        """Per-symbol permutation of (sym, block-counter, cell-counter, pos)."""
+    def move(self, state, c: str):
+        """Permutation of (sym, block-counter, cell-counter, pos)."""
         sym, h, r, pos = state
         nxt = (pos + 1) % self.n_pos
         if c == "#":
             # Separator: bump the block counter, rewind the in-block counter
             # (full blocks arrive with r = l, which maps back to 0).
             return (sym, (h + 1) % (self.k + 1), (r - self.l) % (self.l + 1), nxt)
+        if c == CENT:
+            return (sym, h, r, nxt)
+        if c == DOLLAR:
+            # Rewind the in-block counter as a separator does.
+            return (sym, h, (r - self.l) % (self.l + 1), nxt)
         r2 = (r + 1) % (self.l + 1)
         return (self._sym_map(sym, h, r2, c), h, r2, nxt)
-
-    def forward_pass(self, state):
-        sym, h, r, pos = state
-        state = (sym, h, r, (pos + 1) % self.n_pos)   # cent advances
-        for c in self.x:
-            state = self.step(state, c)
-        # Endmarker: reset the in-block counter (shift by -l mod l+1) and wrap.
-        sym, h, r, pos = state
-        return (sym, h, (r - self.l) % (self.l + 1), (pos + 1) % self.n_pos)
 
 
 def _multdup_layout(x: str) -> TrackLayout:
     """Each comparison track's start and, when it moves, its landing."""
     blocks = parse_multdup(x)
     k, l = len(blocks) - 1, len(blocks[0])
-    tracks = [(0, 0)] + [(i, j) for i in range(1, k + 1) for j in range(1, l + 1)]
-
-    states = []
-    landings = {}
-    start = ("B", 0, 0, 0)
-    for (i, j) in tracks:
-        landing = landings[(i, j)] = _MultDupTrack(blocks, i, j).forward_pass(start)
-        states.append((i, j) + start + ("B", 0, 0, 0))
-        if landing != start:
-            states.append((i, j) + landing + ("B", 0, 0, 0))
-    n_pos = len(x) + 2
-    coords = [
-        ("i", tuple(range(k + 1))),
-        ("j", tuple(range(l + 1))),
-        ("sym", _MD_SYMBOLS),
-        ("h", tuple(range(k + 1))),
-        ("r", tuple(range(l + 1))),
-        ("pos", tuple(range(n_pos))),
-        ("sym0", _MD_SYMBOLS),
-        ("h0", tuple(range(k + 1))),
-        ("r0", tuple(range(l + 1))),
-        ("pos0", tuple(range(n_pos))),
-    ]
-    q0 = {(i, j, "B", k, 0, 0, "B", 0, 0, 0)
-          for i in range(1, k + 1) for j in range(1, l + 1)}
-    # Lambda0 = I - (1/2)|0,0,xi0,xi0><...|: the deformation sits on the
-    # idle track's start and surfaces at whatever that chain lands on.
-    deformed = (0, 0) + landings[(0, 0)]
-    return TrackLayout(coords, states, _landing_diagonal(states, q0, deformed, 0.5),
-                       (0, 0, "B", 0, 0, 0, "B", 0, 0, 0), acc=q0,
-                       rej={(0, 0, "B", k, 0, 0, "B", 0, 0, 0)})
+    pairs = [(0, 0)] + [(i, j) for i in range(1, k + 1) for j in range(1, l + 1)]
+    q0 = {(i, j, "B", k, 0, 0, "B", 0, 0, 0) for (i, j) in pairs[1:]}
+    return _landing_layout(x, [("i", tuple(range(k + 1))), ("j", tuple(range(l + 1)))],
+                           {(i, j): _MultDupTrack(k, l, i, j) for (i, j) in pairs},
+                           ("B", 0, 0, 0), halting=q0, acc=q0,
+                           rej={(0, 0, "B", k, 0, 0, "B", 0, 0, 0)})
 
 
 def _build_multdup() -> GalleryEntry:
@@ -852,21 +815,19 @@ def _build_multdup() -> GalleryEntry:
 def _multdup_validation_levels(x: str) -> list:
     blocks = parse_multdup(x)
     k, l = len(blocks) - 1, len(blocks[0])
-    n_pos = len(x) + 2
-    schema = BasisSchema([
-        ("sym", _MD_SYMBOLS), ("h", tuple(range(k + 1))),
-        ("r", tuple(range(l + 1))), ("pos", tuple(range(n_pos))),
-    ])
-    cent = [permutation_op(schema, lambda s: (s[0], s[1], s[2], (s[3] + 1) % n_pos))]
-    dollar = [permutation_op(
-        schema, lambda s: (s[0], s[1], (s[2] - l) % (l + 1), (s[3] + 1) % n_pos)
-    )]
-    return [_register_level(schema, ("0", "1", "#"), _MultDupTrack(blocks, 1, 1).step,
-                            cent, dollar, f"multdup[1,1] (k={k}, l={l})")]
+    return [_register_level(_MultDupTrack(k, l, 1, 1), ("0", "1", "#"),
+                            f"multdup[1,1] (k={k}, l={l})")]
 
 
 def _build_multdup_complement() -> GalleryEntry:
     base = _build_multdup()
+
+    def rows(xs: list) -> tuple:
+        # multdup's rows with the criteria exchanged, as complement
+        # exchanges them in every instance.
+        *head, acc_idx, rej_idx, epsilon = base.rows(xs)
+        return (*head, rej_idx, acc_idx, epsilon)
+
     return GalleryEntry(
         name="multdup_complement",
         family=complement(base.family),
@@ -879,7 +840,7 @@ def _build_multdup_complement() -> GalleryEntry:
         notes="criteria-swapped wrapper whose accept side is the duplication "
               "problem's own accept side (all blocks equal)",
         validation_levels=base.validation_levels,
-        rows=_layout_rows(_multdup_layout, swapped=True),
+        rows=rows,
     )
 
 
@@ -988,7 +949,6 @@ def _pal_level(x: str) -> TwoWayQqafLevel:
     lam0[schema.index(_PAL_START)] = _PAL_DECAY_KEEP
     return TwoWayQqafLevel(
         schema=schema,
-        alphabet=_PAL_ALPHABET,
         lam0=SparseHermitian.diagonal(lam0),
         ops={CENT: first, STEP: step},
         steps=2 * n + 3,

@@ -251,7 +251,6 @@ class TwoWayQqafLevel:
     """
 
     schema: BasisSchema
-    alphabet: tuple
     lam0: SparseHermitian
     ops: dict                      # CENT -> first move, STEP -> step (lists of SparseOp)
     steps: int

@@ -303,6 +303,18 @@ class TestUsageErrors:
         assert code == 3, err
         assert "at least 2 grid points" in err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--grid", "1", "at least 2 grid points"),
+        ("--epsilon", "-3", "finite and positive"),
+        ("--delta", "nan", "finite and positive"),
+    ])
+    def test_gap_arguments_checked_above_dense_limit(self, capsys, option, value, message):
+        # pal_marked on a#a has dimension 5625 > EVOLVE_DIM_MAX, whose scan
+        # the command skips; its arguments are checked all the same.
+        code, err = self.main_exit(capsys, "gap", "pal_marked", "a#a", option, value)
+        assert code == 3, err
+        assert message in err
+
     @pytest.mark.parametrize("target, bound, message", [
         ("usubsum", "t<=x", "must be an integer"),
         ("usubsum", "q<=1", "no parameter q"),

@@ -636,19 +636,24 @@ class TestTrackDiagonals:
             built = self.built_diagonal(instance)
             registers = [(sym, pos) for sym in gallery._SYM_SYMBOLS for pos in range(n + 2)]
             for idx, (i, j, sym, pos, _s0, _p0) in enumerate(instance.schema.all_states()):
-                track = gallery._SymCoinTrack(x, i, j)   # (0, 0): pure advance
+                track = gallery._SymCoinTrack(n, i, j)   # (0, 0): pure advance
                 p = i / (n + 1)
-                # The right endmarker: accept-marked mass splits sqrt(p) onto
-                # acc and sqrt(1 - p) onto rej; every other register advances.
+                # The right endmarker: accept-marked mass at the last cell
+                # splits sqrt(p) onto acc and sqrt(1 - p) onto rej; every
+                # other register advances.  A branch from the last cell's
+                # (s, n + 1) is listed by s.
                 if (sym, pos) == ("acc", 0):
-                    branches = [(("acc", n + 1), np.sqrt(p))]
+                    branches = [("acc", np.sqrt(p))]
                 elif (sym, pos) == ("rej", 0):
-                    branches = [(("rej", n + 1), 1.0), (("acc", n + 1), np.sqrt(1 - p))]
+                    branches = [("rej", 1.0), ("acc", np.sqrt(1 - p))]
                 else:
-                    branches = [((sym, (pos - 1) % (n + 2)), 1.0)]
+                    branches = [(sym, 1.0)]
                 want = 0.0
                 for before, amp in branches:
-                    start = self.preimage(registers, track.forward_pass, before)
+                    # _run ends with DOLLAR's advance, which takes the last
+                    # cell's (s, n + 1) to (s, 0).
+                    start = self.preimage(registers, lambda u: gallery._run(track, x, u),
+                                          (before, 0))
                     lam = 2.0 / 3.0 if (i, j, *start) == (0, 0, "B", 0) else 1.0
                     want += amp * amp * lam
                 assert built[idx] == want, (x, idx)
@@ -662,9 +667,8 @@ class TestTrackDiagonals:
             built = self.built_diagonal(instance)
             registers = [(i, j) for i in range(k + 1) for j in range(-k * l, t + 1)]
             for idx, (s, i, j, _i0, _j0) in enumerate(instance.schema.all_states()):
-                chosen = frozenset(b + 1 for b, bit in enumerate(s) if bit == "1")
-                track = gallery._USubSumTrack(x, t, counts, chosen)
-                start = self.preimage(registers, track.land, (i, j))
+                track = gallery._USubSumTrack(t, counts, s)
+                start = self.preimage(registers, lambda u: gallery._run(track, x, u), (i, j))
                 lam = 0.5 if s == "0" * k and start == (0, 0) else 1.0
                 want = 0.0 if (i, j) == (k, 0) else lam   # Pi0 removes q0
                 assert built[idx] == want, (x, idx)
@@ -683,9 +687,50 @@ class TestTrackDiagonals:
             for idx, state in enumerate(instance.schema.all_states()):
                 i, j, reg = state[0], state[1], state[2:6]
                 if (i, j) not in tables:
-                    track = gallery._MultDupTrack(blocks, i, j)
-                    tables[(i, j)] = {u: track.forward_pass(u) for u in registers}
+                    track = gallery._MultDupTrack(k, l, i, j)
+                    tables[(i, j)] = {u: gallery._run(track, x, u) for u in registers}
                 start = self.preimage(registers, tables[(i, j)].__getitem__, reg)
                 lam = 0.5 if (i, j) == (0, 0) and start == ("B", 0, 0, 0) else 1.0
                 want = 0.0 if i > 0 and reg == ("B", k, 0, 0) else lam   # Pi0 removes q0
                 assert built[idx] == want, (x, idx)
+
+
+class TestTrackRoutes:
+    """The track analogue of test_validation_checks_the_building_level: a
+    track's layout and its validation level read the one definition of its
+    moves, so a patched move changes both."""
+
+    @staticmethod
+    def dollar_family(entry, x):
+        return [op.to_dense() for op in entry.validation_levels(x)[0].ops[DOLLAR]]
+
+    @staticmethod
+    def changed(before, after):
+        return len(before) != len(after) or any(
+            not np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_sym_coin_endmarker_split(self, monkeypatch):
+        entry, x = gallery.build("sym_coin"), "abba"
+        diag, family = gallery._sym_coin_layout(x).diag, self.dollar_family(entry, x)
+        endmarker = gallery._SymCoinTrack.endmarker
+
+        def weaker_switch(track, state):
+            keep, switch = endmarker(track, state)
+            return [keep, switch and (switch[0], switch[1] / 2)]
+
+        monkeypatch.setattr(gallery._SymCoinTrack, "endmarker", weaker_switch)
+        assert not np.array_equal(gallery._sym_coin_layout(x).diag, diag)
+        assert self.changed(family, self.dollar_family(entry, x))
+        assert not validate_level(entry.validation_levels(x)[0]).passed
+
+    def test_multdup_endmarker_rewind(self, monkeypatch):
+        entry, x = gallery.build("multdup"), "01#01"
+        states, family = gallery._multdup_layout(x).states, self.dollar_family(entry, x)
+        move = gallery._MultDupTrack.move
+
+        def no_rewind(track, state, c):
+            return move(track, state, CENT if c == DOLLAR else c)
+
+        monkeypatch.setattr(gallery._MultDupTrack, "move", no_rewind)
+        assert gallery._multdup_layout(x).states != states
+        assert self.changed(family, self.dollar_family(entry, x))

@@ -319,7 +319,7 @@ class TestGenerate2qqaf:
         schema = surface_schema(("s",), len(x))
         n_pos = len(x) + 2
         return TwoWayQqafLevel(
-            schema=schema, alphabet=("0", "1"),
+            schema=schema,
             lam0=SparseHermitian.diagonal(np.arange(schema.dim, dtype=float)),
             ops={CENT: [SparseOp.identity(schema.dim)],
                  STEP: [SparseOp.permutation(schema.dim,
