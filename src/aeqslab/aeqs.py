@@ -24,6 +24,7 @@ whole space: the block is H(s) itself, with no lines.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -703,15 +704,7 @@ def complement(family: AeqsFamily) -> AeqsFamily:
 
     def build(x: str) -> AeqsInstance:
         inst = family.build(x)
-        return AeqsInstance(
-            size_bits=inst.size_bits,
-            epsilon=inst.epsilon,
-            h_ini=inst.h_ini,
-            h_fin=inst.h_fin,
-            s_acc=inst.s_rej,
-            s_rej=inst.s_acc,
-            schema=inst.schema,
-        )
+        return dataclasses.replace(inst, s_acc=inst.s_rej, s_rej=inst.s_acc)
 
     return AeqsFamily(
         alphabet=family.alphabet,

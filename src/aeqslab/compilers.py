@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,8 +46,6 @@ from .linalg import (
 from .qqa import CENT, DOLLAR, BasisSchema
 
 GARBAGE_CAPACITY = 65536
-# Input lengths whose layout a compiled garbage-tape family keeps.
-GARBAGE_LAYOUTS = 4
 
 
 class CompileError(Exception):
@@ -189,7 +187,10 @@ class GarbageQfaSpec:
     Garbage symbols are 1..xi_size (0 is reserved for the blank).  Rigidity
     means every transition emits exactly one non-blank symbol, so reading m
     symbols leaves exactly m garbage cells filled and the induced operators
-    are isometries grade by grade.
+    are isometries grade by grade.  Construction builds the step tables
+    (``_garbage_tables``) and checks each symbol's grade map V to be an
+    isometry on its table T: V^dagger V = conj(T) T^T.  A spec is not
+    changed after construction, since its tables would not follow.
     """
 
     n_states: int
@@ -201,6 +202,7 @@ class GarbageQfaSpec:
     initial: int = 0
     error_bound: float | None = None
     name: str = "garbage-1qfa"
+    tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.q_acc = frozenset(self.q_acc)
@@ -213,17 +215,11 @@ class GarbageQfaSpec:
                     raise CompileError(f"target state {p} out of range")
                 if not (1 <= xi <= self.xi_size):
                     raise CompileError(f"garbage symbol {xi} outside 1..{self.xi_size}")
-
-    def validate(self) -> dict:
-        """The step tables (``_garbage_tables``), once each symbol's grade
-        map V is checked to be an isometry: V^dagger V = conj(T) T^T for
-        its table T."""
-        tables = _garbage_tables(self)
-        for sym, t in tables.items():
+        self.tables = _garbage_tables(self)
+        for sym, t in self.tables.items():
             defect = spectral_norm(t.conj() @ t.T - np.eye(self.n_states))
             if defect > OPERATOR_DEFECT_TOL:
                 raise CompileError(f"symbol {sym!r} isometry defect {defect:.3e}")
-        return tables
 
 
 def _garbage_tables(spec: GarbageQfaSpec) -> dict:
@@ -258,7 +254,7 @@ def run_garbage_1qfa(spec: GarbageQfaSpec, x: str) -> tuple:
     """(accept, reject) probabilities: unitary run on states x garbage
     content, projective readout on the inner state at the end."""
     _check_symbols(spec, x)
-    probs = (np.abs(_garbage_run(spec, _garbage_tables(spec), x)) ** 2).sum(axis=0)
+    probs = (np.abs(_garbage_run(spec, spec.tables, x)) ** 2).sum(axis=0)
     return (float(probs[sorted(spec.q_acc)].sum()),
             float(probs[sorted(spec.q_rej)].sum()))
 
@@ -324,23 +320,19 @@ def from_garbage_1qfa(spec: GarbageQfaSpec) -> AeqsFamily:
 
     The compiled Hamiltonians mirror the measure-once compilation on this
     larger space.  Everything but psi_x depends on the input length alone
-    and is built once per length; the step tables are built once.  The run
-    fills only the top grade, the words of length len(x) + 2, which are the
-    last of each state's range of words.
+    and is built once per length; the run reads the spec's step tables.
+    The run fills only the top grade, the words of length len(x) + 2, which
+    are the last of each state's range of words.
     """
-    tables = spec.validate()
     threshold = decision_threshold(spec.error_bound)
-    # Keyed by input length, so the inputs never grow it: it can only hold
-    # lengths whose space fits GARBAGE_CAPACITY.  With one garbage symbol
-    # those run to about GARBAGE_CAPACITY / n_states, and a layout of
-    # length n lists O(n^2) tape cells, so only the most recent are kept.
-    layout_of = functools.lru_cache(maxsize=GARBAGE_LAYOUTS)(
-        functools.partial(garbage_layout, spec))
+    # One length: callers ask for the inputs of one length at a time, and a
+    # layout of length n lists O(n^2) tape cells.
+    layout_of = functools.lru_cache(maxsize=1)(functools.partial(garbage_layout, spec))
 
     def build(x: str) -> AeqsInstance:
         _check_symbols(spec, x)
         layout = layout_of(len(x))
-        top = _garbage_run(spec, tables, x)
+        top = _garbage_run(spec, spec.tables, x)
         n_words = len(layout.words)
         psi = np.zeros(layout.schema.dim, dtype=complex)
         psi.reshape(spec.n_states, n_words)[:, n_words - len(top):] = top.T

@@ -24,12 +24,14 @@ spectrum), which would drown the intended witness energies; the curated
 basis is closed under the generation maps and reproduces the constructions'
 analyzed spectra exactly.  Each track class defines its registers and its
 moves once (a ``_Track``): permutations F, and the right endmarker as Kraus
-branches.  A layout function (``TrackLayout``) runs them, and
-``_register_level`` builds the validation report's level from them, so the
-report checks the moves the instance was built from.  Lambda0 differs from
-the identity only at the idle track's start, so the diagonal of
-F Lambda0 F^dagger is read off forward runs: no step is inverted.  Every
-instance is assembled by ``aeqs.aeqs_instance``.  The marked-palindrome
+branches.  A layout function runs them on one input (``TrackLayout``), and
+one skeleton, ``_track_entry``, makes each entry from its layout function:
+the instance, the verify rows, and a validation report of one
+``_register_level`` per track the layout ran, so the report checks every
+move the instance was built from.  Lambda0 differs from the identity only
+at the idle track's start, so the diagonal of F Lambda0 F^dagger is read
+off forward runs: no step is inverted.  Every instance is assembled by
+``aeqs.aeqs_instance``.  The marked-palindrome
 construction is kept verbatim on its full surface-configuration space;
 deviations of its ground support from the intended accept/reject spaces are
 REPORTED as findings by verify(), never patched.
@@ -189,9 +191,9 @@ def _measure_once_entry(name: str, level_of: Callable[[int], QqafLevel], start,
 class TrackLayout:
     """One input's curated basis for a track construction: the schema's
     coordinates, the curated states in order, the diagonal of H_fin on them,
-    the start state and the accept and reject states.  Criteria states
-    outside the curated basis are skipped, as ``BasisSchema.indices_of``
-    skips them."""
+    the start state, the accept and reject states, and the tracks the layout
+    ran (key -> ``_Track``).  Criteria states outside the curated basis are
+    skipped, as ``BasisSchema.indices_of`` skips them."""
 
     coords: list
     states: list
@@ -199,13 +201,32 @@ class TrackLayout:
     start: tuple
     acc: set
     rej: set
+    tracks: dict
 
 
-def _layout_instance(layout: TrackLayout) -> AeqsInstance:
-    schema = BasisSchema(layout.coords, states=layout.states)
-    return aeqs_instance(schema, deflation_hamiltonian(schema.dim, schema.index(layout.start)),
-                         SparseHermitian.diagonal(layout.diag),
-                         schema.indices_of(layout.acc), schema.indices_of(layout.rej))
+def _track_entry(name: str, alphabet: tuple, layout_of: Callable[[str], TrackLayout],
+                 oracle: Callable[[str], str], expectations: list, tags: tuple, notes: str,
+                 promise: Callable[[str], bool] | None = None, **entry_fields) -> GalleryEntry:
+    """An entry on a track layout per input, the track analogue of
+    ``_measure_once_entry``: the instance, the verify rows and the
+    validation report all come from ``layout_of(x)``.  The report holds
+    ``_register_level`` of every track in ``layout.tracks``, so it checks
+    each move the instance was built from."""
+    def build(x: str) -> AeqsInstance:
+        layout = layout_of(x)
+        schema = BasisSchema(layout.coords, states=layout.states)
+        return aeqs_instance(schema, deflation_hamiltonian(schema.dim, schema.index(layout.start)),
+                             SparseHermitian.diagonal(layout.diag),
+                             schema.indices_of(layout.acc), schema.indices_of(layout.rej))
+
+    def validation_levels(x: str) -> list:
+        return [_register_level(track, alphabet, f"{name}[{','.join(map(str, key))}] on {x!r}")
+                for key, track in layout_of(x).tracks.items()]
+
+    family = AeqsFamily(alphabet=alphabet, builder=build, promise=promise, tags=tags, name=name)
+    return GalleryEntry(name=name, family=family, oracle=oracle, expectations=expectations,
+                        notes=notes, validation_levels=validation_levels,
+                        rows=_layout_rows(layout_of), **entry_fields)
 
 
 def _layout_rows(layout_of: Callable[[str], TrackLayout]) -> Callable:
@@ -306,7 +327,7 @@ def _landing_layout(x: str, track_coords: list, tracks: dict, start: tuple, halt
             diag[idx] = 0.0
     # Every track of one input has the same registers.
     return TrackLayout(_layout_coords(track_coords, track.registers), states, diag, states[0],
-                       acc, rej)
+                       acc, rej, tracks)
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +515,8 @@ def _sym_coin_layout(x: str) -> TrackLayout:
     # Lambda0 = I - (1/3)|0,0,B,0,B,0><...|: the idle track holds only its
     # start, the one deformed state.
     states, diag = [(0, 0) + start + start], [2.0 / 3.0]
-    tracks = _sym_coin_tracks(n)
-    for (i, j) in tracks:
-        track = _SymCoinTrack(n, i, j)
+    tracks = {(i, j): _SymCoinTrack(n, i, j) for (i, j) in _sym_coin_tracks(n)}
+    for (i, j), track in tracks.items():
         landing = _run(track, x, start)
         # Lambda0 is 1 on every other track, so the entry is the weight the
         # endmarker branches carry into the state from the last cell: 1 from
@@ -513,15 +533,10 @@ def _sym_coin_layout(x: str) -> TrackLayout:
                             _SymCoinTrack(n, 0, 0).registers)
     return TrackLayout(coords, states, np.array(diag), states[0],
                        acc={(i, j, "acc", 0, "B", 0) for (i, j) in tracks},
-                       rej={states[0]})
+                       rej={states[0]}, tracks=tracks)
 
 
 def _build_sym_coin() -> GalleryEntry:
-    family = AeqsFamily(
-        alphabet=("a", "b"), builder=lambda x: _layout_instance(_sym_coin_layout(x)),
-        tags=("1qqaf", "logsize", "polygap"), name="sym_coin",
-    )
-
     # One entry: the oracle reads an input's witnesses, and the accepting
     # energy claim reads them again before verify moves to the next input,
     # so the last input's witnesses serve both and the cache holds one tuple.
@@ -537,29 +552,18 @@ def _build_sym_coin() -> GalleryEntry:
         ws = witnesses(x)
         return min(i for i, _ in ws) / (len(x) + 1)
 
-    return GalleryEntry(
-        name="sym_coin",
-        family=family,
-        oracle=oracle,
+    return _track_entry(
+        "sym_coin", ("a", "b"), _sym_coin_layout, oracle,
         expectations=[
             Expectation("accepts: energy i_min/(n+1)", ACCEPT, energy=min_witness_energy),
             Expectation("accepts: gap at least 1/(n+1)", ACCEPT,
                         gap_lower=lambda x: 1.0 / (len(x) + 1)),
             Expectation("rejects: energy 2/3", REJECT, energy=lambda x: 2.0 / 3.0),
         ],
+        tags=("1qqaf", "logsize", "polygap"),
         notes="basis curated to the pair-track chains and their landings; "
               "odd lengths use the same pair set (no middle self-pair)",
-        validation_levels=_sym_coin_validation_levels,
-        rows=_layout_rows(_sym_coin_layout),
     )
-
-
-def _sym_coin_validation_levels(x: str) -> list:
-    """Per-track operator families on the full register space, for the
-    unitarity/completeness report."""
-    n = len(x)
-    return [_register_level(_SymCoinTrack(n, i, j), ("a", "b"), f"sym_coin[{i},{j}]")
-            for (i, j) in _sym_coin_tracks(n)[:2]]  # two tracks suffice per input
 
 
 # ---------------------------------------------------------------------------
@@ -657,37 +661,19 @@ def _build_usubsum() -> GalleryEntry:
             return NOT_PROMISED
         return ACCEPT if hits == 1 else REJECT
 
-    family = AeqsFamily(
-        alphabet=("0", "1", "#"),
-        builder=lambda x: _layout_instance(_usubsum_layout(x)),
-        promise=lambda x: oracle(x) != NOT_PROMISED,
-        tags=("1qqaf", "linsize", "constgap"),
-        name="usubsum",
-    )
-
-    return GalleryEntry(
-        name="usubsum",
-        family=family,
-        oracle=oracle,
+    return _track_entry(
+        "usubsum", ("0", "1", "#"), _usubsum_layout, oracle,
         expectations=[
             Expectation("accepts: ground energy 0", ACCEPT, energy=lambda x: 0.0),
             Expectation("rejects: ground energy 1/2", REJECT, energy=lambda x: 0.5),
             Expectation("gap at least 1/2 on both sides", gap_lower=lambda x: 0.5),
         ],
+        tags=("1qqaf", "linsize", "constgap"),
         notes="basis curated to subset-track starts and landings; the "
               "rejection landing carries counter value t (the idle track "
               "accumulates the full first block)",
-        validation_levels=_usubsum_validation_levels,
-        rows=_layout_rows(_usubsum_layout),
+        promise=lambda x: oracle(x) != NOT_PROMISED,
     )
-
-
-def _usubsum_validation_levels(x: str) -> list:
-    t, counts = parse_usubsum(x)
-    k = len(counts)
-    return [_register_level(_USubSumTrack(t, counts, s), ("0", "1", "#"),
-                            f"usubsum[s={s}] on {x!r}")
-            for s in ["1" + "0" * (k - 1), "0" * k]]
 
 
 # ---------------------------------------------------------------------------
@@ -783,40 +769,23 @@ def _build_multdup() -> GalleryEntry:
             return NOT_PROMISED
         return ACCEPT if not diffs else REJECT
 
-    family = AeqsFamily(
-        alphabet=("0", "1", "#"),
-        builder=lambda x: _layout_instance(_multdup_layout(x)),
-        promise=lambda x: oracle(x) != NOT_PROMISED,
-        tags=("1qqaf", "logsize", "constgap"),
-        name="multdup",
-    )
-
-    return GalleryEntry(
-        name="multdup",
-        family=family,
-        oracle=oracle,
-        # The construction marks difference witnesses as accepting, i.e. it
-        # accepts the complement side of the duplication problem.
-        orientation="swapped",
+    return _track_entry(
+        "multdup", ("0", "1", "#"), _multdup_layout, oracle,
         expectations=[
             Expectation("all blocks equal: ground energy 1/2", ACCEPT, energy=lambda x: 0.5),
             Expectation("one difference: ground energy 0", REJECT, energy=lambda x: 0.0),
             Expectation("gap at least 1/2 on promised inputs", gap_lower=lambda x: 0.5),
         ],
+        tags=("1qqaf", "logsize", "constgap"),
         notes="verbatim orientation: the accepting space marks inequality "
               "witnesses (the complement side of the duplication problem); "
               "promise tightened to at most one differing symbol so the "
               "witness, and with it the ground state, stays unique",
-        validation_levels=_multdup_validation_levels,
-        rows=_layout_rows(_multdup_layout),
+        promise=lambda x: oracle(x) != NOT_PROMISED,
+        # The construction marks difference witnesses as accepting, i.e. it
+        # accepts the complement side of the duplication problem.
+        orientation="swapped",
     )
-
-
-def _multdup_validation_levels(x: str) -> list:
-    blocks = parse_multdup(x)
-    k, l = len(blocks) - 1, len(blocks[0])
-    return [_register_level(_MultDupTrack(k, l, 1, 1), ("0", "1", "#"),
-                            f"multdup[1,1] (k={k}, l={l})")]
 
 
 def _build_multdup_complement() -> GalleryEntry:

@@ -376,6 +376,17 @@ class TestUsageErrors:
         assert code == 3, err
         assert "not a quasi-automaton level" in err and "defect 8.000e+00" in err
 
+    @pytest.mark.parametrize("command", ["compile", "run"])
+    def test_non_isometric_garbage_document(self, capsys, tmp_path, command):
+        # Reading 0 keeps amplitude 0.9 of the one state: defect 1 - 0.81.
+        transitions = [[0, sym, 0, 1, 0.9 if sym == "0" else 1]
+                       for sym in ("cent", "dollar", "0", "1")]
+        specfile = tmp_path / "doc.json"
+        specfile.write_text(json.dumps(dict(GARBAGE_DOC, transitions=transitions)))
+        code, err = self.main_exit(capsys, command, str(specfile), "1")
+        assert code == 3, err
+        assert "symbol '0' isometry defect 1.900e-01" in err
+
     @pytest.mark.parametrize("amplitude", [
         {"rational": [1]}, {"complex": [1]}, {"quotient": [1, 2, 3]}, {"product": 3},
     ], ids=["rational-1", "complex-1", "quotient-3", "product-number"])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -128,9 +129,8 @@ class TestGarbageModel:
 
     def test_isometry_validation(self):
         spec = cp.random_garbage_spec(RNG, 2, 2)
-        spec.delta[(0, "0")] = [(0, 1, 0.9)]
         with pytest.raises(cp.CompileError):
-            spec.validate()
+            dataclasses.replace(spec, delta={**spec.delta, (0, "0"): [(0, 1, 0.9)]})
 
     def test_dfa_embedding_matches_language(self):
         dfa = cp.dfa_as_garbage_spec(

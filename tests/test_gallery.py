@@ -12,7 +12,7 @@ from aeqslab.aeqs import (
     ground_state,
     lowest_pairs,
 )
-from aeqslab.linalg import spectral_norm
+from aeqslab.linalg import LinalgError, spectral_norm
 from aeqslab.qqa import (
     CENT,
     DOLLAR,
@@ -734,3 +734,28 @@ class TestTrackRoutes:
         monkeypatch.setattr(gallery._MultDupTrack, "move", no_rewind)
         assert gallery._multdup_layout(x).states != states
         assert self.changed(family, self.dollar_family(entry, x))
+
+    @pytest.mark.parametrize("name,layout_of,x", [("sym_coin", "_sym_coin_layout", "abbaab"),
+                                                  ("usubsum", "_usubsum_layout", "00#1#1"),
+                                                  ("multdup", "_multdup_layout", "01#01#01")])
+    def test_report_covers_every_track(self, name, layout_of, x):
+        tracks = getattr(gallery, layout_of)(x).tracks
+        assert len(gallery.build(name).validation_levels(x)) == len(tracks) > 2
+
+    def test_report_catches_a_move_broken_on_a_later_track(self, monkeypatch):
+        entry, x = gallery.build("multdup"), "01#01#01"
+        sym_map = gallery._MultDupTrack._sym_map
+
+        def later_blocks_erase(track, sym, h, r, c):
+            # Block i >= 2's comparison cell sends every symbol to B: not a
+            # permutation, on tracks the layout runs but track (1, 1) is not.
+            if track.i >= 2 and h == track.i and r == track.j:
+                return "B"
+            return sym_map(track, sym, h, r, c)
+
+        monkeypatch.setattr(gallery._MultDupTrack, "_sym_map", later_blocks_erase)
+        try:
+            passed = all(validate_level(level).passed for level in entry.validation_levels(x))
+        except LinalgError:
+            passed = False
+        assert not passed
