@@ -1,7 +1,7 @@
 """AEQS instances and families: ground-state decision semantics.
 
 An instance carries a pair of Hamiltonians (initial and final) on one
-evolution space plus acceptance/rejection index sets.  The decision rule
+evolution space plus acceptance/rejection index arrays.  The decision rule
 reads off where the unique ground state of the final Hamiltonian lies: the
 closeness of the ground state to the accepting (rejecting) span, expressed
 through the reparameterized accuracy 1 - sqrt(1 - overlap), determines
@@ -279,27 +279,51 @@ def spectral_gap(h) -> float:
     return _lowest_two(h)[2]
 
 
+def criteria_arrays(acc, rej) -> tuple:
+    """(acc, rej): the criteria as sorted, unique, read-only int64 arrays of
+    basis indices, the order ``decide_rows`` sums in; AeqsError when they
+    share an index.  A pair of read-only int64 arrays is taken as formed
+    here and returned as it is, so criteria formed once, where they are
+    fixed, are shared by every instance with no set or sort work."""
+    if all(isinstance(s, np.ndarray) and s.dtype == np.int64 and not s.flags.writeable
+           for s in (acc, rej)):
+        return acc, rej
+    acc, rej = (_sorted_unique(np.asarray(s, dtype=np.int64) if isinstance(s, np.ndarray)
+                               else np.fromiter(s, dtype=np.int64)) for s in (acc, rej))
+    if _sorted_unique(np.concatenate([acc, rej])).size < acc.size + rej.size:
+        raise AeqsError("acceptance and rejection criteria overlap")
+    acc.flags.writeable = rej.flags.writeable = False
+    return acc, rej
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of a, ascending, in a new array: np.unique's
+    result without the import of numpy.ma that its first call makes."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 @dataclass
 class AeqsInstance:
     """One input's pair of Hamiltonians with decision criteria.
 
-    s_acc and s_rej are disjoint sets of basis indices into the shared
-    evolution space; schema carries the coordinate meaning of those indices.
+    s_acc and s_rej are disjoint criteria arrays (``criteria_arrays``) of
+    basis indices into the shared evolution space, formed from any index
+    collection given; schema carries the coordinate meaning of the indices.
     """
 
     size_bits: int
     epsilon: float
     h_ini: object
     h_fin: object
-    s_acc: frozenset
-    s_rej: frozenset
+    s_acc: np.ndarray
+    s_rej: np.ndarray
     schema: BasisSchema = None
 
     def __post_init__(self):
-        self.s_acc = frozenset(self.s_acc)
-        self.s_rej = frozenset(self.s_rej)
-        if self.s_acc & self.s_rej:
-            raise AeqsError("acceptance and rejection criteria overlap")
+        self.s_acc, self.s_rej = criteria_arrays(self.s_acc, self.s_rej)
         d1, d2 = hamiltonian_dim(self.h_ini), hamiltonian_dim(self.h_fin)
         if d1 != d2:
             raise AeqsError(f"Hamiltonian dimensions differ: {d1} vs {d2}")
@@ -313,12 +337,11 @@ class AeqsInstance:
         return hamiltonian_dim(self.h_fin)
 
 
-def aeqs_instance(schema: BasisSchema, h_ini: ProjectorComplement, h_fin, s_acc: frozenset,
-                  s_rej: frozenset, epsilon: float = DEFAULT_ACCURACY_BOUND) -> AeqsInstance:
+def aeqs_instance(schema: BasisSchema, h_ini: ProjectorComplement, h_fin, s_acc, s_rej,
+                  epsilon: float = DEFAULT_ACCURACY_BOUND) -> AeqsInstance:
     """The instance of one input of a compiled or gallery family: H_ini
     deflates the start state (``deflation_hamiltonian``), H_fin and the
-    criteria index sets are the construction's, and the size is the
-    schema's."""
+    criteria are the construction's, and the size is the schema's."""
     return AeqsInstance(
         size_bits=schema.size_bits,
         epsilon=epsilon,
@@ -380,8 +403,9 @@ def decide_rows(amps: np.ndarray, energies, gaps, unique, acc_idx: np.ndarray,
 
     ``amps`` is a C-contiguous (m, dim) float array, row r holding |psi_r|^2;
     ``energies``, ``gaps`` and ``unique`` give each row's ground energy,
-    spectral gap and uniqueness flag; ``acc_idx`` and ``rej_idx`` are int
-    arrays of the criteria's basis indices, shared by every row.
+    spectral gap and uniqueness flag; ``acc_idx`` and ``rej_idx`` are the
+    criteria's basis indices as ``criteria_arrays`` forms them, shared by
+    every row.
 
     accept  iff accuracy(acc overlap) >= epsilon and acc > rej overlap,
     reject  symmetrically; anything else (including a degenerate ground
@@ -416,19 +440,12 @@ def decide_rows(amps: np.ndarray, energies, gaps, unique, acc_idx: np.ndarray,
     return verdicts
 
 
-def criteria_indices(s: frozenset) -> np.ndarray:
-    """A criteria set's indices as an int array, in the set's iteration
-    order: the order ``decide`` sums them in."""
-    return np.fromiter(s, dtype=np.int64, count=len(s))
-
-
 def decide(instance: AeqsInstance) -> Verdict:
     """Locate the final Hamiltonian's ground state among the criteria spans:
     ``decide_rows`` on its one row."""
     energy, psi, gap, unique = _lowest_two(instance.h_fin)
     return decide_rows((np.abs(psi) ** 2)[None, :], [energy], [gap], [unique],
-                       criteria_indices(instance.s_acc), criteria_indices(instance.s_rej),
-                       instance.epsilon)[0]
+                       instance.s_acc, instance.s_rej, instance.epsilon)[0]
 
 
 def interpolated_hamiltonian(instance: AeqsInstance, s: float) -> np.ndarray:
@@ -677,6 +694,7 @@ def from_oracle(predicate: Callable[[str], bool], alphabet=("0", "1"),
     """
     w = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     h_ini = w @ np.diag([0.0, 1.0]).astype(complex) @ w  # = |1^><1^|
+    s_acc, s_rej = criteria_arrays([1], [0])
 
     def build(x: str) -> AeqsInstance:
         bit = 1 if predicate(x) else 0
@@ -687,8 +705,8 @@ def from_oracle(predicate: Callable[[str], bool], alphabet=("0", "1"),
             epsilon=DEFAULT_ACCURACY_BOUND,
             h_ini=h_ini,
             h_fin=h_fin,
-            s_acc=frozenset({1}),
-            s_rej=frozenset({0}),
+            s_acc=s_acc,
+            s_rej=s_rej,
         )
 
     return AeqsFamily(
@@ -738,17 +756,11 @@ def xor_product(f1: AeqsFamily, f2: AeqsFamily) -> AeqsFamily:
         h_ini = KroneckerSum(a.h_ini, b.h_ini)
         h_fin = KroneckerSum(a.h_fin, b.h_fin)
 
-        def pair(i, j):
-            return i * db + j
+        def pairs(left, right):
+            return (left[:, None] * db + right).ravel()
 
-        s_acc = frozenset(
-            {pair(i, j) for i in a.s_acc for j in b.s_rej}
-            | {pair(i, j) for i in a.s_rej for j in b.s_acc}
-        )
-        s_rej = frozenset(
-            {pair(i, j) for i in a.s_acc for j in b.s_acc}
-            | {pair(i, j) for i in a.s_rej for j in b.s_rej}
-        )
+        s_acc = np.concatenate([pairs(a.s_acc, b.s_rej), pairs(a.s_rej, b.s_acc)])
+        s_rej = np.concatenate([pairs(a.s_acc, b.s_acc), pairs(a.s_rej, b.s_rej)])
         return AeqsInstance(
             size_bits=a.size_bits + b.size_bits,
             epsilon=max(0.0, 4.0 * min(a.epsilon, b.epsilon) - 3.0),

@@ -24,6 +24,7 @@ from .aeqs import (
     check_time_bound_args,
     commutator_check,
     commutator_negligible,
+    criteria_arrays,
     decide,
     deflation_hamiltonian,
     minimum_interpolation_gap,
@@ -83,10 +84,10 @@ def _moqqaf_family(doc: MachineSpecDocument):
 
     schema = level.schema
     h_ini = deflation_hamiltonian(schema.dim, schema.index(schema.state_of(0)))
+    s_acc, s_rej = criteria_arrays(criteria["acc"], criteria["rej"])
 
     def builder(x: str) -> AeqsInstance:
-        return aeqs_instance(schema, h_ini, generate_moqqaf(level, x).operator,
-                             criteria["acc"], criteria["rej"])
+        return aeqs_instance(schema, h_ini, generate_moqqaf(level, x).operator, s_acc, s_rej)
 
     return AeqsFamily(
         alphabet=level.alphabet,

@@ -33,6 +33,7 @@ from .aeqs import (
     DEFAULT_ACCURACY_BOUND,
     ProjectorComplement,
     aeqs_instance,
+    criteria_arrays,
     deflation_hamiltonian,
 )
 from .linalg import (
@@ -84,22 +85,21 @@ def decision_threshold(error_bound: float | None) -> float:
 
 @dataclass
 class MoQfaSpec:
-    """Unitary per symbol on the inner-state space; projective readout."""
+    """Unitary per symbol on the inner-state space; projective readout.
+    q_acc and q_rej are the accepting and rejecting states as
+    ``criteria_arrays`` forms them."""
 
     n_states: int
     alphabet: tuple
     ops: dict                    # CENT/DOLLAR/char -> ndarray
-    q_acc: frozenset
-    q_rej: frozenset
+    q_acc: np.ndarray
+    q_rej: np.ndarray
     initial: int = 0
     error_bound: float | None = None
     name: str = "moqfa"
 
     def __post_init__(self):
-        self.q_acc = frozenset(self.q_acc)
-        self.q_rej = frozenset(self.q_rej)
-        if self.q_acc & self.q_rej:
-            raise CompileError("accepting and rejecting state sets overlap")
+        self.q_acc, self.q_rej = criteria_arrays(self.q_acc, self.q_rej)
         needed = {CENT, DOLLAR, *self.alphabet}
         missing = needed - set(self.ops)
         if missing:
@@ -137,10 +137,7 @@ def run_moqfa(spec: MoQfaSpec, x: str) -> tuple:
     for sym in [CENT, *x, DOLLAR]:
         psi = spec.ops[sym] @ psi
     probs = np.abs(psi) ** 2
-    return (
-        float(sum(probs[q] for q in spec.q_acc)),
-        float(sum(probs[q] for q in spec.q_rej)),
-    )
+    return float(probs[spec.q_acc].sum()), float(probs[spec.q_rej].sum())
 
 
 def from_moqfa(spec: MoQfaSpec) -> AeqsFamily:
@@ -187,7 +184,8 @@ class GarbageQfaSpec:
     Garbage symbols are 1..xi_size (0 is reserved for the blank).  Rigidity
     means every transition emits exactly one non-blank symbol, so reading m
     symbols leaves exactly m garbage cells filled and the induced operators
-    are isometries grade by grade.  Construction builds the step tables
+    are isometries grade by grade.  Construction forms the accepting and
+    rejecting states (``criteria_arrays``), builds the step tables
     (``_garbage_tables``) and checks each symbol's grade map V to be an
     isometry on its table T: V^dagger V = conj(T) T^T.  A spec is not
     changed after construction, since its tables would not follow.
@@ -197,18 +195,15 @@ class GarbageQfaSpec:
     alphabet: tuple
     xi_size: int
     delta: dict                  # (q, symbol) -> list[(p, xi, amp)]
-    q_acc: frozenset
-    q_rej: frozenset
+    q_acc: np.ndarray
+    q_rej: np.ndarray
     initial: int = 0
     error_bound: float | None = None
     name: str = "garbage-1qfa"
     tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.q_acc = frozenset(self.q_acc)
-        self.q_rej = frozenset(self.q_rej)
-        if self.q_acc & self.q_rej:
-            raise CompileError("accepting and rejecting state sets overlap")
+        self.q_acc, self.q_rej = criteria_arrays(self.q_acc, self.q_rej)
         for (q, sym), moves in self.delta.items():
             for (p, xi, _amp) in moves:
                 if not (0 <= p < self.n_states):
@@ -255,8 +250,7 @@ def run_garbage_1qfa(spec: GarbageQfaSpec, x: str) -> tuple:
     content, projective readout on the inner state at the end."""
     _check_symbols(spec, x)
     probs = (np.abs(_garbage_run(spec, spec.tables, x)) ** 2).sum(axis=0)
-    return (float(probs[sorted(spec.q_acc)].sum()),
-            float(probs[sorted(spec.q_rej)].sum()))
+    return float(probs[spec.q_acc].sum()), float(probs[spec.q_rej].sum())
 
 
 def garbage_strings(xi_size: int, max_len: int) -> list:
@@ -279,8 +273,8 @@ class GarbageLayout:
     words: list
     schema: BasisSchema
     h_ini: ProjectorComplement
-    s_acc: frozenset
-    s_rej: frozenset
+    s_acc: np.ndarray
+    s_rej: np.ndarray
 
 
 def garbage_layout(spec: GarbageQfaSpec, length: int) -> GarbageLayout:
@@ -298,20 +292,15 @@ def garbage_layout(spec: GarbageQfaSpec, length: int) -> GarbageLayout:
         )
     words = garbage_strings(xi, max_len)
     schema = BasisSchema([("state", tuple(range(spec.n_states))), ("garbage", tuple(words))])
-
-    def criteria(states):
-        # The union of the ranges [q W, (q + 1) W), inserted in a fixed order:
-        # a frozenset's iteration order, and so the order in which decide
-        # sums the overlaps, can depend on it.
-        return frozenset(itertools.chain.from_iterable(
-            range(q * n_words, (q + 1) * n_words) for q in states))
-
+    # The criteria are the unions of the ranges [q W, (q + 1) W).
+    s_acc, s_rej = criteria_arrays(*((q[:, None] * n_words + np.arange(n_words)).ravel()
+                                     for q in (spec.q_acc, spec.q_rej)))
     return GarbageLayout(
         words=words,
         schema=schema,
         h_ini=deflation_hamiltonian(dim, schema.index((spec.initial, ()))),
-        s_acc=criteria(spec.q_acc),
-        s_rej=criteria(spec.q_rej),
+        s_acc=s_acc,
+        s_rej=s_rej,
     )
 
 
@@ -365,11 +354,10 @@ def random_moqfa_spec(rng: np.random.Generator, n_states: int,
                       alphabet=("0", "1")) -> MoQfaSpec:
     ops = {sym: haar_unitary(rng, n_states) for sym in [CENT, DOLLAR, *alphabet]}
     labels = rng.integers(0, 3, size=n_states)
-    q_acc = frozenset(int(i) for i in np.where(labels == 0)[0])
-    q_rej = frozenset(int(i) for i in np.where(labels == 1)[0])
     return MoQfaSpec(
         n_states=n_states, alphabet=tuple(alphabet), ops=ops,
-        q_acc=q_acc, q_rej=q_rej, initial=int(rng.integers(0, n_states)),
+        q_acc=np.flatnonzero(labels == 0), q_rej=np.flatnonzero(labels == 1),
+        initial=int(rng.integers(0, n_states)),
         name=f"random-moqfa-{n_states}",
     )
 
@@ -389,11 +377,9 @@ def random_garbage_spec(rng: np.random.Generator, n_states: int, xi_size: int,
                         moves.append((p, xi, complex(amp)))
             delta[(q, sym)] = moves
     labels = rng.integers(0, 3, size=n_states)
-    q_acc = frozenset(int(i) for i in np.where(labels == 0)[0])
-    q_rej = frozenset(int(i) for i in np.where(labels == 1)[0])
     return GarbageQfaSpec(
         n_states=n_states, alphabet=tuple(alphabet), xi_size=xi_size,
-        delta=delta, q_acc=q_acc, q_rej=q_rej,
+        delta=delta, q_acc=np.flatnonzero(labels == 0), q_rej=np.flatnonzero(labels == 1),
         initial=int(rng.integers(0, n_states)),
         name=f"random-garbage-{n_states}x{xi_size}",
     )
@@ -411,5 +397,5 @@ def dfa_as_garbage_spec(transitions: dict, n_states: int, q_acc, q_rej,
             delta[(q, sym)] = [(target, q + 1, 1.0)]
     return GarbageQfaSpec(
         n_states=n_states, alphabet=tuple(alphabet), xi_size=n_states,
-        delta=delta, q_acc=frozenset(q_acc), q_rej=frozenset(q_rej), name=name,
+        delta=delta, q_acc=q_acc, q_rej=q_rej, name=name,
     )

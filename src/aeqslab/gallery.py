@@ -59,7 +59,7 @@ from .aeqs import (
     ProjectorComplement,
     aeqs_instance,
     complement,
-    criteria_indices,
+    criteria_arrays,
     decide_rows,
     deflation_hamiltonian,
     diagonal_lowest_two,
@@ -141,22 +141,22 @@ def _measure_once_entry(name: str, level_of: Callable[[int], QqafLevel], start,
 
     H_fin is I - |g><g| with g from the length's ``MeasureOnceGrounds``
     carrier, so its ground energy 0 and gap 1 are exact.
-    ``criteria(n, schema)`` gives the two index sets of length n.  One cache,
-    keyed by length and so bounded by the lengths asked for, not by the
-    inputs, holds each length's carrier, H_ini, criteria and criteria index
-    arrays.  ``build``, the verify rows and the validation report all read
-    it, so the report checks the very level that built the instance.
+    ``criteria(n, schema)`` gives the two index collections of length n.
+    One cache, keyed by length and so bounded by the lengths asked for, not
+    by the inputs, holds each length's carrier, H_ini and criteria, formed
+    once by ``criteria_arrays``.  ``build``, the verify rows and the
+    validation report all read it, so the report checks the very level that
+    built the instance, and every instance of a length shares its criteria.
     """
     @functools.cache
     def parts(n: int) -> tuple:
         carrier = MeasureOnceGrounds(level_of(n))
         schema = carrier.level.schema
-        s_acc, s_rej = criteria(n, schema)
-        return (carrier, deflation_hamiltonian(schema.dim, schema.index(start)), s_acc, s_rej,
-                criteria_indices(s_acc), criteria_indices(s_rej))
+        return (carrier, deflation_hamiltonian(schema.dim, schema.index(start)),
+                *criteria_arrays(*criteria(n, schema)))
 
     def build(x: str) -> AeqsInstance:
-        carrier, h_ini, s_acc, s_rej, _, _ = parts(len(x))
+        carrier, h_ini, s_acc, s_rej = parts(len(x))
         return aeqs_instance(carrier.level.schema, h_ini, ProjectorComplement(carrier.ground(x)),
                              s_acc, s_rej)
 
@@ -164,7 +164,7 @@ def _measure_once_entry(name: str, level_of: Callable[[int], QqafLevel], start,
         # |g|^2 per input, and the spectrum of I - |g><g| as
         # aeqs._projector_lowest_two reads it: ground energy 0, gap 1 (inf
         # on a one-dimensional space) and a unique ground state.
-        carrier, _, _, _, acc_idx, rej_idx = parts(len(xs[0]))
+        carrier, _, acc_idx, rej_idx = parts(len(xs[0]))
         m, dim = len(xs), carrier.level.dim
         amps = np.empty((m, dim))
         for r, x in enumerate(xs):
@@ -240,7 +240,7 @@ def _layout_rows(layout_of: Callable[[str], TrackLayout]) -> Callable:
     states, the reject states and the rest, with the 1 in the ground
     state's bin, and the kernel's sums are the bits of the full row's.
     """
-    acc_idx, rej_idx = np.array([0]), np.array([1])
+    acc_idx, rej_idx = criteria_arrays([0], [1])
 
     def rows(xs: list) -> tuple:
         amps = np.zeros((len(xs), 3))
@@ -435,12 +435,12 @@ def _equal_level(n: int) -> QqafLevel:
 
 def _build_equal() -> GalleryEntry:
     def criteria(n: int, schema: BasisSchema):
-        s_acc = frozenset()
+        s_acc = []
         if n % 2 == 0:
             # Members have n = 2l symbols and land on clock value 3l+1; the
             # schema is (state, clock) with two states.
             s_acc = schema.indices_of([("q1", (3 * (n // 2) + 1) % (schema.dim // 2))])
-        return s_acc, frozenset(range(schema.dim)) - s_acc
+        return s_acc, set(range(schema.dim)).difference(s_acc)
 
     return _measure_once_entry(
         "equal", _equal_level, ("q1", 0), criteria,

@@ -506,7 +506,6 @@ def hadamard_power(k: int) -> np.ndarray:
 
 
 def ilog(x: int) -> int:
-    """ceil(log2(x)) with ilog(0) = 0; the bit size of an index space."""
-    if x <= 1:
-        return 0
-    return int(np.ceil(np.log2(x)))
+    """ceil(log2(x)) with ilog(0) = 0; the bit size of an index space, exact
+    for integers of any size."""
+    return max(0, int(x) - 1).bit_length()

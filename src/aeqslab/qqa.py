@@ -67,7 +67,8 @@ class BasisSchema:
     A curated schema restricts the basis to an explicit subset of tuples
     (used by constructions whose dynamically relevant sector is a small,
     exactly identified part of the full product space); the full-product
-    index set is still recorded for provenance.
+    index set is still recorded for provenance; ``size_bits`` = ceil(log2
+    |IND|) is the qubit count of its enclosing register.
     """
 
     def __init__(self, coords, states=None):
@@ -78,6 +79,7 @@ class BasisSchema:
         self.full_dim = 1
         for _, labels in self.coords:
             self.full_dim *= len(labels)
+        self.size_bits = ilog(self.full_dim)
         if states is None:
             self.states = None
             self.dim = self.full_dim
@@ -92,11 +94,6 @@ class BasisSchema:
     @property
     def curated(self) -> bool:
         return self.states is not None
-
-    @property
-    def size_bits(self) -> int:
-        """m = ceil(log2 |IND|): the qubit count of the enclosing register."""
-        return ilog(self.full_dim)
 
     def index(self, state) -> int:
         state = tuple(state)
@@ -125,20 +122,15 @@ class BasisSchema:
             idx //= len(labels)
         return tuple(reversed(parts))
 
-    def indices_of(self, states) -> frozenset:
-        """Indices of the given tuples, silently skipping absent curated ones.
-
-        The set is filled in ascending order, so its iteration order, which
-        ``aeqs.decide`` sums over, depends on the indices alone: not on the
-        order of ``states``, nor on the process's string hashing.
-        """
+    def indices_of(self, states) -> list:
+        """Indices of the given tuples, silently skipping absent curated ones."""
         out = []
         for s in states:
             s = tuple(s)
             if self._state_index is not None and s not in self._state_index:
                 continue
             out.append(self.index(s))
-        return frozenset(sorted(out))
+        return out
 
     def all_states(self):
         if self._state_index is not None:

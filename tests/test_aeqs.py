@@ -168,6 +168,45 @@ class TestProjectorClosedForm:
         assert h.vector[0] != 2.0 and np.linalg.norm(h.vector) == pytest.approx(1.0)
 
 
+class TestCriteriaArrays:
+    """criteria_arrays, the one place where criteria are formed and checked
+    for overlap."""
+
+    def test_sorted_unique_read_only(self):
+        acc, rej = aeqs.criteria_arrays({9, 3, 7}, [5, 1, 5])
+        assert acc.tolist() == [3, 7, 9] and rej.tolist() == [1, 5]
+        for s in (acc, rej):
+            assert s.dtype == np.int64 and not s.flags.writeable
+        empty, rest = aeqs.criteria_arrays(frozenset(), np.array([2, 0], dtype=np.int32))
+        assert empty.dtype == rest.dtype == np.int64
+        assert empty.size == 0 and rest.tolist() == [0, 2]
+
+    def test_formed_pair_returned_as_is(self):
+        acc, rej = aeqs.criteria_arrays([4, 0], [2])
+        same = aeqs.criteria_arrays(acc, rej)
+        assert same[0] is acc and same[1] is rej
+        # A writeable array is formed anew and leaves the caller's alone.
+        given = np.array([3, 1])
+        formed, _ = aeqs.criteria_arrays(given, [])
+        assert formed is not given and given.flags.writeable and given.tolist() == [3, 1]
+
+    def test_overlap_raises(self):
+        with pytest.raises(AeqsError, match="overlap"):
+            aeqs.criteria_arrays([0, 1], np.array([1, 2]))
+
+    def test_hand_built_instance_with_overlap_raises(self):
+        with pytest.raises(AeqsError, match="overlap"):
+            diag_instance([0, 1], [0, 1], s_acc=(0, 1), s_rej=(1,))
+
+    def test_instance_holds_the_formed_arrays(self):
+        inst = diag_instance([0, 1, 1], [1, 0, 1], s_acc=(2, 0), s_rej=(1,))
+        assert inst.s_acc.tolist() == [0, 2] and not inst.s_acc.flags.writeable
+        swapped = complement(gallery.build("l_prefix_0").family).build("01")
+        direct = gallery.build("l_prefix_0").family.build("01")
+        assert np.array_equal(swapped.s_acc, direct.s_rej)
+        assert np.array_equal(swapped.s_rej, direct.s_acc)
+
+
 class TestDecide:
     def test_full_accepting_space(self):
         inst = diag_instance([0, 1], [0, 1], s_acc=(0, 1))
@@ -330,9 +369,8 @@ class TestDecideRows:
     def test_decide_is_the_one_row_call(self):
         inst = gallery.build("equal").family.build("abab")
         energy, psi, gap, unique = aeqs._lowest_two(inst.h_fin)
-        want = formula_verdict(np.abs(psi) ** 2, energy, gap, unique,
-                               aeqs.criteria_indices(inst.s_acc),
-                               aeqs.criteria_indices(inst.s_rej), inst.epsilon)
+        want = formula_verdict(np.abs(psi) ** 2, energy, gap, unique, inst.s_acc, inst.s_rej,
+                               inst.epsilon)
         assert repr(decide(inst).as_dict()) == repr(want.as_dict())
 
 
@@ -1136,8 +1174,7 @@ def _operator_bytes(h) -> bytes:
 
 def _instance_bytes(inst: AeqsInstance) -> tuple:
     return (_operator_bytes(inst.h_ini), _operator_bytes(inst.h_fin),
-            aeqs.criteria_indices(inst.s_acc).tobytes(),
-            aeqs.criteria_indices(inst.s_rej).tobytes(), inst.epsilon, inst.size_bits)
+            inst.s_acc.tobytes(), inst.s_rej.tobytes(), inst.epsilon, inst.size_bits)
 
 
 class TestBuildersDeterministic:

@@ -341,8 +341,18 @@ class TestUsageErrors:
                         for sym in ("cent", "dollar", "1")},
           "halting": [["u", "v"]]},
          "needs one label per coordinate"),
+        ({"schema": 1, "kind": "moqqaf", "name": "both", "alphabet": ["1"],
+          "dimension_schema": [{"name": "state", "labels": ["u", "v"]}],
+          "operators": {sym: [[["u"], ["u"], 1], [["v"], ["v"], 1]]
+                        for sym in ("cent", "dollar", "1")},
+          "initial_mixture": {"diagonal": [[["u"], 0]]},
+          "halting": [], "criteria": {"acc": [["u"]], "rej": [["v"], ["u"]]}},
+         "overlap"),
+        (dict(MOQFA_DOC, accepting=[0, 1], rejecting=[1]), "overlap"),
+        (dict(GARBAGE_DOC, rejecting=[0]), "overlap"),
     ], ids=["moqfa-no-states", "row-too-large", "row-negative", "garbage-4-fields",
-            "error-bound-above-one", "moqqaf-state-too-long"])
+            "error-bound-above-one", "moqqaf-state-too-long", "moqqaf-criteria-overlap",
+            "moqfa-criteria-overlap", "garbage-1qfa-criteria-overlap"])
     def test_malformed_machine_documents(self, capsys, tmp_path, doc, message):
         specfile = tmp_path / "doc.json"
         specfile.write_text(json.dumps(doc))

@@ -287,3 +287,6 @@ def test_ilog():
     assert linalg.ilog(2) == 1
     assert linalg.ilog(12) == 4
     assert linalg.ilog(4096) == 12
+    # Exact past float precision and past 64 bits.
+    assert linalg.ilog(2**62 + 1) == 63
+    assert linalg.ilog(2**64 + 1) == 65

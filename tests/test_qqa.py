@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from aeqslab import gallery, linalg, qqa
+from aeqslab.aeqs import criteria_arrays
 from aeqslab.linalg import SparseHermitian, spectral_norm
 from aeqslab.qqa import (
     CENT,
@@ -64,28 +65,29 @@ class TestBasisSchema:
         assert schema.dim == 2
         assert schema.full_dim == 3
         assert schema.index((2,)) == 0
-        assert schema.indices_of([(0,), (1,)]) == frozenset({1})
+        assert schema.indices_of([(0,), (1,)]) == [1]
 
     def test_indices_of_order_ignores_input_order(self):
         # String labels hash differently in every process, so a set of
-        # states comes in any order; the index set the decision rule sums
-        # over must iterate the same way whatever that order.  The "b" and
-        # "rej" indices differ by 128, so they share hash slots and the
-        # insertion order would otherwise show through.
+        # states comes in any order; the criteria the decision rule sums
+        # over, formed from its indices by criteria_arrays, must be the same
+        # whatever that order.  The "b" and "rej" indices differ by 128, so
+        # they share hash slots and the insertion order would otherwise show
+        # through.
         schema = BasisSchema([("sym", ("a", "b", "acc", "rej")), ("pos", tuple(range(64)))])
         states = [(sym, pos) for sym in ("b", "rej") for pos in range(0, 64, 4)]
         rng = np.random.default_rng(5)
         orders = set()
         for _ in range(6):
             shuffled = [states[i] for i in rng.permutation(len(states))]
-            orders.add(tuple(schema.indices_of(set(shuffled))))
-            orders.add(tuple(schema.indices_of(shuffled)))
-        assert len(orders) == 1
-        assert set(orders.pop()) == {schema.index(s) for s in states}
+            for indices in (schema.indices_of(set(shuffled)), schema.indices_of(shuffled)):
+                orders.add(tuple(criteria_arrays(indices, [])[0].tolist()))
+        assert orders == {tuple(sorted(schema.index(s) for s in states))}
 
     def test_size_bits(self):
         assert flat_schema(12).size_bits == 4
         assert flat_schema(16).size_bits == 4
+        assert BasisSchema([(f"b{i}", (0, 1)) for i in range(65)]).size_bits == 65
 
 
 class TestSparseOp:

@@ -1,7 +1,7 @@
 """Digest every verdict of the decide benchmark's inputs, for comparing two
 versions of the package bit for bit.
 
-    python3 tools/verdict_digest.py --seed N [--smoke]
+    python3 tools/verdict_digest.py --seed N [--smoke] [--dump DIR]
 
 The inputs come from ``perfbench/workloads.py`` for the given seed and size,
 and the package from this checkout's ``src``.  The script prints one JSON
@@ -19,7 +19,9 @@ line: per part, the SHA-256 of its results serialized as JSON (floats by
 - ``xor``: the dense xor family's verdicts.
 
 Two versions give equal digests on a part only when every one of its
-results is byte-identical.
+results is byte-identical.  ``--dump DIR`` writes each part's hashed lines,
+exactly the bytes fed to SHA-256, to ``DIR/<part>.jsonl``, so that two
+versions' results can be compared line by line.
 """
 
 from __future__ import annotations
@@ -38,21 +40,20 @@ import env  # noqa: E402
 
 class Digest:
     def __init__(self):
-        self.sha = hashlib.sha256()
+        self.lines = []
         self.count = 0
 
     def add(self, *items, count: int = 1):
-        """Hash the items as ``count`` results."""
-        for item in items:
-            self.sha.update(json.dumps(item, sort_keys=True).encode())
-            self.sha.update(b"\n")
+        """Hash the items, one JSON line each, as ``count`` results."""
+        self.lines += [json.dumps(item, sort_keys=True).encode() + b"\n" for item in items]
         self.count += count
 
     def as_dict(self) -> dict:
-        return {"sha256": self.sha.hexdigest(), "count": self.count}
+        return {"sha256": hashlib.sha256(b"".join(self.lines)).hexdigest(),
+                "count": self.count}
 
 
-def digests(seed: int, size: str, workdir: Path) -> dict:
+def digests(seed: int, size: str, workdir: Path, dump: Path | None = None) -> dict:
     workloads = env.fresh_workloads()
     from aeqslab import aeqs, cli, compilers, gallery
 
@@ -87,6 +88,10 @@ def digests(seed: int, size: str, workdir: Path) -> dict:
                                        for a in (h_fin.rows, h_fin.cols, h_fin.vals)])
     for x in dense:
         parts["xor"].add(workloads.dense_family().decide(x).as_dict())
+    if dump is not None:
+        dump.mkdir(parents=True, exist_ok=True)
+        for name, digest in parts.items():
+            (dump / f"{name}.jsonl").write_bytes(b"".join(digest.lines))
     return {name: digest.as_dict() for name, digest in parts.items()}
 
 
@@ -94,11 +99,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--smoke", action="store_true", help="the benchmark's tiny inputs")
+    parser.add_argument("--dump", type=Path, metavar="DIR",
+                        help="write each part's hashed lines to DIR/<part>.jsonl")
     args = parser.parse_args(argv)
     env.pin_threads()
     env.add_src()
     with tempfile.TemporaryDirectory() as workdir:
-        parts = digests(args.seed, "smoke" if args.smoke else "full", Path(workdir))
+        parts = digests(args.seed, "smoke" if args.smoke else "full", Path(workdir), args.dump)
     print(json.dumps({"seed": args.seed, "smoke": args.smoke, "parts": parts}, sort_keys=True))
     return 0
 
