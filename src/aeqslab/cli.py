@@ -83,7 +83,7 @@ def _moqqaf_family(doc: MachineSpecDocument):
         )
 
     schema = level.schema
-    h_ini = deflation_hamiltonian(schema.dim, schema.index(schema.state_of(0)))
+    h_ini = deflation_hamiltonian(schema.dim, 0)     # starts on the first basis state
     s_acc, s_rej = criteria_arrays(criteria["acc"], criteria["rej"])
 
     def builder(x: str) -> AeqsInstance:

@@ -605,10 +605,13 @@ def find_sufficient_t(instance: AeqsInstance, target_overlap_sq: float,
     than STEP_BUDGET steps (it is then not run), the result carries the best
     overlap found and converged=False instead of failing silently; with no
     evaluation run, that is overlap 0 at t_start.  ``r_policy`` is called
-    once per evaluation, skipped ones included.
+    once per evaluation, skipped ones included.  ``t_start`` must be finite
+    and positive, or the doubling would never leave it.
     """
     if not 0.0 < target_overlap_sq < 1.0:
         raise EvolveError("target overlap must lie strictly between 0 and 1")
+    if not (math.isfinite(t_start) and t_start > 0.0):
+        raise EvolveError(f"t_start must be finite and positive, got {t_start!r}")
     r_policy = r_policy or default_r_policy
     evaluations = []
 

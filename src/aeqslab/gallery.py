@@ -91,9 +91,7 @@ class PromiseError(GalleryError):
 
 def permutation_op(schema: BasisSchema, step: Callable) -> SparseOp:
     """The permutation operator |step(s)><s| summed over the basis states s."""
-    return SparseOp.permutation(
-        schema.dim, {schema.index(s): schema.index(step(s)) for s in schema.all_states()}
-    )
+    return SparseOp.permutation([schema.index(step(s)) for s in schema.all_states()])
 
 
 @dataclass
@@ -289,10 +287,10 @@ def _register_level(track: _Track, alphabet: tuple, name: str) -> QqafLevel:
     ops = {c: [permutation_op(schema, lambda s, c=c: track.move(s, c))]
            for c in (CENT, *alphabet)}
     branches = {}
-    for s in schema.all_states():
+    for col, s in enumerate(schema.all_states()):
         for b, hit in enumerate(track.endmarker(s)):
             if hit is not None:
-                branches.setdefault(b, []).append((schema.index(hit[0]), schema.index(s), hit[1]))
+                branches.setdefault(b, []).append((schema.index(hit[0]), col, hit[1]))
     ops[DOLLAR] = [SparseOp.from_rules(schema.dim, rules) for rules in branches.values()]
     return QqafLevel(schema=schema, alphabet=alphabet, ops=ops,
                      lam0=SparseHermitian.diagonal(np.ones(schema.dim)), name=name)
@@ -395,18 +393,10 @@ def _equal_level(n: int) -> QqafLevel:
     schema = BasisSchema([("state", ("q1", "q2")), ("clock", tuple(range(clock)))])
     inv = 1.0 / math.sqrt(2.0)
 
-    def idx(q, i):
-        return schema.index((q, i % clock))
-
     def split_rules(advance: int):
         # W-style recombination: q1 -> (q1 + q2)/sqrt2, q2 -> (q1 - q2)/sqrt2.
-        rules = []
-        for i in range(clock):
-            rules.append((idx("q1", i + advance), idx("q1", i), inv))
-            rules.append((idx("q2", i + advance), idx("q1", i), inv))
-            rules.append((idx("q1", i + advance), idx("q2", i), inv))
-            rules.append((idx("q2", i + advance), idx("q2", i), -inv))
-        return rules
+        return [(schema.index((r, (i + advance) % clock)), col, -inv if q == r == "q2" else inv)
+                for col, (q, i) in enumerate(schema.all_states()) for r in ("q1", "q2")]
 
     # The left endmarker splits the branches without moving the clock; the
     # right endmarker recombines them with one final clock tick.  Members
@@ -426,7 +416,7 @@ def _equal_level(n: int) -> QqafLevel:
         "b": [stepper(1, 2)],
     }
     lam = np.ones(schema.dim)
-    lam[idx("q1", 0)] = 0.0
+    lam[schema.index(("q1", 0))] = 0.0
     return QqafLevel(
         schema=schema, alphabet=("a", "b"), ops=ops,
         lam0=SparseHermitian.diagonal(lam), name=f"equal[n={n}]",
@@ -846,11 +836,7 @@ def _pal_level(x: str) -> TwoWayQqafLevel:
     n_pos = n + 2
     hash_pos = x.index("#") + 1 if "#" in x else n + 1
     phases = (0, 1, 2)
-    inner = tuple(
-        (q, k, q0, k0, h0)
-        for q in _PAL_Q for k in phases
-        for q0 in _PAL_Q for k0 in phases for h0 in range(n_pos)
-    )
+    inner = tuple(itertools.product(_PAL_Q, phases, _PAL_Q, phases, range(n_pos)))
     schema = surface_schema(inner, n)
     shape = (len(_PAL_Q), len(phases), len(_PAL_Q), len(phases), n_pos, n_pos)
     q, k, q0, k0, h0, pos = np.unravel_index(np.arange(schema.dim), shape)

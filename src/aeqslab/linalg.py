@@ -236,11 +236,14 @@ class SparseOp:
         return cls(dim, idx, idx, np.ones(dim))
 
     @classmethod
-    def permutation(cls, dim: int, mapping) -> "SparseOp":
-        """mapping: col -> row; must be a bijection on range(dim)."""
-        if set(mapping) != set(range(dim)) or set(mapping.values()) != set(range(dim)):
-            raise LinalgError("permutation mapping is not a bijection")
-        return cls(dim, list(mapping.values()), list(mapping.keys()), np.ones(dim))
+    def permutation(cls, targets) -> "SparseOp":
+        """The permutation sending column c to row targets[c]; the targets
+        must be a rearrangement of range(len(targets))."""
+        rows = np.asarray(targets, dtype=np.int64)
+        dim = len(rows)
+        if not np.array_equal(np.sort(rows), np.arange(dim)):
+            raise LinalgError("permutation targets are not a bijection")
+        return cls(dim, rows, np.arange(dim), np.ones(dim))
 
     @classmethod
     def from_dense(cls, mat: np.ndarray) -> "SparseOp":

@@ -35,6 +35,7 @@ input shares with the one before.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,9 @@ class BasisSchema:
     exactly identified part of the full product space); the full-product
     index set is still recorded for provenance; ``size_bits`` = ceil(log2
     |IND|) is the qubit count of its enclosing register.
+
+    ``all_states()`` lists the basis in index order, so a state's position
+    in it is its column; ``index`` is the one lookup from a state.
     """
 
     def __init__(self, coords, states=None):
@@ -113,15 +117,6 @@ class BasisSchema:
             idx = idx * len(labels) + pos
         return idx
 
-    def state_of(self, idx: int):
-        if self._state_index is not None:
-            return self.states[idx]
-        parts = []
-        for _, labels in reversed(self.coords):
-            parts.append(labels[idx % len(labels)])
-            idx //= len(labels)
-        return tuple(reversed(parts))
-
     def indices_of(self, states) -> list:
         """Indices of the given tuples, silently skipping absent curated ones."""
         out = []
@@ -132,10 +127,12 @@ class BasisSchema:
             out.append(self.index(s))
         return out
 
-    def all_states(self):
+    def all_states(self) -> list:
+        """The basis states in index order: the curated list, or the product
+        of the label sets, most significant coordinate first."""
         if self._state_index is not None:
             return list(self.states)
-        return [self.state_of(i) for i in range(self.dim)]
+        return list(itertools.product(*(labels for _, labels in self.coords)))
 
     def describe(self) -> dict:
         return {

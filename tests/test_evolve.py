@@ -608,6 +608,23 @@ class TestFindSufficientT:
         res = find_sufficient_t(inst, 0.99, r_policy=lambda t: STEP_BUDGET + 1, t_start=3.0)
         assert (res.t, res.overlap_sq, res.converged, res.evaluations) == (3.0, 0.0, False, [])
 
+    @pytest.mark.parametrize("t_start", [0.0, math.nan, math.inf, -1.0])
+    def test_start_must_be_finite_and_positive(self, t_start):
+        # Doubling 0 stays at 0, so a search from it would never end; the
+        # policy stops such a search after 20 evaluations.
+        inst = gallery.build("equal").family.build("ab")
+        asked = []
+
+        def policy(t):
+            asked.append(t)
+            if len(asked) > 20:
+                raise RuntimeError(f"search still running: asked {asked[:3]}...")
+            return 8
+
+        with pytest.raises(EvolveError, match="t_start"):
+            find_sufficient_t(inst, 0.99, r_policy=policy, t_start=t_start)
+        assert asked == []
+
     def test_default_policy_floor(self):
         assert default_r_policy(0.5) == 64
         assert default_r_policy(10.0) == 1000

@@ -17,6 +17,7 @@ from aeqslab.qqa import (
     CENT,
     DOLLAR,
     STEP,
+    BasisSchema,
     MeasureOnceGrounds,
     SparseOp,
     UnknownSymbolError,
@@ -759,3 +760,35 @@ class TestTrackRoutes:
         except LinalgError:
             passed = False
         assert not passed
+
+
+class TestPermutationOp:
+    """``permutation_op`` reads each column's index off the schema's
+    enumeration; a reference built state by state from ``index`` agrees."""
+
+    @staticmethod
+    def reference(schema, step):
+        mapping = {schema.index(s): schema.index(step(s)) for s in schema.all_states()}
+        return SparseOp.from_rules(schema.dim, [(row, col, 1.0) for col, row in mapping.items()])
+
+    @staticmethod
+    def cases():
+        prefix = gallery._prefix_level(3, "0").schema
+        yield prefix, lambda s: (s[0], (s[1] + 1) % 5)
+        yield prefix, lambda s: ({"q0": "q2", "q2": "q0"}.get(s[0], s[0]), s[1])
+        clock = gallery._equal_level(4).schema
+        yield clock, lambda s: (s[0], (s[1] + (2 if s[0] == "q1" else 1)) % 8)
+        curated = BasisSchema([("q", ("a", "b", "c")), ("pos", (0, 1))],
+                              states=[("b", 1), ("a", 0), ("c", 1), ("a", 1)])
+        yield curated, lambda s: {("b", 1): ("a", 1), ("a", 1): ("b", 1)}.get(s, s)
+        for layout, symbols in ((gallery._multdup_layout("01#01#01"), (CENT, "0", "#", DOLLAR)),
+                                (gallery._sym_coin_layout("abbaab"), (CENT, "a", "b", DOLLAR))):
+            for track in layout.tracks.values():
+                for c in symbols:
+                    yield BasisSchema(track.registers), lambda s, c=c, t=track: t.move(s, c)
+
+    def test_matches_per_state_reference(self):
+        for schema, step in self.cases():
+            op, ref = gallery.permutation_op(schema, step), self.reference(schema, step)
+            for a, b in ((op.rows, ref.rows), (op.cols, ref.cols), (op.vals, ref.vals)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)

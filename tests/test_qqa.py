@@ -47,12 +47,18 @@ class TestBasisSchema:
         assert schema.index(("a", 0)) == 0
         assert schema.index(("a", 1)) == 1
         assert schema.index(("b", 0)) == 2
-        assert schema.state_of(5) == ("c", 1)
+        assert schema.all_states()[5] == ("c", 1)
 
     def test_round_trip(self):
-        schema = BasisSchema([("x", (0, 1, 2)), ("y", ("u", "v")), ("z", (0, 1))])
-        for i in range(schema.dim):
-            assert schema.index(schema.state_of(i)) == i
+        # all_states() lists the basis in index order, whatever the radices.
+        for coords in ([("x", (0, 1, 2)), ("y", ("u", "v")), ("z", (0, 1))],
+                       [("a", ("only",))], [("a", tuple(range(5)))],
+                       [("a", ("z", "y", "x")), ("b", ("u",)), ("c", tuple(range(12)))],
+                       [(f"b{i}", (0, 1)) for i in range(4)]):
+            schema = BasisSchema(coords)
+            states = schema.all_states()
+            assert len(states) == schema.dim
+            assert [schema.index(s) for s in states] == list(range(schema.dim))
 
     @pytest.mark.parametrize("state", [(1,), (1, "y", "extra")])
     def test_wrong_coordinate_count_rejected(self, state):
@@ -66,6 +72,7 @@ class TestBasisSchema:
         assert schema.full_dim == 3
         assert schema.index((2,)) == 0
         assert schema.indices_of([(0,), (1,)]) == [1]
+        assert schema.all_states() == [(2,), (0,)]
 
     def test_indices_of_order_ignores_input_order(self):
         # String labels hash differently in every process, so a set of
@@ -101,10 +108,17 @@ class TestSparseOp:
         assert np.allclose(a.adjoint().to_dense(), a.to_dense().conj().T)
 
     def test_permutation_requires_bijection(self):
-        with pytest.raises(Exception):
-            SparseOp.permutation(2, {0: 0, 1: 0})
-        with pytest.raises(linalg.LinalgError):
-            SparseOp.permutation(2, {0: 0, 2: 1})
+        # A repeated, an out-of-range and a negative target.
+        for targets in ([0, 0], [1, 2, 0, 0], [0, 2], [-1, 0]):
+            with pytest.raises(linalg.LinalgError, match="bijection"):
+                SparseOp.permutation(targets)
+
+    @pytest.mark.parametrize("dim", [0, 1, 2, 7])
+    def test_permutation_matches_dense(self, dim):
+        targets = np.random.default_rng(dim).permutation(dim)
+        dense = np.zeros((dim, dim), dtype=complex)
+        dense[targets, np.arange(dim)] = 1.0
+        assert np.array_equal(SparseOp.permutation(list(targets)).to_dense(), dense)
 
     def test_from_rules_rejects_out_of_range(self):
         for bad in [(2, 0, 1.0), (0, 2, 1.0), (-1, 0, 1.0)]:
@@ -324,8 +338,7 @@ class TestGenerate2qqaf:
             schema=schema,
             lam0=SparseHermitian.diagonal(np.arange(schema.dim, dtype=float)),
             ops={CENT: [SparseOp.identity(schema.dim)],
-                 STEP: [SparseOp.permutation(schema.dim,
-                                             {p: (p + 1) % n_pos for p in range(n_pos)})]},
+                 STEP: [SparseOp.permutation([(p + 1) % n_pos for p in range(n_pos)])]},
             steps=t_steps,
             name="mini2",
         )

@@ -16,7 +16,12 @@ line: per part, the SHA-256 of its results serialized as JSON (floats by
 - ``pal_operators``: for the same inputs, the SHA-256 of the bytes of each
   generated H_fin's row, column and value arrays, read from
   ``family.build(x)``;
-- ``xor``: the dense xor family's verdicts.
+- ``xor``: the dense xor family's verdicts;
+- ``levels``: for each sweep entry, the first swept input of each length,
+  and of each level in ``entry.validation_levels(x)`` its name, then the
+  SHA-256 of the bytes of the row, column and value arrays of every
+  operator, symbols sorted, and of Lambda0.  Two level builders agree on
+  this part only when their operators are byte-identical.
 
 Two versions give equal digests on a part only when every one of its
 results is byte-identical.  ``--dump DIR`` writes each part's hashed lines,
@@ -53,6 +58,12 @@ class Digest:
                 "count": self.count}
 
 
+def op_bytes(op) -> list:
+    """The dtype and the SHA-256 of the bytes of each of an operator's arrays."""
+    return [(str(a.dtype), hashlib.sha256(a.tobytes()).hexdigest())
+            for a in (op.rows, op.cols, op.vals)]
+
+
 def digests(seed: int, size: str, workdir: Path, dump: Path | None = None) -> dict:
     workloads = env.fresh_workloads()
     from aeqslab import aeqs, cli, compilers, gallery
@@ -60,7 +71,7 @@ def digests(seed: int, size: str, workdir: Path, dump: Path | None = None) -> di
     sweep = workloads.Sweep(seed, size, workdir)
     sweep.setup()
     parts = {name: Digest() for name in ("verify", "moqfa", "garbage", "pal_marked",
-                                         "pal_operators", "xor")}
+                                         "pal_operators", "xor", "levels")}
     for name, inputs in sweep.verify_inputs:
         report = gallery.verify(gallery.build(name), inputs)
         parts["verify"].add(report.as_dict(), [
@@ -84,10 +95,19 @@ def digests(seed: int, size: str, workdir: Path, dump: Path | None = None) -> di
     pal_marked = gallery.build("pal_marked").family
     for x in sparse:
         h_fin = pal_marked.build(x).h_fin
-        parts["pal_operators"].add(x, [(str(a.dtype), hashlib.sha256(a.tobytes()).hexdigest())
-                                       for a in (h_fin.rows, h_fin.cols, h_fin.vals)])
+        parts["pal_operators"].add(x, op_bytes(h_fin))
     for x in dense:
         parts["xor"].add(workloads.dense_family().decide(x).as_dict())
+    for name, inputs in sweep.verify_inputs:
+        entry = gallery.build(name)
+        firsts = {}
+        for x in inputs:
+            firsts.setdefault(len(x), x)
+        for x in firsts.values():
+            for level in entry.validation_levels(x):
+                parts["levels"].add(level.name, [(c, [op_bytes(op) for op in level.ops[c]])
+                                                 for c in sorted(level.ops)],
+                                    op_bytes(level.lam0))
     if dump is not None:
         dump.mkdir(parents=True, exist_ok=True)
         for name, digest in parts.items():
