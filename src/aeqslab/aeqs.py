@@ -67,8 +67,9 @@ class ProjectorComplement:
 
     def __init__(self, vector: np.ndarray):
         vector = np.array(vector, dtype=complex)
-        norm = np.linalg.norm(vector)
-        if abs(norm - 1.0) > NORM_TOL:
+        norm = math.sqrt(np.vdot(vector, vector).real)
+        # A negated <=, so that a vector with a nan entry is rejected too.
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise AeqsError(f"deflation vector not normalized: |v| = {norm}")
         vector.flags.writeable = False
         self.vector = vector
@@ -194,14 +195,9 @@ def lowest_pairs(h, k: int) -> list:
 
     Eigen paths: ProjectorComplement is closed form
     (``_projector_eigenpairs``), KroneckerSum combines its factors' lowest
-    pairs, and a dense matrix runs the full checked dense eigensolve.  A
-    diagonal SparseHermitian needs no eigensolve at any dim: a stable
-    argsort of its diagonal gives the pairs, with hermitian_eig as its
-    oracle in tier-1.  Any other SparseHermitian runs Lanczos above dim
-    min(SPARSE_EIG_MIN_DIM, dense_max()) and is densified into the dense
-    eigensolve at or below it, where that is the cheaper route; the
-    dense_max() bound keeps a lowered AEQS_DENSE_MAX from turning a small
-    sparse instance into a CapacityError.
+    pairs, a SparseHermitian is solved one connected component at a time
+    (``_component_pairs``), and a dense matrix runs the full checked dense
+    eigensolve.
     """
     k = int(k)
     dim = hamiltonian_dim(h)
@@ -217,26 +213,48 @@ def lowest_pairs(h, k: int) -> list:
         sums = sorted(((la + lb, i, j) for i, (la, _) in enumerate(pa)
                        for j, (lb, _) in enumerate(pb)), key=lambda t: t[0])
         return [(value, np.kron(pa[i][1], pb[j][1])) for value, i, j in sums[:k]]
-    values = _diagonal(h)
-    if values is not None:
-        # The pairs are its entries, ascending and ties in index order, with
-        # basis vectors.
-        return [(float(values[i]), np.eye(1, dim, i, dtype=complex)[0])
-                for i in np.argsort(values, kind="stable")[:k]]
-    if isinstance(h, SparseHermitian) and dim > min(SPARSE_EIG_MIN_DIM, dense_max()):
-        return lowest_eigenpairs(h, k)
+    if isinstance(h, SparseHermitian):
+        return _component_pairs(h, k)
     dec = hermitian_eig(as_dense(h))
     return [(float(dec.values[i]), dec.vectors[:, i]) for i in range(k)]
 
 
-def _diagonal(h) -> np.ndarray | None:
-    """The diagonal of a SparseHermitian that stores nothing off it, else
-    None."""
-    if not (isinstance(h, SparseHermitian) and np.array_equal(h.rows, h.cols)):
-        return None
-    values = np.zeros(h.dim)
-    values[h.rows] = h.vals.real
-    return values
+def _component_pairs(h: SparseHermitian, k: int) -> list:
+    """The k lowest pairs of a SparseHermitian from the connected components
+    of its off-diagonal pattern (``SparseHermitian.components``).
+
+    A one-index component gives its diagonal entry with a basis vector.  A
+    larger one gives its min(k, size) lowest pairs: by Lanczos on the
+    component alone above dim min(SPARSE_EIG_MIN_DIM, dense_max()), else by
+    the checked dense eigensolve of its submatrix, the cheaper route there;
+    the dense_max() bound keeps a lowered AEQS_DENSE_MAX from turning a
+    small sparse instance into a CapacityError.  The candidates merge in one
+    stable order: value, then the component's lowest basis index, then the
+    order within the component.  So a diagonal operator gives the stable
+    argsort of its diagonal, ties in index order, and a connected one the
+    dense or Lanczos pairs of the whole space.
+    """
+    singles, values, blocks = h.components()
+    lanczos_above = min(SPARSE_EIG_MIN_DIM, dense_max())
+    # Candidates (value, lowest index, slot, members, amplitudes).  Only the
+    # k lowest one-index components, ties in index order, can be among the
+    # k lowest pairs.
+    candidates = [(float(values[i]), int(singles[i]), 0, singles[i:i + 1], 1.0)
+                  for i in np.argsort(values, kind="stable")[:k]]
+    for members, block in blocks:
+        if block.dim > lanczos_above:
+            pairs = lowest_eigenpairs(block, min(k, block.dim))
+        else:
+            dec = hermitian_eig(block.to_dense())
+            pairs = zip(dec.values[:k], dec.vectors[:, :k].T)
+        candidates += [(float(value), int(members[0]), slot, members, v)
+                       for slot, (value, v) in enumerate(pairs)]
+    result = []
+    for value, _, _, members, v in sorted(candidates, key=lambda c: c[:3])[:k]:
+        vector = np.zeros(h.dim, dtype=complex)
+        vector[members] = v
+        result.append((value, vector))
+    return result
 
 
 def diagonal_lowest_two(values: np.ndarray) -> tuple:

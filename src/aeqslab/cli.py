@@ -9,6 +9,7 @@ printed with 12 significant digits and files carry full precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -272,7 +273,10 @@ def cmd_gallery_list(_args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def command_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves it
+    unchanged, so every call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="aeqslab",
         description="Ground-state language deciders generated by quantum quasi-automata.",
@@ -328,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = command_parser().parse_args(argv)
 
     # --seed applies to this command only: main may run again in one process.
     seed = linalg.LANCZOS_SEED

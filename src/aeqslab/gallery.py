@@ -842,16 +842,18 @@ def _pal_level(x: str) -> TwoWayQqafLevel:
     q, k, q0, k0, h0, pos = np.unravel_index(np.arange(schema.dim), shape)
 
     def kraus_pair(blocks) -> list:
-        """blocks: (op, mask, new (q, k, q0, k0, h0, pos), amplitude) with
-        coordinates and amplitude broadcast against the columns; each masked
-        column gets one entry in Kraus operator `op`."""
+        """blocks: (op, mask, new (q, k, q0, k0, h0, pos), amplitude), each
+        coordinate and the amplitude a scalar or an array over the columns;
+        each masked column gets one entry in Kraus operator `op`."""
         parts = ([], [])
         for op, mask, coords, amp in blocks:
             cols = np.flatnonzero(mask)
-            coords = [np.broadcast_to(c, mask.shape)[cols] for c in coords]
-            parts[op].append((np.ravel_multi_index(coords, shape), cols,
-                              np.broadcast_to(amp, mask.shape)[cols]))
+            coords = [at_columns(c, cols) for c in coords]
+            parts[op].append((np.ravel_multi_index(coords, shape), cols, at_columns(amp, cols)))
         return [SparseOp(schema.dim, *map(np.concatenate, zip(*part))) for part in parts]
+
+    def at_columns(c, cols) -> np.ndarray:
+        return np.full(cols.size, c) if np.isscalar(c) else c[cols]
 
     # First move: the fixation pair folded with the endmarker scan (head
     # 0 -> 1): keep states whose leading registers already read xi0, park

@@ -13,10 +13,12 @@ Conventions used across the package:
 Dense eigensolves are delegated to LAPACK (``numpy.linalg.eigh``) behind the
 contract checks below; the sparse path is a hand-rolled Lanczos iteration
 with full reorthogonalization so that dense and sparse routes stay
-independent of each other.  Sparse operators of dimension at most
-``SPARSE_EIG_MIN_DIM`` are cheaper to densify and solve on the dense path,
-so ``aeqs.lowest_pairs`` takes Lanczos only above it, or above
-``dense_max()`` where that is lower, and never for a diagonal operator.
+independent of each other.  ``aeqs.lowest_pairs`` solves a SparseHermitian
+one connected component of its off-diagonal pattern at a time
+(``SparseHermitian.components``): a one-index component is its diagonal
+entry, and a larger one is cheaper to densify and solve on the dense path
+at dimension at most ``SPARSE_EIG_MIN_DIM``, so it takes Lanczos only above
+that, or above ``dense_max()`` where that is lower.
 """
 
 from __future__ import annotations
@@ -368,6 +370,60 @@ class SparseHermitian(SparseOp):
 
     def nnz(self) -> int:
         return int(np.count_nonzero(self.rows <= self.cols))
+
+    def components(self) -> tuple:
+        """(singles, values, blocks): the connected components of the stored
+        off-diagonal pattern.
+
+        ``singles`` holds the one-index components, ascending, and ``values``
+        their diagonal entries (0.0 where none is stored).  ``blocks`` lists
+        each larger component as (members, op) in order of its lowest index:
+        members ascending, and op the principal submatrix on them, a
+        SparseHermitian storing the component's entries in their order,
+        renumbered.  One component over the whole space gives op with this
+        op's storage.
+
+        Labels come from min-label propagation with pointer jumping: each
+        index takes the lowest label among itself and its neighbours, then
+        that label's label, until nothing moves.  Both triangles are stored,
+        so the labels settle at each component's lowest index.
+        """
+        dim = self.dim
+        off = self.rows != self.cols
+        rows, cols = self.rows[off], self.cols[off]
+        labels = np.arange(dim)
+        while True:
+            lowered = labels.copy()
+            np.minimum.at(lowered, rows, labels[cols])
+            lowered = lowered[lowered]
+            if np.array_equal(lowered, labels):
+                break
+            labels = lowered
+        sizes = np.bincount(labels, minlength=dim)[labels]
+        singles = np.flatnonzero(sizes == 1)
+        values = np.zeros(dim)
+        values[self.rows[~off]] = self.vals[~off].real
+        # Group the members and the entries of the larger components by
+        # label, each group in index and (row, col) order.
+        members = np.flatnonzero(sizes > 1)
+        members = members[np.argsort(labels[members], kind="stable")]
+        entries = np.flatnonzero(sizes[self.rows] > 1)
+        entries = entries[np.argsort(labels[self.rows[entries]], kind="stable")]
+        local = np.empty(dim, dtype=np.int64)
+        blocks = []
+        for idx, e in zip(_runs(members, labels[members]),
+                          _runs(entries, labels[self.rows[entries]])):
+            local[idx] = np.arange(idx.size)
+            op = SparseHermitian.__new__(SparseHermitian)
+            op._set(idx.size, local[self.rows[e]], local[self.cols[e]], self.vals[e])
+            blocks.append((idx, op))
+        return singles, values[singles], blocks
+
+
+def _runs(a: np.ndarray, keys: np.ndarray) -> list:
+    """The pieces of a over which the sorted keys stay equal, in order."""
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return [a[i:j] for i, j in zip(starts, np.append(starts[1:], a.size))]
 
 
 def _lanczos_lowest_one(matvec, n, *, rng, max_iter, deflate):

@@ -167,6 +167,16 @@ class TestProjectorClosedForm:
         g[0] = 2.0          # the caller's array stays writable and its own
         assert h.vector[0] != 2.0 and np.linalg.norm(h.vector) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("g", [[1.0, 1e-4], [0.6, 0.8j + 2e-10j], [np.nan, 1.0],
+                                   [np.inf, 0.0], [0.0, 0.0]])
+    def test_vector_must_be_normalized(self, g):
+        with pytest.raises(AeqsError, match="not normalized"):
+            ProjectorComplement(np.array(g))
+
+    def test_norm_check_within_tolerance(self):
+        ProjectorComplement(np.array([0.6, 0.8j + 1e-11j]))
+        ProjectorComplement(random_unit(np.random.default_rng(5), 1000))
+
 
 class TestCriteriaArrays:
     """criteria_arrays, the one place where criteria are formed and checked
@@ -640,9 +650,9 @@ def moqqaf_route(entry, x, inst):
 
 
 class TestSparseDenseCrossover:
-    """A SparseHermitian at or below SPARSE_EIG_MIN_DIM is solved densely;
-    Lanczos stays the route above it and the oracle below it.  A diagonal
-    one takes a stable argsort of its diagonal at every dim.  The
+    """A connected SparseHermitian at or below SPARSE_EIG_MIN_DIM is solved
+    densely; Lanczos stays the route above it and the oracle below it.  A
+    diagonal one takes a stable argsort of its diagonal at every dim.  The
     measure-once entries are decided through their generate_moqqaf
     operators here; tests/test_gallery.py checks their stored I - |g><g|
     against that route."""
@@ -754,6 +764,143 @@ class TestSparseDenseCrossover:
         assert decide(inst).outcome == "accept"
         assert calls == {"lanczos": 1, "dense": 0}
 
+
+    def test_connected_operator_is_one_whole_space_call(self):
+        # One component over the whole space: the pairs are the bits of the
+        # dense or Lanczos call on the operator itself.
+        for dim in (SPARSE_EIG_MIN_DIM - 1, SPARSE_EIG_MIN_DIM, SPARSE_EIG_MIN_DIM + 1):
+            h = random_sparse(np.random.default_rng(dim), dim)
+            singles, _, blocks = h.components()
+            assert singles.size == 0 and [block.dim for _, block in blocks] == [dim]
+            if dim > SPARSE_EIG_MIN_DIM:
+                want = lowest_eigenpairs(h, 3)
+            else:
+                dec = hermitian_eig(h.to_dense())
+                want = [(dec.values[i], dec.vectors[:, i]) for i in range(3)]
+            for (a, u), (b, v) in zip(lowest_pairs(h, 3), want, strict=True):
+                assert np.float64(a).tobytes() == np.float64(b).tobytes()
+                assert u.tobytes() == np.ascontiguousarray(v).tobytes()
+
+
+def pal_inputs():
+    """Every pal_marked input w#v with |w|, |v| <= 2; the benchmark draws
+    those with |w| = |v| = 2."""
+    words = ["".join(w) for n in range(3) for w in itertools.product("ab", repeat=n)]
+    return [w + "#" + v for w in words for v in words]
+
+
+# Block sizes drawn by block_diagonal: singletons, and blocks below, at and
+# above SPARSE_EIG_MIN_DIM.
+BLOCK_SIZES = (1, 1, 1, 2, 3, 7, SPARSE_EIG_MIN_DIM, SPARSE_EIG_MIN_DIM + 5)
+BLOCK_LEVELS = (-1.0, -0.25, 0.0, 0.5, 2.0)
+
+
+@st.composite
+def block_diagonal(draw):
+    """(h, groups, k): a block-diagonal SparseHermitian under a random index
+    permutation, the index set of each block, and a pair count.
+
+    Each block is a random-basis matrix whose eigenvalues are drawn from
+    BLOCK_LEVELS, so values repeat inside a block and across blocks; with so
+    few distinct values Lanczos also ends on an exact Krylov space, which is
+    what lets its pairs meet the dense tolerances below.  Every entry of a
+    block is stored, so each block is one component."""
+    sizes = draw(st.lists(st.sampled_from(BLOCK_SIZES), min_size=1, max_size=7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = sum(sizes)
+    perm = rng.permutation(dim)
+    groups, rows, cols, vals = [], [], [], []
+    for start, size in zip(np.cumsum(sizes) - sizes, sizes):
+        idx = perm[start:start + size]
+        levels = rng.choice(BLOCK_LEVELS, size)
+        block = np.diag(levels) if size == 1 else random_hermitian(rng, levels)
+        r, c = np.triu_indices(size)
+        groups.append(np.sort(idx))
+        rows.append(idx[r])
+        cols.append(idx[c])
+        vals.append(block[r, c])
+    h = SparseHermitian(dim, *map(np.concatenate, (rows, cols, vals)))
+    return h, groups, draw(st.integers(1, min(dim, 6)))
+
+
+def lowest_multiplicity(values) -> int:
+    return int(np.count_nonzero(np.asarray(values) - values[0] <= DEGENERACY_TOL))
+
+
+class TestComponentRoute:
+    """lowest_pairs on a SparseHermitian that splits into several components:
+    singletons give their diagonal entries, blocks the dense or Lanczos
+    pairs of their submatrices, merged by value, then the component's
+    lowest index, then the order within the block.  The dense eigensolve of
+    the whole operator is the oracle."""
+
+    @given(block_diagonal())
+    @settings(max_examples=40, deadline=None)
+    def test_pairs_match_dense_eigensolve(self, drawn):
+        h, groups, k = drawn
+        singles, _, blocks = h.components()
+        found = [(i,) for i in singles] + [tuple(members) for members, _ in blocks]
+        assert sorted(found) == sorted(map(tuple, groups))
+        with pytest.MonkeyPatch.context() as m:
+            calls = count_eigen_paths(m)
+            pairs = lowest_pairs(h, k)
+        sizes = [g.size for g in groups]
+        assert calls == {"lanczos": sum(s > SPARSE_EIG_MIN_DIM for s in sizes),
+                         "dense": sum(1 < s <= SPARSE_EIG_MIN_DIM for s in sizes)}
+        got = [value for value, _ in pairs]
+        oracle = hermitian_eig(h.to_dense()).values
+        assert np.abs(np.subtract(got, oracle[:k])).max() <= 1e-12
+        assert lowest_multiplicity(got) == min(k, lowest_multiplicity(oracle))
+        assert_eigenpairs(h, pairs)
+
+    @given(st.lists(st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-3.0, 3.0),
+                    min_size=1, max_size=60),
+           st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_diagonal_pairs_are_the_stable_argsort(self, entries, k):
+        # The reference is the argsort route that a diagonal operator took
+        # on its own before the component route, bit for bit.
+        h = SparseHermitian.diagonal(entries)
+        k = min(k, h.dim)
+        values = np.zeros(h.dim)
+        values[h.rows] = h.vals.real
+        want = [(float(values[i]), np.eye(1, h.dim, i, dtype=complex)[0])
+                for i in np.argsort(values, kind="stable")[:k]]
+        for (a, u), (b, v) in zip(lowest_pairs(h, k), want, strict=True):
+            assert np.float64(a).tobytes() == np.float64(b).tobytes()
+            assert u.tobytes() == v.tobytes()
+
+    def test_ties_merge_in_component_order(self):
+        # Singletons at 0 and 3 carry the lowest eigenvalue of the block on
+        # {2, 4} exactly.  The tie goes to the component with the lower
+        # lowest index, so the order is 0, the block, 3; the block's second
+        # pair comes next, below the singleton 3.0 at 1.
+        block = np.array([[0.5, 0.25j], [-0.25j, 1.0]])
+        low = hermitian_eig(block).values[0]
+        h = SparseHermitian(5, [0, 1, 2, 2, 3, 4], [0, 1, 2, 4, 3, 4],
+                            [low, 3.0, 0.5, 0.25j, low, 1.0])
+        pairs = lowest_pairs(h, 4)
+        assert [value for value, _ in pairs][:3] == [low] * 3
+        assert [tuple(np.flatnonzero(v)) for _, v in pairs] == [(0,), (2, 4), (3,), (2, 4)]
+        assert_eigenpairs(h, pairs)
+
+    def test_pal_marked_verdicts_match_lanczos(self, monkeypatch):
+        # A non-palindrome's H_fin is diagonal but for 2 x 2 blocks, and a
+        # palindrome's is diagonal: no input reaches Lanczos.  Full-space
+        # Lanczos, the route before, is the oracle of the verdict.
+        family = gallery.build("pal_marked").family
+        for x in pal_inputs():
+            inst = family.build(x)
+            with monkeypatch.context() as m:
+                calls = count_eigen_paths(m)
+                verdict = decide(inst)
+            with monkeypatch.context() as m:
+                m.setattr(aeqs, "lowest_pairs", lowest_eigenpairs)
+                oracle = decide(inst)
+            assert calls["lanczos"] == 0, x
+            assert (verdict.outcome, verdict.unique_ground) \
+                == (oracle.outcome, oracle.unique_ground), x
+            assert abs(verdict.ground_energy) <= 1e-8, x
 
 class TestKroneckerSum:
     @pytest.mark.parametrize("left,right", FACTOR_PAIRS)

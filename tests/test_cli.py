@@ -415,3 +415,22 @@ class TestUsageErrors:
         code, err = self.main_exit(capsys, "--seed", "7", "run", "l_prefix_0", "01")
         assert code == 0, err
         assert linalg.LANCZOS_SEED == 0x5EED
+
+    def test_one_process_runs_commands_as_fresh_calls(self, tmp_path):
+        # main shares one parser across calls; each command must still give
+        # the report and exit code of a fresh process, and leave the seed.
+        from aeqslab import linalg
+        from aeqslab.cli import main
+
+        commands = [("run", "sym_coin", "ab"), ("--seed", "7", "gap", "l_prefix_0", "01"),
+                    ("run", "sym_coin", "ab")]
+        for i, args in enumerate(commands):
+            out = tmp_path / f"in_process_{i}.json"
+            fresh = tmp_path / f"fresh_{i}.json"
+            code = main([*args, "--out", str(out)])
+            assert linalg.LANCZOS_SEED == 0x5EED
+            assert code == run_cli(*args, "--out", str(fresh)).returncode
+            reports = [json.loads(path.read_text()) for path in (out, fresh)]
+            for report in reports:
+                report.pop("seconds", None)
+            assert reports[0] == reports[1], args
