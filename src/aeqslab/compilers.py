@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,15 @@ def _check_symbols(spec, x: str) -> None:
     for sym in x:
         if sym not in spec.alphabet:
             raise CompileError(f"symbol {sym!r} outside the automaton's alphabet")
+
+
+def _check_error_bound(error_bound) -> None:
+    """Raise CompileError unless error_bound is None or a number in [0, 1],
+    the rule ``specdoc`` applies to a document (nan and inf are outside)."""
+    if error_bound is not None and (
+        not isinstance(error_bound, numbers.Real) or not 0.0 <= error_bound <= 1.0
+    ):
+        raise CompileError(f"error_bound {error_bound!r} is not a number in [0, 1]")
 
 
 def _unitary_defect(u: np.ndarray) -> float:
@@ -100,6 +110,7 @@ class MoQfaSpec:
 
     def __post_init__(self):
         self.q_acc, self.q_rej = criteria_arrays(self.q_acc, self.q_rej)
+        _check_error_bound(self.error_bound)
         needed = {CENT, DOLLAR, *self.alphabet}
         missing = needed - set(self.ops)
         if missing:
@@ -135,7 +146,7 @@ def run_moqfa(spec: MoQfaSpec, x: str) -> tuple:
     psi = np.zeros(spec.n_states, dtype=complex)
     psi[spec.initial] = 1.0
     for sym in [CENT, *x, DOLLAR]:
-        psi = spec.ops[sym] @ psi
+        psi = spec.ops[sym].dot(psi)
     probs = np.abs(psi) ** 2
     return float(probs[spec.q_acc].sum()), float(probs[spec.q_rej].sum())
 
@@ -161,7 +172,7 @@ def from_moqfa(spec: MoQfaSpec) -> AeqsFamily:
         psi = np.zeros(pad, dtype=complex)
         psi[spec.initial] = 1.0
         for sym in [CENT, *x, DOLLAR]:
-            psi = ops[sym] @ psi
+            psi = ops[sym].dot(psi)
         return aeqs_instance(schema, h_ini, ProjectorComplement(psi), spec.q_acc, spec.q_rej,
                              epsilon=threshold)
 
@@ -204,6 +215,7 @@ class GarbageQfaSpec:
 
     def __post_init__(self):
         self.q_acc, self.q_rej = criteria_arrays(self.q_acc, self.q_rej)
+        _check_error_bound(self.error_bound)
         for (q, sym), moves in self.delta.items():
             for (p, xi, _amp) in moves:
                 if not (0 <= p < self.n_states):
@@ -241,7 +253,7 @@ def _garbage_run(spec: GarbageQfaSpec, tables: dict, x: str) -> np.ndarray:
     psi = np.zeros((1, spec.n_states), dtype=complex)
     psi[0, spec.initial] = 1.0
     for sym in [CENT, *x, DOLLAR]:
-        psi = (psi @ tables[sym]).reshape(-1, spec.n_states)
+        psi = psi.dot(tables[sym]).reshape(-1, spec.n_states)
     return psi
 
 

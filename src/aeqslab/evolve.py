@@ -50,8 +50,11 @@ between records whatever R is.  For larger k, where a k^3 product costs
 more than a k^2 step, the steps are applied to the state one
 by one.  The splitting phases are linear in j, so each chunk takes them by
 angle addition from two k-vectors of exp and two ratio tables built once
-per run, as long as the longest chunk (at most STEP_CHUNK columns).  The
-instance is still densified, so EVOLVE_DIM_MAX still applies.  A run whose step phases can
+per run, as long as the longest chunk (at most STEP_CHUNK columns).  In
+SU(2) the shifted spectra are (-d, d), so each table's first row is the
+conjugate of its second: only the second is evaluated with exp, and the
+bits are those of evaluating both, since libm's cos is even and its sin odd.
+The instance is still densified, so EVOLVE_DIM_MAX still applies.  A run whose step phases can
 exceed STEP_PHASE_MAX radians raises EvolveError, since rounding leaves such
 phases no significant digit.  Final and recorded overlaps are weights on the
 whole ground eigenspace, which is well defined when it is degenerate.  They
@@ -316,8 +319,9 @@ class _SplittingSteps:
         r, gamma = self.schedule.r_steps, self.schedule.gamma
         if self._ratio_ini.shape[1] < n:
             angles = 2 * gamma * np.arange(n)
-            self._ratio_ini = _unit_phases(self.ini_values, angles)
-            self._ratio_fin = _unit_phases(-self.fin_values, angles)
+            phases = _unit_phases if self.means is None else _conjugate_pair_phases
+            self._ratio_ini = phases(self.ini_values, angles)
+            self._ratio_fin = phases(-self.fin_values, angles)
         return (np.exp(-1j * ((2 * r - 2 * j0 - 1) * gamma * self.ini_values)),
                 np.exp(-1j * ((2 * j0 + 1) * gamma * self.fin_values)),
                 self._ratio_ini[:, :n], self._ratio_fin[:, :n])
@@ -358,6 +362,17 @@ def _unit_phases(values: np.ndarray, angles: np.ndarray) -> np.ndarray:
     table = np.zeros((len(values), len(angles)), dtype=complex)
     np.multiply.outer(values, angles, out=table.imag)
     return np.exp(table, out=table)
+
+
+def _conjugate_pair_phases(values: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """``_unit_phases`` for values = (-d, d): the second row is evaluated
+    and the first is its conjugate, with the same bits, since libm's cos is
+    even and its sin odd."""
+    table = np.zeros((2, len(angles)), dtype=complex)
+    np.multiply(values[1], angles, out=table[1].imag)
+    np.exp(table[1], out=table[1])
+    np.conjugate(table[1], out=table[0])
+    return table
 
 
 class _MidpointSteps:

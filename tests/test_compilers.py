@@ -402,3 +402,78 @@ class TestRouteGuard:
         assert per_length <= 1
         assert index_calls(["".join(w) for w in itertools.product("01", repeat=3)]) == per_length
         assert index_calls(list(bitstrings(3))) == 4 * per_length
+
+
+class TestErrorBound:
+    # The rule specdoc applies to a document: None or a number in [0, 1].
+    @staticmethod
+    def moqfa(error_bound):
+        return cp.MoQfaSpec(2, ("0",), {CENT: I2, DOLLAR: I2, "0": X},
+                            q_acc={0}, q_rej={1}, error_bound=error_bound)
+
+    @staticmethod
+    def garbage(error_bound):
+        # Each step keeps the state and writes it on the tape, as a DFA embedding.
+        delta = {(q, sym): [(q, q + 1, 1.0)] for q in range(2) for sym in (CENT, DOLLAR, "0")}
+        return cp.GarbageQfaSpec(2, ("0",), 2, delta, q_acc={0}, q_rej={1},
+                                 error_bound=error_bound)
+
+    @pytest.mark.parametrize("kind", ["moqfa", "garbage"])
+    @pytest.mark.parametrize("error_bound", [float("nan"), float("inf"), 1.5, -0.1])
+    def test_rejected(self, kind, error_bound):
+        with pytest.raises(cp.CompileError, match="error_bound"):
+            getattr(self, kind)(error_bound)
+
+    @pytest.mark.parametrize("kind", ["moqfa", "garbage"])
+    @pytest.mark.parametrize("error_bound", [None, 0.0, 0.1, 1.0])
+    def test_accepted(self, kind, error_bound):
+        spec = getattr(self, kind)(error_bound)
+        assert spec.error_bound == error_bound
+
+
+def matmul_walk(ops, psi, x):
+    """The run written with ``@``: one product per extended symbol."""
+    for sym in [CENT, *x, DOLLAR]:
+        psi = ops[sym] @ psi
+    return psi
+
+
+def readout_bytes(probs, spec):
+    return np.array([probs[spec.q_acc].sum(), probs[spec.q_rej].sum()]).tobytes()
+
+
+class TestProductBits:
+    # The runs take their products through ndarray.dot, which calls the
+    # same BLAS kernel as ``@``; these pins hold them to the ``@`` walk's
+    # bits, which approximate comparisons cannot see.
+    @pytest.mark.parametrize("n_states", [2, 3, 4])
+    def test_moqfa(self, n_states):
+        spec = cp.random_moqfa_spec(np.random.default_rng(40 + n_states), n_states)
+        padded = {sym: spec.padded_op(sym) for sym in spec.ops}
+        fam = cp.from_moqfa(spec)
+        for x in bitstrings(5):
+            psi = matmul_walk(spec.ops, np.eye(spec.n_states, dtype=complex)[spec.initial], x)
+            got = np.array(cp.run_moqfa(spec, x)).tobytes()
+            assert got == readout_bytes(np.abs(psi) ** 2, spec), x
+            start = np.eye(spec.padded_states, dtype=complex)[spec.initial]
+            psi = matmul_walk(padded, start, x)
+            assert fam.build(x).h_fin.vector.tobytes() == psi.tobytes(), x
+
+    @pytest.mark.parametrize("n_states, xi_size", SWEEP_GARBAGE_SHAPES)
+    def test_garbage(self, n_states, xi_size):
+        spec = cp.random_garbage_spec(np.random.default_rng(50 + 5 * n_states + xi_size),
+                                      n_states, xi_size)
+        fam = cp.from_garbage_1qfa(spec)
+        for x in bitstrings(5):
+            top = np.zeros((1, n_states), dtype=complex)
+            top[0, spec.initial] = 1.0
+            for sym in [CENT, *x, DOLLAR]:
+                top = (top @ spec.tables[sym]).reshape(-1, n_states)
+            assert cp._garbage_run(spec, spec.tables, x).tobytes() == top.tobytes(), x
+            got = np.array(cp.run_garbage_1qfa(spec, x)).tobytes()
+            assert got == readout_bytes((np.abs(top) ** 2).sum(axis=0), spec), x
+            n_words = len(cp.garbage_strings(xi_size, len(x) + 2))
+            psi = np.zeros(n_states * n_words, dtype=complex)
+            psi.reshape(n_states, n_words)[:, n_words - len(top):] = top.T
+            psi /= np.linalg.norm(psi)
+            assert fam.build(x).h_fin.vector.tobytes() == psi.tobytes(), x

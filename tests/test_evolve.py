@@ -386,6 +386,20 @@ class TestAngleAdditionTables:
         steps, _, _ = evolve._evolution(inst, Schedule(t, r), "trotter")
         assert table_error(steps, chunks(r, evolve.STEP_CHUNK)) <= 1e-15
 
+    @pytest.mark.parametrize("t", [128.0, 80.0])
+    def test_su2_tables_are_the_general_tables(self, t):
+        # The SU(2) route evaluates one row of each table and conjugates it
+        # into the other; the general two-row route evaluates both.
+        inst = gallery.build("l_prefix_0").family.build("0")
+        r = default_r_policy(t)
+        steps, _, _ = evolve._evolution(inst, Schedule(t, r), "trotter")
+        assert steps.means is not None
+        steps._phases(0, min(r, evolve.STEP_CHUNK))
+        angles = 2 * steps.schedule.gamma * np.arange(min(r, evolve.STEP_CHUNK))
+        for table, values in ((steps._ratio_ini, steps.ini_values),
+                              (steps._ratio_fin, -steps.fin_values)):
+            assert table.tobytes() == evolve._unit_phases(values, angles).tobytes()
+
     @pytest.mark.parametrize("method", ["trotter", "phase"])
     def test_trace_schedule(self, method):
         # Dim-256 equal at T = 8, R = 256 with a record every 16 steps: 16

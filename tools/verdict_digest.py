@@ -11,6 +11,9 @@ line: per part, the SHA-256 of its results serialized as JSON (floats by
 - ``verify``: each sweep entry's ``VerifyReport.as_dict()``, then each of
   its records' input, expected outcome and ``Verdict.as_dict()``;
 - ``moqfa`` and ``garbage``: the compiled families' verdicts on every input;
+- ``compiled_runs``: for the same inputs, ``repr`` of the simulator's
+  (accept, reject) pair and the SHA-256 of the bytes of the compiled
+  ground vector, ``family.build(x).h_fin.vector``;
 - ``pal_marked``: the ``aeqslab run pal_marked`` reports and exit codes, with
   the ``seconds`` field masked;
 - ``pal_operators``: for the same inputs, the SHA-256 of the bytes of each
@@ -70,20 +73,25 @@ def digests(seed: int, size: str, workdir: Path, dump: Path | None = None) -> di
 
     sweep = workloads.Sweep(seed, size, workdir)
     sweep.setup()
-    parts = {name: Digest() for name in ("verify", "moqfa", "garbage", "pal_marked",
-                                         "pal_operators", "xor", "levels")}
+    parts = {name: Digest() for name in ("verify", "moqfa", "garbage", "compiled_runs",
+                                         "pal_marked", "pal_operators", "xor", "levels")}
     for name, inputs in sweep.verify_inputs:
         report = gallery.verify(gallery.build(name), inputs)
         parts["verify"].add(report.as_dict(), [
             (record.x, record.expected, record.verdict.as_dict()) for record in report.records],
             count=len(report.records))
-    for part, (specs, strings), compile_ in (("moqfa", sweep.moqfa, compilers.from_moqfa),
-                                             ("garbage", sweep.garbage,
-                                              compilers.from_garbage_1qfa)):
+    for part, (specs, strings), compile_, simulate in (
+        ("moqfa", sweep.moqfa, compilers.from_moqfa, compilers.run_moqfa),
+        ("garbage", sweep.garbage, compilers.from_garbage_1qfa, compilers.run_garbage_1qfa),
+    ):
         for spec in specs:
             family = compile_(spec)
             for x in strings:
-                parts[part].add(aeqs.decide(family.build(x)).as_dict())
+                instance = family.build(x)
+                parts[part].add(aeqs.decide(instance).as_dict())
+                parts["compiled_runs"].add(
+                    repr(simulate(spec, x)),
+                    hashlib.sha256(instance.h_fin.vector.tobytes()).hexdigest())
 
     sparse, dense = workloads.DecideLarge(seed, size, workdir)._inputs()
     out = workdir / "run.json"
