@@ -63,9 +63,11 @@ def _check_symbols(spec, x: str) -> None:
 
 def _check_error_bound(error_bound) -> None:
     """Raise CompileError unless error_bound is None or a number in [0, 1],
-    the rule ``specdoc`` applies to a document (nan and inf are outside)."""
+    the rule ``specdoc`` applies to a document (nan and inf are outside, and
+    a bool is no number)."""
     if error_bound is not None and (
-        not isinstance(error_bound, numbers.Real) or not 0.0 <= error_bound <= 1.0
+        not isinstance(error_bound, numbers.Real) or isinstance(error_bound, bool)
+        or not 0.0 <= error_bound <= 1.0
     ):
         raise CompileError(f"error_bound {error_bound!r} is not a number in [0, 1]")
 

@@ -17,12 +17,18 @@ change between the eigenbases of H_ini and H_fin with a diagonal phase on
 either side (``_SplittingSteps``).  Trotter takes both eigenbases from
 ``eigh``; the phase-shift method is the same step in the full space with
 H_ini's eigenbasis given in closed form as W^(x)k, so PS_ini and PS_fin are
-its two phase vectors.  Its H_fin eigenbasis is in closed form too when
-H_fin is a ProjectorComplement I - |f><f| (f, then Householder images of
-basis vectors: ``aeqs._projector_eigenpairs``, shared with
-``aeqs.lowest_pairs``), and from a full-space ``eigh`` otherwise;
-``aeqs._eigenbasis`` chooses by the stored operator's type.  Midpoint steps
-are the only other step kind (``_MidpointSteps``).  ``midpoint_propagator``
+its two phase vectors.  When H_fin is a ProjectorComplement I - |f><f|
+and the dimension is above PAIRWISE_DIM_MAX, the H_fin factor in H_ini's
+eigenbasis is rank-one, e_j I + (1 - e_j) |f'><f'| with e_j = exp(-i b_j)
+and f' = W^dagger f formed once, so a step
+c <- D_ini(j) (e_j c + (1 - e_j) f' (f'^dagger c)) costs O(dim), with no
+H_fin eigenbasis, no dim x dim coupling and no transform
+(``_RankOneSteps``).  Otherwise the H_fin eigenbasis is in closed form for
+a ProjectorComplement (f, then Householder images of basis vectors:
+``aeqs._projector_eigenpairs``, shared with ``aeqs.lowest_pairs``), and
+from a full-space ``eigh`` for any other H_fin; ``aeqs._eigenbasis``
+chooses by the stored operator's type.  Midpoint steps are the only other
+step kind (``_MidpointSteps``).  ``midpoint_propagator``
 and ``trotter_product`` multiply full-space exponentials from
 ``linalg.unitary_exp``, written from the formulas above, and stay independent
 references for that kernel.
@@ -72,6 +78,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,8 +140,11 @@ class Schedule:
     def __post_init__(self):
         if not (math.isfinite(self.t_total) and self.t_total >= 0):
             raise EvolveError("evolution time must be finite and nonnegative")
-        if self.r_steps < 1:
-            raise EvolveError("refinement count must be at least 1")
+        # bool is an Integral, but True is no refinement count.
+        if (not isinstance(self.r_steps, numbers.Integral) or isinstance(self.r_steps, bool)
+                or self.r_steps < 1):
+            raise EvolveError(f"refinement count must be an integer of at least 1, "
+                              f"got {self.r_steps!r}")
         if not (math.isfinite(self.hbar) and self.hbar > 0):
             raise EvolveError("hbar must be finite and positive")
 
@@ -239,8 +249,13 @@ def trotter_error(instance: AeqsInstance, schedule: Schedule) -> float:
 def phase_shift_factors(instance: AeqsInstance, schedule: Schedule) -> _SplittingSteps:
     """The splitting steps in the full space, with H_ini = W diag(W H_ini W) W
     for W = W^(x)k; raises NotHadamardDiagonal when that does not hold.
-    The eigenbasis of H_fin is ``aeqs._eigenbasis``: in closed form for a
-    ProjectorComplement, from eigh otherwise."""
+
+    Above PAIRWISE_DIM_MAX, where ``_advance`` applies the steps one by one,
+    an H_fin stored as a ProjectorComplement takes the rank-one steps
+    (``_RankOneSteps``), with no eigenbasis of H_fin.  Every other H_fin, and
+    every H_fin at dims up to PAIRWISE_DIM_MAX, whose steps are built as
+    matrices, takes its eigenbasis from ``aeqs._eigenbasis``: in closed form
+    for a ProjectorComplement, from eigh otherwise."""
     dim = _evolved_dim(instance)
     k = dim.bit_length() - 1
     if 2**k != dim:
@@ -249,8 +264,9 @@ def phase_shift_factors(instance: AeqsInstance, schedule: Schedule) -> _Splittin
     ini_values, off = _hadamard_diagonal(instance.h_ini, w)
     if off > OPERATOR_DEFECT_TOL:
         raise NotHadamardDiagonal(f"H_ini is not Hadamard-diagonal: off-diagonal norm {off:.3e}")
-    fin_values, fin_vectors = _eigenbasis(instance.h_fin)
-    return _SplittingSteps(ini_values, w, fin_values, fin_vectors, schedule)
+    if isinstance(instance.h_fin, ProjectorComplement) and dim > PAIRWISE_DIM_MAX:
+        return _RankOneSteps(ini_values, w, instance.h_fin.vector, schedule)
+    return _SplittingSteps(ini_values, w, *_eigenbasis(instance.h_fin), schedule)
 
 
 def _hadamard_diagonal(h_ini, w: np.ndarray) -> tuple:
@@ -355,6 +371,35 @@ class _SplittingSteps:
         if r_steps != self.schedule.r_steps:
             raise EvolveError(f"steps built for R = {self.schedule.r_steps}, got {r_steps}")
         return self.basis @ self.apply(j, j + 1, self.basis.conj().T)
+
+
+class _RankOneSteps(_SplittingSteps):
+    """Splitting steps for H_fin = I - |f><f| in the full space, on
+    coefficients in the eigenbasis W of H_ini, applied one by one.
+
+    H_fin has the two eigenvalues (0, 1), so its phase in step j is
+    e_j = exp(-i b_j) on all but the line of f, and
+    M D_fin(j) M^dagger = e_j I + (1 - e_j) |f'><f'| with f' = W^dagger f
+    formed once.  A step c <- D_ini(j) (e_j c + (1 - e_j) f' (f'^dagger c))
+    costs O(dim) per column, with no M and no transform.  ``_phases`` keeps
+    two rows on the H_fin side; the first, for eigenvalue 0, is exactly 1.
+    ``m`` is M's column for that eigenvalue, f' itself.
+    """
+
+    # The steps are never built as matrices: ``phase_shift_factors`` takes
+    # this class only above PAIRWISE_DIM_MAX.
+    matrices = None
+
+    def __init__(self, ini_values, ini_vectors, f, schedule: Schedule):
+        super().__init__(ini_values, ini_vectors, np.array([0.0, 1.0]), f[:, None], schedule)
+        self.m_dagger = self.m.conj().T
+
+    def apply(self, j0: int, j1: int, c: np.ndarray) -> np.ndarray:
+        d_ini, d_fin, ratio_ini, ratio_fin = self._phases(j0, j1)
+        p_ini, p_fin = d_ini[:, None] * ratio_ini, d_fin[1] * ratio_fin[1]
+        for a, e in zip(p_ini.T[..., None], p_fin):
+            c = a * (e * c + self.m * ((1 - e) * self.m_dagger.dot(c)))
+        return c
 
 
 def _unit_phases(values: np.ndarray, angles: np.ndarray) -> np.ndarray:

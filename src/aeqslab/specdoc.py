@@ -126,7 +126,8 @@ def _readout(raw: dict, n: int) -> dict:
     """The readout fields shared by the automaton kinds, checked against n."""
     error_bound = raw.get("error_bound")
     if error_bound is not None and (
-        not isinstance(error_bound, (int, float)) or not 0.0 <= error_bound <= 1.0
+        not isinstance(error_bound, (int, float)) or isinstance(error_bound, bool)
+        or not 0.0 <= error_bound <= 1.0
     ):
         raise DocumentError(f"error_bound {error_bound!r} is not a number in [0, 1]")
     return {

@@ -419,7 +419,7 @@ class TestErrorBound:
                                  error_bound=error_bound)
 
     @pytest.mark.parametrize("kind", ["moqfa", "garbage"])
-    @pytest.mark.parametrize("error_bound", [float("nan"), float("inf"), 1.5, -0.1])
+    @pytest.mark.parametrize("error_bound", [float("nan"), float("inf"), 1.5, -0.1, True, False])
     def test_rejected(self, kind, error_bound):
         with pytest.raises(cp.CompileError, match="error_bound"):
             getattr(self, kind)(error_bound)

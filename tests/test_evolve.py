@@ -100,6 +100,21 @@ class TestSchedule:
             with pytest.raises(EvolveError):
                 Schedule(t_total, 4, hbar=hbar)
 
+    @pytest.mark.parametrize("r_steps", [2.5, 64.0, True, False, "64", None])
+    def test_refinement_count_must_be_an_integer(self, r_steps):
+        # A float R used to fail deep inside the run with a bare TypeError,
+        # and True ran as R = 1.
+        with pytest.raises(EvolveError, match="refinement count"):
+            Schedule(1.0, r_steps)
+
+    def test_numpy_integer_refinement_count(self):
+        assert Schedule(8.0, np.int64(4)).gamma == Schedule(8.0, 4).gamma
+
+    def test_float_policy_rejected(self):
+        inst = gallery.build("l_prefix_0").family.build("0")
+        with pytest.raises(EvolveError, match="refinement count"):
+            find_sufficient_t(inst, 0.9, r_policy=lambda t: t**3)
+
     def test_hbar_scales_coefficients(self):
         a = Schedule(8.0, 16, hbar=1.0)
         b = Schedule(8.0, 16, hbar=2.0)
@@ -237,10 +252,11 @@ class TestPhaseShift:
             assert off == pytest.approx(want, rel=1e-5, abs=1e-15)
         assert off <= want + 1e-15
 
-    @pytest.mark.parametrize("dim", [4, 16, 64, 256])
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64, 128, 256])
     def test_closed_form_fin_basis_matches_trotter_product(self, dim):
         # H_fin = I - |f><f| stored as a ProjectorComplement: the phase
-        # method takes its eigenbasis in closed form, not from eigh.
+        # method takes rank-one steps above PAIRWISE_DIM_MAX and its
+        # eigenbasis in closed form below, never eigh.
         rng = np.random.default_rng(dim)
         f = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         inst = AeqsInstance(size_bits=dim.bit_length() - 1, epsilon=0.9,
@@ -256,6 +272,56 @@ class TestPhaseShift:
         inst.h_ini = ProjectorComplement(random_unitary(8)[:, 0])
         with pytest.raises(NotHadamardDiagonal, match="off-diagonal norm"):
             phase_shift_factors(inst, Schedule(1.0, 4))
+
+
+def dense_m_factors(inst, sch):
+    """The phase method's steps through the whole coupling M = W^dagger V
+    of the H_fin eigenbasis V, whatever the type of H_fin."""
+    w = hadamard_power(inst.dim.bit_length() - 1)
+    ini_values, _ = evolve._hadamard_diagonal(inst.h_ini, w)
+    return evolve._SplittingSteps(ini_values, w, *aeqs._eigenbasis(inst.h_fin), sch)
+
+
+class TestRankOneSteps:
+    """Above PAIRWISE_DIM_MAX a ProjectorComplement H_fin takes O(dim) steps
+    with no eigenbasis of H_fin; the dense-M steps are the oracle."""
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_records_match_dense_coupling(self, length, monkeypatch):
+        inst = gallery.build("equal").family.build("abbabaab"[:length])
+        sch = Schedule(8.0, 256)
+        got = evolve_trace(inst, sch, "phase", record_every=16)
+        assert isinstance(phase_shift_factors(inst, sch), evolve._RankOneSteps) == (
+            inst.dim > PAIRWISE_DIM_MAX)
+        monkeypatch.setattr(evolve, "phase_shift_factors", dense_m_factors)
+        want = evolve_trace(inst, sch, "phase", record_every=16)
+        assert len(got.records) == len(want.records) == 16
+        for a, b in zip(got.records, want.records):
+            assert (a.j, a.s) == (b.j, b.s)
+            for name in ("ground_energy", "overlap_sq", "norm"):
+                assert abs(getattr(a, name) - getattr(b, name)) <= 1e-12, (a.j, name)
+        assert np.abs(got.final_state - want.final_state).max() <= 1e-12
+
+    def test_norm_stays_at_rounding(self):
+        # A dense M is unitary only to rounding and its error compounds over
+        # the steps: it drifts by 3.4e-13 here.
+        inst = gallery.build("equal").family.build("abbabaab")
+        trace = evolve_trace(inst, Schedule(8.0, 256), "phase", record_every=16)
+        assert max(abs(r.norm - 1.0) for r in trace.records) <= 1e-14
+
+    def test_no_eigenbasis_of_h_fin(self, monkeypatch):
+        def no_eigenbasis(h):
+            raise AssertionError("eigenbasis asked for")
+
+        for module in (aeqs, evolve):
+            monkeypatch.setattr(module, "_eigenbasis", no_eigenbasis)
+        inst = gallery.build("equal").family.build("abbabaab")
+        steps = phase_shift_factors(inst, Schedule(8.0, 256))
+        assert isinstance(steps, evolve._RankOneSteps)
+        dense = AeqsInstance(size_bits=8, epsilon=0.9, h_ini=inst.h_ini,
+                             h_fin=as_dense(inst.h_fin), s_acc=inst.s_acc, s_rej=inst.s_rej)
+        with pytest.raises(AssertionError, match="eigenbasis asked for"):
+            phase_shift_factors(dense, Schedule(8.0, 256))
 
 
 class TestEvolveTrace:

@@ -144,6 +144,15 @@ class TestDocuments:
         with pytest.raises(DocumentError):
             MachineSpecDocument.from_dict(bad)
 
+    @pytest.mark.parametrize("doc,realize", [(MOQFA_DOC, "to_moqfa"),
+                                             (GARBAGE_DOC, "to_garbage_qfa")])
+    @pytest.mark.parametrize("error_bound", [True, False])
+    def test_boolean_error_bound_rejected(self, doc, realize, error_bound):
+        # A bool is an int to isinstance, but "error_bound": true is no number.
+        text = json.dumps(dict(doc, error_bound=error_bound))
+        with pytest.raises(DocumentError, match="error_bound"):
+            getattr(MachineSpecDocument.from_json(text), realize)()
+
     def test_wrong_kind_realization(self):
         doc = MachineSpecDocument.from_dict(MOQFA_DOC)
         with pytest.raises(DocumentError):

@@ -20,7 +20,8 @@ def test_two_smoke_runs_give_equal_digests(tmp_path):
     first, second = digest(3), digest(3, "--dump", str(tmp_path))
     assert first == second
     assert set(first["parts"]) == {"verify", "moqfa", "garbage", "compiled_runs",
-                                   "pal_marked", "pal_operators", "xor", "levels"}
+                                   "pal_marked", "pal_operators", "xor", "levels",
+                                   "evolve", "phase"}
     assert all(part["count"] > 0 for part in first["parts"].values())
     for name, part in second["parts"].items():
         dumped = (tmp_path / f"{name}.jsonl").read_bytes()

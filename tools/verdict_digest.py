@@ -1,5 +1,6 @@
-"""Digest every verdict of the decide benchmark's inputs, for comparing two
-versions of the package bit for bit.
+"""Digest every verdict of the decide benchmark's inputs, and every result
+of the evolve benchmark's, for comparing two versions of the package bit for
+bit.
 
     python3 tools/verdict_digest.py --seed N [--smoke] [--dump DIR]
 
@@ -24,7 +25,14 @@ line: per part, the SHA-256 of its results serialized as JSON (floats by
   and of each level in ``entry.validation_levels(x)`` its name, then the
   SHA-256 of the bytes of the row, column and value arrays of every
   operator, symbols sorted, and of Lambda0.  Two level builders agree on
-  this part only when their operators are byte-identical.
+  this part only when their operators are byte-identical;
+- ``evolve``: ``repr`` of the time search's result, evaluations included,
+  on the seed's pinned instance; the trace instance's midpoint and trotter
+  ``EvolutionTrace.to_json()``, each with the SHA-256 of the bytes of its
+  final state; ``repr`` of its (minimum gap, time bound) pair;
+- ``phase``: the same instance's phase trace, its ``to_json()`` and its
+  final state as (real, imaginary) pairs, so that a ``--dump`` of two
+  versions gives the largest difference of their states.
 
 Two versions give equal digests on a part only when every one of its
 results is byte-identical.  ``--dump DIR`` writes each part's hashed lines,
@@ -69,12 +77,13 @@ def op_bytes(op) -> list:
 
 def digests(seed: int, size: str, workdir: Path, dump: Path | None = None) -> dict:
     workloads = env.fresh_workloads()
-    from aeqslab import aeqs, cli, compilers, gallery
+    from aeqslab import aeqs, cli, compilers, evolve, gallery
 
     sweep = workloads.Sweep(seed, size, workdir)
     sweep.setup()
     parts = {name: Digest() for name in ("verify", "moqfa", "garbage", "compiled_runs",
-                                         "pal_marked", "pal_operators", "xor", "levels")}
+                                         "pal_marked", "pal_operators", "xor", "levels",
+                                         "evolve", "phase")}
     for name, inputs in sweep.verify_inputs:
         report = gallery.verify(gallery.build(name), inputs)
         parts["verify"].add(report.as_dict(), [
@@ -116,6 +125,26 @@ def digests(seed: int, size: str, workdir: Path, dump: Path | None = None) -> di
                 parts["levels"].add(level.name, [(c, [op_bytes(op) for op in level.ops[c]])
                                                  for c in sorted(level.ops)],
                                     op_bytes(level.lam0))
+    search = workloads.Search(seed, size, workdir)
+    search.setup()
+    parts["evolve"].add(repr(evolve.find_sufficient_t(search.instance, search.size["target"],
+                                                      t_cap=1e4)))
+    trace = workloads.Trace(seed, size, workdir)
+    trace.setup()
+    schedule = evolve.Schedule(trace.size["t"], trace.size["r"])
+    for method in ("midpoint", "trotter", "phase"):
+        result = evolve.evolve_trace(trace.instance, schedule, method,
+                                     record_every=trace.size["every"])
+        if method == "phase":
+            parts["phase"].add(result.to_json(),
+                               [[z.real, z.imag] for z in result.final_state.tolist()])
+        else:
+            parts["evolve"].add(result.to_json(),
+                                hashlib.sha256(result.final_state.tobytes()).hexdigest())
+    parts["evolve"].add(repr((
+        aeqs.minimum_interpolation_gap(trace.instance, grid=trace.size["grid"]),
+        aeqs.adiabatic_time_bound(trace.instance, trace.epsilon, trace.delta,
+                                  grid=trace.size["grid"]))))
     if dump is not None:
         dump.mkdir(parents=True, exist_ok=True)
         for name, digest in parts.items():
