@@ -54,12 +54,17 @@ matrices and multiplied down the same way in a buffer of
 2 * STEP_CHUNK * k^2.  Either buffer is allocated once per stretch of steps
 between records whatever R is.  For larger k, where a k^3 product costs
 more than a k^2 step, the steps are applied to the state one
-by one.  The splitting phases are linear in j, so each chunk takes them by
-angle addition from two k-vectors of exp and two ratio tables built once
-per run, as long as the longest chunk (at most STEP_CHUNK columns).  In
-SU(2) the shifted spectra are (-d, d), so each table's first row is the
-conjugate of its second: only the second is evaluated with exp, and the
-bits are those of evaluating both, since libm's cos is even and its sin odd.
+by one, in chunks whose tables hold at most TABLE_ENTRIES_MAX entries.
+The splitting phases are linear in j, so each chunk takes them by angle
+addition: from two k-vectors of exp at its first step, and from tables of
+exp(i v 2 gamma n) with one column per step n of the chunk, built once per
+run as long as the longest chunk.  A table is itself built by angle
+addition: with m = ceil(sqrt(n)) columns, column p m + q is the product of
+the exps at p m and at q, so a row of n columns takes 2 sqrt(n) exps.  The
+general route keeps one table for each spectrum, of k rows.  An SU(2) step's
+first column needs one table of two rows, at the frequencies d_ini - d_fin
+and d_ini + d_fin of the shifted spectra (-d_ini, d_ini) and (-d_fin, d_fin),
+and a chunk's pairs are one 2 x 2 by 2 x n product with it.
 The instance is still densified, so EVOLVE_DIM_MAX still applies.  A run whose step phases can
 exceed STEP_PHASE_MAX radians raises EvolveError, since rounding leaves such
 phases no significant digit.  Final and recorded overlaps are weights on the
@@ -104,6 +109,8 @@ from .linalg import (
 
 EVOLVE_DIM_MAX = 512
 STEP_CHUNK = 2**15        # steps built and multiplied at a time
+TABLE_ENTRIES_MAX = 2**20 # most complex entries of one phase table for steps applied one
+                          # by one: a chunk of k coefficients takes at most this / k steps
 PAIRWISE_DIM_MAX = 6      # largest subspace dimension multiplied down pairwise; above
                           # k = 8 applying trotter steps one by one is faster
 BISECT_STEPS = 5          # halvings of the bracket a time search ends with
@@ -307,12 +314,16 @@ class _SplittingSteps:
     The phases are linear in j, so the steps of a chunk from j0 on take them
     by angle addition: D_ini(j0 + n) = D_ini(j0) exp(2i n gamma lambda_ini)
     and D_fin(j0 + n) = D_fin(j0) exp(-2i n gamma lambda_fin).  The two
-    ratio tables, one column per n, are built once, as long as the longest
-    chunk asked for so far; each chunk then evaluates two k-vectors of exp.
+    ratio tables, one column per n (``_unit_phases``), are built once, as
+    long as the longest chunk asked for so far; each chunk then evaluates
+    two k-vectors of exp.  ``matrices`` and ``apply`` take them.
 
-    For k = 2 both spectra are shifted to trace zero, (-d, d), which puts
-    every step in SU(2).  ``means`` keeps the two shifts; ``apply`` restores
-    their phase, and ``_advance`` restores it once per stretch.
+    For k = 2 both spectra are shifted to trace zero, (-d_ini, d_ini) and
+    (-d_fin, d_fin), which puts every step in SU(2).  ``means`` keeps the
+    two shifts; ``apply`` restores their phase, and ``_advance`` restores it
+    once per stretch.  ``pairs`` gives the steps' first columns from one
+    table of two rows, P_n = exp(2i gamma n (d_ini - d_fin)) and
+    Q_n = exp(2i gamma n (d_ini + d_fin)), also built once per run.
     """
 
     def __init__(self, ini_values, ini_vectors, fin_values, fin_vectors,
@@ -327,36 +338,57 @@ class _SplittingSteps:
         self.m = ini_vectors.conj().T @ fin_vectors
         self.schedule = schedule
         self._ratio_ini = self._ratio_fin = np.ones((len(ini_values), 0), dtype=complex)
+        self._pair_table = np.ones((2, 0), dtype=complex)
+
+    def _start_phases(self, j0: int):
+        """(D_ini(j0), D_fin(j0))."""
+        r, gamma = self.schedule.r_steps, self.schedule.gamma
+        return (np.exp(-1j * ((2 * r - 2 * j0 - 1) * gamma * self.ini_values)),
+                np.exp(-1j * ((2 * j0 + 1) * gamma * self.fin_values)))
 
     def _phases(self, j0: int, j1: int):
         """(D_ini(j0), D_fin(j0), ratio_ini, ratio_fin), the ratio tables
         with one column per step j0 <= j < j1."""
         n = j1 - j0
-        r, gamma = self.schedule.r_steps, self.schedule.gamma
         if self._ratio_ini.shape[1] < n:
-            angles = 2 * gamma * np.arange(n)
-            phases = _unit_phases if self.means is None else _conjugate_pair_phases
-            self._ratio_ini = phases(self.ini_values, angles)
-            self._ratio_fin = phases(-self.fin_values, angles)
-        return (np.exp(-1j * ((2 * r - 2 * j0 - 1) * gamma * self.ini_values)),
-                np.exp(-1j * ((2 * j0 + 1) * gamma * self.fin_values)),
-                self._ratio_ini[:, :n], self._ratio_fin[:, :n])
+            angles = 2 * self.schedule.gamma * np.arange(n)
+            self._ratio_ini = _unit_phases(self.ini_values, angles)
+            self._ratio_fin = _unit_phases(-self.fin_values, angles)
+        return (*self._start_phases(j0), self._ratio_ini[:, :n], self._ratio_fin[:, :n])
+
+    def _coupling(self, d_ini: np.ndarray, d_fin: np.ndarray) -> np.ndarray:
+        """coupling[i, l, p] = d_ini[i] M[i, p] d_fin[p] M[l, p]^*: for the
+        start phases D_ini(j0) and D_fin(j0),
+        V(j0 + n)[i, l] = ratio_ini[i, n] sum_p coupling[i, l, p] ratio_fin[p, n]."""
+        return (d_ini[:, None] * self.m * d_fin)[:, None, :] * self.m.conj()[None, :, :]
 
     def matrices(self, j0: int, j1: int, out: np.ndarray) -> np.ndarray:
         """Steps j0 .. j1-1 as a k x k x (j1 - j0) stack, computed in
-        ``out``, a k^2 x (j1 - j0) array.  For k = 2, ``out`` has 2 rows and
-        receives the first columns (alpha_j, beta_j) of the SU(2) steps."""
+        ``out``, a k^2 x (j1 - j0) array."""
         d_ini, d_fin, ratio_ini, ratio_fin = self._phases(j0, j1)
         k = len(d_ini)
-        cols = len(out) // k
-        # V(j0 + n)[i, l] = ratio_ini[i, n] sum_p coupling[i, l, p] ratio_fin[p, n],
-        # with D_ini(j0) and D_fin(j0) folded into the coupling.
-        left = d_ini[:, None] * self.m * d_fin
-        coupling = left[:, None, :] * self.m[:cols].conj()[None, :, :]
-        np.matmul(coupling.reshape(k * cols, k), ratio_fin, out=out)
-        v = out.reshape(k, cols, -1)
+        np.matmul(self._coupling(d_ini, d_fin).reshape(k * k, k), ratio_fin, out=out)
+        v = out.reshape(k, k, -1)
         v *= ratio_ini[:, None, :]
         return v
+
+    def pairs(self, j0: int, j1: int, out: np.ndarray) -> np.ndarray:
+        """The first columns (alpha_j, beta_j) of the SU(2) steps
+        j0 .. j1-1, computed in ``out``, a 2 x (j1 - j0) array.
+
+        With K = coupling[:, 0, :] (``_coupling``) and the table rows P_n, Q_n,
+        alpha_n = (K00^* P_n + K01^* Q_n)^* and beta_n = K11 P_n + K10 Q_n.
+        """
+        n = j1 - j0
+        if self._pair_table.shape[1] < n:
+            d_ini, d_fin = self.ini_values[1], self.fin_values[1]
+            self._pair_table = _unit_phases(np.array([d_ini - d_fin, d_ini + d_fin]),
+                                            2 * self.schedule.gamma * np.arange(n))
+        coupling = self._coupling(*self._start_phases(j0))[:, 0, :]
+        np.matmul(np.array([coupling[0].conj(), coupling[1, ::-1]]), self._pair_table[:, :n],
+                  out=out)
+        np.conjugate(out[0], out=out[0])
+        return out
 
     def apply(self, j0: int, j1: int, c: np.ndarray) -> np.ndarray:
         d_ini, d_fin, ratio_ini, ratio_fin = self._phases(j0, j1)
@@ -403,21 +435,15 @@ class _RankOneSteps(_SplittingSteps):
 
 
 def _unit_phases(values: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """exp(i values[:, None] angles[None, :]), built in its own storage."""
-    table = np.zeros((len(values), len(angles)), dtype=complex)
-    np.multiply.outer(values, angles, out=table.imag)
-    return np.exp(table, out=table)
-
-
-def _conjugate_pair_phases(values: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """``_unit_phases`` for values = (-d, d): the second row is evaluated
-    and the first is its conjugate, with the same bits, since libm's cos is
-    even and its sin odd."""
-    table = np.zeros((2, len(angles)), dtype=complex)
-    np.multiply(values[1], angles, out=table[1].imag)
-    np.exp(table[1], out=table[1])
-    np.conjugate(table[1], out=table[0])
-    return table
+    """exp(i values[:, None] angles[None, :]) for angles = a * arange(n),
+    n >= 1, by angle addition: with m = ceil(sqrt(n)), column p m + q is
+    exp(i values angles[p m]) exp(i values angles[q]), so a row takes
+    2 sqrt(n) exps, not n."""
+    m = math.isqrt(len(angles) - 1) + 1
+    coarse = np.exp(1j * np.multiply.outer(values, angles[::m]))
+    fine = np.exp(1j * np.multiply.outer(values, angles[:m]))
+    table = np.multiply(coarse[:, :, None], fine[:, None, :])
+    return table.reshape(len(values), -1)[:, :len(angles)]
 
 
 class _MidpointSteps:
@@ -530,30 +556,32 @@ def _advance(steps, c: np.ndarray, j0: int, j1: int) -> np.ndarray:
     """Apply steps j0 .. j1-1 to the coefficient block c, STEP_CHUNK at a time.
 
     Splitting steps on k = 2 coefficients carry ``means``: then
-    ``steps.matrices(a, b, out)`` computes the first columns of the SU(2)
+    ``steps.pairs(a, b, out)`` computes the first columns of the SU(2)
     steps a .. b-1 in the first half of a 2 x 2 x STEP_CHUNK buffer
     allocated once for the call, they are multiplied down pairwise by the
     Cayley-Klein rule (``_cayley_klein_product``), and the phase the SU(2)
     shift took out is put back once (``_shift_phase``).  Other steps on at
-    most PAIRWISE_DIM_MAX coefficients are computed whole in the same way,
-    in a 2 x k^2 x STEP_CHUNK buffer, and multiplied down as matrices; above
-    it ``steps.apply(a, b, c)`` applies them to c one after another.
+    most PAIRWISE_DIM_MAX coefficients are computed whole by
+    ``steps.matrices``, in a 2 x k^2 x STEP_CHUNK buffer, and multiplied
+    down as matrices; above it ``steps.apply(a, b, c)`` applies them to c
+    one after another, at most TABLE_ENTRIES_MAX / k at a time, so that no
+    k x (b - a) phase table outgrows TABLE_ENTRIES_MAX.
     """
     k = len(c)
     if k > PAIRWISE_DIM_MAX:
-        for a in range(j0, j1, STEP_CHUNK):
-            c = steps.apply(a, min(a + STEP_CHUNK, j1), c)
+        chunk = min(STEP_CHUNK, TABLE_ENTRIES_MAX // k)
+        for a in range(j0, j1, chunk):
+            c = steps.apply(a, min(a + chunk, j1), c)
         return c
     su2 = getattr(steps, "means", None) is not None
     halves = np.empty((2, k if su2 else k * k, min(STEP_CHUNK, j1 - j0)), dtype=complex)
     for a in range(j0, j1, STEP_CHUNK):
         b = min(a + STEP_CHUNK, j1)
-        computed = steps.matrices(a, b, halves[0, :, :b - a])
         if su2:
-            alpha, beta = _cayley_klein_product(computed.reshape(2, -1), halves)
+            alpha, beta = _cayley_klein_product(steps.pairs(a, b, halves[0, :, :b - a]), halves)
             c = np.array([[alpha, -beta.conjugate()], [beta, alpha.conjugate()]]) @ c
         else:
-            c = _ordered_product(computed, halves) @ c
+            c = _ordered_product(steps.matrices(a, b, halves[0, :, :b - a]), halves) @ c
     return _shift_phase(steps, j0, j1) * c if su2 else c
 
 

@@ -309,6 +309,23 @@ class TestRankOneSteps:
         trace = evolve_trace(inst, Schedule(8.0, 256), "phase", record_every=16)
         assert max(abs(r.norm - 1.0) for r in trace.records) <= 1e-14
 
+    def test_memory_bounded_by_the_table_cap(self):
+        # At R = STEP_CHUNK a dim-256 chunk would hold two 256 x 32,768 phase
+        # tables, 128 MiB each; capped, each holds at most TABLE_ENTRIES_MAX
+        # entries, while trotter runs on k = 2.
+        inst = gallery.build("equal").family.build("abbabaab")
+        sch = Schedule(8.0, 2**15)
+        peaks = {}
+        for method in ("trotter", "phase"):
+            tracemalloc.start()
+            try:
+                final_overlap_sq(inst, sch, method)
+                peaks[method] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        table = evolve.TABLE_ENTRIES_MAX * np.dtype(complex).itemsize
+        assert peaks["phase"] <= peaks["trotter"] + 3 * table
+
     def test_no_eigenbasis_of_h_fin(self, monkeypatch):
         def no_eigenbasis(h):
             raise AssertionError("eigenbasis asked for")
@@ -453,18 +470,48 @@ class TestAngleAdditionTables:
         assert table_error(steps, chunks(r, evolve.STEP_CHUNK)) <= 1e-15
 
     @pytest.mark.parametrize("t", [128.0, 80.0])
-    def test_su2_tables_are_the_general_tables(self, t):
-        # The SU(2) route evaluates one row of each table and conjugates it
-        # into the other; the general two-row route evaluates both.
+    def test_su2_pairs_are_the_general_steps(self, t):
+        # The SU(2) route builds a step's first column from one two-row table;
+        # the general k x k route builds the whole step from two tables.  On
+        # T = 128's first chunk and T = 80's last one, of 20,480 steps.
         inst = gallery.build("l_prefix_0").family.build("0")
         r = default_r_policy(t)
         steps, _, _ = evolve._evolution(inst, Schedule(t, r), "trotter")
         assert steps.means is not None
-        steps._phases(0, min(r, evolve.STEP_CHUNK))
-        angles = 2 * steps.schedule.gamma * np.arange(min(r, evolve.STEP_CHUNK))
-        for table, values in ((steps._ratio_ini, steps.ini_values),
-                              (steps._ratio_fin, -steps.fin_values)):
-            assert table.tobytes() == evolve._unit_phases(values, angles).tobytes()
+        j0, j1 = chunks(r, evolve.STEP_CHUNK)[0 if t == 128.0 else -1]
+        assert j1 - j0 == (32_768 if t == 128.0 else 20_480)
+        pairs = steps.pairs(j0, j1, np.empty((2, j1 - j0), dtype=complex))
+        general = steps.matrices(j0, j1, np.empty((4, j1 - j0), dtype=complex))
+        assert np.abs(pairs - general[:, 0]).max() <= 1e-15
+        # The pair fixes the step: its second column is (-beta^*, alpha^*).
+        assert np.abs(general[:, 1] - [-pairs[1].conj(), pairs[0].conj()]).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 181**2, 181**2 + 1, 32_768])
+    @pytest.mark.parametrize("largest", [1.0, 0.9 * STEP_PHASE_MAX])
+    def test_unit_phases_are_direct_exp(self, n, largest):
+        # Angle addition rounds two arguments and one product where direct
+        # exp rounds one argument: a few ulps of the angle, or of 1.
+        values = np.array([-1.0, 0.3, 1.0])
+        angles = largest / max(n - 1, 1) * np.arange(n)
+        arguments = np.multiply.outer(values, angles)
+        error = np.abs(evolve._unit_phases(values, angles) - np.exp(1j * arguments))
+        assert (error <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(arguments))).all()
+
+    def test_unit_phases_take_two_exps_per_sqrt_column(self, monkeypatch):
+        # A 32,768-column table has m = ceil(sqrt(32,768)) = 182: at most
+        # 2 * 182 exps per row, where direct exp takes 32,768.
+        exp, evaluated = np.exp, []
+
+        def counted_exp(x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                evaluated.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counted_exp)
+        values = np.array([-0.5, 0.25, 2.0])
+        table = evolve._unit_phases(values, 1e-4 * np.arange(32_768))
+        assert table.shape == (3, 32_768)
+        assert 0 < sum(evaluated) <= 2 * 182 * len(values)
 
     @pytest.mark.parametrize("method", ["trotter", "phase"])
     def test_trace_schedule(self, method):
