@@ -10,16 +10,18 @@ explicit "indeterminate" outcome rather than an error.
 
 Along the interpolation H(s) = (1 - s) H_ini + s H_fin, the gap scan, the
 time bound's ||H_fin - H_ini|| and the evolution's trace records are read
-off one BlockSplit of H(s) (``_block_split``).  When H_ini is a
-ProjectorComplement (every gallery and compiler instance), the dynamical
-subspace Q of its ground state (``dynamical_basis``) and its complement
-split H(s) into a k x k block and lines, the eigenvalues of H_fin on
-Q^perp.  When H_fin is a ProjectorComplement I - |f><f| too (the
-measure-once gallery entries and every compiled instance), those are
-1 - ||f - Q Q^dagger f||^2 and 1, in closed form; for any other H_fin they
-come from one eigensolve of H_fin on Q^perp.  The type of the stored
-operator chooses, as in ``lowest_pairs``.  For any other H_ini, Q is the
-whole space: the block is H(s) itself, with no lines.
+off one BlockSplit of H(s) (``_block_split``): a k x k block on a subspace
+Q that contains H_ini's ground state and is invariant under both
+Hamiltonians, and lines, the eigenvalues of H_fin on Q^perp.  For a pair
+I - |g><g|, I - |f><f| of ProjectorComplements (the measure-once gallery
+entries and every compiled instance) Q = span{g, f} and every part is in
+closed form, with no dim x dim matrix, at any dimension; so is the
+commutator's norm.  Any other pair is densified, up to EVOLVE_DIM_MAX:
+when H_ini is a ProjectorComplement, Q is the Krylov dynamical subspace of
+its ground state (``dynamical_basis``) and the lines come from one
+eigensolve of H_fin on Q^perp; for any other H_ini, Q is the whole space:
+the block is H(s) itself, with no lines.  The types of the stored
+operators choose, as in ``lowest_pairs``.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ from .qqa import BasisSchema, flat_schema
 
 DEFAULT_ACCURACY_BOUND = 0.999  # constructions analyzed at accuracy exactly 1
 GAP_SCAN_GRID = 64
+EVOLVE_DIM_MAX = 512      # largest dimension whose Hamiltonians are densified to be
+                          # interpolated or evolved
 
 
 class AeqsError(Exception):
@@ -475,7 +479,12 @@ def interpolated_hamiltonian(instance: AeqsInstance, s: float) -> np.ndarray:
 
 def commutator_check(instance: AeqsInstance) -> float:
     """Spectral norm of [H_ini, H_fin]; values below 1e-12 mean the pair
-    commutes and adiabatic interpolation between them is vacuous."""
+    commutes and adiabatic interpolation between them is vacuous.  For
+    I - |g><g| and I - |f><f| the commutator is c |g><f| - c^* |f><g| with
+    c = <g|f>, of norm |c| sqrt(1 - |c|^2) = |c| |r| (``_pair_residual``)."""
+    if is_projector_pair(instance):
+        c, r = _pair_residual(instance.h_ini.vector, instance.h_fin.vector)
+        return float(abs(c) * np.linalg.norm(r))
     a = as_dense(instance.h_ini)
     b = as_dense(instance.h_fin)
     return spectral_norm(a @ b - b @ a)
@@ -503,12 +512,14 @@ def dynamical_basis(h_ini: np.ndarray, h_fin: np.ndarray, start: np.ndarray) -> 
     basis fills the space or when ||H Q - Q (Q^dagger H Q)|| exceeds the same
     bound for either operator.  An evolution over time T run in span(Q)
     therefore differs from the full-space one by at most about T times that
-    bound.  Otherwise the first column is ``start`` normalized.
+    bound.  Otherwise the first column is ``start`` normalized.  The basis
+    grows by doubling its columns, so a small subspace never allocates
+    dim x dim.
     """
     dim = start.shape[0]
     ops = (h_ini, h_fin)
     tol = SUBSPACE_TOL * max(1.0, *(np.abs(h).sum(axis=1).max() for h in ops))
-    q = np.empty((dim, dim), dtype=complex)
+    q = np.empty((dim, min(dim, 4)), dtype=complex)
     q[:, 0] = start / np.linalg.norm(start)
     k, i = 1, 0
     while i < k < dim:
@@ -518,10 +529,12 @@ def dynamical_basis(h_ini: np.ndarray, h_fin: np.ndarray, start: np.ndarray) -> 
                 w -= q[:, :k] @ (q[:, :k].conj().T @ w)
             norm = np.linalg.norm(w)
             if norm > tol and k < dim:
+                if k == q.shape[1]:
+                    q = np.concatenate([q, np.empty((dim, min(k, dim - k)), dtype=complex)], axis=1)
                 q[:, k] = w / norm
                 k += 1
         i += 1
-    q = q[:, :k].copy()   # a view would keep all dim columns in memory
+    q = q[:, :k].copy()   # a view would keep the spare columns in memory
     if k == dim or any(spectral_norm(h @ q - q @ _compress(h, q)) > tol for h in ops):
         return np.eye(dim, dtype=complex)
     return q
@@ -536,71 +549,32 @@ def _grid(grid: int) -> np.ndarray:
 
 class BlockSplit:
     """H(s) = (1 - s) H_ini + s H_fin split on Q (+) Q^perp, where either
-    H_ini = I - |g><g| and Q = dynamical_basis(H_ini, H_fin, g), or Q is the
-    whole space and H_ini is any Hamiltonian.  ``q`` is None for the whole
-    space, which is then never built as an identity matrix.
+    H_ini = I - |g><g| and Q contains g and is invariant under both
+    Hamiltonians, or Q is the whole space and H_ini is any Hamiltonian.
+    ``q`` is None for the whole space, which is then never built as an
+    identity matrix.
 
-    Q is invariant under both Hamiltonians, so H(s) is block-diagonal.  On Q
-    it is the k x k compression (1 - s) A + s B; on Q^perp, where H_ini is
-    the identity, it is (1 - s) I + s H_fin|Q^perp.  The spectrum of H(s) is
-    thus the k x k block's eigenvalues together with the lines
-    (1 - s) + s mu_i, where mu ascending are the eigenvalues of H_fin on
-    Q^perp, the same for every s; when Q is the whole space there are no
-    lines.  With ``f``, H_fin is I - |f><f| and mu is found in closed form
-    from f; without it, by one eigensolve of H_fin on Q^perp.  With
-    ``vectors``, the eigenvectors of the lines that can lie within
-    DEGENERACY_TOL of the ground energy at some s are kept, and no others.
+    H(s) is block-diagonal.  On Q it is the k x k compression (1 - s) A + s B
+    (``ini`` and ``fin``); on Q^perp, where H_ini is the identity, it is
+    (1 - s) I + s H_fin|Q^perp.  The spectrum of H(s) is thus the k x k
+    block's eigenvalues together with the lines (1 - s) + s mu_i, where mu
+    ascending are the eigenvalues of H_fin on Q^perp, the same for every s;
+    when Q is the whole space there are no lines.  ``lines`` holds the
+    eigenvectors of the lines that can lie within DEGENERACY_TOL of the
+    ground energy at some s, and no others, when the split is built with
+    ``vectors``.
+
+    ``_block_split`` builds it by one of two routes.  For a pair
+    I - |g><g|, I - |f><f| (``_pair_split``) Q = span{g, f} and every part is
+    in closed form, with no dim x dim matrix.  For any other pair
+    (``_dense_split``) both Hamiltonians are densified, and kept in
+    ``dense``; Q is dynamical_basis(H_ini, H_fin, g) and mu comes from one
+    eigensolve of H_fin on Q^perp.
     """
 
-    def __init__(self, h_ini: np.ndarray, h_fin: np.ndarray, q: np.ndarray,
-                 vectors: bool = False, f: np.ndarray | None = None):
-        self.q = q
-        self.ini, self.fin = _compress(h_ini, q), _compress(h_fin, q)
-        self.mu, self.lines = np.empty(0), np.empty((len(h_fin), 0), dtype=complex)
-        if q is None or q.shape[1] == len(q):
-            return
-        k, n_perp = q.shape[1], len(q) - q.shape[1]
-        if f is not None:
-            # H_fin = I - |f><f| is I - |Pf><Pf| on Q^perp, Pf = f - Q Q^dagger f,
-            # so mu = [1 - ||Pf||^2, 1, ..., 1] with no eigensolve.  The
-            # invariance residual of Q under H_fin is ||Pf|| ||Q^dagger f||, so
-            # Pf is either about 0 or about f.  Unit lines, at 1 for every s,
-            # are never ground: the ground energy of H(s) is at most
-            # min(<g|H(s)|g>, <f|H(s)|f>) = min(s, 1 - s) (1 - |<g|f>|^2) <= 1/2
-            # (for k = 2 the block on Q has trace 1; for k = 1 it is s, and the
-            # Pf line is 1 - s).  The Pf line is lowest at s = 1, at mu_0, so
-            # it is kept when mu_0 <= 1/2 + DEGENERACY_TOL: that is when f is
-            # orthogonal to Q, where k = 1 and mu_0 is about 0.  The dense
-            # rule below would keep every unit line once |<g|f>|^2 is within
-            # DEGENERACY_TOL of 0.
-            pf = f - q @ (q.conj().T @ f)
-            weight = np.vdot(pf, pf).real
-            self.mu = np.ones(n_perp)
-            self.mu[0] = 1.0 - weight
-            if vectors and self.mu[0] <= 0.5 + DEGENERACY_TOL:
-                self.lines = (pf / math.sqrt(weight))[:, None]
-            return
-        # H_fin on Q^perp is P H_fin P for P = I - Q Q^dagger.  Adding
-        # shift Q Q^dagger, with shift above ||H_fin||, puts the k directions
-        # of Q above every mu, and no basis of Q^perp is needed; the
-        # corrections are made in place, one dim x dim product at a time.
-        hq = h_fin @ q
-        shift = np.abs(h_fin).sum(axis=1).max() + 1.0
-        m = h_fin - q @ hq.conj().T
-        m -= hq @ q.conj().T
-        m += q @ ((self.fin + shift * np.eye(k)) @ q.conj().T)
-        if not vectors:
-            self.mu = np.linalg.eigvalsh(m)[:n_perp]
-            return
-        values, w = np.linalg.eigh(m)
-        self.mu = values[:n_perp]
-        # The ground energy lies below line 0 and below <g|H(s)|g> = s h, for
-        # h = <g|H_fin|g> (g is the first column of Q).  A line within tol of
-        # it at some s in [0, 1] thus has mu_i <= h + tol and
-        # mu_i - mu_0 <= tol (1 + h - mu_0); the last tol is rounding slack.
-        h, mu0, tol = self.fin[0, 0].real, self.mu[0], DEGENERACY_TOL
-        top = min(h + tol, mu0 + tol * (1.0 + h - mu0)) + tol
-        self.lines = w[:, :int(np.searchsorted(self.mu, top, side="right"))].copy()
+    def __init__(self, q, ini: np.ndarray, fin: np.ndarray, dim: int, dense=None):
+        self.q, self.ini, self.fin, self.dense = q, ini, fin, dense
+        self.mu, self.lines = np.empty(0), np.empty((dim, 0), dtype=complex)
 
     def min_gap(self, grid: int) -> float:
         """Smallest gap of H(s) over the gap scan's grid.  The block takes
@@ -631,21 +605,123 @@ class BlockSplit:
         return float(energy), float(np.sum(np.abs(block) ** 2) + np.sum(np.abs(perp) ** 2))
 
 
-def _block_split(instance: AeqsInstance, h_ini: np.ndarray, h_fin: np.ndarray,
-                 vectors: bool = False) -> BlockSplit:
-    """The BlockSplit of H(s): on the dynamical subspace of g when H_ini is
-    the ProjectorComplement I - |g><g|, else on the whole space; H_fin on
-    Q^perp in closed form when it is a ProjectorComplement I - |f><f| too."""
+def is_projector_pair(instance: AeqsInstance) -> bool:
+    """Whether both Hamiltonians are stored as ProjectorComplements, the pair
+    whose interpolation and commutator are taken in closed form."""
+    return (isinstance(instance.h_ini, ProjectorComplement)
+            and isinstance(instance.h_fin, ProjectorComplement))
+
+
+def _capped_dim(instance: AeqsInstance) -> int:
+    """The instance's dimension; CapacityError above EVOLVE_DIM_MAX, for a
+    route that builds dim x dim matrices."""
+    if instance.dim > EVOLVE_DIM_MAX:
+        raise CapacityError(f"a dim x dim route is limited to dimension {EVOLVE_DIM_MAX} "
+                            f"(EVOLVE_DIM_MAX), got {instance.dim}")
+    return instance.dim
+
+
+def _pair_residual(g: np.ndarray, f: np.ndarray) -> tuple:
+    """(c, r) for c = <g|f> and r = f - g c, orthogonalized against g twice:
+    the part of f off g, of norm sqrt(1 - |c|^2)."""
+    c = np.vdot(g, f)
+    r = f - g * c
+    r -= g * np.vdot(g, r)
+    return c, r
+
+
+def _pair_split(g: np.ndarray, f: np.ndarray, vectors: bool) -> BlockSplit:
+    """The BlockSplit of H(s) for H_ini = I - |g><g| and H_fin = I - |f><f|,
+    with no dim x dim matrix.
+
+    Q = [g, r/|r|] (``_pair_residual``) spans {g, f}, which both
+    Hamiltonians map into itself, so no invariance check is needed.  r is
+    kept when |<g|f>| |r|, the norm of the Krylov image
+    H_fin g - g <g|H_fin|g>, exceeds SUBSPACE_TOL; else k = 1.  When k = dim,
+    Q is the whole space.  The compressions are I - a a^dagger and
+    I - b b^dagger for a = Q^dagger g and b = Q^dagger f.
+
+    H_fin is I - |Pf><Pf| on Q^perp, Pf = f - Q Q^dagger f, so
+    mu = [1 - ||Pf||^2, 1, ..., 1] with no eigensolve, and Pf is either about
+    0 or about f.  Unit lines, at 1 for every s, are never ground: the ground
+    energy of H(s) is at most min(<g|H(s)|g>, <f|H(s)|f>) =
+    min(s, 1 - s) (1 - |<g|f>|^2) <= 1/2 (for k = 2 the block on Q has trace
+    1; for k = 1 it is s, and the Pf line is 1 - s).  The Pf line is lowest
+    at s = 1, at mu_0, so it is kept when mu_0 <= 1/2 + DEGENERACY_TOL: that
+    is when f is orthogonal to g, where k = 1 and mu_0 is about 0.
+    """
+    dim = len(g)
+    c, r = _pair_residual(g, f)
+    norm = math.sqrt(np.vdot(r, r).real)
+    q = np.stack([g, r / norm], axis=1) if abs(c) * norm > SUBSPACE_TOL else g[:, None]
+    k = q.shape[1]
+    if k == dim:
+        q = np.eye(dim, dtype=complex)
+    a, b = q.conj().T @ g, q.conj().T @ f
+    split = BlockSplit(q, *(_compress(np.eye(k) - np.outer(v, v.conj()), None) for v in (a, b)),
+                       dim)
+    if k < dim:
+        pf = f - q @ b
+        weight = np.vdot(pf, pf).real
+        split.mu = np.ones(dim - k)
+        split.mu[0] = 1.0 - weight
+        if vectors and split.mu[0] <= 0.5 + DEGENERACY_TOL:
+            split.lines = (pf / math.sqrt(weight))[:, None]
+    return split
+
+
+def _dense_split(h_ini: np.ndarray, h_fin: np.ndarray, q, vectors: bool) -> BlockSplit:
+    """The BlockSplit of H(s) from the dense Hamiltonians, on the columns q
+    (None for the whole space); the lines come from one eigensolve of H_fin
+    on Q^perp."""
+    dim = len(h_fin)
+    split = BlockSplit(q, _compress(h_ini, q), _compress(h_fin, q), dim, dense=(h_ini, h_fin))
+    if q is None or q.shape[1] == dim:
+        return split
+    k, n_perp = q.shape[1], dim - q.shape[1]
+    # H_fin on Q^perp is P H_fin P for P = I - Q Q^dagger.  Adding
+    # shift Q Q^dagger, with shift above ||H_fin||, puts the k directions
+    # of Q above every mu, and no basis of Q^perp is needed; the
+    # corrections are made in place, one dim x dim product at a time.
+    hq = h_fin @ q
+    shift = np.abs(h_fin).sum(axis=1).max() + 1.0
+    m = h_fin - q @ hq.conj().T
+    m -= hq @ q.conj().T
+    m += q @ ((split.fin + shift * np.eye(k)) @ q.conj().T)
+    if not vectors:
+        split.mu = np.linalg.eigvalsh(m)[:n_perp]
+        return split
+    values, w = np.linalg.eigh(m)
+    split.mu = values[:n_perp]
+    # The ground energy lies below line 0 and below <g|H(s)|g> = s h, for
+    # h = <g|H_fin|g> (g is the first column of Q).  A line within tol of
+    # it at some s in [0, 1] thus has mu_i <= h + tol and
+    # mu_i - mu_0 <= tol (1 + h - mu_0); the last tol is rounding slack.
+    h, mu0, tol = split.fin[0, 0].real, split.mu[0], DEGENERACY_TOL
+    top = min(h + tol, mu0 + tol * (1.0 + h - mu0)) + tol
+    split.lines = w[:, :int(np.searchsorted(split.mu, top, side="right"))].copy()
+    return split
+
+
+def _block_split(instance: AeqsInstance, vectors: bool = False) -> BlockSplit:
+    """The BlockSplit of H(s): in closed form for a pair of
+    ProjectorComplements (``_pair_split``), at any dimension.  Any other
+    pair is densified, up to EVOLVE_DIM_MAX, and split on the dynamical
+    subspace of g when H_ini is I - |g><g|, else on the whole space
+    (``_dense_split``)."""
+    if is_projector_pair(instance):
+        return _pair_split(instance.h_ini.vector, instance.h_fin.vector, vectors)
+    _capped_dim(instance)
+    h_ini, h_fin = as_dense(instance.h_ini), as_dense(instance.h_fin)
     q = (dynamical_basis(h_ini, h_fin, instance.h_ini.vector)
          if isinstance(instance.h_ini, ProjectorComplement) else None)
-    f = instance.h_fin.vector if isinstance(instance.h_fin, ProjectorComplement) else None
-    return BlockSplit(h_ini, h_fin, q, vectors, f=f)
+    return _dense_split(h_ini, h_fin, q, vectors)
 
 
 def minimum_interpolation_gap(instance: AeqsInstance, grid: int = GAP_SCAN_GRID) -> float:
     """Smallest spectral gap of H(s) over a uniform grid of s values, read
     off the BlockSplit of H(s)."""
-    return _block_split(instance, as_dense(instance.h_ini), as_dense(instance.h_fin)).min_gap(grid)
+    return _block_split(instance).min_gap(grid)
 
 
 def check_time_bound_args(epsilon: float, delta: float, grid: int) -> None:
@@ -667,7 +743,7 @@ def adiabatic_time_bound(instance: AeqsInstance, epsilon: float, delta: float,
     space yields an unbounded-time signal, returned as +inf.
     """
     check_time_bound_args(epsilon, delta, grid)
-    split = _block_split(instance, as_dense(instance.h_ini), as_dense(instance.h_fin))
+    split = _block_split(instance)
     diff_norm = split.diff_norm()
     if diff_norm == 0.0:
         return 0.0

@@ -16,6 +16,7 @@ import time
 
 from . import gallery, linalg
 from .aeqs import (
+    EVOLVE_DIM_MAX,
     AeqsError,
     AeqsFamily,
     AeqsInstance,
@@ -28,10 +29,11 @@ from .aeqs import (
     criteria_arrays,
     decide,
     deflation_hamiltonian,
+    is_projector_pair,
     minimum_interpolation_gap,
 )
 from .compilers import CompileError, from_garbage_1qfa, from_moqfa
-from .evolve import EVOLVE_DIM_MAX, EvolveError, Schedule, evolve_trace
+from .evolve import EvolveError, Schedule, evolve_trace
 from .gallery import GALLERY_NAMES, GalleryError, PromiseError, build
 from .linalg import OPERATOR_DEFECT_TOL, CapacityError, SparseHermitian
 from .qqa import QqaError, generate_moqqaf, validate_level
@@ -233,14 +235,16 @@ def cmd_compile(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    # Checked before the dimension test: an instance above EVOLVE_DIM_MAX
-    # skips the scan, and its bad arguments must still be rejected.
+    # Checked before the dimension test: a densified instance above
+    # EVOLVE_DIM_MAX skips the scan, and its bad arguments must still be
+    # rejected.  A pair of ProjectorComplements is split in closed form at
+    # any dimension.
     check_time_bound_args(args.epsilon, args.delta, args.grid)
     entry = _load_target(args.target)
     instance = entry.family.build(args.input)
     verdict = decide(instance)
-    dense = instance.dim <= EVOLVE_DIM_MAX
-    comm = commutator_check(instance) if dense else None
+    scanned = is_projector_pair(instance) or instance.dim <= EVOLVE_DIM_MAX
+    comm = commutator_check(instance) if scanned else None
     payload = {
         "schema": 1,
         "target": entry.name,
@@ -250,7 +254,7 @@ def cmd_gap(args) -> int:
         "commutator_norm": comm,
         "commutator_negligible": commutator_negligible(comm) if comm is not None else None,
     }
-    if not dense:
+    if not scanned:
         payload["min_interpolation_gap"] = payload["time_bound"] = None
         payload["skipped"] = (
             f"commutator_norm, min_interpolation_gap and time_bound not computed: "

@@ -35,13 +35,17 @@ references for that kernel.
 
 Evolving a state (``evolve_trace``, ``final_overlap_sq``) with midpoint or
 trotter runs in the dynamical subspace: the smallest subspace that contains
-the start state and is invariant under H_ini and H_fin
-(``aeqs.dynamical_basis``).  For the H_ini = I - |g><g| of the gallery and the
-compilers it is often 2-dimensional whatever the full dimension.  Its
-invariance is checked to linalg.SUBSPACE_TOL, and the full space is used when the
-check fails, so the reduction cannot silently change a result.  The
-phase-shift method runs in the full space.  Each step acts on k
-coefficients, and ``_advance`` chooses its route by the step kind and k.
+the start state and is invariant under H_ini and H_fin.  For a pair
+I - |g><g|, I - |f><f| (the measure-once gallery entries and every compiled
+instance) it is span{g, f}, built in closed form by the block split, so
+such a run builds no dim x dim matrix and has no dimension cap.  For any
+other pair it is found by Krylov iteration on the densified Hamiltonians
+(``aeqs.dynamical_basis``), up to EVOLVE_DIM_MAX; its invariance is checked
+to linalg.SUBSPACE_TOL, and the full space is used when the check fails, so
+the reduction cannot silently change a result.  The phase-shift method
+runs in the full space and builds W, so it keeps EVOLVE_DIM_MAX.  Each
+step acts on k coefficients, and ``_advance`` chooses its route by the
+step kind and k.
 Splitting steps on k = 2 coefficients (trotter, and the phase-shift method
 at dim 2) shift both Hamiltonians' spectra to trace zero, so every step is
 in SU(2) and is fixed by its first column (alpha_j, beta_j); the steps are
@@ -64,10 +68,11 @@ the exps at p m and at q, so a row of n columns takes 2 sqrt(n) exps.  The
 general route keeps one table for each spectrum, of k rows.  An SU(2) step's
 first column needs one table of two rows, at the frequencies d_ini - d_fin
 and d_ini + d_fin of the shifted spectra (-d_ini, d_ini) and (-d_fin, d_fin),
-and a chunk's pairs are one 2 x 2 by 2 x n product with it.
-The instance is still densified, so EVOLVE_DIM_MAX still applies.  A run whose step phases can
-exceed STEP_PHASE_MAX radians raises EvolveError, since rounding leaves such
-phases no significant digit.  Final and recorded overlaps are weights on the
+and a chunk's pairs are one 2 x 2 by 2 x n product with it.  A run whose
+step phases can exceed STEP_PHASE_MAX radians raises EvolveError, since
+rounding leaves such phases no significant digit; the norm bound it uses
+is 1 for a ProjectorComplement and the largest absolute row sum of any
+other Hamiltonian's matrix.  Final and recorded overlaps are weights on the
 whole ground eigenspace, which is well defined when it is degenerate.  They
 and the recorded ground energies are read off the block split of H(s)
 (``aeqs.BlockSplit``), built once per run, for all three methods: on the
@@ -93,6 +98,7 @@ from .aeqs import (
     KroneckerSum,
     ProjectorComplement,
     _block_split,
+    _capped_dim,
     _compress,
     _eigenbasis,
     as_dense,
@@ -101,13 +107,11 @@ from .aeqs import (
 )
 from .linalg import (
     OPERATOR_DEFECT_TOL,
-    CapacityError,
     hadamard_power,
     spectral_norm,
     unitary_exp,
 )
 
-EVOLVE_DIM_MAX = 512
 STEP_CHUNK = 2**15        # steps built and multiplied at a time
 TABLE_ENTRIES_MAX = 2**20 # most complex entries of one phase table for steps applied one
                           # by one: a chunk of k coefficients takes at most this / k steps
@@ -213,24 +217,14 @@ class EvolutionTrace:
         )
 
 
-def _evolved_dim(instance: AeqsInstance) -> int:
-    if instance.dim > EVOLVE_DIM_MAX:
-        raise CapacityError(f"evolution limited to dimension {EVOLVE_DIM_MAX}, got {instance.dim}")
-    return instance.dim
-
-
-def _dense_pair(instance: AeqsInstance):
-    _evolved_dim(instance)
-    return as_dense(instance.h_ini), as_dense(instance.h_fin)
-
-
 def _interp(h_ini, h_fin, s: float):
     return (1.0 - s) * h_ini + s * h_fin
 
 
 def midpoint_propagator(instance: AeqsInstance, schedule: Schedule) -> np.ndarray:
     """Product of the exact midpoint-rule step propagators, j = R-1 .. 0."""
-    h_ini, h_fin = _dense_pair(instance)
+    _capped_dim(instance)
+    h_ini, h_fin = as_dense(instance.h_ini), as_dense(instance.h_fin)
     u = np.eye(h_ini.shape[0], dtype=complex)
     dt = schedule.t_total / schedule.r_steps / schedule.hbar
     for j in range(schedule.r_steps):
@@ -240,7 +234,8 @@ def midpoint_propagator(instance: AeqsInstance, schedule: Schedule) -> np.ndarra
 
 def trotter_product(instance: AeqsInstance, schedule: Schedule) -> np.ndarray:
     """Product of the step-factored propagators V(j), j = R-1 .. 0."""
-    h_ini, h_fin = _dense_pair(instance)
+    _capped_dim(instance)
+    h_ini, h_fin = as_dense(instance.h_ini), as_dense(instance.h_fin)
     u = np.eye(h_ini.shape[0], dtype=complex)
     for j in range(schedule.r_steps):
         u = unitary_exp(h_ini, schedule.alpha(j)) @ (unitary_exp(h_fin, schedule.beta(j)) @ u)
@@ -263,7 +258,7 @@ def phase_shift_factors(instance: AeqsInstance, schedule: Schedule) -> _Splittin
     every H_fin at dims up to PAIRWISE_DIM_MAX, whose steps are built as
     matrices, takes its eigenbasis from ``aeqs._eigenbasis``: in closed form
     for a ProjectorComplement, from eigh otherwise."""
-    dim = _evolved_dim(instance)
+    dim = _capped_dim(instance)
     k = dim.bit_length() - 1
     if 2**k != dim:
         raise NotHadamardDiagonal(f"dimension {dim} is not a power of two")
@@ -297,9 +292,15 @@ def _hadamard_diagonal(h_ini, w: np.ndarray) -> tuple:
 
 def phase_shift_product(instance: AeqsInstance, schedule: Schedule) -> np.ndarray:
     """Product of the Hadamard-factored steps, applied one by one; equals the
-    step-factored product whenever the precondition holds."""
+    step-factored product whenever the precondition holds.  The steps go in
+    chunks of TABLE_ENTRIES_MAX / dim, so that no dim x chunk phase table
+    outgrows TABLE_ENTRIES_MAX whatever R is."""
     steps = phase_shift_factors(instance, schedule)
-    return steps.basis @ steps.apply(0, schedule.r_steps, steps.basis.conj().T)
+    r, chunk = schedule.r_steps, max(1, TABLE_ENTRIES_MAX // instance.dim)
+    u = steps.basis.conj().T
+    for a in range(0, r, chunk):
+        u = steps.apply(a, min(a + chunk, r), u)
+    return steps.basis @ u
 
 
 class _SplittingSteps:
@@ -589,12 +590,15 @@ def _evolution(instance: AeqsInstance, schedule: Schedule, method: str):
     """(steps, start coefficient column, ground) for one run, where
     ground(s, psi) is the lowest eigenvalue of H(s) and the weight of the
     full-space state psi on its whole eigenspace."""
-    h_ini, h_fin = _dense_pair(instance)
     if method not in ("midpoint", "trotter", "phase"):
         raise EvolveError(f"unknown method {method!r}; use midpoint | trotter | phase")
-    # The largest absolute row sum bounds the spectral norm of each Hamiltonian.
-    # Written as a negated <= so that a nan phase (inf * 0) is rejected too.
-    norm_bound = max(np.abs(h).sum(axis=1).max() for h in (h_ini, h_fin))
+    split = _block_split(instance, vectors=True)
+    h_ini, h_fin = split.dense or (instance.h_ini, instance.h_fin)
+    # I - |v><v| has norm 1; the largest absolute row sum of any other
+    # Hamiltonian, densified by its split, bounds its spectral norm.  Written
+    # as a negated <= so that a nan phase (inf * 0) is rejected too.
+    norm_bound = max(1.0 if isinstance(h, ProjectorComplement) else np.abs(m).sum(axis=1).max()
+                     for h, m in ((instance.h_ini, h_ini), (instance.h_fin, h_fin)))
     step_phase = schedule.t_total / (schedule.r_steps * schedule.hbar) * norm_bound
     if not step_phase <= STEP_PHASE_MAX:
         raise EvolveError(
@@ -609,7 +613,6 @@ def _evolution(instance: AeqsInstance, schedule: Schedule, method: str):
     if not unique:
         raise EvolveError("H_ini has a degenerate ground state; evolution start undefined")
     psi = psi.astype(complex)
-    split = _block_split(instance, h_ini, h_fin, vectors=True)
     if method == "phase":
         steps = phase_shift_factors(instance, schedule)
     else:
@@ -617,8 +620,8 @@ def _evolution(instance: AeqsInstance, schedule: Schedule, method: str):
             q = dynamical_basis(h_ini, h_fin, psi)
             ini, fin = _compress(h_ini, q), _compress(h_fin, q)
         else:
-            # A split on a subspace has H_ini = I - |g><g| and Q the dynamical
-            # subspace of g, which is psi.
+            # A split on a subspace has H_ini = I - |g><g| and a Q that
+            # contains g, which is psi, and is invariant under both.
             q, ini, fin = split.q, split.ini, split.fin
         if method == "trotter":
             ini_values, ini_vectors = np.linalg.eigh(ini)

@@ -142,6 +142,17 @@ class TestTrace:
         for a, b in zip(finals["trotter"][1:], finals["phase"][1:]):
             assert abs(float(a) - float(b)) < 1e-6
 
+    def test_pair_above_dense_limit(self):
+        # equal on ababababab has dimension 1024 > EVOLVE_DIM_MAX and is a
+        # pair of ProjectorComplements: trotter runs in span{g, f}, while the
+        # phase method builds the dim x dim W and keeps the cap.
+        args = ("trace", "equal", "ababababab", "--T", "8", "--R", "64")
+        result = run_cli(*args)
+        assert result.returncode == 0, result.stderr
+        result = run_cli(*args, "--method", "phase")
+        assert result.returncode == 4, result.stderr
+        assert "capacity error" in result.stderr
+
 
 class TestVerify:
     def test_prefix_sweep_passes(self, tmp_path):
@@ -285,6 +296,16 @@ class TestMisc:
         assert data["min_interpolation_gap"] > 0
         assert data["time_bound"] > 0
         assert "skipped" not in data
+
+
+    def test_gap_on_pair_above_dense_limit(self):
+        # Dimension 1024, split in closed form: every field is computed.
+        result = run_cli("gap", "equal", "ababababab", "--grid", "65")
+        assert result.returncode == 0, result.stderr
+        data = json.loads(result.stdout)
+        assert "skipped" not in data
+        assert data["min_interpolation_gap"] == pytest.approx(1.0 / 32.0, abs=1e-12)
+        assert data["commutator_norm"] > 0 and data["time_bound"] > 0
 
 
 class TestUsageErrors:

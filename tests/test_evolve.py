@@ -35,7 +35,7 @@ from aeqslab.evolve import (
     trotter_error,
     trotter_product,
 )
-from aeqslab.linalg import hadamard_power, spectral_norm, unitary_exp
+from aeqslab.linalg import CapacityError, hadamard_power, spectral_norm, unitary_exp
 
 RNG = np.random.default_rng(99)
 
@@ -326,6 +326,25 @@ class TestRankOneSteps:
         table = evolve.TABLE_ENTRIES_MAX * np.dtype(complex).itemsize
         assert peaks["phase"] <= peaks["trotter"] + 3 * table
 
+    def test_product_memory_is_flat_in_r(self, monkeypatch):
+        # The product applies the steps in chunks of TABLE_ENTRIES_MAX / dim,
+        # so doubling R past one chunk adds no table.  A cap of 2^16 entries
+        # at dim 16 gives the chunks of 4,096 steps that the default cap gives
+        # at dim 256, at a sixteenth of the cost per step.
+        monkeypatch.setattr(evolve, "TABLE_ENTRIES_MAX", 2**16)
+        inst = gallery.build("equal").family.build("abba")
+        assert inst.dim == 16
+        peaks = []
+        for r in (4096, 8192):
+            tracemalloc.start()
+            try:
+                phase_shift_product(inst, Schedule(8.0, r))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        table = evolve.TABLE_ENTRIES_MAX * np.dtype(complex).itemsize
+        assert peaks[1] <= peaks[0] + table / 16, peaks
+
     def test_no_eigenbasis_of_h_fin(self, monkeypatch):
         def no_eigenbasis(h):
             raise AssertionError("eigenbasis asked for")
@@ -523,11 +542,11 @@ class TestAngleAdditionTables:
 
     def test_near_step_phase_max(self):
         # Both routes round an argument near the step phase, so they differ
-        # by a few ulps of it.
+        # by a few ulps of it.  Both Hamiltonians are I - |v><v|, of norm 1,
+        # the bound the run checks.
         inst = gallery.build("l_prefix_0").family.build("0")
-        norm_bound = max(np.abs(h).sum(axis=1).max() for h in evolve._dense_pair(inst))
         r, step_phase = 2**16, 0.9 * STEP_PHASE_MAX
-        steps, _, _ = evolve._evolution(inst, Schedule(step_phase * r / norm_bound, r), "trotter")
+        steps, _, _ = evolve._evolution(inst, Schedule(step_phase * r, r), "trotter")
         error = table_error(steps, chunks(r, evolve.STEP_CHUNK))
         assert error <= 2 * np.finfo(float).eps * step_phase
 
@@ -642,13 +661,19 @@ class TestOneDynamicalBasisPerRun:
     @pytest.mark.parametrize("method", ["midpoint", "trotter"])
     @pytest.mark.parametrize("dense_h_ini", [False, True])
     def test_one_call_per_run(self, method, dense_h_ini, monkeypatch):
-        # I - |g><g| reuses the block split's basis; a dense H_ini has a
-        # whole-space split and builds the basis of its start state.
+        # A pair of ProjectorComplements takes its basis from the closed-form
+        # split, with no Krylov basis and no dense matrix; a dense H_ini has
+        # a whole-space split and builds the basis of its start state.
         inst = gallery.build("l_prefix_0").family.build("0")
         if dense_h_ini:
             inst = AeqsInstance(size_bits=inst.size_bits, epsilon=inst.epsilon,
                                 h_ini=as_dense(inst.h_ini), h_fin=inst.h_fin,
                                 s_acc=inst.s_acc, s_rej=inst.s_rej)
+        else:
+            def no_dense(h):
+                raise AssertionError("densified")
+
+            monkeypatch.setattr(ProjectorComplement, "to_dense", no_dense)
         calls = []
         original = aeqs.dynamical_basis
 
@@ -658,23 +683,78 @@ class TestOneDynamicalBasisPerRun:
 
         monkeypatch.setattr(aeqs, "dynamical_basis", counted)
         monkeypatch.setattr(evolve, "dynamical_basis", counted)
+        per_run = 1 if dense_h_ini else 0
         final_overlap_sq(inst, Schedule(4.0, 64), method)
-        assert len(calls) == 1
+        assert len(calls) == per_run
         evolve_trace(inst, Schedule(4.0, 64), method, record_every=16)
-        assert len(calls) == 2
+        assert len(calls) == 2 * per_run
 
     @pytest.mark.parametrize("name,x", [("l_prefix_0", "0"), ("equal", "abbabaab"),
                                         ("sym_coin", "abba"), ("usubsum", "0#1#1")])
     def test_split_basis_is_the_start_state_basis(self, name, x):
-        # The reused basis and compressions are the bits the run would
-        # compute from its start state.
+        # A dense H_fin: the reused basis and compressions are the bits the
+        # run would compute from its start state.  A pair of
+        # ProjectorComplements: the closed-form basis has g as its first
+        # column, spans an invariant subspace and compresses both
+        # Hamiltonians as the dense products do, to rounding.
         inst = gallery.build(name).family.build(x)
         h_ini, h_fin = as_dense(inst.h_ini), as_dense(inst.h_fin)
-        split = aeqs._block_split(inst, h_ini, h_fin, vectors=True)
-        q = dynamical_basis(h_ini, h_fin, start_state(inst))
-        assert np.array_equal(split.q, q)
-        assert np.array_equal(split.ini, _compress(h_ini, q))
-        assert np.array_equal(split.fin, _compress(h_fin, q))
+        split = aeqs._block_split(inst, vectors=True)
+        if not aeqs.is_projector_pair(inst):
+            q = dynamical_basis(h_ini, h_fin, start_state(inst))
+            assert np.array_equal(split.q, q)
+            assert np.array_equal(split.ini, _compress(h_ini, q))
+            assert np.array_equal(split.fin, _compress(h_fin, q))
+            return
+        q = split.q
+        assert q.shape == (inst.dim, 2) and np.array_equal(q[:, 0], start_state(inst))
+        # Each product summed exactly (fsum): a floating-point sum adds the
+        # small terms to the one near 1 and rounds by several ulps.
+        products = q.T.conj()[:, None, :] * q.T[None, :, :]
+        gram = np.array([[complex(math.fsum(p.real), math.fsum(p.imag)) for p in row]
+                         for row in products])
+        assert np.abs(gram - np.eye(2)).max() <= 1e-15
+        # The dense products that measure the rest round by about sqrt(dim)
+        # ulps: 1.5e-15 at dim 256, for the Krylov basis too.
+        tol = max(1e-15, math.sqrt(inst.dim) * np.finfo(float).eps)
+        for h, block in ((h_ini, split.ini), (h_fin, split.fin)):
+            assert spectral_norm(h @ q - q @ (q.conj().T @ h @ q)) <= tol
+            assert np.abs(block - q.conj().T @ h @ q).max() <= tol
+
+
+class TestPairReach:
+    """A pair of ProjectorComplements is split in closed form, so midpoint
+    and trotter runs, the gap scan, the time bound and the commutator build
+    no dim x dim matrix and run above EVOLVE_DIM_MAX; the phase method
+    builds W and keeps the cap."""
+
+    @pytest.mark.parametrize("length", [10, 12])
+    def test_memory_stays_below_one_matrix(self, length):
+        inst = gallery.build("equal").family.build("ab" * (length // 2))
+        assert inst.dim == 2**length > aeqs.EVOLVE_DIM_MAX
+        sch = Schedule(8.0, 64)
+        tracemalloc.start()
+        try:
+            traces = [evolve_trace(inst, sch, method, record_every=16)
+                      for method in ("midpoint", "trotter")]
+            final = final_overlap_sq(inst, sch, "trotter")
+            gap = aeqs.minimum_interpolation_gap(inst, 65)
+            bound = aeqs.adiabatic_time_bound(inst, 0.1, 1.0)
+            commutator = aeqs.commutator_check(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < inst.dim ** 2 * np.dtype(complex).itemsize
+        assert [t.subspace_dim for t in traces] == [2, 2]
+        assert abs(final - traces[1].final_overlap_sq) <= 1e-12
+        assert abs(gap - 2.0 ** (-length / 2)) <= 1e-12 and math.isfinite(bound)
+        # |<g|f>| sqrt(1 - |<g|f>|^2) with |<g|f>|^2 = 1/dim.
+        assert abs(commutator - math.sqrt((1.0 - 1.0 / inst.dim) / inst.dim)) <= 1e-15
+
+    def test_phase_method_keeps_the_cap(self):
+        inst = gallery.build("equal").family.build("ab" * 5)
+        with pytest.raises(CapacityError):
+            evolve_trace(inst, Schedule(8.0, 64), "phase")
 
 
 class TestFindSufficientT:
