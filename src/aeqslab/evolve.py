@@ -49,16 +49,24 @@ step kind and k.
 Splitting steps on k = 2 coefficients (trotter, and the phase-shift method
 at dim 2) shift both Hamiltonians' spectra to trace zero, so every step is
 in SU(2) and is fixed by its first column (alpha_j, beta_j); the steps are
-built STEP_CHUNK at a time as these pairs and multiplied down pairwise (a
-tree-ordered product) by the Cayley-Klein rule in one buffer of
-2 * 2 * STEP_CHUNK complex numbers, and the global phase of the shift is
-restored once per stretch, in closed form.  Other steps with
-k <= PAIRWISE_DIM_MAX (midpoint steps at every such k) are built as k x k
-matrices and multiplied down the same way in a buffer of
-2 * STEP_CHUNK * k^2.  Either buffer is allocated once per stretch of steps
-between records whatever R is.  For larger k, where a k^3 product costs
-more than a k^2 step, the steps are applied to the state one
-by one, in chunks whose tables hold at most TABLE_ENTRIES_MAX entries.
+built STEP_CHUNK at a time as these pairs, from the couplings of all the
+chunk starts of a stretch formed in one vectorized call, and multiplied
+down pairwise (a tree-ordered product) by the Cayley-Klein rule in one
+buffer of 2 * 2 * STEP_CHUNK complex numbers.  A chunk's tree stops at
+PARTIAL_KEEP partial products, where its levels would cost more in numpy
+calls than in arithmetic; the partial products queue, in step order, in a
+buffer of 2 * PARTIAL_QUEUE, which is multiplied down to one product and
+applied before a chunk that could overflow it and at the end of the
+stretch.  A stretch of one chunk thus takes one whole tree.  The global
+phase of the shift is restored once per stretch, in closed form.  Other
+steps with k <= PAIRWISE_DIM_MAX (midpoint steps at every such k) are
+built as k x k matrices and multiplied down the same way, chunk by chunk,
+in a buffer of 2 * STEP_CHUNK * k^2.  The buffers are allocated once per
+stretch of steps between records whatever R is.  For larger k, where a k^3
+product costs more than a k^2 step, the steps are applied to the state one
+by one, in chunks whose tables hold at most TABLE_ENTRIES_MAX entries, and
+each step forms its phases from its own table column, so no second table
+is held.
 The splitting phases are linear in j, so each chunk takes them by angle
 addition: from two k-vectors of exp at its first step, and from tables of
 exp(i v 2 gamma n) with one column per step n of the chunk, built once per
@@ -113,6 +121,10 @@ from .linalg import (
 )
 
 STEP_CHUNK = 2**15        # steps built and multiplied at a time
+PARTIAL_KEEP = 2**9       # partial products an SU(2) chunk's tree stops at: its narrower
+                          # levels cost more in numpy calls than in arithmetic
+PARTIAL_QUEUE = 2**12     # partial products queued before they are multiplied down and
+                          # applied; at most PARTIAL_KEEP <= PARTIAL_QUEUE per chunk
 TABLE_ENTRIES_MAX = 2**20 # most complex entries of one phase table for steps applied one
                           # by one: a chunk of k coefficients takes at most this / k steps
 PAIRWISE_DIM_MAX = 6      # largest subspace dimension multiplied down pairwise; above
@@ -341,61 +353,79 @@ class _SplittingSteps:
         self._ratio_ini = self._ratio_fin = np.ones((len(ini_values), 0), dtype=complex)
         self._pair_table = np.ones((2, 0), dtype=complex)
 
-    def _start_phases(self, j0: int):
-        """(D_ini(j0), D_fin(j0))."""
+    def _start_phases(self, starts):
+        """(D_ini(j0), D_fin(j0)) for each start j0 in ``starts``, one row
+        per start; each angle's factor is an exact integer times gamma."""
         r, gamma = self.schedule.r_steps, self.schedule.gamma
-        return (np.exp(-1j * ((2 * r - 2 * j0 - 1) * gamma * self.ini_values)),
-                np.exp(-1j * ((2 * j0 + 1) * gamma * self.fin_values)))
+        a = np.array([(2 * r - 2 * j0 - 1) * gamma for j0 in starts])[:, None]
+        b = np.array([(2 * j0 + 1) * gamma for j0 in starts])[:, None]
+        return np.exp(-1j * (a * self.ini_values)), np.exp(-1j * (b * self.fin_values))
 
-    def _phases(self, j0: int, j1: int):
-        """(D_ini(j0), D_fin(j0), ratio_ini, ratio_fin), the ratio tables
-        with one column per step j0 <= j < j1."""
-        n = j1 - j0
+    def _ratios(self, n: int):
+        """(ratio_ini, ratio_fin), the ratio tables with one column per step
+        of a chunk of n."""
         if self._ratio_ini.shape[1] < n:
             angles = 2 * self.schedule.gamma * np.arange(n)
             self._ratio_ini = _unit_phases(self.ini_values, angles)
             self._ratio_fin = _unit_phases(-self.fin_values, angles)
-        return (*self._start_phases(j0), self._ratio_ini[:, :n], self._ratio_fin[:, :n])
+        return self._ratio_ini[:, :n], self._ratio_fin[:, :n]
 
-    def _coupling(self, d_ini: np.ndarray, d_fin: np.ndarray) -> np.ndarray:
-        """coupling[i, l, p] = d_ini[i] M[i, p] d_fin[p] M[l, p]^*: for the
-        start phases D_ini(j0) and D_fin(j0),
-        V(j0 + n)[i, l] = ratio_ini[i, n] sum_p coupling[i, l, p] ratio_fin[p, n]."""
-        return (d_ini[:, None] * self.m * d_fin)[:, None, :] * self.m.conj()[None, :, :]
+    def _phases(self, j0: int, j1: int):
+        """(D_ini(j0), D_fin(j0), ratio_ini, ratio_fin), the ratio tables
+        with one column per step j0 <= j < j1."""
+        d_ini, d_fin = self._start_phases([j0])
+        return (d_ini[0], d_fin[0], *self._ratios(j1 - j0))
+
+    def _coupling(self, starts) -> np.ndarray:
+        """coupling[s, i, l, p] = d_ini[i] M[i, p] d_fin[p] M[l, p]^* for
+        the start phases d_ini = D_ini(j0) and d_fin = D_fin(j0) of each
+        start j0 = starts[s], so that
+        V(j0 + n)[i, l] = ratio_ini[i, n] sum_p coupling[s, i, l, p] ratio_fin[p, n].
+        Each start's entries take the same operations whatever the others."""
+        d_ini, d_fin = self._start_phases(starts)
+        return (d_ini[:, :, None] * self.m * d_fin[:, None, :])[:, :, None, :] * self.m.conj()
 
     def matrices(self, j0: int, j1: int, out: np.ndarray) -> np.ndarray:
         """Steps j0 .. j1-1 as a k x k x (j1 - j0) stack, computed in
         ``out``, a k^2 x (j1 - j0) array."""
-        d_ini, d_fin, ratio_ini, ratio_fin = self._phases(j0, j1)
-        k = len(d_ini)
-        np.matmul(self._coupling(d_ini, d_fin).reshape(k * k, k), ratio_fin, out=out)
+        ratio_ini, ratio_fin = self._ratios(j1 - j0)
+        k = len(ratio_ini)
+        np.matmul(self._coupling([j0])[0].reshape(k * k, k), ratio_fin, out=out)
         v = out.reshape(k, k, -1)
         v *= ratio_ini[:, None, :]
         return v
 
-    def pairs(self, j0: int, j1: int, out: np.ndarray) -> np.ndarray:
+    def pair_couplings(self, starts) -> np.ndarray:
+        """For each start j0 in ``starts``, the 2 x 2 factor
+        [[K00^*, K01^*], [K11, K10]] of ``pairs`` with K = coupling[:, 0, :]
+        (``_coupling``), stacked along a first axis."""
+        k = self._coupling(starts)[:, :, None, 0, :]
+        return np.concatenate([k[:, 0].conj(), k[:, 1, :, ::-1]], axis=1)
+
+    def pairs(self, coupling: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The first columns (alpha_j, beta_j) of the SU(2) steps
-        j0 .. j1-1, computed in ``out``, a 2 x (j1 - j0) array.
+        j0 .. j0 + n - 1, computed in ``out``, a 2 x n array, from
+        ``coupling``, the factor ``pair_couplings`` gives for j0.
 
         With K = coupling[:, 0, :] (``_coupling``) and the table rows P_n, Q_n,
         alpha_n = (K00^* P_n + K01^* Q_n)^* and beta_n = K11 P_n + K10 Q_n.
         """
-        n = j1 - j0
+        n = out.shape[1]
         if self._pair_table.shape[1] < n:
             d_ini, d_fin = self.ini_values[1], self.fin_values[1]
             self._pair_table = _unit_phases(np.array([d_ini - d_fin, d_ini + d_fin]),
                                             2 * self.schedule.gamma * np.arange(n))
-        coupling = self._coupling(*self._start_phases(j0))[:, 0, :]
-        np.matmul(np.array([coupling[0].conj(), coupling[1, ::-1]]), self._pair_table[:, :n],
-                  out=out)
+        np.matmul(coupling, self._pair_table[:, :n], out=out)
         np.conjugate(out[0], out=out[0])
         return out
 
     def apply(self, j0: int, j1: int, c: np.ndarray) -> np.ndarray:
         d_ini, d_fin, ratio_ini, ratio_fin = self._phases(j0, j1)
-        p_ini, p_fin = d_ini[:, None] * ratio_ini, d_fin[:, None] * ratio_fin
-        for a, b in zip(p_ini.T[..., None], p_fin.T[..., None]):
-            # (c^dagger M)^dagger is M^dagger c without copying M^dagger.
+        for r_ini, r_fin in zip(ratio_ini.T, ratio_fin.T):
+            # A step's phases are formed from its table column alone, so no
+            # second k x n table is held.  (c^dagger M)^dagger is M^dagger c
+            # without copying M^dagger.
+            a, b = (d_ini * r_ini)[:, None], (d_fin * r_fin)[:, None]
             c = a * (self.m @ (b * (c.conj().T @ self.m).conj().T))
         return c if self.means is None else _shift_phase(self, j0, j1) * c
 
@@ -429,9 +459,19 @@ class _RankOneSteps(_SplittingSteps):
 
     def apply(self, j0: int, j1: int, c: np.ndarray) -> np.ndarray:
         d_ini, d_fin, ratio_ini, ratio_fin = self._phases(j0, j1)
-        p_ini, p_fin = d_ini[:, None] * ratio_ini, d_fin[1] * ratio_fin[1]
-        for a, e in zip(p_ini.T[..., None], p_fin):
-            c = a * (e * c + self.m * ((1 - e) * self.m_dagger.dot(c)))
+        for n, (r_ini, e) in enumerate(zip(ratio_ini.T, d_fin[1] * ratio_fin[1])):
+            # c <- a (e c + f' t) for the row t = (1 - e) f'^dagger c.  The
+            # first step allocates c, as numpy lays the expression out (the
+            # layout fixes the summation order of f'^dagger c), and the
+            # others update it in place, each product in the same operand
+            # order, so the bits are the expression's at every step.
+            a, t = (d_ini * r_ini)[:, None], (1 - e) * self.m_dagger.dot(c)
+            if n == 0:
+                c = a * (e * c + self.m * t)
+                continue
+            np.multiply(e, c, out=c)
+            c += self.m * t
+            np.multiply(a, c, out=c)
         return c
 
 
@@ -512,18 +552,21 @@ def _ordered_product(steps: np.ndarray, halves: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(steps[..., 0])
 
 
-def _cayley_klein_product(pairs: np.ndarray, halves: np.ndarray) -> tuple:
-    """(alpha, beta), the first column of U[n-1] ... U[0] for SU(2) steps
-    U[j] = [[alpha_j, -beta_j^*], [beta_j, alpha_j^*]] given as the columns
-    of ``pairs``, a 2 x n array, multiplied down pairwise.
+def _cayley_klein_product(pairs: np.ndarray, halves: np.ndarray, keep: int) -> np.ndarray:
+    """SU(2) steps U[j] = [[alpha_j, -beta_j^*], [beta_j, alpha_j^*]], given
+    as the columns (alpha_j, beta_j) of ``pairs``, a 2 x n array, multiplied
+    down pairwise until at most ``keep`` columns are left: the first columns
+    of the products of consecutive runs of steps, in step order.  keep = 1
+    gives the first column of U[n-1] ... U[0].
 
-    The first column of U1 U0 is (a1 a0 - b1^* b0, b1 a0 + a1^* b0).
-    ``pairs`` lies in ``halves[0]``, and each level of the tree writes its
-    products and their terms into the other half, so no level allocates.
-    Both halves are overwritten.
+    The first column of U1 U0 is (a1 a0 - b1^* b0, b1 a0 + a1^* b0).  Each
+    level of the tree writes its products and their terms into the half of
+    ``halves`` it did not read, starting with ``halves[1]``, so no level
+    allocates; ``pairs`` lies in ``halves[0]`` or in a buffer of its own.
+    Both halves, and ``pairs``, are overwritten.
     """
     target = 1
-    while pairs.shape[-1] > 1:
+    while pairs.shape[-1] > keep:
         n = pairs.shape[-1]
         if n % 2:
             (a1, b1), (a0, b0) = pairs[:, n - 1], pairs[:, n - 2]
@@ -537,7 +580,7 @@ def _cayley_klein_product(pairs: np.ndarray, halves: np.ndarray) -> tuple:
         pairs[0] -= term[0]
         pairs[1] += term[1]
         target = 1 - target
-    return pairs[0, 0], pairs[1, 0]
+    return pairs
 
 
 def _shift_phase(steps, j0: int, j1: int) -> complex:
@@ -556,12 +599,17 @@ def _shift_phase(steps, j0: int, j1: int) -> complex:
 def _advance(steps, c: np.ndarray, j0: int, j1: int) -> np.ndarray:
     """Apply steps j0 .. j1-1 to the coefficient block c, STEP_CHUNK at a time.
 
-    Splitting steps on k = 2 coefficients carry ``means``: then
-    ``steps.pairs(a, b, out)`` computes the first columns of the SU(2)
-    steps a .. b-1 in the first half of a 2 x 2 x STEP_CHUNK buffer
-    allocated once for the call, they are multiplied down pairwise by the
-    Cayley-Klein rule (``_cayley_klein_product``), and the phase the SU(2)
-    shift took out is put back once (``_shift_phase``).  Other steps on at
+    Splitting steps on k = 2 coefficients carry ``means``: then the
+    couplings of all chunk starts come from one ``steps.pair_couplings``
+    call, ``steps.pairs(coupling, out)`` computes the first columns of a
+    chunk's SU(2) steps in the first half of a 2 x 2 x STEP_CHUNK buffer,
+    and they are multiplied down pairwise by the Cayley-Klein rule
+    (``_cayley_klein_product``) to at most PARTIAL_KEEP partial products.
+    These queue, in step order, in a buffer of PARTIAL_QUEUE columns; the
+    queue is multiplied down in the same halves and applied to c before a
+    chunk that could overflow it and after the last chunk, and the phase
+    the SU(2) shift took out is put back once (``_shift_phase``).  A stretch
+    of one chunk takes one tree, as if it had no queue.  Other steps on at
     most PAIRWISE_DIM_MAX coefficients are computed whole by
     ``steps.matrices``, in a 2 x k^2 x STEP_CHUNK buffer, and multiplied
     down as matrices; above it ``steps.apply(a, b, c)`` applies them to c
@@ -574,16 +622,30 @@ def _advance(steps, c: np.ndarray, j0: int, j1: int) -> np.ndarray:
         for a in range(j0, j1, chunk):
             c = steps.apply(a, min(a + chunk, j1), c)
         return c
-    su2 = getattr(steps, "means", None) is not None
-    halves = np.empty((2, k if su2 else k * k, min(STEP_CHUNK, j1 - j0)), dtype=complex)
-    for a in range(j0, j1, STEP_CHUNK):
-        b = min(a + STEP_CHUNK, j1)
-        if su2:
-            alpha, beta = _cayley_klein_product(steps.pairs(a, b, halves[0, :, :b - a]), halves)
-            c = np.array([[alpha, -beta.conjugate()], [beta, alpha.conjugate()]]) @ c
-        else:
+    if getattr(steps, "means", None) is None:
+        halves = np.empty((2, k * k, min(STEP_CHUNK, j1 - j0)), dtype=complex)
+        for a in range(j0, j1, STEP_CHUNK):
+            b = min(a + STEP_CHUNK, j1)
             c = _ordered_product(steps.matrices(a, b, halves[0, :, :b - a]), halves) @ c
-    return _shift_phase(steps, j0, j1) * c if su2 else c
+        return c
+
+    def flush(c, queued):
+        alpha, beta = _cayley_klein_product(queue[:, :queued], halves, 1)[:, 0]
+        return np.array([[alpha, -beta.conjugate()], [beta, alpha.conjugate()]]) @ c
+
+    # The halves hold a chunk's steps or the whole queue's first level.
+    halves = np.empty((2, 2, min(max(STEP_CHUNK, PARTIAL_QUEUE), j1 - j0)), dtype=complex)
+    queue, queued = np.empty((2, min(PARTIAL_QUEUE, j1 - j0)), dtype=complex), 0
+    starts = range(j0, j1, STEP_CHUNK)
+    for a, coupling in zip(starts, steps.pair_couplings(starts)):
+        b = min(a + STEP_CHUNK, j1)
+        if queued + min(b - a, PARTIAL_KEEP) > PARTIAL_QUEUE:
+            c, queued = flush(c, queued), 0
+        partial = _cayley_klein_product(steps.pairs(coupling, halves[0, :, :b - a]), halves,
+                                        PARTIAL_KEEP)
+        queue[:, queued:queued + partial.shape[1]] = partial
+        queued += partial.shape[1]
+    return _shift_phase(steps, j0, j1) * flush(c, queued)
 
 
 def _evolution(instance: AeqsInstance, schedule: Schedule, method: str):
@@ -643,8 +705,10 @@ def evolve_trace(instance: AeqsInstance, schedule: Schedule, method: str = "trot
     nearest unit vector (for a unique ground state: the distance to it
     minimized over a global phase).
     """
-    if record_every < 1:
-        raise EvolveError("record_every must be at least 1")
+    # As for Schedule's R: bool is an Integral, but True is no record interval.
+    if (not isinstance(record_every, numbers.Integral) or isinstance(record_every, bool)
+            or record_every < 1):
+        raise EvolveError(f"record_every must be an integer of at least 1, got {record_every!r}")
     steps, c, ground = _evolution(instance, schedule, method)
     r = schedule.r_steps
     trace = EvolutionTrace(method=method, subspace_dim=steps.basis.shape[1])
@@ -697,12 +761,16 @@ def find_sufficient_t(instance: AeqsInstance, target_overlap_sq: float,
     overlap found and converged=False instead of failing silently; with no
     evaluation run, that is overlap 0 at t_start.  ``r_policy`` is called
     once per evaluation, skipped ones included.  ``t_start`` must be finite
-    and positive, or the doubling would never leave it.
+    and positive, or the doubling would never leave it, and ``t_cap``
+    positive (it may be inf).
     """
     if not 0.0 < target_overlap_sq < 1.0:
         raise EvolveError("target overlap must lie strictly between 0 and 1")
     if not (math.isfinite(t_start) and t_start > 0.0):
         raise EvolveError(f"t_start must be finite and positive, got {t_start!r}")
+    # Negated, so that a nan cap, which no comparison reaches, is rejected too.
+    if not t_cap > 0.0:
+        raise EvolveError(f"t_cap must be positive, got {t_cap!r}")
     r_policy = r_policy or default_r_policy
     evaluations = []
 

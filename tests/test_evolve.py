@@ -311,8 +311,9 @@ class TestRankOneSteps:
 
     def test_memory_bounded_by_the_table_cap(self):
         # At R = STEP_CHUNK a dim-256 chunk would hold two 256 x 32,768 phase
-        # tables, 128 MiB each; capped, each holds at most TABLE_ENTRIES_MAX
-        # entries, while trotter runs on k = 2.
+        # tables, 128 MiB each; capped, the one ratio table of 256 rows holds
+        # at most TABLE_ENTRIES_MAX entries, and each step forms its phases
+        # from its own column, while trotter runs on k = 2.
         inst = gallery.build("equal").family.build("abbabaab")
         sch = Schedule(8.0, 2**15)
         peaks = {}
@@ -324,7 +325,7 @@ class TestRankOneSteps:
             finally:
                 tracemalloc.stop()
         table = evolve.TABLE_ENTRIES_MAX * np.dtype(complex).itemsize
-        assert peaks["phase"] <= peaks["trotter"] + 3 * table
+        assert peaks["phase"] <= peaks["trotter"] + 1.5 * table
 
     def test_product_memory_is_flat_in_r(self, monkeypatch):
         # The product applies the steps in chunks of TABLE_ENTRIES_MAX / dim,
@@ -344,6 +345,22 @@ class TestRankOneSteps:
                 tracemalloc.stop()
         table = evolve.TABLE_ENTRIES_MAX * np.dtype(complex).itemsize
         assert peaks[1] <= peaks[0] + table / 16, peaks
+
+    @pytest.mark.parametrize("length", [3, 4, 7, 8])
+    def test_in_place_steps_are_the_expression(self, length):
+        # The steps update c in place; they must give the bits of
+        # c <- a (e c + f' ((1 - e) f'^dagger c)) from fresh arrays, on the
+        # product's dim x dim block at dims 8 to 256.
+        inst = gallery.build("equal").family.build("abbabaab"[:length])
+        steps = phase_shift_factors(inst, Schedule(8.0, 256))
+        assert isinstance(steps, evolve._RankOneSteps)
+        d_ini, d_fin, ratio_ini, ratio_fin = steps._phases(0, 48)
+        want = u = steps.basis.conj().T
+        for n, e in enumerate(d_fin[1] * ratio_fin[1]):
+            a = (d_ini * ratio_ini[:, n])[:, None]
+            want = a * (e * want + steps.m * ((1 - e) * steps.m_dagger.dot(want)))
+        assert np.array_equal(steps.apply(0, 48, u), want)
+        assert np.array_equal(u, steps.basis.conj().T)
 
     def test_no_eigenbasis_of_h_fin(self, monkeypatch):
         def no_eigenbasis(h):
@@ -432,6 +449,19 @@ class TestEvolveTrace:
         with pytest.raises(EvolveError):
             evolve_trace(inst, Schedule(1.0, 4), "trotter", record_every=0)
 
+    @pytest.mark.parametrize("record_every", [2.5, 2.0, True, False, "2", None, -1])
+    def test_record_every_must_be_an_integer(self, record_every):
+        # As for R: 2.5 used to fail inside range() with a bare TypeError,
+        # and True ran as 1.
+        inst = gallery.build("equal").family.build("ab")
+        with pytest.raises(EvolveError, match="record_every"):
+            evolve_trace(inst, Schedule(1.0, 4), "trotter", record_every=record_every)
+
+    def test_numpy_integer_record_every(self):
+        inst = gallery.build("equal").family.build("ab")
+        trace = evolve_trace(inst, Schedule(1.0, 4), "trotter", record_every=np.int64(2))
+        assert [r.j for r in trace.records] == [1, 3]
+
     def test_subspace_dim_reported_not_serialized(self):
         inst = gallery.build("l_prefix_0").family.build("00")   # dim 16 = 2^4
         for method, expect in (("midpoint", 2), ("trotter", 2), ("phase", 16)):
@@ -499,7 +529,8 @@ class TestAngleAdditionTables:
         assert steps.means is not None
         j0, j1 = chunks(r, evolve.STEP_CHUNK)[0 if t == 128.0 else -1]
         assert j1 - j0 == (32_768 if t == 128.0 else 20_480)
-        pairs = steps.pairs(j0, j1, np.empty((2, j1 - j0), dtype=complex))
+        coupling = steps.pair_couplings([j0])[0]
+        pairs = steps.pairs(coupling, np.empty((2, j1 - j0), dtype=complex))
         general = steps.matrices(j0, j1, np.empty((4, j1 - j0), dtype=complex))
         assert np.abs(pairs - general[:, 0]).max() <= 1e-15
         # The pair fixes the step: its second column is (-beta^*, alpha^*).
@@ -640,9 +671,10 @@ class TestCayleyKleinRoute:
             assert abs(got - np.exp(-1j * angle)) <= 1e-12 * max(1.0, abs(angle))
 
     def test_full_chunk_allocates_one_buffer(self):
-        # The 2 x 2 x STEP_CHUNK buffer is the one array a chunk needs: the
-        # tree's levels write into its halves.  Tables are grown by a first
-        # call, outside the measurement.
+        # The 2 x 2 x STEP_CHUNK buffer is the one large array a chunk needs:
+        # the tree's levels write into its halves; the queue of partial
+        # products beside it holds 2 x PARTIAL_QUEUE.  Tables are grown by a
+        # first call, outside the measurement.
         inst = gallery.build("l_prefix_0").family.build("0")
         chunk = evolve.STEP_CHUNK
         steps, c, _ = evolve._evolution(inst, Schedule(8.0, 2 * chunk), "trotter")
@@ -655,6 +687,93 @@ class TestCayleyKleinRoute:
         finally:
             tracemalloc.stop()
         assert buffer <= peak < 2 * buffer
+
+    # With chunks of 64 steps whose trees stop at 8 partial products and a
+    # queue of 32, four whole chunks fill the queue exactly.  Stretches of
+    # 5 steps (one chunk shorter than PARTIAL_KEEP), 255, 256 and 257 (the
+    # queue one step short of full, full, and flushed before a one-step
+    # chunk) and 600 (two flushes) from step 0, and 203 steps from step 397.
+    @pytest.mark.parametrize("j0,j1,trees,flushes", [
+        (0, 5, [(5, 8)], [5]),
+        (0, 255, [(64, 8)] * 3 + [(63, 8)], [31]),
+        (0, 256, [(64, 8)] * 4, [32]),
+        (0, 257, [(64, 8)] * 4 + [(1, 8)], [32, 1]),
+        (0, 600, [(64, 8)] * 9 + [(24, 8)], [32, 32, 14]),
+        (397, 600, [(64, 8)] * 3 + [(11, 8)], [29]),
+    ])
+    @pytest.mark.parametrize("case,method", [run for run in K2_RUNS if run[1] != "midpoint"])
+    def test_queue_boundaries_match_full_space_steps(self, case, method, j0, j1, trees,
+                                                     flushes, monkeypatch):
+        monkeypatch.setattr(evolve, "STEP_CHUNK", 64)
+        monkeypatch.setattr(evolve, "PARTIAL_KEEP", 8)
+        monkeypatch.setattr(evolve, "PARTIAL_QUEUE", 32)
+        product, calls = evolve._cayley_klein_product, []
+
+        def recorded(pairs, halves, keep):
+            calls.append((pairs.shape[1], keep))
+            return product(pairs, halves, keep)
+
+        monkeypatch.setattr(evolve, "_cayley_klein_product", recorded)
+        inst = K2_CASES[case]()
+        sch = Schedule(5.0, 600)
+        steps, c, _ = evolve._evolution(inst, sch, method)
+        if j0:
+            c = evolve._advance(steps, c, 0, j0)
+            calls.clear()
+        got = steps.basis @ evolve._advance(steps, c, j0, j1)[:, 0]
+        # Chunk trees, then each flush of the whole queue down to one product.
+        assert [call for call in calls if call[1] == 8] == trees
+        assert [n for n, keep in calls if keep == 1] == flushes
+        want = reference_steps(inst, sch, method, 0, j1) @ start_state(inst)
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_stretch_of_one_chunk_is_one_tree(self, monkeypatch):
+        # The chunk's tree stops at PARTIAL_KEEP and the queue's tree goes on
+        # from there, so the levels are the ones a single tree takes: the
+        # state is the one a tree with no stop gives, bit for bit.
+        inst = gallery.build("l_prefix_0").family.build("0")
+        sch = Schedule(8.0, 20_000)
+        steps, c, _ = evolve._evolution(inst, sch, "trotter")
+        got = evolve._advance(steps, c, 0, sch.r_steps)
+        monkeypatch.setattr(evolve, "PARTIAL_KEEP", 1)
+        assert np.array_equal(evolve._advance(steps, c, 0, sch.r_steps), got)
+
+    def test_vectorized_couplings_are_the_one_start_couplings(self):
+        # Criterion 6's largest refinement: 64 chunk starts.  Each start's
+        # coupling is the one it gets alone, bit for bit, and that is the
+        # formula with its start phases from Python integers.
+        inst = gallery.build("l_prefix_0").family.build("0")
+        sch = Schedule(128.0, default_r_policy(128.0))
+        steps, _, _ = evolve._evolution(inst, sch, "trotter")
+        starts = range(0, sch.r_steps, evolve.STEP_CHUNK)
+        assert len(starts) == 64
+        stacked = steps._coupling(starts)
+        factors = steps.pair_couplings(starts)
+        for i, j0 in enumerate(starts):
+            r, gamma, m = sch.r_steps, sch.gamma, steps.m
+            d_ini = np.exp(-1j * ((2 * r - 2 * j0 - 1) * gamma * steps.ini_values))
+            d_fin = np.exp(-1j * ((2 * j0 + 1) * gamma * steps.fin_values))
+            want = (d_ini[:, None] * m * d_fin)[:, None, :] * m.conj()[None, :, :]
+            assert np.array_equal(steps._coupling([j0])[0], want)
+            assert np.array_equal(stacked[i], want)
+            k = want[:, 0, :]
+            assert np.array_equal(factors[i], np.array([k[0].conj(), k[1, ::-1]]))
+
+    def test_search_memory_is_flat_in_r(self):
+        # T = 128 makes 64 chunks and T = 64 makes 8; the queue is flushed
+        # every 8 chunks, so the longer run holds no more than 64 KiB more.
+        inst = gallery.build("l_prefix_0").family.build("0")
+        peaks = []
+        for t in (64.0, 128.0):
+            sch = Schedule(t, default_r_policy(t))
+            final_overlap_sq(inst, sch)
+            tracemalloc.start()
+            try:
+                final_overlap_sq(inst, sch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024, peaks
 
 
 class TestOneDynamicalBasisPerRun:
@@ -831,6 +950,26 @@ class TestFindSufficientT:
         with pytest.raises(EvolveError, match="t_start"):
             find_sufficient_t(inst, 0.99, r_policy=policy, t_start=t_start)
         assert asked == []
+
+    @pytest.mark.parametrize("t_cap", [math.nan, 0.0, -1.0, -math.inf])
+    def test_cap_must_be_positive(self, t_cap):
+        # A nan cap used to end the search after its first evaluation with
+        # converged=False, since t < nan is false.
+        inst = gallery.build("equal").family.build("ab")
+        asked = []
+
+        def policy(t):
+            asked.append(t)
+            return 8
+
+        with pytest.raises(EvolveError, match="t_cap"):
+            find_sufficient_t(inst, 0.99, r_policy=policy, t_cap=t_cap)
+        assert asked == []
+
+    def test_infinite_cap_is_allowed(self):
+        inst = gallery.build("l_prefix_0").family.build("0")
+        res = find_sufficient_t(inst, 0.99, t_cap=math.inf)
+        assert (res.t, res.converged, len(res.evaluations)) == (70.0, True, 13)
 
     def test_default_policy_floor(self):
         assert default_r_policy(0.5) == 64
