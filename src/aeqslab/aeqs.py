@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,7 +45,9 @@ from .linalg import (
     SparseHermitian,
     dense_max,
     hermitian_eig,
+    integer,
     lowest_eigenpairs,
+    real,
     spectral_norm,
 )
 from .qqa import BasisSchema, flat_schema
@@ -203,10 +206,7 @@ def lowest_pairs(h, k: int) -> list:
     (``_component_pairs``), and a dense matrix runs the full checked dense
     eigensolve.
     """
-    k = int(k)
-    dim = hamiltonian_dim(h)
-    if not 1 <= k <= dim:
-        raise AeqsError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
+    integer(k, "pair count k", AeqsError, 1, hamiltonian_dim(h))
     if isinstance(h, ProjectorComplement):
         values, vectors = _projector_eigenpairs(h, k)
         return [(float(value), v) for value, v in zip(values, vectors.T)]
@@ -349,8 +349,7 @@ class AeqsInstance:
         d1, d2 = hamiltonian_dim(self.h_ini), hamiltonian_dim(self.h_fin)
         if d1 != d2:
             raise AeqsError(f"Hamiltonian dimensions differ: {d1} vs {d2}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise AeqsError("accuracy bound must lie in [0, 1]")
+        real(self.epsilon, "accuracy bound epsilon", AeqsError, 0.0, 1.0)
         if self.schema is None:
             self.schema = flat_schema(d1)
 
@@ -472,8 +471,7 @@ def decide(instance: AeqsInstance) -> Verdict:
 
 def interpolated_hamiltonian(instance: AeqsInstance, s: float) -> np.ndarray:
     """H(s) = (1 - s) H_ini + s H_fin for s = t / T in [0, 1]."""
-    if not 0.0 <= s <= 1.0:
-        raise AeqsError(f"interpolation parameter {s} outside [0, 1]")
+    real(s, "interpolation parameter s", AeqsError, 0.0, 1.0)
     return (1.0 - s) * as_dense(instance.h_ini) + s * as_dense(instance.h_fin)
 
 
@@ -542,9 +540,7 @@ def dynamical_basis(h_ini: np.ndarray, h_fin: np.ndarray, start: np.ndarray) -> 
 
 def _grid(grid: int) -> np.ndarray:
     """The gap scan's points s = i / (grid - 1), i = 0 .. grid-1."""
-    if grid < 2:
-        raise AeqsError("gap scan needs at least 2 grid points")
-    return np.arange(grid) / (grid - 1)
+    return np.arange(integer(grid, "grid", AeqsError, low=2)) / (grid - 1)
 
 
 class BlockSplit:
@@ -727,9 +723,9 @@ def minimum_interpolation_gap(instance: AeqsInstance, grid: int = GAP_SCAN_GRID)
 def check_time_bound_args(epsilon: float, delta: float, grid: int) -> None:
     """Raise AeqsError unless epsilon and delta are finite and positive and
     the gap scan has at least 2 grid points."""
-    if not all(math.isfinite(v) and v > 0 for v in (epsilon, delta)):
-        raise AeqsError("epsilon and delta must be finite and positive")
-    _grid(grid)                    # raises below 2 points
+    real(epsilon, "epsilon", AeqsError, open_low=True, open_high=True)
+    real(delta, "delta", AeqsError, open_low=True, open_high=True)
+    _grid(grid)
 
 
 def adiabatic_time_bound(instance: AeqsInstance, epsilon: float, delta: float,
@@ -743,6 +739,7 @@ def adiabatic_time_bound(instance: AeqsInstance, epsilon: float, delta: float,
     space yields an unbounded-time signal, returned as +inf.
     """
     check_time_bound_args(epsilon, delta, grid)
+    real(c, "constant c", AeqsError, open_low=True, open_high=True)
     split = _block_split(instance)
     diff_norm = split.diff_norm()
     if diff_norm == 0.0:
@@ -750,7 +747,13 @@ def adiabatic_time_bound(instance: AeqsInstance, epsilon: float, delta: float,
     g = split.min_gap(grid)
     if g <= DEGENERACY_TOL:
         return math.inf
-    return c * diff_norm ** (1.0 + delta) / (epsilon**delta * g ** (2.0 + delta))
+    try:
+        return c * diff_norm ** (1.0 + delta) / (epsilon**delta * g ** (2.0 + delta))
+    except (OverflowError, ZeroDivisionError):
+        # A power left the float range.  The log's terms in delta are gathered: no inf - inf.
+        log_bound = (delta * (math.log(diff_norm) - math.log(epsilon) - math.log(g))
+                     + math.log(diff_norm) - 2.0 * math.log(g))
+        return c * (math.exp(log_bound) if log_bound < math.log(sys.float_info.max) else math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
@@ -195,7 +196,13 @@ def cmd_verify(args) -> int:
         else:
             inputs = gallery.multdup_inputs(bounds.get("k", 2), bounds.get("l", 2))
     else:
-        inputs = list(gallery.strings_up_to(entry.family.alphabet, args.max_len))
+        alphabet = entry.family.alphabet
+        # The sweep's size, sum |alphabet|^n over n <= max_len, before any input is made.
+        sizes = itertools.accumulate(len(alphabet) ** n for n in range(args.max_len + 1))
+        if any(size > linalg.VERIFY_INPUTS_MAX for size in sizes):
+            raise CapacityError(f"--max-len {args.max_len} sweeps over "
+                                f"VERIFY_INPUTS_MAX = {linalg.VERIFY_INPUTS_MAX} inputs")
+        inputs = list(gallery.strings_up_to(alphabet, args.max_len))
     report = gallery.verify(entry, inputs)
     payload = report.as_dict()
     if report.checked == 0:
@@ -277,11 +284,17 @@ def cmd_gallery_list(_args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """One line on stderr, then exit EXIT_PARSE: exit 2 means "indeterminate"."""
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def command_parser() -> argparse.ArgumentParser:
     """The command line's parser, built once per process: parsing leaves it
     unchanged, so every call of main shares it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aeqslab",
         description="Ground-state language deciders generated by quantum quasi-automata.",
     )
@@ -336,7 +349,10 @@ def command_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = command_parser().parse_args(argv)
+    try:
+        args = command_parser().parse_args(argv)
+    except SystemExit as done:       # a parse error (EXIT_PARSE) or --help (0)
+        return done.code
 
     # --seed applies to this command only: main may run again in one process.
     seed = linalg.LANCZOS_SEED

@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +42,8 @@ from .linalg import (
     THRESHOLD_SLACK,
     CapacityError,
     ilog,
+    integer,
+    real,
     spectral_norm,
 )
 from .qqa import CENT, DOLLAR, BasisSchema
@@ -59,17 +60,6 @@ def _check_symbols(spec, x: str) -> None:
     for sym in x:
         if sym not in spec.alphabet:
             raise CompileError(f"symbol {sym!r} outside the automaton's alphabet")
-
-
-def _check_error_bound(error_bound) -> None:
-    """Raise CompileError unless error_bound is None or a number in [0, 1],
-    the rule ``specdoc`` applies to a document (nan and inf are outside, and
-    a bool is no number)."""
-    if error_bound is not None and (
-        not isinstance(error_bound, numbers.Real) or isinstance(error_bound, bool)
-        or not 0.0 <= error_bound <= 1.0
-    ):
-        raise CompileError(f"error_bound {error_bound!r} is not a number in [0, 1]")
 
 
 def _unitary_defect(u: np.ndarray) -> float:
@@ -112,7 +102,8 @@ class MoQfaSpec:
 
     def __post_init__(self):
         self.q_acc, self.q_rej = criteria_arrays(self.q_acc, self.q_rej)
-        _check_error_bound(self.error_bound)
+        if self.error_bound is not None:
+            real(self.error_bound, "error_bound", CompileError, 0.0, 1.0)
         needed = {CENT, DOLLAR, *self.alphabet}
         missing = needed - set(self.ops)
         if missing:
@@ -125,8 +116,7 @@ class MoQfaSpec:
             if defect > OPERATOR_DEFECT_TOL:
                 raise CompileError(f"operator {sym!r} unitarity defect {defect:.3e}")
             self.ops[sym] = u
-        if not 0 <= self.initial < self.n_states:
-            raise CompileError("initial state out of range")
+        integer(self.initial, "initial state", CompileError, 0, self.n_states - 1)
 
     @property
     def padded_states(self) -> int:
@@ -217,13 +207,13 @@ class GarbageQfaSpec:
 
     def __post_init__(self):
         self.q_acc, self.q_rej = criteria_arrays(self.q_acc, self.q_rej)
-        _check_error_bound(self.error_bound)
-        for (q, sym), moves in self.delta.items():
+        if self.error_bound is not None:
+            real(self.error_bound, "error_bound", CompileError, 0.0, 1.0)
+        integer(self.initial, "initial state", CompileError, 0, self.n_states - 1)
+        for moves in self.delta.values():
             for (p, xi, _amp) in moves:
-                if not (0 <= p < self.n_states):
-                    raise CompileError(f"target state {p} out of range")
-                if not (1 <= xi <= self.xi_size):
-                    raise CompileError(f"garbage symbol {xi} outside 1..{self.xi_size}")
+                integer(p, "target state", CompileError, 0, self.n_states - 1)
+                integer(xi, "garbage symbol", CompileError, 1, self.xi_size)
         self.tables = _garbage_tables(self)
         for sym, t in self.tables.items():
             defect = spectral_norm(t.conj() @ t.T - np.eye(self.n_states))

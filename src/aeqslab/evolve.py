@@ -96,7 +96,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,6 +115,8 @@ from .aeqs import (
 from .linalg import (
     OPERATOR_DEFECT_TOL,
     hadamard_power,
+    integer,
+    real,
     spectral_norm,
     unitary_exp,
 )
@@ -161,15 +162,9 @@ class Schedule:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_total) and self.t_total >= 0):
-            raise EvolveError("evolution time must be finite and nonnegative")
-        # bool is an Integral, but True is no refinement count.
-        if (not isinstance(self.r_steps, numbers.Integral) or isinstance(self.r_steps, bool)
-                or self.r_steps < 1):
-            raise EvolveError(f"refinement count must be an integer of at least 1, "
-                              f"got {self.r_steps!r}")
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise EvolveError("hbar must be finite and positive")
+        real(self.t_total, "evolution time T", EvolveError, open_high=True)
+        integer(self.r_steps, "refinement count R", EvolveError, low=1)
+        real(self.hbar, "hbar", EvolveError, open_low=True, open_high=True)
 
     @property
     def gamma(self) -> float:
@@ -705,10 +700,7 @@ def evolve_trace(instance: AeqsInstance, schedule: Schedule, method: str = "trot
     nearest unit vector (for a unique ground state: the distance to it
     minimized over a global phase).
     """
-    # As for Schedule's R: bool is an Integral, but True is no record interval.
-    if (not isinstance(record_every, numbers.Integral) or isinstance(record_every, bool)
-            or record_every < 1):
-        raise EvolveError(f"record_every must be an integer of at least 1, got {record_every!r}")
+    integer(record_every, "record_every", EvolveError, low=1)
     steps, c, ground = _evolution(instance, schedule, method)
     r = schedule.r_steps
     trace = EvolutionTrace(method=method, subspace_dim=steps.basis.shape[1])
@@ -737,8 +729,8 @@ def final_overlap_sq(instance: AeqsInstance, schedule: Schedule, method: str = "
 
 
 def default_r_policy(t: float) -> int:
-    """R grows like T^3 with a floor of 64."""
-    return max(64, int(math.ceil(max(t, 0.0) ** 3)))
+    """R grows like T^3 with a floor of 64; T is capped at STEP_BUDGET, so no cube overflows."""
+    return max(64, int(math.ceil(min(max(t, 0.0), STEP_BUDGET) ** 3)))
 
 
 @dataclass
@@ -764,13 +756,9 @@ def find_sufficient_t(instance: AeqsInstance, target_overlap_sq: float,
     and positive, or the doubling would never leave it, and ``t_cap``
     positive (it may be inf).
     """
-    if not 0.0 < target_overlap_sq < 1.0:
-        raise EvolveError("target overlap must lie strictly between 0 and 1")
-    if not (math.isfinite(t_start) and t_start > 0.0):
-        raise EvolveError(f"t_start must be finite and positive, got {t_start!r}")
-    # Negated, so that a nan cap, which no comparison reaches, is rejected too.
-    if not t_cap > 0.0:
-        raise EvolveError(f"t_cap must be positive, got {t_cap!r}")
+    real(target_overlap_sq, "target overlap", EvolveError, 0.0, 1.0, open_low=True, open_high=True)
+    real(t_start, "t_start", EvolveError, open_low=True, open_high=True)
+    real(t_cap, "t_cap", EvolveError, open_low=True)
     r_policy = r_policy or default_r_policy
     evaluations = []
 

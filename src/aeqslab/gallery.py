@@ -64,7 +64,7 @@ from .aeqs import (
     deflation_hamiltonian,
     diagonal_lowest_two,
 )
-from .linalg import EXPECTATION_TOL, SparseHermitian, SparseOp
+from .linalg import EXPECTATION_TOL, SparseHermitian, SparseOp, integer
 from .qqa import (
     CENT,
     DOLLAR,
@@ -990,12 +990,16 @@ def build(name: str) -> GalleryEntry:
 
 
 def strings_up_to(alphabet, max_len: int):
-    for length in range(max_len + 1):
-        for tup in itertools.product(alphabet, repeat=length):
-            yield "".join(tup)
+    """The words of length 0 .. max_len, shortest first; none for max_len = -1."""
+    integer(max_len, "max_len", GalleryError, low=-1)
+    return ("".join(tup) for length in range(max_len + 1)
+            for tup in itertools.product(alphabet, repeat=length))
 
 
 def usubsum_inputs(t_max: int, k_max: int, l_max: int, promised_only: bool = True):
+    integer(t_max, "t_max", GalleryError)
+    integer(k_max, "k_max", GalleryError)
+    integer(l_max, "l_max", GalleryError)
     out = []
     for t in range(1, t_max + 1):
         for k in range(1, k_max + 1):
@@ -1008,6 +1012,8 @@ def usubsum_inputs(t_max: int, k_max: int, l_max: int, promised_only: bool = Tru
 
 def multdup_inputs(k_max: int, l_max: int):
     """All promised inputs: identical blocks, or one single-symbol change."""
+    integer(k_max, "k_max", GalleryError)
+    integer(l_max, "l_max", GalleryError)
     out = []
     for k in range(1, k_max + 1):
         for l in range(1, l_max + 1):

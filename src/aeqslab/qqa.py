@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import CONJUGATE_PRUNE_TOL, OPERATOR_DEFECT_TOL, SparseHermitian, SparseOp, ilog
+from .linalg import (CONJUGATE_PRUNE_TOL, OPERATOR_DEFECT_TOL, SparseHermitian, SparseOp, ilog,
+                     integer)
 
 CENT = "cent"
 DOLLAR = "dollar"
@@ -478,8 +479,7 @@ def generate_qqaf(level: QqafLevel, x: str, *, return_trace: bool = False):
 def generate_2qqaf(level: TwoWayQqafLevel, *, return_trace: bool = False):
     """E = (A^(n,x))^t (A_first(Lambda~0)) on the level's surface space, with
     t = ``level.steps``; no surface state is projected out."""
-    if level.steps < 0:
-        raise QqaError("negative step count")
+    integer(level.steps, "step count", QqaError)
     runs = [(level.ops[CENT], 1), (level.ops[STEP], level.steps)]
     return _channel_output(level.lam0, runs, level.schema, return_trace=return_trace)
 

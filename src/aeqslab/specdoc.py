@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compilers import GarbageQfaSpec, MoQfaSpec
-from .linalg import REAL_PART_TOL, SparseHermitian, SparseOp
+from .linalg import REAL_PART_TOL, SparseHermitian, SparseOp, integer, real
 from .qqa import CENT, DOLLAR, BasisSchema, QqafLevel
 
 DOCUMENT_SCHEMA = 1
@@ -38,13 +38,12 @@ def _operands(op: str, arg, count: int | None = None):
 def evaluate_amplitude(expr) -> complex:
     """Evaluate the restricted expression language to a complex number.
 
-    Forms: plain numbers; {"rational": [p, q]}; {"sqrt": e};
+    Forms: finite plain numbers; {"rational": [p, q]}; {"sqrt": e};
     {"product": [e, ...]}; {"quotient": [e, e]}; {"complex": [re, im]}.
     """
-    if isinstance(expr, bool):
-        raise DocumentError("booleans are not amplitudes")
     if isinstance(expr, (int, float)):
-        return complex(expr)
+        return complex(real(expr, "amplitude", DocumentError, -math.inf, open_low=True,
+                            open_high=True))
     if not isinstance(expr, dict) or len(expr) != 1:
         raise DocumentError(f"malformed amplitude expression: {expr!r}")
     (op, arg), = expr.items()
@@ -90,7 +89,7 @@ def _optional(raw: dict, key: str, kind: type):
     """raw[key], or the empty value of `kind` when absent; of JSON type `kind`."""
     value = raw.get(key, kind())
     if not isinstance(value, kind):
-        raise DocumentError(f"{key!r} must be a JSON {kind.__name__}")
+        raise DocumentError(f"{key!r} must be a JSON {kind.__name__}, got {value!r}")
     return value
 
 
@@ -110,26 +109,19 @@ def _entries(entries, arity: int, what: str) -> list:
 
 
 def _index(value, bound: int, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < bound:
-        raise DocumentError(f"{what} {value!r} is outside 0..{bound - 1}")
-    return value
+    return integer(value, what, DocumentError, 0, bound - 1)
 
 
-def _state_count(raw: dict) -> int:
-    n = _require(raw, "states", int)
-    if n < 1:
-        raise DocumentError(f"state count {n} must be positive")
-    return n
+def _count(raw: dict, key: str) -> int:
+    """raw[key], a JSON int of at least 1."""
+    return integer(_require(raw, key, int), key, DocumentError, low=1)
 
 
 def _readout(raw: dict, n: int) -> dict:
     """The readout fields shared by the automaton kinds, checked against n."""
     error_bound = raw.get("error_bound")
-    if error_bound is not None and (
-        not isinstance(error_bound, (int, float)) or isinstance(error_bound, bool)
-        or not 0.0 <= error_bound <= 1.0
-    ):
-        raise DocumentError(f"error_bound {error_bound!r} is not a number in [0, 1]")
+    if error_bound is not None:
+        real(error_bound, "error_bound", DocumentError, 0.0, 1.0)
     return {
         "q_acc": frozenset(_index(q, n, "accepting state")
                            for q in _optional(raw, "accepting", list)),
@@ -176,7 +168,7 @@ class MachineSpecDocument:
         if self.kind != "moqfa":
             raise DocumentError(f"document kind is {self.kind!r}, not moqfa")
         raw = self.raw
-        n = _state_count(raw)
+        n = _count(raw, "states")
         ops = {}
         for sym_raw, entries in _require(raw, "operators", dict).items():
             u = np.zeros((n, n), dtype=complex)
@@ -190,8 +182,8 @@ class MachineSpecDocument:
         if self.kind != "garbage-1qfa":
             raise DocumentError(f"document kind is {self.kind!r}, not garbage-1qfa")
         raw = self.raw
-        n = _state_count(raw)
-        xi_size = _require(raw, "garbage_symbols", int)
+        n = _count(raw, "states")
+        xi_size = _count(raw, "garbage_symbols")
         delta = {}
         for q, sym_raw, p, xi, expr in _entries(_require(raw, "transitions", list), 5,
                                                 "transitions"):

@@ -322,12 +322,12 @@ class TestUsageErrors:
     def test_gap_grid_below_two(self, capsys, grid):
         code, err = self.main_exit(capsys, "gap", "l_prefix_0", "0", "--grid", grid)
         assert code == 3, err
-        assert "at least 2 grid points" in err
+        assert f"invalid grid {grid}: need an integer in [2, inf)" in err
 
     @pytest.mark.parametrize("option, value, message", [
-        ("--grid", "1", "at least 2 grid points"),
-        ("--epsilon", "-3", "finite and positive"),
-        ("--delta", "nan", "finite and positive"),
+        ("--grid", "1", "invalid grid 1: need an integer in [2, inf)"),
+        ("--epsilon", "-3", "negative epsilon -3.0: need a finite real in (0.0, inf)"),
+        ("--delta", "nan", "invalid delta nan: need a finite real in (0.0, inf)"),
     ])
     def test_gap_arguments_checked_above_dense_limit(self, capsys, option, value, message):
         # pal_marked on a#a has dimension 5625 > EVOLVE_DIM_MAX, whose scan
@@ -349,13 +349,13 @@ class TestUsageErrors:
     @pytest.mark.parametrize("doc, message", [
         ({k: v for k, v in MOQFA_DOC.items() if k != "states"}, "missing required key 'states'"),
         (dict(MOQFA_DOC, operators=dict(MOQFA_DOC["operators"], cent=[[5, 0, 1], [1, 1, 1]])),
-         "row 5 is outside 0..1"),
+         "invalid row 5: need an integer in [0, 1]"),
         (dict(MOQFA_DOC, operators=dict(MOQFA_DOC["operators"], cent=[[-1, 0, 1], [1, 1, 1]])),
-         "row -1 is outside 0..1"),
+         "negative row -1: need an integer in [0, 1]"),
         ({"schema": 1, "kind": "garbage-1qfa", "alphabet": ["1"], "states": 1,
           "garbage_symbols": 1, "transitions": [[0, "cent", 0, 1]]},
          "transitions must be a list of 5-field entries"),
-        (dict(MOQFA_DOC, error_bound=1.5), "error_bound 1.5 is not a number in [0, 1]"),
+        (dict(MOQFA_DOC, error_bound=1.5), "invalid error_bound 1.5: need a real in [0.0, 1.0]"),
         ({"schema": 1, "kind": "moqqaf", "alphabet": ["1"],
           "dimension_schema": [{"name": "state", "labels": ["u", "v"]}],
           "operators": {sym: [[["u"], ["u"], 1], [["v"], ["v"], 1]]
@@ -429,6 +429,37 @@ class TestUsageErrors:
         code, err = self.main_exit(capsys, command, str(specfile), "1")
         assert code == 3, err
         assert "operands" in err
+
+    @pytest.mark.parametrize("argv, expected", [
+        ([], 3),
+        (["bogus"], 3),
+        (["run", "l_prefix_0"], 3),
+        (["--seed", "x", "run", "l_prefix_0", "0"], 3),
+        (["gap", "l_prefix_0", "0", "--grid", "2.5"], 3),
+        (["gap", "l_prefix_0", "0", "--grid", "x"], 3),
+        (["gap", "l_prefix_0", "0", "--epsilon", "inf"], 3),
+        (["gap", "l_prefix_0", "0", "--delta", "-1"], 3),
+        (["trace", "l_prefix_0", "0", "--T", "1", "--R", "4", "--method", "nope"], 3),
+        (["trace", "l_prefix_0", "0", "--T", "-1", "--R", "4"], 3),
+        (["trace", "l_prefix_0", "0", "--T", "1", "--R", "0"], 3),
+        (["trace", "l_prefix_0", "0", "--T", "1", "--R", "2.5"], 3),
+        (["trace", "l_prefix_0", "0", "--T", "1", "--R", "4", "--hbar", "0"], 3),
+        (["verify", "l_prefix_0", "--max-len", "-3"], 3),
+        (["verify", "usubsum", "--max-params", "t<=-1"], 3),
+        (["verify", "l_prefix_0", "--max-len", "100000"], 4),
+    ])
+    def test_hostile_argv_exits_with_one_line(self, capsys, argv, expected):
+        # A parse error exits 3 like any other usage error: exit 2 is left to
+        # "indeterminate".  A sweep too large to enumerate exits 4 at once.
+        code, err = self.main_exit(capsys, *argv)
+        assert code == expected, err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
+    def test_help_exits_0(self, capsys):
+        from aeqslab.cli import main
+
+        assert main(["--help"]) == 0
+        assert "usage: aeqslab" in capsys.readouterr().out
 
     def test_seed_is_restored_after_the_command(self, capsys):
         from aeqslab import linalg
