@@ -9,14 +9,14 @@ accept/reject; everything else, including a degenerate ground space, is an
 explicit "indeterminate" outcome rather than an error.
 
 Along the interpolation H(s) = (1 - s) H_ini + s H_fin, the gap scan, the
-time bound's ||H_fin - H_ini|| and the evolution's trace records are read
-off one BlockSplit of H(s) (``_block_split``): a k x k block on a subspace
-Q that contains H_ini's ground state and is invariant under both
-Hamiltonians, and lines, the eigenvalues of H_fin on Q^perp.  For a pair
-I - |g><g|, I - |f><f| of ProjectorComplements (the measure-once gallery
-entries and every compiled instance) Q = span{g, f} and every part is in
-closed form, with no dim x dim matrix, at any dimension; so is the
-commutator's norm.  Any other pair is densified, up to EVOLVE_DIM_MAX:
+time bound's ||H_fin - H_ini||, the commutator's norm and the evolution's
+trace records are read off one BlockSplit of H(s) (``_block_split``): a
+k x k block on a subspace Q that contains H_ini's ground state and is
+invariant under both Hamiltonians, and lines, the eigenvalues of H_fin on
+Q^perp.  For a pair I - |g><g|, I - |f><f| of ProjectorComplements (the
+measure-once gallery entries and every compiled instance) Q = span{g, f}
+and every part is in closed form, with no dim x dim matrix, at any
+dimension.  Any other pair is densified, up to EVOLVE_DIM_MAX:
 when H_ini is a ProjectorComplement, Q is the Krylov dynamical subspace of
 its ground state (``dynamical_basis``) and the lines come from one
 eigensolve of H_fin on Q^perp; for any other H_ini, Q is the whole space:
@@ -37,12 +37,13 @@ import numpy as np
 from .linalg import (
     COMMUTATOR_NEGLIGIBLE,
     DEGENERACY_TOL,
+    EVOLVE_DIM_MAX,
     NORM_TOL,
     SPARSE_EIG_MIN_DIM,
     SUBSPACE_TOL,
     TIE_TOL,
-    CapacityError,
     SparseHermitian,
+    capacity,
     dense_max,
     hermitian_eig,
     integer,
@@ -54,8 +55,6 @@ from .qqa import BasisSchema, flat_schema
 
 DEFAULT_ACCURACY_BOUND = 0.999  # constructions analyzed at accuracy exactly 1
 GAP_SCAN_GRID = 64
-EVOLVE_DIM_MAX = 512      # largest dimension whose Hamiltonians are densified to be
-                          # interpolated or evolved
 
 
 class AeqsError(Exception):
@@ -86,8 +85,7 @@ class ProjectorComplement:
         return x - self.vector * np.vdot(self.vector, x)
 
     def to_dense(self) -> np.ndarray:
-        if self.dim > dense_max():
-            raise CapacityError(f"densifying dimension {self.dim} exceeds threshold")
+        capacity(self.dim, dense_max(), "AEQS_DENSE_MAX", "densifying dimension")
         return np.eye(self.dim, dtype=complex) - np.outer(self.vector, self.vector.conj())
 
 
@@ -135,6 +133,7 @@ class KroneckerSum:
         self.dim = self.dims[0] * self.dims[1]
 
     def to_dense(self) -> np.ndarray:
+        capacity(self.dim, dense_max(), "AEQS_DENSE_MAX", "densifying dimension")
         da, db = self.dims
         ia, ib = np.eye(da, dtype=complex), np.eye(db, dtype=complex)
         return np.kron(as_dense(self.a), ib) + np.kron(ia, as_dense(self.b))
@@ -332,8 +331,8 @@ class AeqsInstance:
     """One input's pair of Hamiltonians with decision criteria.
 
     s_acc and s_rej are disjoint criteria arrays (``criteria_arrays``) of
-    basis indices into the shared evolution space, formed from any index
-    collection given; schema carries the coordinate meaning of the indices.
+    basis indices in [0, dim) of the shared evolution space, formed from any
+    index collection given; schema carries the indices' coordinate meaning.
     """
 
     size_bits: int
@@ -349,6 +348,10 @@ class AeqsInstance:
         d1, d2 = hamiltonian_dim(self.h_ini), hamiltonian_dim(self.h_fin)
         if d1 != d2:
             raise AeqsError(f"Hamiltonian dimensions differ: {d1} vs {d2}")
+        for s in (self.s_acc, self.s_rej):      # sorted: the ends bound the rest
+            if s.size and not 0 <= s.item(0) <= s.item(-1) < d1:
+                bad = s.item(0) if s.item(0) < 0 else s.item(-1)
+                raise AeqsError(f"criteria index {bad} out of range for dimension {d1}")
         real(self.epsilon, "accuracy bound epsilon", AeqsError, 0.0, 1.0)
         if self.schema is None:
             self.schema = flat_schema(d1)
@@ -477,15 +480,11 @@ def interpolated_hamiltonian(instance: AeqsInstance, s: float) -> np.ndarray:
 
 def commutator_check(instance: AeqsInstance) -> float:
     """Spectral norm of [H_ini, H_fin]; values below 1e-12 mean the pair
-    commutes and adiabatic interpolation between them is vacuous.  For
-    I - |g><g| and I - |f><f| the commutator is c |g><f| - c^* |f><g| with
-    c = <g|f>, of norm |c| sqrt(1 - |c|^2) = |c| |r| (``_pair_residual``)."""
-    if is_projector_pair(instance):
-        c, r = _pair_residual(instance.h_ini.vector, instance.h_fin.vector)
-        return float(abs(c) * np.linalg.norm(r))
-    a = as_dense(instance.h_ini)
-    b = as_dense(instance.h_fin)
-    return spectral_norm(a @ b - b @ a)
+    commutes and adiabatic interpolation between them is vacuous.  Read off
+    the BlockSplit of H(s): H_ini is the identity on Q^perp, so the
+    commutator is [A, B] of the k x k block."""
+    split = _block_split(instance)
+    return spectral_norm(split.ini @ split.fin - split.fin @ split.ini)
 
 
 def commutator_negligible(norm: float) -> bool:
@@ -608,15 +607,6 @@ def is_projector_pair(instance: AeqsInstance) -> bool:
             and isinstance(instance.h_fin, ProjectorComplement))
 
 
-def _capped_dim(instance: AeqsInstance) -> int:
-    """The instance's dimension; CapacityError above EVOLVE_DIM_MAX, for a
-    route that builds dim x dim matrices."""
-    if instance.dim > EVOLVE_DIM_MAX:
-        raise CapacityError(f"a dim x dim route is limited to dimension {EVOLVE_DIM_MAX} "
-                            f"(EVOLVE_DIM_MAX), got {instance.dim}")
-    return instance.dim
-
-
 def _pair_residual(g: np.ndarray, f: np.ndarray) -> tuple:
     """(c, r) for c = <g|f> and r = f - g c, orthogonalized against g twice:
     the part of f off g, of norm sqrt(1 - |c|^2)."""
@@ -707,7 +697,7 @@ def _block_split(instance: AeqsInstance, vectors: bool = False) -> BlockSplit:
     (``_dense_split``)."""
     if is_projector_pair(instance):
         return _pair_split(instance.h_ini.vector, instance.h_fin.vector, vectors)
-    _capped_dim(instance)
+    capacity(instance.dim, EVOLVE_DIM_MAX, "EVOLVE_DIM_MAX", "dimension")
     h_ini, h_fin = as_dense(instance.h_ini), as_dense(instance.h_fin)
     q = (dynamical_basis(h_ini, h_fin, instance.h_ini.vector)
          if isinstance(instance.h_ini, ProjectorComplement) else None)
@@ -848,8 +838,7 @@ def xor_product(f1: AeqsFamily, f2: AeqsFamily) -> AeqsFamily:
     def build(x: str) -> AeqsInstance:
         a, b = f1.build(x), f2.build(x)
         da, db = a.dim, b.dim
-        if da * db > dense_max() ** 2:
-            raise CapacityError(f"xor dimension product {da * db} exceeds capacity")
+        capacity(da * db, dense_max() ** 2, "AEQS_DENSE_MAX ** 2", "xor dimension product")
         h_ini = KroneckerSum(a.h_ini, b.h_ini)
         h_fin = KroneckerSum(a.h_fin, b.h_fin)
 

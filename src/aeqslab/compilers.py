@@ -37,18 +37,17 @@ from .aeqs import (
     deflation_hamiltonian,
 )
 from .linalg import (
+    GARBAGE_CAPACITY,
     OPERATOR_DEFECT_TOL,
     RUN_NORM_TOL,
     THRESHOLD_SLACK,
-    CapacityError,
+    capacity,
     ilog,
     integer,
     real,
     spectral_norm,
 )
 from .qqa import CENT, DOLLAR, BasisSchema
-
-GARBAGE_CAPACITY = 65536
 
 
 class CompileError(Exception):
@@ -289,11 +288,8 @@ def garbage_layout(spec: GarbageQfaSpec, length: int) -> GarbageLayout:
     max_len = length + 2
     xi = spec.xi_size
     n_words = max_len + 1 if xi == 1 else (xi ** (max_len + 1) - 1) // (xi - 1)
-    dim = spec.n_states * n_words
-    if dim > GARBAGE_CAPACITY:
-        raise CapacityError(
-            f"configuration space {dim} exceeds garbage capacity {GARBAGE_CAPACITY}"
-        )
+    dim = capacity(spec.n_states * n_words, GARBAGE_CAPACITY, "GARBAGE_CAPACITY",
+                   "configuration space")
     words = garbage_strings(xi, max_len)
     schema = BasisSchema([("state", tuple(range(spec.n_states))), ("garbage", tuple(words))])
     # The criteria are the unions of the ranges [q W, (q + 1) W).

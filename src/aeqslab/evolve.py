@@ -105,7 +105,6 @@ from .aeqs import (
     KroneckerSum,
     ProjectorComplement,
     _block_split,
-    _capped_dim,
     _compress,
     _eigenbasis,
     as_dense,
@@ -113,7 +112,9 @@ from .aeqs import (
     ground_state,
 )
 from .linalg import (
+    EVOLVE_DIM_MAX,
     OPERATOR_DEFECT_TOL,
+    capacity,
     hadamard_power,
     integer,
     real,
@@ -230,7 +231,7 @@ def _interp(h_ini, h_fin, s: float):
 
 def midpoint_propagator(instance: AeqsInstance, schedule: Schedule) -> np.ndarray:
     """Product of the exact midpoint-rule step propagators, j = R-1 .. 0."""
-    _capped_dim(instance)
+    capacity(instance.dim, EVOLVE_DIM_MAX, "EVOLVE_DIM_MAX", "dimension")
     h_ini, h_fin = as_dense(instance.h_ini), as_dense(instance.h_fin)
     u = np.eye(h_ini.shape[0], dtype=complex)
     dt = schedule.t_total / schedule.r_steps / schedule.hbar
@@ -241,7 +242,7 @@ def midpoint_propagator(instance: AeqsInstance, schedule: Schedule) -> np.ndarra
 
 def trotter_product(instance: AeqsInstance, schedule: Schedule) -> np.ndarray:
     """Product of the step-factored propagators V(j), j = R-1 .. 0."""
-    _capped_dim(instance)
+    capacity(instance.dim, EVOLVE_DIM_MAX, "EVOLVE_DIM_MAX", "dimension")
     h_ini, h_fin = as_dense(instance.h_ini), as_dense(instance.h_fin)
     u = np.eye(h_ini.shape[0], dtype=complex)
     for j in range(schedule.r_steps):
@@ -265,7 +266,7 @@ def phase_shift_factors(instance: AeqsInstance, schedule: Schedule) -> _Splittin
     every H_fin at dims up to PAIRWISE_DIM_MAX, whose steps are built as
     matrices, takes its eigenbasis from ``aeqs._eigenbasis``: in closed form
     for a ProjectorComplement, from eigh otherwise."""
-    dim = _capped_dim(instance)
+    dim = capacity(instance.dim, EVOLVE_DIM_MAX, "EVOLVE_DIM_MAX", "dimension")
     k = dim.bit_length() - 1
     if 2**k != dim:
         raise NotHadamardDiagonal(f"dimension {dim} is not a power of two")

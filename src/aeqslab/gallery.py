@@ -64,7 +64,7 @@ from .aeqs import (
     deflation_hamiltonian,
     diagonal_lowest_two,
 )
-from .linalg import EXPECTATION_TOL, SparseHermitian, SparseOp, integer
+from .linalg import EXPECTATION_TOL, VERIFY_INPUTS_MAX, SparseHermitian, SparseOp, capacity, integer
 from .qqa import (
     CENT,
     DOLLAR,
@@ -989,9 +989,18 @@ def build(name: str) -> GalleryEntry:
     return builder()
 
 
+def _check_sweep(sizes) -> None:
+    """CapacityError once the running total of sizes, the inputs a sweep
+    enumerates, passes VERIFY_INPUTS_MAX.  The sizes follow the sweep's own
+    loops and the count stops at the limit, so it never costs more than the sweep."""
+    for total in itertools.accumulate(sizes):
+        capacity(total, VERIFY_INPUTS_MAX, "VERIFY_INPUTS_MAX", "a sweep of at least")
+
+
 def strings_up_to(alphabet, max_len: int):
     """The words of length 0 .. max_len, shortest first; none for max_len = -1."""
     integer(max_len, "max_len", GalleryError, low=-1)
+    _check_sweep(len(alphabet) ** length for length in range(max_len + 1))
     return ("".join(tup) for length in range(max_len + 1)
             for tup in itertools.product(alphabet, repeat=length))
 
@@ -1000,6 +1009,7 @@ def usubsum_inputs(t_max: int, k_max: int, l_max: int, promised_only: bool = Tru
     integer(t_max, "t_max", GalleryError)
     integer(k_max, "k_max", GalleryError)
     integer(l_max, "l_max", GalleryError)
+    _check_sweep(l_max ** k for _ in range(t_max) for k in range(1, k_max + 1))
     out = []
     for t in range(1, t_max + 1):
         for k in range(1, k_max + 1):
@@ -1014,6 +1024,7 @@ def multdup_inputs(k_max: int, l_max: int):
     """All promised inputs: identical blocks, or one single-symbol change."""
     integer(k_max, "k_max", GalleryError)
     integer(l_max, "l_max", GalleryError)
+    _check_sweep(2**l * (1 + k * l) for k in range(1, k_max + 1) for l in range(1, l_max + 1))
     out = []
     for k in range(1, k_max + 1):
         for l in range(1, l_max + 1):

@@ -23,9 +23,11 @@ that, or above ``dense_max()`` where that is lower.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,17 +82,30 @@ LANCZOS_VANISHED_TOL = 1e-12
 LANCZOS_BREAKDOWN_TOL = 1e-13
 LANCZOS_SEED = 0x5EED
 LANCZOS_MAX_ITER = 800
-# Most inputs one `verify --max-len` sweep may enumerate: above every sweep
-# the tests and the benchmark run (at most 9,841 and 2,692 inputs).
+EVOLVE_DIM_MAX = 512       # dimension densified to be interpolated or evolved
+GARBAGE_CAPACITY = 65536   # configuration space of a compiled garbage-tape automaton
+# Most inputs one sweep may enumerate: above every sweep the tests and the
+# benchmark run (at most 9,841 and 2,692 inputs).
 VERIFY_INPUTS_MAX = 2**16
 
 
 def dense_max() -> int:
-    """Dense-path capacity, overridable through the AEQS_DENSE_MAX env var."""
+    """Dense-path capacity: AEQS_DENSE_MAX when it is set, which must be a
+    positive integer (else a CapacityError names it), else DENSE_MAX_DEFAULT."""
     value = os.environ.get("AEQS_DENSE_MAX")
-    if value:
-        return int(value)
-    return DENSE_MAX_DEFAULT
+    if not value:
+        return DENSE_MAX_DEFAULT
+    with contextlib.suppress(ValueError):   # else rejected as the string it is
+        value = int(value)
+    return integer(value, "AEQS_DENSE_MAX", CapacityError, low=1)
+
+
+def capacity(size: int, limit: int, name: str, what: str) -> int:
+    """size, when it is within limit; else the package's one CapacityError
+    (exit 4), naming the size, the limit's name and its value."""
+    if size <= limit:
+        return size
+    raise CapacityError(f"{what} {size} exceeds {name} = {limit}")
 
 
 # The argument contract: an integer is an int or a numpy integer, a real any
@@ -109,8 +124,10 @@ def integer(value, name: str, error: type, low=0, high=math.inf):
 
 def real(value, name: str, error: type, low=0.0, high=math.inf, *,
          open_low: bool = False, open_high: bool = False):
-    """value, when it is a real from low to high, each end closed unless open."""
-    if ((type(value) is float or isinstance(value, numbers.Real) and type(value) is not bool)
+    """value, when it is a real from low to high, each end closed unless open;
+    an integer that no float can hold is not one."""
+    if ((type(value) is float or isinstance(value, numbers.Real) and type(value) is not bool
+         and not (isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max))
             and (low < value if open_low else low <= value)
             and (value < high if open_high else value <= high)):
         return value
@@ -129,7 +146,7 @@ class LinalgError(Exception):
 
 
 class CapacityError(LinalgError):
-    """Operation exceeds the dense threshold or an index-space capacity."""
+    """A size above one of the table's capacities; raised by `capacity` alone."""
 
 
 class NotHermitianError(LinalgError):
@@ -183,9 +200,7 @@ def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
     orthonormality) are enforced here rather than assumed.
     """
     h = check_hermitian(h)
-    n = h.shape[0]
-    if n > dense_max():
-        raise CapacityError(f"dense eigensolve of dimension {n} exceeds threshold {dense_max()}")
+    n = capacity(h.shape[0], dense_max(), "AEQS_DENSE_MAX", "dense eigensolve of dimension")
     # Symmetrize to kill roundoff-level asymmetry before the LAPACK call.
     h = (h + h.conj().T) / 2.0
     values, vectors = np.linalg.eigh(h)
@@ -335,8 +350,7 @@ class SparseOp:
         return y
 
     def to_dense(self) -> np.ndarray:
-        if self.dim > dense_max():
-            raise CapacityError(f"densifying dimension {self.dim} exceeds threshold {dense_max()}")
+        capacity(self.dim, dense_max(), "AEQS_DENSE_MAX", "densifying dimension")
         m = np.zeros((self.dim, self.dim), dtype=complex)
         m[self.rows, self.cols] = self.vals
         return m
@@ -562,8 +576,7 @@ def lowest_eigenpairs(h: SparseHermitian, k: int, *, max_iter: int = LANCZOS_MAX
 def unitary_exp(h: np.ndarray, theta: float) -> np.ndarray:
     """exp(-i * theta * H) for Hermitian H, via spectral decomposition."""
     h = check_hermitian(h)
-    if h.shape[0] > dense_max():
-        raise CapacityError(f"dense exponential of dimension {h.shape[0]} exceeds threshold")
+    capacity(h.shape[0], dense_max(), "AEQS_DENSE_MAX", "dense exponential of dimension")
     if theta == 0.0:
         return np.eye(h.shape[0], dtype=complex)
     values, vectors = np.linalg.eigh((h + h.conj().T) / 2.0)
@@ -588,8 +601,7 @@ _hadamard_cache: dict[int, np.ndarray] = {}
 def hadamard_power(k: int) -> np.ndarray:
     """k-fold tensor power of the 2x2 Walsh-Hadamard transform."""
     integer(k, "Hadamard power k", LinalgError)
-    if 2**k > dense_max():
-        raise CapacityError(f"Hadamard power of dimension 2^{k} exceeds threshold")
+    capacity(2**k, dense_max(), "AEQS_DENSE_MAX", "Hadamard power of dimension")
     if k not in _hadamard_cache:
         w = np.eye(1, dtype=complex)
         for _ in range(k):

@@ -32,7 +32,9 @@ from aeqslab.aeqs import (
 from aeqslab import compilers, evolve, gallery
 from aeqslab.linalg import (
     DEGENERACY_TOL,
+    EVOLVE_DIM_MAX,
     SPARSE_EIG_MIN_DIM,
+    CapacityError,
     SparseHermitian,
     hermitian_eig,
     lowest_eigenpairs,
@@ -207,6 +209,13 @@ class TestCriteriaArrays:
     def test_hand_built_instance_with_overlap_raises(self):
         with pytest.raises(AeqsError, match="overlap"):
             diag_instance([0, 1], [0, 1], s_acc=(0, 1), s_rej=(1,))
+
+    @pytest.mark.parametrize("s_acc, s_rej, bad", [([5], [0], 5), ([-1], [1], -1)])
+    def test_index_outside_the_space_raises(self, s_acc, s_rej, bad):
+        # 5 lies past dim 2, where decide would index out of range; -1 names
+        # basis state 1, the rejecting one, by its negative index.
+        with pytest.raises(AeqsError, match=f"criteria index {bad} out of range for dimension 2"):
+            diag_instance([0, 1], [0, 1], s_acc=s_acc, s_rej=s_rej)
 
     def test_instance_holds_the_formed_arrays(self):
         inst = diag_instance([0, 1, 1], [1, 0, 1], s_acc=(2, 0), s_rej=(1,))
@@ -427,6 +436,14 @@ class TestInterpolationAndCommutator:
     def test_diagonal_pair_commutes(self):
         inst = diag_instance([0, 1, 2], [0, 2, 1], s_acc=(0,), s_rej=(1,))
         assert commutator_negligible(commutator_check(inst))
+
+    def test_densified_commutator_keeps_the_cap(self):
+        # The xor sums are densified to be split, as for the gap scan.
+        inst = xor_family().build("0000")
+        assert inst.dim == 576 > EVOLVE_DIM_MAX
+        for call in (commutator_check, minimum_interpolation_gap):
+            with pytest.raises(CapacityError, match="dimension 576 exceeds EVOLVE_DIM_MAX = 512"):
+                call(inst)
 
 
 class TestTimeBound:
@@ -911,6 +928,13 @@ class TestKroneckerSum:
                 + np.kron(np.eye(da, dtype=complex), as_dense(b)))
         assert np.array_equal(KroneckerSum(a, b).to_dense(), want)
 
+    def test_to_dense_keeps_the_dense_threshold(self, monkeypatch):
+        # Each 5 x 5 factor is within the threshold, their 25-dim sum is not.
+        monkeypatch.setenv("AEQS_DENSE_MAX", "16")
+        h = KroneckerSum(np.diag(np.arange(5.0)), np.diag(np.arange(5.0)))
+        with pytest.raises(CapacityError, match="densifying dimension 25 exceeds AEQS_DENSE_MAX = 16"):
+            h.to_dense()
+
     @pytest.mark.parametrize("left,right", FACTOR_PAIRS)
     def test_lowest_pairs_match_dense_route(self, left, right):
         h = KroneckerSum(FACTORS[left], FACTORS[right])
@@ -1129,6 +1153,18 @@ class TestBlockSplit:
                 assert got == gap or abs(got - gap) <= 1e-12
                 got = adiabatic_time_bound(route, 0.1, 1.0, grid=grid)
                 assert got == bound or abs(got - bound) <= tol * abs(bound)
+
+    @pytest.mark.parametrize("label,inst", SPLIT_INPUTS, ids=[c[0] for c in SPLIT_INPUTS])
+    def test_commutator_matches_dense_product(self, label, inst):
+        # [A, B] of the k x k block on every split route against the dense
+        # commutator; on a pair, against |<g|f>| sqrt(1 - |<g|f>|^2).
+        h_ini, h_fin = as_dense(inst.h_ini), as_dense(inst.h_fin)
+        want = spectral_norm(h_ini @ h_fin - h_fin @ h_ini)
+        for route in split_routes(inst):
+            assert abs(commutator_check(route) - want) <= 1e-12
+        if aeqs.is_projector_pair(inst):
+            c, r = aeqs._pair_residual(inst.h_ini.vector, inst.h_fin.vector)
+            assert abs(commutator_check(inst) - abs(c) * np.linalg.norm(r)) <= 1e-15
 
     def test_orthogonal_final_vector_closes_the_gap_at_one_half(self):
         # f orthogonal to g: Q = span(g), and the one line that can be ground

@@ -1,12 +1,20 @@
-"""CLI surface tests: exit codes, JSON report schema, trace files."""
+"""CLI surface tests: exit codes, JSON report schema, trace files.
 
+The commands run in this process through ``cli.main``; ``python -m
+aeqslab.cli`` itself is run once for each documented exit code, and as the
+fresh process that repeated in-process commands are compared with.
+"""
+
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from aeqslab import cli
 from aeqslab.aeqs import as_dense
 from aeqslab.compilers import from_moqfa
 from aeqslab.linalg import SparseHermitian
@@ -51,7 +59,29 @@ GARBAGE_DOC = {
 
 
 def run_cli(*args):
+    """The command's exit code and output, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_fresh(*args):
+    """The command run as ``python -m aeqslab.cli`` in a fresh process."""
     return subprocess.run([*CLI, *args], capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("args, code", [
+    (("run", "equal", "ab"), 0),
+    (("run", "sym_coin", "ab"), 1),
+    (("run", "usubsum", "0#1#1"), 2),
+    (("run", "nonsense", "x"), 3),
+    (("verify", "l_prefix_0", "--max-len", "100000"), 4),
+], ids=["accept", "reject", "indeterminate", "usage", "capacity"])
+def test_module_entry_point_exits_with_the_documented_code(args, code):
+    result = run_fresh(*args)
+    assert result.returncode == code, result.stderr
+    assert result.returncode == run_cli(*args).returncode
 
 
 class TestRun:
@@ -447,6 +477,8 @@ class TestUsageErrors:
         (["verify", "l_prefix_0", "--max-len", "-3"], 3),
         (["verify", "usubsum", "--max-params", "t<=-1"], 3),
         (["verify", "l_prefix_0", "--max-len", "100000"], 4),
+        (["verify", "usubsum", "--max-params", "t<=40,k<=8,l<=3"], 4),
+        (["verify", "multdup", "--max-params", "k<=8,l<=12"], 4),
     ])
     def test_hostile_argv_exits_with_one_line(self, capsys, argv, expected):
         # A parse error exits 3 like any other usage error: exit 2 is left to
@@ -454,6 +486,17 @@ class TestUsageErrors:
         code, err = self.main_exit(capsys, *argv)
         assert code == expected, err
         assert err.count("\n") == 1 and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "invalid AEQS_DENSE_MAX 'abc'"),
+        ("0", "invalid AEQS_DENSE_MAX 0"),
+        ("-5", "negative AEQS_DENSE_MAX -5"),
+    ])
+    def test_bad_dense_threshold_exits_4_with_one_line(self, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("AEQS_DENSE_MAX", value)
+        code, err = self.main_exit(capsys, "run", "sym_coin", "ab")
+        assert code == 4, err
+        assert err.count("\n") == 1 and f"{message}: need an integer in [1, inf)" in err, err
 
     def test_help_exits_0(self, capsys):
         from aeqslab.cli import main
@@ -481,7 +524,7 @@ class TestUsageErrors:
             fresh = tmp_path / f"fresh_{i}.json"
             code = main([*args, "--out", str(out)])
             assert linalg.LANCZOS_SEED == 0x5EED
-            assert code == run_cli(*args, "--out", str(fresh)).returncode
+            assert code == run_fresh(*args, "--out", str(fresh)).returncode
             reports = [json.loads(path.read_text()) for path in (out, fresh)]
             for report in reports:
                 report.pop("seconds", None)

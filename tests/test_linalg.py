@@ -81,6 +81,13 @@ class TestHermitianEig:
             hermitian_eig(np.eye(5, dtype=complex))
 
 
+def test_capacity_returns_the_size_or_names_the_limit():
+    assert linalg.capacity(512, 512, "EVOLVE_DIM_MAX", "dimension") == 512
+    with pytest.raises(CapacityError) as err:
+        linalg.capacity(513, 512, "EVOLVE_DIM_MAX", "dimension")
+    assert str(err.value) == "dimension 513 exceeds EVOLVE_DIM_MAX = 512"
+
+
 class TestSparseHermitian:
     def test_round_trip_matches_dense(self):
         h = random_hermitian(12)
