@@ -35,7 +35,6 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
-    COMMUTATOR_NEGLIGIBLE,
     DEGENERACY_TOL,
     EVOLVE_DIM_MAX,
     NORM_TOL,
@@ -479,7 +478,7 @@ def interpolated_hamiltonian(instance: AeqsInstance, s: float) -> np.ndarray:
 
 
 def commutator_check(instance: AeqsInstance) -> float:
-    """Spectral norm of [H_ini, H_fin]; values below 1e-12 mean the pair
+    """Spectral norm of [H_ini, H_fin]; a negligible one means the pair
     commutes and adiabatic interpolation between them is vacuous.  Read off
     the BlockSplit of H(s): H_ini is the identity on Q^perp, so the
     commutator is [A, B] of the k x k block."""
@@ -488,7 +487,9 @@ def commutator_check(instance: AeqsInstance) -> float:
 
 
 def commutator_negligible(norm: float) -> bool:
-    return norm <= COMMUTATOR_NEGLIGIBLE
+    """Whether a commutator norm is at or below SUBSPACE_TOL, the resolution
+    of the block split it is read off (``commutator_check``)."""
+    return norm <= SUBSPACE_TOL
 
 
 def _compress(h: np.ndarray, q) -> np.ndarray:

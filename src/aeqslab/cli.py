@@ -16,26 +16,21 @@ import time
 
 from . import gallery, linalg
 from .aeqs import (
+    GAP_SCAN_GRID,
     AeqsError,
-    AeqsFamily,
-    AeqsInstance,
     adiabatic_time_bound,
-    aeqs_instance,
-    as_dense,
     check_time_bound_args,
     commutator_check,
     commutator_negligible,
-    criteria_arrays,
     decide,
-    deflation_hamiltonian,
     minimum_interpolation_gap,
 )
-from .compilers import CompileError, from_garbage_1qfa, from_moqfa
+from .compilers import CompileError
 from .evolve import EvolveError, Schedule, evolve_trace
-from .gallery import GALLERY_NAMES, GalleryError, PromiseError, build
-from .linalg import OPERATOR_DEFECT_TOL, CapacityError, SparseHermitian
-from .qqa import QqaError, generate_moqqaf, validate_level
-from .specdoc import DocumentError, MachineSpecDocument, sparse_hermitian_to_json
+from .gallery import GALLERY_NAMES, PARAMETER_SWEEPS, GalleryError, PromiseError, build
+from .linalg import CapacityError
+from .qqa import QqaError
+from .specdoc import DocumentError, MachineSpecDocument, hamiltonian_to_json
 
 EXIT_PARSE = 3
 EXIT_CAPACITY = 4
@@ -46,54 +41,23 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _load_target(target: str):
-    """A gallery name, or a path to a machine document (endswith .json)."""
+def _read_document(path: str) -> MachineSpecDocument:
+    with open(path, "r", encoding="utf-8") as fh:
+        return MachineSpecDocument.from_json(fh.read())
+
+
+def _load_target(target: str) -> tuple:
+    """(name, family) of a gallery name, or of a path to a machine document
+    (endswith .json)."""
     if target in GALLERY_NAMES:
-        return build(target)
+        entry = build(target)
+        return entry.name, entry.family
     if target.endswith(".json"):
-        with open(target, "r", encoding="utf-8") as fh:
-            doc = MachineSpecDocument.from_json(fh.read())
-        return _entry_from_document(doc)
+        doc = _read_document(target)
+        return doc.name, doc.family()
     raise GalleryError(
         f"unknown target {target!r}: not a gallery name ({', '.join(GALLERY_NAMES)}) "
         f"and not a .json machine file"
-    )
-
-
-def _entry_from_document(doc: MachineSpecDocument) -> gallery.GalleryEntry:
-    if doc.kind == "moqfa":
-        family = from_moqfa(doc.to_moqfa())
-    elif doc.kind == "garbage-1qfa":
-        family = from_garbage_1qfa(doc.to_garbage_qfa())
-    else:
-        family = _moqqaf_family(doc)
-    return gallery.GalleryEntry(
-        name=doc.name, family=family, oracle=lambda x: "not-promised",
-        notes="loaded from machine document",
-    )
-
-
-def _moqqaf_family(doc: MachineSpecDocument):
-    level, criteria = doc.to_moqqaf()
-    report = validate_level(level)
-    if not report.passed:
-        raise QqaError(
-            f"document {doc.name!r} is not a quasi-automaton level: worst completeness "
-            f"defect {report.worst():.3e}, Lambda0 least eigenvalue bound "
-            f"{report.lam0_min_eigenvalue:.3e} (tolerance {OPERATOR_DEFECT_TOL:.0e})"
-        )
-
-    schema = level.schema
-    h_ini = deflation_hamiltonian(schema.dim, 0)     # starts on the first basis state
-    s_acc, s_rej = criteria_arrays(criteria["acc"], criteria["rej"])
-
-    def builder(x: str) -> AeqsInstance:
-        return aeqs_instance(schema, h_ini, generate_moqqaf(level, x).operator, s_acc, s_rej)
-
-    return AeqsFamily(
-        alphabet=level.alphabet,
-        builder=builder,
-        name=doc.name,
     )
 
 
@@ -106,26 +70,26 @@ def _write_or_print(payload: str, out: str | None) -> None:
 
 
 def cmd_run(args) -> int:
-    entry = _load_target(args.target)
+    name, family = _load_target(args.target)
     started = time.perf_counter()
-    instance = entry.family.build(args.input)
+    instance = family.build(args.input)
     verdict = decide(instance)
     elapsed = time.perf_counter() - started
     report = {
         "schema": 1,
-        "target": entry.name,
+        "target": name,
         "input": args.input,
         **verdict.as_dict(),
         "dimension": instance.dim,
         "size_bits": instance.size_bits,
-        "tags": list(entry.family.tags),
-        "promised": entry.family.promised(args.input),
+        "tags": list(family.tags),
+        "promised": family.promised(args.input),
         "seconds": elapsed,
     }
     _write_or_print(json.dumps(report, indent=2), args.out)
     if not args.out:
         print(
-            f"{entry.name} on {args.input!r}: {verdict.outcome} "
+            f"{name} on {args.input!r}: {verdict.outcome} "
             f"(energy {_fmt(verdict.ground_energy)}, gap {_fmt(verdict.spectral_gap)}, "
             f"acc {_fmt(verdict.acc_overlap)}, rej {_fmt(verdict.rej_overlap)})",
             file=sys.stderr,
@@ -134,8 +98,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    entry = _load_target(args.target)
-    instance = entry.family.build(args.input)
+    _, family = _load_target(args.target)
+    instance = family.build(args.input)
     schedule = Schedule(args.T, args.R, hbar=args.hbar)
     trace = evolve_trace(instance, schedule, args.method)
     payload = trace.to_json() if args.format == "json" else trace.to_csv()
@@ -147,14 +111,6 @@ def cmd_trace(args) -> int:
             file=sys.stderr,
         )
     return 0
-
-
-# The promise parameters each sweepable entry bounds with --max-params.
-SWEEP_PARAMS = {
-    "usubsum": ("t", "k", "l"),
-    "multdup": ("k", "l"),
-    "multdup_complement": ("k", "l"),
-}
 
 
 def _parse_params(spec: str) -> dict:
@@ -176,22 +132,17 @@ def _parse_params(spec: str) -> dict:
 def cmd_verify(args) -> int:
     entry = build(args.target)
     if args.max_params:
-        if entry.name not in SWEEP_PARAMS:
+        if entry.name not in PARAMETER_SWEEPS:
             raise GalleryError(f"--max-params not supported for {entry.name}")
+        defaults, generate = PARAMETER_SWEEPS[entry.name]
         bounds = _parse_params(args.max_params)
-        unknown = sorted(set(bounds) - set(SWEEP_PARAMS[entry.name]))
+        unknown = sorted(set(bounds) - set(defaults))
         if unknown:
             raise DocumentError(
                 f"{entry.name} has no parameter {', '.join(unknown)}; "
-                f"its parameters are {', '.join(SWEEP_PARAMS[entry.name])}"
+                f"its parameters are {', '.join(defaults)}"
             )
-        if entry.name == "usubsum":
-            inputs = gallery.usubsum_inputs(
-                bounds.get("t", 3), bounds.get("k", 2), bounds.get("l", 2),
-                promised_only=False,
-            )
-        else:
-            inputs = gallery.multdup_inputs(bounds.get("k", 2), bounds.get("l", 2))
+        inputs = generate(*{**defaults, **bounds}.values())
     else:
         inputs = list(gallery.strings_up_to(entry.family.alphabet, args.max_len))
     report = gallery.verify(entry, inputs)
@@ -203,17 +154,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    with open(args.specfile, "r", encoding="utf-8") as fh:
-        doc = MachineSpecDocument.from_json(fh.read())
-    entry = _entry_from_document(doc)
-    instance = entry.family.build(args.input)
+    doc = _read_document(args.specfile)
+    instance = doc.family().build(args.input)
     verdict = decide(instance)
-
-    def serialize(h):
-        if not isinstance(h, SparseHermitian):
-            h = SparseHermitian.from_dense(as_dense(h))
-        return sparse_hermitian_to_json(h)
-
+    emit = args.emit == "hamiltonians"
     payload = {
         "schema": 1,
         "name": doc.name,
@@ -222,8 +166,8 @@ def cmd_compile(args) -> int:
         "dimension": instance.dim,
         "size_bits": instance.size_bits,
         "basis": instance.schema.describe(),
-        "h_ini": serialize(instance.h_ini) if args.emit == "hamiltonians" else None,
-        "h_fin": serialize(instance.h_fin) if args.emit == "hamiltonians" else None,
+        "h_ini": hamiltonian_to_json(instance.h_ini) if emit else None,
+        "h_fin": hamiltonian_to_json(instance.h_fin) if emit else None,
         "ground_energy": verdict.ground_energy,
         "spectral_gap": verdict.spectral_gap,
         "outcome": verdict.outcome,
@@ -236,8 +180,8 @@ def cmd_gap(args) -> int:
     # Checked first: an instance whose block split meets a capacity skips the
     # scan, and its bad arguments must still be rejected.
     check_time_bound_args(args.epsilon, args.delta, args.grid)
-    entry = _load_target(args.target)
-    instance = entry.family.build(args.input)
+    name, family = _load_target(args.target)
+    instance = family.build(args.input)
     verdict = decide(instance)
     try:
         comm = commutator_check(instance)
@@ -245,7 +189,7 @@ def cmd_gap(args) -> int:
         comm, skipped = None, str(err)
     payload = {
         "schema": 1,
-        "target": entry.name,
+        "target": name,
         "input": args.input,
         "ground_energy": verdict.ground_energy,
         "final_gap": verdict.spectral_gap,
@@ -327,7 +271,7 @@ def command_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap", help="spectral diagnostics for one input")
     p.add_argument("target")
     p.add_argument("input")
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=int, default=GAP_SCAN_GRID)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--out")

@@ -42,6 +42,7 @@ from .linalg import (
     RUN_NORM_TOL,
     THRESHOLD_SLACK,
     capacity,
+    dense_max,
     ilog,
     integer,
     real,
@@ -187,10 +188,11 @@ class GarbageQfaSpec:
     means every transition emits exactly one non-blank symbol, so reading m
     symbols leaves exactly m garbage cells filled and the induced operators
     are isometries grade by grade.  Construction forms the accepting and
-    rejecting states (``criteria_arrays``), builds the step tables
-    (``_garbage_tables``) and checks each symbol's grade map V to be an
-    isometry on its table T: V^dagger V = conj(T) T^T.  A spec is not
-    changed after construction, since its tables would not follow.
+    rejecting states (``criteria_arrays``), bounds both sides of the dense
+    step tables by AEQS_DENSE_MAX, builds them (``_garbage_tables``) and
+    checks each symbol's grade map V to be an isometry on its table T:
+    V^dagger V = conj(T) T^T.  A spec is not changed after construction,
+    since its tables would not follow.
     """
 
     n_states: int
@@ -213,6 +215,8 @@ class GarbageQfaSpec:
             for (p, xi, _amp) in moves:
                 integer(p, "target state", CompileError, 0, self.n_states - 1)
                 integer(xi, "garbage symbol", CompileError, 1, self.xi_size)
+        for side, what in ((self.n_states, "rows"), (self.xi_size * self.n_states, "columns")):
+            capacity(side, dense_max(), "AEQS_DENSE_MAX", f"garbage step table {what}")
         self.tables = _garbage_tables(self)
         for sym, t in self.tables.items():
             defect = spectral_norm(t.conj() @ t.T - np.eye(self.n_states))

@@ -114,6 +114,7 @@ from .aeqs import (
 from .linalg import (
     EVOLVE_DIM_MAX,
     OPERATOR_DEFECT_TOL,
+    STEP_BUDGET,
     capacity,
     hadamard_power,
     integer,
@@ -132,8 +133,6 @@ TABLE_ENTRIES_MAX = 2**20 # most complex entries of one phase table for steps ap
 PAIRWISE_DIM_MAX = 6      # largest subspace dimension multiplied down pairwise; above
                           # k = 8 applying trotter steps one by one is faster
 BISECT_STEPS = 5          # halvings of the bracket a time search ends with
-STEP_BUDGET = 2**25       # most steps R one time-search evaluation may take: 16 times the
-                          # pinned l_prefix search's largest R (2^21 at T = 128)
 STEP_PHASE_MAX = 1e9      # rad; largest step phase (T/(R hbar)) ||H|| evolved.  A phase
                           # near 1e9 carries a rounding error of about 1e-7 rad; far
                           # beyond it the step's exponentials have no significant digit
@@ -155,7 +154,8 @@ class Schedule:
         alpha(j) = (1/hbar)(T/R)(1 - (2j+1)/(2R))
         beta(j)  = (1/hbar)(T/R)((2j+1)/(2R))
         gamma    = (1/hbar)(T/R)(1/(2R))
-    T = 0 is allowed for degenerate runs (identity propagation).
+    T = 0 is allowed for degenerate runs (identity propagation), and R is
+    at most STEP_BUDGET.
     """
 
     t_total: float
@@ -165,6 +165,7 @@ class Schedule:
     def __post_init__(self):
         real(self.t_total, "evolution time T", EvolveError, open_high=True)
         integer(self.r_steps, "refinement count R", EvolveError, low=1)
+        capacity(self.r_steps, STEP_BUDGET, "STEP_BUDGET", "refinement count R")
         real(self.hbar, "hbar", EvolveError, open_low=True, open_high=True)
 
     @property

@@ -1040,6 +1040,15 @@ def multdup_inputs(k_max: int, l_max: int):
     return out
 
 
+# Per entry a promise-parameter sweep covers: its bounds with their defaults,
+# in the order its input generator takes them, and the generator.
+PARAMETER_SWEEPS = {
+    "usubsum": ({"t": 3, "k": 2, "l": 2}, functools.partial(usubsum_inputs, promised_only=False)),
+    "multdup": ({"k": 2, "l": 2}, multdup_inputs),
+    "multdup_complement": ({"k": 2, "l": 2}, multdup_inputs),
+}
+
+
 @dataclass
 class VerifyRecord:
     x: str

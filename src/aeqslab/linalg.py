@@ -70,10 +70,9 @@ THRESHOLD_SLACK = 1e-9
 # A ground state whose accept and reject overlaps differ by at most this is
 # a tie, and its verdict indeterminate.
 TIE_TOL = 1e-9
-# Spectral norm of [H_ini, H_fin] at or below which the pair commutes.
-COMMUTATOR_NEGLIGIBLE = 1e-12
 # Remainder below which a dynamical-subspace direction is dropped, and the
-# invariance residual allowed, per unit norm of the Hamiltonians.
+# invariance residual allowed, per unit norm of the Hamiltonians; a
+# commutator norm at or below it is negligible, as the split would drop it.
 SUBSPACE_TOL = 1e-10
 # Lanczos: a start or Ritz vector that deflation leaves shorter than
 # LANCZOS_VANISHED_TOL has vanished; a Krylov residual below
@@ -84,6 +83,8 @@ LANCZOS_SEED = 0x5EED
 LANCZOS_MAX_ITER = 800
 EVOLVE_DIM_MAX = 512       # dimension densified to be interpolated or evolved
 GARBAGE_CAPACITY = 65536   # configuration space of a compiled garbage-tape automaton
+STEP_BUDGET = 2**25        # most steps R one schedule may take: 16 times the pinned
+                           # l_prefix time search's largest R (2^21 at T = 128)
 # Most inputs one sweep may enumerate: above every sweep the tests and the
 # benchmark run (at most 9,841 and 2,692 inputs).
 VERIFY_INPUTS_MAX = 2**16

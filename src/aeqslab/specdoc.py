@@ -5,7 +5,8 @@ expressions kept in exact form (rationals, square roots, products,
 quotients, complex pairs) so machine files stay diffable and reviewable;
 amplitudes are evaluated to floats at load time.
 
-Supported kinds: "moqfa", "garbage-1qfa", "moqqaf".
+Supported kinds: "moqfa", "garbage-1qfa", "moqqaf";
+``MachineSpecDocument.family`` is the AEQS family a document describes.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compilers import GarbageQfaSpec, MoQfaSpec
-from .linalg import REAL_PART_TOL, SparseHermitian, SparseOp, integer, real
-from .qqa import CENT, DOLLAR, BasisSchema, QqafLevel
+from .aeqs import AeqsFamily, aeqs_instance, as_dense, criteria_arrays, deflation_hamiltonian
+from .compilers import GarbageQfaSpec, MoQfaSpec, from_garbage_1qfa, from_moqfa
+from .linalg import (OPERATOR_DEFECT_TOL, REAL_PART_TOL, SparseHermitian, SparseOp, capacity,
+                     dense_max, integer, real)
+from .qqa import CENT, DOLLAR, BasisSchema, QqaError, QqafLevel, generate_moqqaf, validate_level
 
 DOCUMENT_SCHEMA = 1
 
@@ -164,11 +167,38 @@ class MachineSpecDocument:
 
     # -- realizations -----------------------------------------------------
 
+    def family(self) -> AeqsFamily:
+        """The AEQS family the document describes: its automaton compiled
+        (``from_moqfa``, ``from_garbage_1qfa``), or its quasi-automaton level,
+        checked by ``validate_level``, generating H_fin from an H_ini that
+        starts on the first basis state."""
+        if self.kind == "moqfa":
+            return from_moqfa(self.to_moqfa())
+        if self.kind == "garbage-1qfa":
+            return from_garbage_1qfa(self.to_garbage_qfa())
+        level, criteria = self.to_moqqaf()
+        report = validate_level(level)
+        if not report.passed:
+            raise QqaError(
+                f"document {self.name!r} is not a quasi-automaton level: worst completeness "
+                f"defect {report.worst():.3e}, Lambda0 least eigenvalue bound "
+                f"{report.lam0_min_eigenvalue:.3e} (tolerance {OPERATOR_DEFECT_TOL:.0e})"
+            )
+        schema = level.schema
+        h_ini = deflation_hamiltonian(schema.dim, 0)
+        s_acc, s_rej = criteria_arrays(criteria["acc"], criteria["rej"])
+
+        def builder(x: str):
+            return aeqs_instance(schema, h_ini, generate_moqqaf(level, x).operator, s_acc, s_rej)
+
+        return AeqsFamily(alphabet=level.alphabet, builder=builder, name=self.name)
+
     def to_moqfa(self) -> MoQfaSpec:
         if self.kind != "moqfa":
             raise DocumentError(f"document kind is {self.kind!r}, not moqfa")
         raw = self.raw
-        n = _count(raw, "states")
+        # Each operator is a dense n x n matrix.
+        n = capacity(_count(raw, "states"), dense_max(), "AEQS_DENSE_MAX", "moqfa states")
         ops = {}
         for sym_raw, entries in _require(raw, "operators", dict).items():
             u = np.zeros((n, n), dtype=complex)
@@ -255,6 +285,13 @@ def sparse_hermitian_to_json(h: SparseHermitian) -> list:
         [int(r), int(c), float(v.real), float(v.imag)]
         for r, c, v in zip(h.rows[upper], h.cols[upper], h.vals[upper])
     ]
+
+
+def hamiltonian_to_json(h) -> list:
+    """``sparse_hermitian_to_json`` of any instance Hamiltonian, densified unless sparse."""
+    if not isinstance(h, SparseHermitian):
+        h = SparseHermitian.from_dense(as_dense(h))
+    return sparse_hermitian_to_json(h)
 
 
 def sparse_hermitian_from_json(dim: int, triplets: list) -> SparseHermitian:

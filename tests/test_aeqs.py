@@ -437,6 +437,22 @@ class TestInterpolationAndCommutator:
         inst = diag_instance([0, 1, 2], [0, 2, 1], s_acc=(0,), s_rej=(1,))
         assert commutator_negligible(commutator_check(inst))
 
+    def test_negligible_at_the_split_resolution(self):
+        # |<g|f>| = 1e-11: the split keeps no residual, so the commutator
+        # reads 0, while its exact norm |c| sqrt(1 - |c|^2) is 1e-11.  Both
+        # readings must get the same answer.
+        c = 1e-11
+        e = np.eye(16, dtype=complex)
+        f = c * e[0] + math.sqrt(1 - c * c) * e[1]
+        inst = AeqsInstance(size_bits=4, epsilon=0.9, h_ini=ProjectorComplement(e[0]),
+                            h_fin=ProjectorComplement(f), s_acc=frozenset({1}),
+                            s_rej=frozenset({2}))
+        exact = abs(c) * math.sqrt(1 - c * c)
+        a, b = as_dense(inst.h_ini), as_dense(inst.h_fin)
+        assert spectral_norm(a @ b - b @ a) == pytest.approx(exact, rel=1e-3)
+        assert commutator_check(inst) == 0.0
+        assert commutator_negligible(commutator_check(inst)) == commutator_negligible(exact)
+
     def test_densified_commutator_keeps_the_cap(self):
         # The xor sums are densified to be split, as for the gap scan.
         inst = xor_family().build("0000")

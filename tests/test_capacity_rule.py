@@ -13,7 +13,8 @@ from pathlib import Path
 from aeqslab import linalg
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "aeqslab"
-LIMITS = ("DENSE_MAX_DEFAULT", "EVOLVE_DIM_MAX", "GARBAGE_CAPACITY", "VERIFY_INPUTS_MAX")
+LIMITS = ("DENSE_MAX_DEFAULT", "EVOLVE_DIM_MAX", "GARBAGE_CAPACITY", "STEP_BUDGET",
+          "VERIFY_INPUTS_MAX")
 
 
 def _construction_sites(path: Path) -> list:

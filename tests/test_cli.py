@@ -474,6 +474,7 @@ class TestUsageErrors:
         (["trace", "l_prefix_0", "0", "--T", "1", "--R", "0"], 3),
         (["trace", "l_prefix_0", "0", "--T", "1", "--R", "2.5"], 3),
         (["trace", "l_prefix_0", "0", "--T", "1", "--R", "4", "--hbar", "0"], 3),
+        (["trace", "l_prefix_0", "0", "--T", "1", "--R", "1" + "0" * 400], 4),
         (["verify", "l_prefix_0", "--max-len", "-3"], 3),
         (["verify", "usubsum", "--max-params", "t<=-1"], 3),
         (["verify", "l_prefix_0", "--max-len", "100000"], 4),
@@ -482,10 +483,24 @@ class TestUsageErrors:
     ])
     def test_hostile_argv_exits_with_one_line(self, capsys, argv, expected):
         # A parse error exits 3 like any other usage error: exit 2 is left to
-        # "indeterminate".  A sweep too large to enumerate exits 4 at once.
+        # "indeterminate".  A sweep too large to enumerate, or an R above
+        # STEP_BUDGET, exits 4 at once.
         code, err = self.main_exit(capsys, *argv)
         assert code == expected, err
         assert err.count("\n") == 1 and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("doc, message", [
+        (dict(MOQFA_DOC, states=10**400, operators={"cent": [[0, 0, 1]]}), "moqfa states"),
+        (dict(GARBAGE_DOC, states=10**400), "garbage step table rows"),
+        (dict(GARBAGE_DOC, garbage_symbols=10**400), "garbage step table columns"),
+    ], ids=["moqfa-states", "garbage-states", "garbage-symbols"])
+    def test_huge_document_counts_exit_4_with_one_line(self, capsys, tmp_path, doc, message):
+        # Bounded by AEQS_DENSE_MAX before any dense matrix is allocated.
+        specfile = tmp_path / "doc.json"
+        specfile.write_text(json.dumps(doc))
+        code, err = self.main_exit(capsys, "run", str(specfile), "0")
+        assert code == 4, err
+        assert err.count("\n") == 1 and f"{message} 1{'0' * 400} exceeds AEQS_DENSE_MAX = 2048" in err
 
     @pytest.mark.parametrize("value, message", [
         ("abc", "invalid AEQS_DENSE_MAX 'abc'"),

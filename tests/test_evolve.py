@@ -107,6 +107,14 @@ class TestSchedule:
         with pytest.raises(EvolveError, match="refinement count"):
             Schedule(1.0, r_steps)
 
+    def test_refinement_count_is_bounded_where_it_is_formed(self):
+        # Past the budget R is refused at once, before gamma forms a float
+        # from it; the time search never forms such a schedule.
+        assert Schedule(1.0, STEP_BUDGET).r_steps == STEP_BUDGET
+        for r_steps in (STEP_BUDGET + 1, 10**400):
+            with pytest.raises(CapacityError, match=f"exceeds STEP_BUDGET = {STEP_BUDGET}"):
+                Schedule(1.0, r_steps)
+
     def test_numpy_integer_refinement_count(self):
         assert Schedule(8.0, np.int64(4)).gamma == Schedule(8.0, 4).gamma
 

@@ -585,6 +585,28 @@ class TestVerifyMachinery:
         assert not report.passed
         assert report.expectation_failures
 
+    def test_mismatches_and_failed_gap_claims_are_reported(self):
+        # l_prefix_0 against its oracle flipped, with a gap claim above 1 that
+        # no spectrum in [0, 1] meets: every input is a mismatch and a failure.
+        entry = gallery.build("l_prefix_0")
+        flipped = dataclasses.replace(
+            entry,
+            oracle=lambda x: gallery.REJECT if x.startswith("0") else gallery.ACCEPT,
+            expectations=[gallery.Expectation("gap above one", gap_lower=lambda x: 1.5)],
+        )
+        inputs = list(gallery.strings_up_to(("0", "1"), 2))
+        report = gallery.verify(flipped, inputs)
+        assert report.checked == len(inputs) == 7
+        assert [r.expected != r.verdict.outcome for r in report.records] == [True] * 7
+        assert [m["x"] for m in report.mismatches] == inputs
+        assert all(m["got"] != m["expected"] for m in report.mismatches)
+        assert [f["x"] for f in report.expectation_failures] == inputs
+        for failure in report.expectation_failures:
+            assert failure["expectation"] == "gap above one"
+            assert failure["want_gap_at_least"] == 1.5 and failure["got_gap"] <= 1.0
+        assert not report.findings
+        assert not report.passed and not report.as_dict()["passed"]
+
 
 SINGLETON_LEVEL_INPUTS = [
     ("l_prefix_0", list(gallery.strings_up_to(("0", "1"), 5))),

@@ -4,15 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from aeqslab.aeqs import as_dense, deflation_hamiltonian
+from aeqslab.compilers import from_garbage_1qfa, from_moqfa
 from aeqslab.specdoc import (
     DocumentError,
     MachineSpecDocument,
     evaluate_amplitude,
+    hamiltonian_to_json,
     sparse_hermitian_from_json,
     sparse_hermitian_to_json,
 )
 from aeqslab.linalg import SparseHermitian
-from aeqslab.qqa import generate_moqqaf
+from aeqslab.qqa import QqaError, generate_moqqaf
 
 
 class TestAmplitudeExpressions:
@@ -159,7 +162,52 @@ class TestDocuments:
             doc.to_garbage_qfa()
 
 
+class TestFamily:
+    """MachineSpecDocument.family loads every kind of document as a family."""
+
+    @pytest.mark.parametrize("raw, realize, compile_, x", [
+        (MOQFA_DOC, "to_moqfa", from_moqfa, "11"),
+        (GARBAGE_DOC, "to_garbage_qfa", from_garbage_1qfa, "1"),
+    ], ids=["moqfa", "garbage-1qfa"])
+    def test_automaton_is_compiled(self, raw, realize, compile_, x):
+        doc = MachineSpecDocument.from_dict(raw)
+        loaded = doc.family().build(x)
+        compiled = compile_(getattr(doc, realize)()).build(x)
+        for h in ("h_ini", "h_fin"):
+            assert np.array_equal(as_dense(getattr(loaded, h)), as_dense(getattr(compiled, h)))
+        for side in ("s_acc", "s_rej"):
+            assert getattr(loaded, side).tolist() == getattr(compiled, side).tolist()
+
+    @pytest.mark.parametrize("x, outcome", [("0", "reject"), ("00", "accept")])
+    def test_moqqaf_level_starts_on_the_first_basis_state(self, x, outcome):
+        doc = MachineSpecDocument.from_dict(MOQQAF_DOC)
+        level, _ = doc.to_moqqaf()
+        family = doc.family()
+        inst = family.build(x)
+        assert (family.name, family.alphabet) == ("tiny", ("0",))
+        assert np.array_equal(as_dense(inst.h_ini), as_dense(deflation_hamiltonian(2, 0)))
+        assert np.array_equal(as_dense(inst.h_fin), generate_moqqaf(level, x).operator.to_dense())
+        assert (inst.s_acc.tolist(), inst.s_rej.tolist()) == ([0], [1])
+        assert family.decide(x).outcome == outcome
+
+    def test_moqqaf_level_is_validated(self):
+        ops = dict(MOQQAF_DOC["operators"], cent=[[["u"], ["u"], 3], [["v"], ["v"], 1]])
+        doc = MachineSpecDocument.from_dict(dict(MOQQAF_DOC, operators=ops))
+        with pytest.raises(QqaError, match="'tiny' is not a quasi-automaton level"):
+            doc.family()
+
+
 class TestHamiltonianSerialization:
+    def test_any_hamiltonian_is_written_as_its_sparse_form(self):
+        doc = MachineSpecDocument.from_dict(MOQFA_DOC)
+        inst = doc.family().build("11")
+        sparse = SparseHermitian.from_dense(as_dense(inst.h_fin))
+        assert hamiltonian_to_json(sparse) == sparse_hermitian_to_json(sparse)
+        for h in (inst.h_ini, inst.h_fin):         # ProjectorComplements, densified
+            assert not isinstance(h, SparseHermitian)
+            assert hamiltonian_to_json(h) == sparse_hermitian_to_json(
+                SparseHermitian.from_dense(as_dense(h)))
+
     def test_bit_exact_round_trip(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
