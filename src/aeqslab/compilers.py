@@ -62,10 +62,6 @@ def _check_symbols(spec, x: str) -> None:
             raise CompileError(f"symbol {sym!r} outside the automaton's alphabet")
 
 
-def _unitary_defect(u: np.ndarray) -> float:
-    return spectral_norm(u.conj().T @ u - np.eye(u.shape[0]))
-
-
 def decision_threshold(error_bound: float | None) -> float:
     """Accuracy threshold matching an automaton's error bound.
 
@@ -109,13 +105,14 @@ class MoQfaSpec:
         if missing:
             raise CompileError(f"missing operators for {sorted(missing)}")
         for sym, u in self.ops.items():
-            u = np.asarray(u, dtype=complex)
+            u = self.ops[sym] = np.asarray(u, dtype=complex)
             if u.shape != (self.n_states, self.n_states):
                 raise CompileError(f"operator {sym!r} has shape {u.shape}")
-            defect = _unitary_defect(u)
+        stack = np.array(list(self.ops.values()))
+        defects = spectral_norm(stack.conj().swapaxes(1, 2) @ stack - np.eye(self.n_states))
+        for sym, defect in zip(self.ops, defects):
             if defect > OPERATOR_DEFECT_TOL:
                 raise CompileError(f"operator {sym!r} unitarity defect {defect:.3e}")
-            self.ops[sym] = u
         integer(self.initial, "initial state", CompileError, 0, self.n_states - 1)
 
     @property
@@ -218,8 +215,9 @@ class GarbageQfaSpec:
         for side, what in ((self.n_states, "rows"), (self.xi_size * self.n_states, "columns")):
             capacity(side, dense_max(), "AEQS_DENSE_MAX", f"garbage step table {what}")
         self.tables = _garbage_tables(self)
-        for sym, t in self.tables.items():
-            defect = spectral_norm(t.conj() @ t.T - np.eye(self.n_states))
+        stack = np.array(list(self.tables.values()))
+        defects = spectral_norm(stack.conj() @ stack.swapaxes(1, 2) - np.eye(self.n_states))
+        for sym, defect in zip(self.tables, defects):
             if defect > OPERATOR_DEFECT_TOL:
                 raise CompileError(f"symbol {sym!r} isometry defect {defect:.3e}")
 
@@ -348,15 +346,18 @@ def from_garbage_1qfa(spec: GarbageQfaSpec) -> AeqsFamily:
 # Random spec generators (test fodder)
 # ---------------------------------------------------------------------------
 
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def haar_unitaries(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """count Haar unitaries of size n, each drawn as its real then imaginary part."""
+    g = rng.standard_normal((count, 2, n, n))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def random_moqfa_spec(rng: np.random.Generator, n_states: int,
                       alphabet=("0", "1")) -> MoQfaSpec:
-    ops = {sym: haar_unitary(rng, n_states) for sym in [CENT, DOLLAR, *alphabet]}
+    symbols = [CENT, DOLLAR, *alphabet]
+    ops = dict(zip(symbols, haar_unitaries(rng, len(symbols), n_states)))
     labels = rng.integers(0, 3, size=n_states)
     return MoQfaSpec(
         n_states=n_states, alphabet=tuple(alphabet), ops=ops,
@@ -368,18 +369,14 @@ def random_moqfa_spec(rng: np.random.Generator, n_states: int,
 
 def random_garbage_spec(rng: np.random.Generator, n_states: int, xi_size: int,
                         alphabet=("0", "1")) -> GarbageQfaSpec:
+    symbols = [CENT, DOLLAR, *alphabet]
     delta = {}
-    for sym in [CENT, DOLLAR, *alphabet]:
-        big = haar_unitary(rng, n_states * xi_size)
+    for sym, big in zip(symbols, haar_unitaries(rng, len(symbols), n_states * xi_size)):
         for q in range(n_states):
             col = big[:, q]
-            moves = []
-            for p in range(n_states):
-                for xi in range(1, xi_size + 1):
-                    amp = col[p * xi_size + (xi - 1)]
-                    if abs(amp) > 1e-14:
-                        moves.append((p, xi, complex(amp)))
-            delta[(q, sym)] = moves
+            # Entry p xi_size + xi - 1 is the move to p writing xi.
+            delta[(q, sym)] = [(i // xi_size, i % xi_size + 1, complex(col[i]))
+                               for i in np.flatnonzero(np.abs(col) > 1e-14).tolist()]
     labels = rng.integers(0, 3, size=n_states)
     return GarbageQfaSpec(
         n_states=n_states, alphabet=tuple(alphabet), xi_size=xi_size,

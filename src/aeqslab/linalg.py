@@ -585,14 +585,16 @@ def unitary_exp(h: np.ndarray, theta: float) -> np.ndarray:
     return (vectors * phases) @ vectors.conj().T
 
 
-def spectral_norm(a: np.ndarray) -> float:
-    """max ||A phi|| / ||phi||, computed as the largest singular value."""
+def spectral_norm(a: np.ndarray):
+    """max ||A phi|| / ||phi||, computed as the largest singular value: a float
+    for one matrix, an array of them for a stack (..., m, n)."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
-        return 0.0
-    gram = a.conj().T @ a
-    vals = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-    return float(np.sqrt(max(vals[-1], 0.0)))
+        return 0.0 if a.ndim == 2 else np.zeros(a.shape[:-2])
+    gram = a.conj().swapaxes(-1, -2) @ a
+    top = np.linalg.eigvalsh((gram + gram.conj().swapaxes(-1, -2)) / 2.0)[..., -1]
+    norms = np.sqrt(np.where(top < 0.0, 0.0, top))
+    return float(norms) if a.ndim == 2 else norms
 
 
 _W1 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)

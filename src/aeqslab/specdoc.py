@@ -237,6 +237,8 @@ class MachineSpecDocument:
             labels = _require(c, "labels", list)
             coords.append((_require(c, "name", str), tuple(_coerce_label(l) for l in labels)))
         schema = BasisSchema(coords)
+        # Each operator and the initial mixture are built at full dimension.
+        capacity(schema.dim, dense_max() ** 2, "AEQS_DENSE_MAX ** 2", "moqqaf dimension")
 
         def state_index(tup):
             if not isinstance(tup, list) or len(tup) != len(coords):

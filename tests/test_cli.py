@@ -502,6 +502,24 @@ class TestUsageErrors:
         assert code == 4, err
         assert err.count("\n") == 1 and f"{message} 1{'0' * 400} exceeds AEQS_DENSE_MAX = 2048" in err
 
+    @pytest.mark.parametrize("labels, dim", [
+        ([1000] * 8, 10**24),
+        ([3000, 1000, 1000], 3 * 10**9),
+    ], ids=["eight-coordinates", "three-coordinates"])
+    def test_huge_moqqaf_dimension_exits_4_with_one_line(self, capsys, tmp_path, labels, dim):
+        # Bounded where the schema is formed, before any operator or the
+        # initial mixture is allocated at full dimension.
+        doc = {"schema": 1, "kind": "moqqaf", "name": "huge", "alphabet": ["1"],
+               "dimension_schema": [{"name": f"c{i}", "labels": list(range(count))}
+                                    for i, count in enumerate(labels)],
+               "operators": {"cent": [], "dollar": [], "1": []}}
+        specfile = tmp_path / "doc.json"
+        specfile.write_text(json.dumps(doc))
+        code, err = self.main_exit(capsys, "run", str(specfile), "0")
+        assert code == 4, err
+        assert err.count("\n") == 1
+        assert f"moqqaf dimension {dim} exceeds AEQS_DENSE_MAX ** 2 = {2048 ** 2}" in err
+
     @pytest.mark.parametrize("value, message", [
         ("abc", "invalid AEQS_DENSE_MAX 'abc'"),
         ("0", "invalid AEQS_DENSE_MAX 0"),

@@ -59,10 +59,24 @@ class TestRunMoqfa:
             assert 0.0 <= pa <= 1.0 and 0.0 <= pr <= 1.0
             assert pa + pr <= 1.0 + 1e-9
 
-    def test_unitarity_enforced(self):
-        with pytest.raises(cp.CompileError):
-            cp.MoQfaSpec(2, ("0",), {CENT: I2, DOLLAR: I2, "0": 0.9 * I2},
-                         q_acc={0}, q_rej={1})
+    @pytest.mark.parametrize("bad", [CENT, DOLLAR, "0", "1"])
+    def test_unitarity_enforced(self, bad):
+        ops = {sym: 0.9 * I2 if sym == bad else I2 for sym in (CENT, DOLLAR, "0", "1")}
+        with pytest.raises(cp.CompileError, match=f"operator '{bad}' unitarity defect"):
+            cp.MoQfaSpec(2, ("0", "1"), ops, q_acc={0}, q_rej={1})
+
+    @pytest.mark.parametrize("order, first", [(("1", "0"), "1"), (("0", "1"), "0")])
+    def test_first_bad_operator_named(self, order, first):
+        # Named in the ops' order, not the alphabet's.
+        ops = {CENT: I2, DOLLAR: I2, order[0]: 0.8 * I2, order[1]: 0.9 * I2}
+        with pytest.raises(cp.CompileError, match=f"operator '{first}' unitarity defect"):
+            cp.MoQfaSpec(2, ("0", "1"), ops, q_acc={0}, q_rej={1})
+
+    @pytest.mark.parametrize("cent_scale", [1.0, 0.9], ids=["among-good", "after-a-bad-one"])
+    def test_wrong_shape_named_before_any_defect(self, cent_scale):
+        ops = {CENT: cent_scale * I2, DOLLAR: I2, "0": np.eye(3), "1": I2}
+        with pytest.raises(cp.CompileError, match=r"operator '0' has shape \(3, 3\)"):
+            cp.MoQfaSpec(2, ("0", "1"), ops, q_acc={0}, q_rej={1})
 
 
 class TestFromMoqfa:
@@ -127,10 +141,18 @@ class TestGarbageModel:
             )
             assert psi_mass == pytest.approx(1.0, abs=1e-9)
 
-    def test_isometry_validation(self):
+    @pytest.mark.parametrize("bad", [CENT, DOLLAR, "0", "1"])
+    def test_isometry_validation(self, bad):
         spec = cp.random_garbage_spec(RNG, 2, 2)
-        with pytest.raises(cp.CompileError):
-            dataclasses.replace(spec, delta={**spec.delta, (0, "0"): [(0, 1, 0.9)]})
+        with pytest.raises(cp.CompileError, match=f"symbol '{bad}' isometry defect"):
+            dataclasses.replace(spec, delta={**spec.delta, (0, bad): [(0, 1, 0.9)]})
+
+    def test_first_bad_symbol_named(self):
+        # Named in the tables' order: cent, dollar, then the alphabet.
+        spec = cp.random_garbage_spec(RNG, 2, 2)
+        delta = {**spec.delta, (1, "1"): [(0, 1, 0.5)], (0, "0"): [(0, 1, 0.9)]}
+        with pytest.raises(cp.CompileError, match="symbol '0' isometry defect"):
+            dataclasses.replace(spec, delta=delta)
 
     def test_dfa_embedding_matches_language(self):
         dfa = cp.dfa_as_garbage_spec(
@@ -477,3 +499,82 @@ class TestProductBits:
             psi.reshape(n_states, n_words)[:, n_words - len(top):] = top.T
             psi /= np.linalg.norm(psi)
             assert fam.build(x).h_fin.vector.tobytes() == psi.tobytes(), x
+
+
+def reference_haar_unitary(rng, n):
+    """One Haar unitary as the generators drew each before they drew a stack."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def reference_garbage_delta(rng, n_states, xi_size, alphabet=("0", "1")):
+    delta = {}
+    for sym in [CENT, DOLLAR, *alphabet]:
+        big = reference_haar_unitary(rng, n_states * xi_size)
+        for q in range(n_states):
+            col = big[:, q]
+            moves = []
+            for p in range(n_states):
+                for xi in range(1, xi_size + 1):
+                    amp = col[p * xi_size + (xi - 1)]
+                    if abs(amp) > 1e-14:
+                        moves.append((p, xi, complex(amp)))
+            delta[(q, sym)] = moves
+    return delta
+
+
+def readout_of(rng, n_states):
+    labels = rng.integers(0, 3, size=n_states)
+    return np.flatnonzero(labels == 0), np.flatnonzero(labels == 1), int(rng.integers(0, n_states))
+
+
+def assert_same_readout(spec, q_acc, q_rej, initial):
+    assert spec.q_acc.tobytes() == q_acc.tobytes() and spec.q_acc.dtype == q_acc.dtype
+    assert spec.q_rej.tobytes() == q_rej.tobytes() and spec.q_rej.dtype == q_rej.dtype
+    assert spec.initial == initial and type(spec.initial) is int
+
+
+class TestStackedDraws:
+    """The generators draw every symbol's unitary as one stack; the specs and
+    the generator's state after them are those of one draw per symbol."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n_states", [2, 3, 4, 5])
+    def test_moqfa_spec_is_the_per_symbol_draw(self, seed, n_states):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        spec = cp.random_moqfa_spec(rng, n_states)
+        ops = {sym: reference_haar_unitary(ref, n_states) for sym in (CENT, DOLLAR, "0", "1")}
+        readout = readout_of(ref, n_states)
+        assert list(spec.ops) == list(ops)
+        for sym, u in ops.items():
+            assert spec.ops[sym].dtype == u.dtype and spec.ops[sym].tobytes() == u.tobytes(), sym
+        assert_same_readout(spec, *readout)
+        assert rng.standard_normal(4).tobytes() == ref.standard_normal(4).tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n_states, xi_size",
+                             list(itertools.product([2, 3], [1, 2, 3])))
+    def test_garbage_spec_is_the_per_symbol_draw(self, seed, n_states, xi_size):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        spec = cp.random_garbage_spec(rng, n_states, xi_size)
+        delta = reference_garbage_delta(ref, n_states, xi_size)
+        readout = readout_of(ref, n_states)
+        # Values, types and order of every move, and the order of the keys.
+        assert list(spec.delta) == list(delta)
+        for key, moves in delta.items():
+            got = spec.delta[key]
+            assert [tuple(map(type, m)) for m in got] == [tuple(map(type, m)) for m in moves]
+            assert repr(got) == repr(moves), key
+        want = cp._garbage_tables(dataclasses.replace(spec, delta=delta))
+        assert list(spec.tables) == list(want)
+        for sym, table in want.items():
+            assert spec.tables[sym].tobytes() == table.tobytes(), sym
+        assert_same_readout(spec, *readout)
+        assert rng.standard_normal(4).tobytes() == ref.standard_normal(4).tobytes()
+
+    def test_stack_is_unitary(self):
+        us = cp.haar_unitaries(np.random.default_rng(0), 3, 4)
+        assert us.shape == (3, 4, 4)
+        for u in us:
+            assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12

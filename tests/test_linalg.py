@@ -269,6 +269,28 @@ class TestSpectralNorm:
         assert spectral_norm(a @ b) <= spectral_norm(a) * spectral_norm(b) + 1e-9
 
 
+    @pytest.mark.parametrize("shape", [(4, 3, 3), (2, 3, 2, 5), (5, 1, 1), (3, 6, 2)])
+    def test_stack_is_each_matrix_bit_for_bit(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        norms = spectral_norm(stack)
+        assert isinstance(norms, np.ndarray) and norms.shape == shape[:-2]
+        for index in np.ndindex(*shape[:-2]):
+            one = spectral_norm(stack[index])
+            assert type(one) is float
+            assert norms[index].tobytes() == np.float64(one).tobytes(), index
+
+    def test_one_matrix_is_a_float(self):
+        assert type(spectral_norm(np.eye(3))) is float
+        assert type(spectral_norm(np.zeros((0, 0)))) is float
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 0), (2, 3, 0, 4)])
+    def test_empty_stack_is_zeros(self, shape):
+        norms = spectral_norm(np.ones(shape))
+        assert isinstance(norms, np.ndarray) and norms.shape == shape[:-2]
+        assert not norms.any()
+
+
 class TestTensorAndHadamard:
     def test_hadamard_k0_and_k1(self):
         assert np.allclose(hadamard_power(0), [[1.0]])
